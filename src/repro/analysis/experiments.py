@@ -381,7 +381,13 @@ class SchedulerComparisonResult:
         tail over its few survivors.  Counting every abandoned request as an
         infinite response time removes that survivorship bias (a policy that
         abandons more than 5% of the offered load has an infinite p95).
+        Needs every completed record, which streaming reports do not keep.
         """
+        if len(report.completed) != report.num_requests:
+            raise ConfigurationError(
+                "the p95 over offered requests needs every completed record; "
+                "run the comparison with retain_records=True"
+            )
         if report.num_offered == 0:
             return 0.0
         rank = math.ceil(0.95 * report.num_offered)  # 1-based order statistic

@@ -40,7 +40,6 @@ from repro.serving.batching import (
     BatchFormationPolicy,
     ContinuousBatching,
     DynamicBatching,
-    GPUBatchCostModel,
     NoBatching,
     dominant_workload,
     make_batch_policy,
@@ -121,7 +120,6 @@ __all__ = [
     "BatchFormationPolicy",
     "ContinuousBatching",
     "DynamicBatching",
-    "GPUBatchCostModel",
     "NoBatching",
     "dominant_workload",
     "make_batch_policy",

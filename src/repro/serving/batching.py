@@ -158,31 +158,9 @@ class BackendBatchCostModel:
         self, workload: Workload, concurrency: int, latency_s: float
     ) -> float:
         # Power is shared by the requests decoding concurrently: each stream
-        # is billed 1/concurrency of the draw over ``latency_s`` — the full
-        # stream latency under admission-time pricing, or one occupancy
-        # segment under re-pricing (`ContinuousBatching(reprice=True)`).
+        # is billed 1/concurrency of the draw over ``latency_s``, one
+        # occupancy segment of the stream.
         return self._power(workload) * latency_s / concurrency
-
-
-class GPUBatchCostModel(BackendBatchCostModel):
-    """Deprecated shim: :class:`BackendBatchCostModel` over a raw platform.
-
-    Predates the backend protocol — it took any platform exposing the
-    :class:`~repro.baselines.gpu.GPUAppliance` batching interface
-    (``batched_request_latency_ms`` and ``run``) directly.  Kept so old
-    constructor call sites work unchanged; new code should build a
-    backend (``make_backend("gpu", ...)``) and use
-    :class:`BackendBatchCostModel`.
-    """
-
-    def __init__(self, platform) -> None:
-        for required in ("batched_request_latency_ms", "run"):
-            if not callable(getattr(platform, required, None)):
-                raise ConfigurationError(
-                    f"{type(platform).__name__} cannot price batches: it lacks "
-                    f"the {required!r} method of the GPU batching cost model"
-                )
-        super().__init__(as_backend(platform))
 
 
 class BatchFormationPolicy:
@@ -277,26 +255,22 @@ class ContinuousBatching(BatchFormationPolicy):
     (no gather wait) and prices it at the batched per-token rate of the
     concurrency at admission.
 
-    By default (``reprice=True``) in-flight decode streams are *re-priced*
-    whenever the unit's occupancy changes: each stream's completed work
-    fraction is carried over and its remaining work re-runs at the new
-    concurrency's per-token rate, so a lone survivor really speeds up and
-    a newly crowded stream really slows down.  Energy is billed per
-    occupancy segment (1/concurrency of the appliance draw while that
-    concurrency held), so whole-appliance energy integrates correctly.
-    ``reprice=False`` restores the earlier admission-time-only
-    approximation, which brackets the truth from above while keeping one
-    immutable completion event per request.
+    In-flight decode streams are *re-priced* whenever the unit's
+    occupancy changes: each stream's completed work fraction is carried
+    over and its remaining work re-runs at the new concurrency's per-token
+    rate, so a lone survivor really speeds up and a newly crowded stream
+    really slows down.  Energy is billed per occupancy segment
+    (1/concurrency of the appliance draw while that concurrency held), so
+    whole-appliance energy integrates correctly.
     """
 
     name = "continuous"
     continuous = True
 
-    def __init__(self, max_batch_size: int = 8, reprice: bool = True) -> None:
+    def __init__(self, max_batch_size: int = 8) -> None:
         if max_batch_size < 1:
             raise ConfigurationError("max_batch_size must be >= 1")
         self.max_batch_size = max_batch_size
-        self.reprice = reprice
 
 
 #: Registry of built-in batch-formation policies by name.

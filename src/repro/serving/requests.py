@@ -64,12 +64,22 @@ class ServiceRequest:
     retryable: bool = True
 
     def __post_init__(self) -> None:
-        if self.arrival_time_s < 0:
-            raise ConfigurationError("arrival_time_s must be non-negative")
-        if self.slo_s is not None and self.slo_s <= 0:
-            raise ConfigurationError("slo_s must be positive when given")
-        if self.patience_s is not None and self.patience_s <= 0:
-            raise ConfigurationError("patience_s must be positive when given")
+        # Each check is written so that NaN fails it (NaN compares false
+        # with everything); a NaN arrival would otherwise fail deep in the
+        # event loop instead of here.
+        if not 0.0 <= self.arrival_time_s < math.inf:
+            raise ConfigurationError(
+                "arrival_time_s must be finite and non-negative, "
+                f"got {self.arrival_time_s}"
+            )
+        if self.slo_s is not None and not self.slo_s > 0:
+            raise ConfigurationError(
+                f"slo_s must be positive when given, got {self.slo_s}"
+            )
+        if self.patience_s is not None and not self.patience_s > 0:
+            raise ConfigurationError(
+                f"patience_s must be positive when given, got {self.patience_s}"
+            )
 
     @property
     def deadline_s(self) -> float:
@@ -497,7 +507,8 @@ def replay_trace(path: str | Path, format: str = "auto") -> list[ServiceRequest]
             else "csv"
         )
 
-    records: list[dict] = []
+    # (line number, ServiceRequest kwargs) per record.
+    records: list[tuple[int, dict]] = []
     source = str(path)
     if format == "jsonl":
         with path.open() as handle:
@@ -515,16 +526,20 @@ def replay_trace(path: str | Path, format: str = "auto") -> list[ServiceRequest]
                     raise ConfigurationError(
                         f"{source}, line {line_number}: expected a JSON object"
                     )
-                records.append(_replay_record(record, line_number, source))
+                records.append(
+                    (line_number, _replay_record(record, line_number, source))
+                )
     else:
         with path.open(newline="") as handle:
             reader = csv.DictReader(handle)
             if reader.fieldnames is None:
                 raise ConfigurationError(f"{source}: empty CSV request log")
             for line_number, record in enumerate(reader, start=2):
-                records.append(_replay_record(record, line_number, source))
+                records.append(
+                    (line_number, _replay_record(record, line_number, source))
+                )
 
-    with_ids = sum(1 for record in records if "request_id" in record)
+    with_ids = sum(1 for _, record in records if "request_id" in record)
     if 0 < with_ids < len(records):
         raise ConfigurationError(
             f"{source}: {with_ids} of {len(records)} records carry a "
@@ -532,7 +547,7 @@ def replay_trace(path: str | Path, format: str = "auto") -> list[ServiceRequest]
         )
     if with_ids:
         seen: dict[int, int] = {}
-        for record in records:
+        for _, record in records:
             request_id = record["request_id"]
             seen[request_id] = seen.get(request_id, 0) + 1
         duplicates = sorted(id for id, count in seen.items() if count > 1)
@@ -541,13 +556,17 @@ def replay_trace(path: str | Path, format: str = "auto") -> list[ServiceRequest]
                 f"{source}: duplicate request_id values {duplicates} — "
                 f"per-request accounting would silently collapse them"
             )
-    records.sort(key=lambda record: record["arrival_time_s"])
-    return [
-        ServiceRequest(request_id=index, **record)
-        if "request_id" not in record
-        else ServiceRequest(**record)
-        for index, record in enumerate(records)
-    ]
+    records.sort(key=lambda item: item[1]["arrival_time_s"])
+    trace = []
+    for index, (line_number, record) in enumerate(records):
+        record.setdefault("request_id", index)
+        try:
+            trace.append(ServiceRequest(**record))
+        except ConfigurationError as error:
+            raise ConfigurationError(
+                f"{source}, record {line_number}: {error}"
+            ) from error
+    return trace
 
 
 def with_service_levels(

@@ -3,10 +3,11 @@
 The serving subsystem is split across four modules:
 
 * ``serving/server.py`` (this module) — the :class:`LatencyOracle`, the
-  outcome records (:class:`CompletedRequest`, :class:`AbandonedRequest`), the
-  aggregate :class:`ServingReport`, the back-compat :class:`ApplianceServer`
-  front end, and the capacity-planning helpers (:func:`saturation_sweep`,
-  :func:`find_max_rate_under_slo`).
+  outcome records (:class:`CompletedRequest`, :class:`AbandonedRequest`,
+  :class:`FailedRequest`), the :class:`ReportAccumulator` every run seals
+  them into, the aggregate :class:`ServingReport` that reads it, the
+  back-compat :class:`ApplianceServer` front end, and the capacity-planning
+  helpers (:func:`saturation_sweep`, :func:`find_max_rate_under_slo`).
 * ``serving/simulator.py`` — the discrete-event core: a single event loop
   that replays a trace against any set of server units.
 * ``serving/schedulers.py`` — pluggable dispatch policies (FIFO, SJF,
@@ -39,7 +40,12 @@ from repro.errors import ConfigurationError
 from repro.results import InferenceResult
 from repro.serving.batching import BackendBatchCostModel, make_batch_policy
 from repro.serving.requests import ServiceRequest
-from repro.serving.stats import DEFAULT_EPS, QuantileSketch, merge_distribution
+from repro.serving.stats import (
+    DEFAULT_EPS,
+    ExactDistribution,
+    QuantileSketch,
+    merge_distribution,
+)
 from repro.workloads import Workload
 
 #: Abandonment reason: the request's patience ran out while queued.
@@ -54,6 +60,10 @@ FAIL_UNIT = "unit-failure"
 FAIL_RETRIES = "retries-exhausted"
 #: Failure reason: killed while the run's global retry budget was dry.
 FAIL_BUDGET = "retry-budget-exhausted"
+
+#: A report's latency distribution slot (exact in retained runs, sketched
+#: in streaming runs).
+Distribution = ExactDistribution | QuantileSketch
 
 
 class PlatformModel(Protocol):
@@ -174,26 +184,26 @@ class FailedRequest:
 
 @dataclass
 class ReportAccumulator:
-    """Online report accounting for streaming-mode simulations.
+    """Report accounting: every serving run seals its outcomes into this.
 
-    In streaming mode (``retain_records=False``) the simulator seals each
-    outcome record into this accumulator instead of appending it to the
-    report's lists, so memory stays flat in the trace length: running
-    counters cover conservation, utilization, SLO attainment, goodput, and
-    the per-class/per-appliance breakdowns, and
-    :class:`~repro.serving.stats.QuantileSketch` es answer the
-    response/queueing/gather/failover percentile queries within a hard
-    ``eps``-rank-error bound (``eps * count`` ranks; 0.5% by default).
+    The simulator seals each outcome record here.  Running counters cover
+    conservation, utilization, SLO attainment, goodput, and the
+    per-class/per-appliance breakdowns; distribution slots answer the
+    response/queueing/gather/transfer/failover percentile and mean queries.
+    ``eps`` picks the slot type (see :mod:`repro.serving.stats`):
+
+    * ``None`` — retained runs: an :class:`ExactDistribution` per slot,
+      answering exactly as numpy does over the sealed values;
+    * a float — streaming runs: a :class:`QuantileSketch` per slot, within
+      ``eps * count`` ranks of exact (0.5% by default), so memory stays
+      flat in the trace length.
+
     Everything here is deterministic, so seeded runs reproduce their
-    streaming reports exactly.
-
-    The sealing interface (``seal_dispatch`` / ``seal_abandoned`` /
-    ``seal_failed`` / ``seal_failover``) mirrors the simulator's retained
-    record sink; :class:`ServingReport` reads the accumulated state through
-    its usual properties when its ``stats`` field holds one of these.
+    reports exactly.  :class:`ServingReport` reads every statistic from
+    its ``stats`` accumulator.
     """
 
-    eps: float = DEFAULT_EPS
+    eps: float | None = DEFAULT_EPS
     num_completed: int = 0
     num_abandoned: int = 0
     num_failed: int = 0
@@ -214,19 +224,20 @@ class ReportAccumulator:
     total_transfer_time_s: float = 0.0
     #: Dispatches that landed on a member off the ingress rack.
     num_cross_rack_dispatches: int = 0
-    #: Members off the ingress rack (set by the simulator's streaming sink
-    #: from the network model; empty without one).
+    #: Members off the ingress rack (set by the simulator from the network
+    #: model; empty without one).
     cross_rack_members: frozenset = frozenset()
-    response: QuantileSketch = field(init=False)
-    queueing: QuantileSketch = field(init=False)
-    gather: QuantileSketch = field(init=False)
-    failover: QuantileSketch = field(init=False)
+    response: Distribution = field(init=False)
+    queueing: Distribution = field(init=False)
+    #: Per-dispatch gather delay: dispatch time minus oldest member arrival.
+    gather: Distribution = field(init=False)
+    failover: Distribution = field(init=False)
     #: Per-dispatch transfer seconds (fed for every dispatch, 0.0 entries
     #: included, so network-free and zero-cost runs accumulate identically).
-    transfer: QuantileSketch = field(init=False)
+    transfer: Distribution = field(init=False)
     #: Response times of requests served on cross-rack members.
-    cross_rack_response: QuantileSketch = field(init=False)
-    response_by_class: dict[str, QuantileSketch] = field(
+    cross_rack_response: Distribution = field(init=False)
+    response_by_class: dict[str, Distribution] = field(
         init=False, default_factory=dict
     )
     #: Service-class labels seen on any outcome (completed/abandoned/failed).
@@ -235,12 +246,17 @@ class ReportAccumulator:
     batch_sizes: dict[int, int] = field(init=False, default_factory=dict)
 
     def __post_init__(self) -> None:
-        self.response = QuantileSketch(self.eps)
-        self.queueing = QuantileSketch(self.eps)
-        self.gather = QuantileSketch(self.eps)
-        self.failover = QuantileSketch(self.eps)
-        self.transfer = QuantileSketch(self.eps)
-        self.cross_rack_response = QuantileSketch(self.eps)
+        self.response = self._distribution()
+        self.queueing = self._distribution()
+        self.gather = self._distribution()
+        self.failover = self._distribution()
+        self.transfer = self._distribution()
+        self.cross_rack_response = self._distribution()
+
+    def _distribution(self) -> Distribution:
+        if self.eps is None:
+            return ExactDistribution()
+        return QuantileSketch(self.eps)
 
     # ------------------------------------------------------- sealing interface
     def seal_dispatch(self, records: list[CompletedRequest]) -> None:
@@ -276,10 +292,10 @@ class ReportAccumulator:
                 self.cross_rack_response.add(response_time)
             label = record.request.service_class
             self.class_labels.add(label)
-            sketch = self.response_by_class.get(label)
-            if sketch is None:
-                sketch = self.response_by_class[label] = QuantileSketch(self.eps)
-            sketch.add(response_time)
+            by_class = self.response_by_class.get(label)
+            if by_class is None:
+                by_class = self.response_by_class[label] = self._distribution()
+            by_class.add(response_time)
             if record.request.slo_s is not None:
                 self.slo_offered += 1
                 if not record.slo_met:
@@ -314,6 +330,11 @@ class ServingReport:
     traces that start late or are sparse.  ``appliance_clusters`` maps each
     appliance name to its cluster count for fleet reports; when empty the
     report describes a single appliance with ``num_clusters`` clusters.
+
+    Every statistic reads the ``stats`` accumulator the run sealed into.
+    The record lists (``completed``, ``abandoned``, ``failed``,
+    ``failover_delays_s``) are kept for record-level inspection by
+    retained runs only and stay empty in streaming runs.
     """
 
     platform: str
@@ -347,162 +368,24 @@ class ServingReport:
     link_downtime: dict[str, tuple[tuple[float, float], ...]] = field(
         default_factory=dict
     )
-    #: Streaming-mode accounting: ``None`` in retained mode (the default),
-    #: a :class:`ReportAccumulator` when the run sealed records online
-    #: (``retain_records=False``) — ``completed``/``abandoned``/``failed``
-    #: stay empty then and every statistic below reads the accumulator.
-    stats: ReportAccumulator | None = None
-    # Lazily-built statistic arrays, keyed on (list object, length) so both
-    # appends and wholesale list replacement invalidate them (the cache holds
-    # the list reference and compares with ``is``, so a freed list's id can
-    # never alias a new one); excluded from ==/repr.  Replacing an element in
-    # place is not detected — use ``invalidate_caches()`` after surgery like
-    # that.
-    _response_cache: tuple[list, int, np.ndarray] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _queueing_cache: tuple[list, int, np.ndarray] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _batch_cache: tuple[list, int, tuple[np.ndarray, np.ndarray]] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    # Sorted-once percentile arrays (global, per-class, queueing, failover):
-    # every percentile accessor reads a pre-sorted array, so exact mode pays
-    # one sort per seal generation rather than one extraction per call.
-    _sorted_response_cache: tuple[list, int, np.ndarray] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _sorted_queueing_cache: tuple[list, int, np.ndarray] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _class_response_cache: tuple[list, int, dict[str, np.ndarray]] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _failover_cache: tuple[list, int, np.ndarray] | None = field(
-        default=None, init=False, repr=False, compare=False
+    #: The run's accounting: exact distributions in retained runs,
+    #: quantile sketches in streaming runs (``retain_records=False``).
+    stats: ReportAccumulator = field(
+        default_factory=lambda: ReportAccumulator(eps=None)
     )
 
     # ------------------------------------------------------------------ stats
-    def invalidate_caches(self) -> None:
-        """Drop the lazily-built statistic arrays (after mutating ``completed``)."""
-        self._response_cache = None
-        self._queueing_cache = None
-        self._batch_cache = None
-        self._sorted_response_cache = None
-        self._sorted_queueing_cache = None
-        self._class_response_cache = None
-        self._failover_cache = None
-
-    def _cached_stat(self, cache_attr: str, extract) -> np.ndarray:
-        """Per-completed-request statistic array, cached until ``completed``
-        is appended to or replaced.
-
-        The percentile/mean properties are hammered by the saturation sweeps;
-        rebuilding the array for every statistic turned reporting itself into
-        a hot spot on long traces.
-        """
-        cache = getattr(self, cache_attr)
-        if (
-            cache is None
-            or cache[0] is not self.completed
-            or cache[1] != len(self.completed)
-        ):
-            values = np.asarray(
-                [extract(c) for c in self.completed], dtype=np.float64
-            )
-            cache = (self.completed, len(self.completed), values)
-            setattr(self, cache_attr, cache)
-        return cache[2]
-
-    def _response_times(self) -> np.ndarray:
-        """Response times of all completed requests (cached)."""
-        return self._cached_stat("_response_cache", lambda c: c.response_time_s)
-
-    def _queueing_delays(self) -> np.ndarray:
-        """Queueing delays of all completed requests (cached)."""
-        return self._cached_stat("_queueing_cache", lambda c: c.queueing_delay_s)
-
-    def _sorted_response_times(self) -> np.ndarray:
-        """Sorted response times — one sort per seal generation.
-
-        Percentiles over a pre-sorted array select the same order statistics
-        as over the raw one, so the results are bit-identical; the means keep
-        reading the *unsorted* arrays because summation order matters there.
-        """
-        return self._cached_sorted(
-            "_sorted_response_cache", self._response_times
-        )
-
-    def _sorted_queueing_delays(self) -> np.ndarray:
-        return self._cached_sorted(
-            "_sorted_queueing_cache", self._queueing_delays
-        )
-
-    def _cached_sorted(self, cache_attr: str, source) -> np.ndarray:
-        cache = getattr(self, cache_attr)
-        if (
-            cache is None
-            or cache[0] is not self.completed
-            or cache[1] != len(self.completed)
-        ):
-            cache = (self.completed, len(self.completed), np.sort(source()))
-            setattr(self, cache_attr, cache)
-        return cache[2]
-
-    def _class_response_times(self) -> dict[str, np.ndarray]:
-        """Per-service-class sorted response times, built in one pass."""
-        cache = self._class_response_cache
-        if (
-            cache is None
-            or cache[0] is not self.completed
-            or cache[1] != len(self.completed)
-        ):
-            grouped: dict[str, list[float]] = {}
-            for completed in self.completed:
-                grouped.setdefault(
-                    completed.request.service_class, []
-                ).append(completed.response_time_s)
-            arrays = {
-                label: np.sort(np.asarray(values, dtype=np.float64))
-                for label, values in grouped.items()
-            }
-            cache = (self.completed, len(self.completed), arrays)
-            self._class_response_cache = cache
-        return cache[2]
-
-    def _sorted_failover_delays(self) -> np.ndarray:
-        cache = self._failover_cache
-        if (
-            cache is None
-            or cache[0] is not self.failover_delays_s
-            or cache[1] != len(self.failover_delays_s)
-        ):
-            cache = (
-                self.failover_delays_s,
-                len(self.failover_delays_s),
-                np.sort(np.asarray(self.failover_delays_s, dtype=np.float64)),
-            )
-            self._failover_cache = cache
-        return cache[2]
-
     @property
     def num_requests(self) -> int:
-        if self.stats is not None:
-            return self.stats.num_completed
-        return len(self.completed)
+        return self.stats.num_completed
 
     @property
     def num_abandoned(self) -> int:
-        if self.stats is not None:
-            return self.stats.num_abandoned
-        return len(self.abandoned)
+        return self.stats.num_abandoned
 
     @property
     def num_failed(self) -> int:
-        if self.stats is not None:
-            return self.stats.num_failed
-        return len(self.failed)
+        return self.stats.num_failed
 
     @property
     def num_offered(self) -> int:
@@ -518,38 +401,18 @@ class ServingReport:
         completed requests only.  Streaming reports answer from the quantile
         sketch, within ``stats.response.rank_error_bound()`` ranks of exact.
         """
-        if self.stats is not None:
-            if service_class is None:
-                return self.stats.response.query(percentile)
-            sketch = self.stats.response_by_class.get(service_class)
-            return sketch.query(percentile) if sketch is not None else 0.0
         if service_class is None:
-            if not self.completed:
-                return 0.0
-            return float(
-                np.percentile(self._sorted_response_times(), percentile)
-            )
-        values = self._class_response_times().get(service_class)
-        if values is None or values.size == 0:
-            return 0.0
-        return float(np.percentile(values, percentile))
+            return self.stats.response.query(percentile)
+        by_class = self.stats.response_by_class.get(service_class)
+        return by_class.query(percentile) if by_class is not None else 0.0
 
     def queueing_delay_percentile_s(self, percentile: float) -> float:
         """Queueing-delay percentile over completed requests."""
-        if self.stats is not None:
-            return self.stats.queueing.query(percentile)
-        if not self.completed:
-            return 0.0
-        return float(np.percentile(self._sorted_queueing_delays(), percentile))
+        return self.stats.queueing.query(percentile)
 
     def service_classes(self) -> list[str]:
         """Service-class labels present in the trace (any outcome)."""
-        if self.stats is not None:
-            return sorted(self.stats.class_labels)
-        labels = {c.request.service_class for c in self.completed}
-        labels.update(a.request.service_class for a in self.abandoned)
-        labels.update(f.request.service_class for f in self.failed)
-        return sorted(labels)
+        return sorted(self.stats.class_labels)
 
     def percentiles_by_class(self, percentile: float) -> dict[str, float]:
         """Per-service-class response-time percentile."""
@@ -560,19 +423,11 @@ class ServingReport:
 
     @property
     def mean_response_time_s(self) -> float:
-        if self.stats is not None:
-            return self.stats.response.mean
-        if not self.completed:
-            return 0.0
-        return float(self._response_times().mean())
+        return self.stats.response.mean
 
     @property
     def mean_queueing_delay_s(self) -> float:
-        if self.stats is not None:
-            return self.stats.queueing.mean
-        if not self.completed:
-            return 0.0
-        return float(self._queueing_delays().mean())
+        return self.stats.queueing.mean
 
     @property
     def requests_per_hour(self) -> float:
@@ -586,10 +441,7 @@ class ServingReport:
         """Sustained generated-token throughput over the busy window."""
         if self.makespan_s <= 0:
             return 0.0
-        if self.stats is not None:
-            return self.stats.output_tokens / self.makespan_s
-        tokens = sum(c.request.workload.output_tokens for c in self.completed)
-        return tokens / self.makespan_s
+        return self.stats.output_tokens / self.makespan_s
 
     def iter_dispatches(self):
         """One representative completed request per dispatch (batch).
@@ -597,8 +449,7 @@ class ServingReport:
         Requests served together in one batch share their unit's busy
         interval, so busy-time accounting must count each batch once.
         Legacy records without a ``batch_id`` are their own dispatch.
-        Streaming reports keep no records — this yields nothing there (the
-        busy-time statistics read the accumulator's counters instead).
+        Streaming reports keep no records, so this yields nothing there.
         """
         seen: set[int] = set()
         for completed in self.completed:
@@ -618,11 +469,7 @@ class ServingReport:
         """
         if self.makespan_s <= 0 or self.num_clusters == 0:
             return 0.0
-        if self.stats is not None:
-            busy = self.stats.busy_time_s
-        else:
-            busy = sum(d.service_time_s for d in self.iter_dispatches())
-        return busy / (self.makespan_s * self.num_clusters)
+        return self.stats.busy_time_s / (self.makespan_s * self.num_clusters)
 
     def utilization_by_appliance(self) -> dict[str, float]:
         """Busy-time fraction of each appliance in the (possibly fleet) report."""
@@ -630,14 +477,9 @@ class ServingReport:
         if self.makespan_s <= 0:
             return {name: 0.0 for name in clusters}
         busy: dict[str, float] = {name: 0.0 for name in clusters}
-        if self.stats is not None:
-            for name, value in self.stats.busy_by_appliance.items():
-                key = name or self.platform
-                busy[key] = busy.get(key, 0.0) + value
-        else:
-            for dispatch in self.iter_dispatches():
-                name = dispatch.appliance or self.platform
-                busy[name] = busy.get(name, 0.0) + dispatch.service_time_s
+        for name, value in self.stats.busy_by_appliance.items():
+            key = name or self.platform
+            busy[key] = busy.get(key, 0.0) + value
         return {
             name: busy.get(name, 0.0) / (self.makespan_s * count)
             for name, count in clusters.items()
@@ -645,61 +487,17 @@ class ServingReport:
         }
 
     # ------------------------------------------------------------- batch stats
-    def _batch_stats(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-batch (sizes, gather delays), cached like the response times.
-
-        Grouping the completed list into batches is O(n); the batch
-        statistics below are hammered by sweep analysis just like the
-        percentile properties, so they share the same (list identity,
-        length)-keyed cache discipline.
-        """
-        cache = self._batch_cache
-        if (
-            cache is None
-            or cache[0] is not self.completed
-            or cache[1] != len(self.completed)
-        ):
-            sizes: dict[object, int] = {}
-            start: dict[object, float] = {}
-            oldest_arrival: dict[object, float] = {}
-            for index, completed in enumerate(self.completed):
-                key = completed.batch_id if completed.batch_id is not None else (
-                    "solo", index
-                )
-                arrival = completed.request.arrival_time_s
-                if key not in oldest_arrival or arrival < oldest_arrival[key]:
-                    oldest_arrival[key] = arrival
-                sizes[key] = completed.batch_size
-                start[key] = completed.start_time_s
-            stats = (
-                np.asarray(list(sizes.values()), dtype=np.int64),
-                np.asarray(
-                    [start[key] - oldest_arrival[key] for key in start],
-                    dtype=np.float64,
-                ),
-            )
-            cache = (self.completed, len(self.completed), stats)
-            self._batch_cache = cache
-        return cache[2]
-
     @property
     def num_batches(self) -> int:
         """Dispatches performed (each gathered batch counts once)."""
-        if self.stats is not None:
-            return self.stats.num_batches
-        return int(self._batch_stats()[0].size)
+        return self.stats.num_batches
 
     @property
     def mean_batch_size(self) -> float:
         """Average recorded batch size over dispatches (1.0 when unbatched)."""
-        if self.stats is not None:
-            if self.stats.num_batches == 0:
-                return 0.0
-            return self.stats.batch_size_total / self.stats.num_batches
-        sizes = self._batch_stats()[0]
-        if sizes.size == 0:
+        if self.stats.num_batches == 0:
             return 0.0
-        return float(sizes.mean())
+        return self.stats.batch_size_total / self.stats.num_batches
 
     def batch_size_distribution(self) -> dict[int, int]:
         """Dispatch count by recorded batch size.
@@ -707,13 +505,8 @@ class ServingReport:
         Gather-mode sizes are member counts; continuous-mode sizes are the
         decode occupancy at admission.  An unbatched report is all 1s.
         """
-        if self.stats is not None:
-            return {
-                size: self.stats.batch_sizes[size]
-                for size in sorted(self.stats.batch_sizes)
-            }
-        values, counts = np.unique(self._batch_stats()[0], return_counts=True)
-        return {int(value): int(count) for value, count in zip(values, counts)}
+        sizes = self.stats.batch_sizes
+        return {size: sizes[size] for size in sorted(sizes)}
 
     def batch_gather_delays_s(self) -> np.ndarray:
         """Per-batch gather delay: dispatch time minus oldest member arrival.
@@ -721,44 +514,27 @@ class ServingReport:
         For singleton dispatches this equals the request's queueing delay;
         for gathered batches it is the wait the batch's oldest member paid
         while the batch formed (the latency cost of batching the paper's
-        Sec. III-A argues about).  Returns a fresh array (the cached one
-        stays internal).  Streaming reports keep no per-batch records —
-        use :meth:`batch_gather_delay_percentile_s` /
+        Sec. III-A argues about).  Returns a fresh array in dispatch order.
+        Streaming reports keep no per-batch values — use
+        :meth:`batch_gather_delay_percentile_s` /
         :attr:`mean_batch_gather_delay_s` there, or run with
         ``retain_records=True``.
         """
-        if self.stats is not None:
+        if not isinstance(self.stats.gather, ExactDistribution):
             raise ConfigurationError(
                 "per-batch gather delays are not retained in streaming mode; "
                 "serve with retain_records=True for the exact array"
             )
-        return self._batch_stats()[1].copy()
+        return self.stats.gather.values()
 
     @property
     def mean_batch_gather_delay_s(self) -> float:
-        if self.stats is not None:
-            return self.stats.gather.mean
-        delays = self._batch_stats()[1]
-        if delays.size == 0:
-            return 0.0
-        return float(delays.mean())
+        return self.stats.gather.mean
 
     def batch_gather_delay_percentile_s(self, percentile: float) -> float:
-        if self.stats is not None:
-            return self.stats.gather.query(percentile)
-        delays = self._batch_stats()[1]
-        if delays.size == 0:
-            return 0.0
-        return float(np.percentile(delays, percentile))
+        return self.stats.gather.query(percentile)
 
     # ---------------------------------------------------------- network stats
-    def _dispatch_transfers(self) -> np.ndarray:
-        """Per-dispatch transfer seconds (retained mode; each batch once)."""
-        return np.asarray(
-            [d.transfer_time_s for d in self.iter_dispatches()],
-            dtype=np.float64,
-        )
-
     @property
     def total_transfer_time_s(self) -> float:
         """Network transfer seconds summed over dispatches (each batch once).
@@ -766,41 +542,21 @@ class ServingReport:
         Exactly 0.0 for runs without a network model (or with a zero-cost
         one).
         """
-        if self.stats is not None:
-            return self.stats.total_transfer_time_s
-        return float(sum(d.transfer_time_s for d in self.iter_dispatches()))
+        return self.stats.total_transfer_time_s
 
     @property
     def mean_transfer_time_s(self) -> float:
         """Mean per-dispatch network transfer seconds."""
-        if self.stats is not None:
-            return self.stats.transfer.mean
-        transfers = self._dispatch_transfers()
-        if transfers.size == 0:
-            return 0.0
-        return float(transfers.mean())
+        return self.stats.transfer.mean
 
     def transfer_time_percentile_s(self, percentile: float) -> float:
         """Per-dispatch transfer-time percentile (0.0 with no dispatches)."""
-        if self.stats is not None:
-            return self.stats.transfer.query(percentile)
-        transfers = self._dispatch_transfers()
-        if transfers.size == 0:
-            return 0.0
-        return float(np.percentile(transfers, percentile))
+        return self.stats.transfer.query(percentile)
 
     @property
     def num_cross_rack_dispatches(self) -> int:
         """Dispatches that landed on a member off the ingress rack."""
-        if self.stats is not None:
-            return self.stats.num_cross_rack_dispatches
-        if not self.cross_rack_members:
-            return 0
-        return sum(
-            1
-            for d in self.iter_dispatches()
-            if d.appliance in self.cross_rack_members
-        )
+        return self.stats.num_cross_rack_dispatches
 
     @property
     def cross_rack_dispatch_fraction(self) -> float:
@@ -816,20 +572,7 @@ class ServingReport:
         0.0 when no request was served on a cross-rack member (including
         every run without a network model).
         """
-        if self.stats is not None:
-            if self.stats.cross_rack_response.count == 0:
-                return 0.0
-            return self.stats.cross_rack_response.query(percentile)
-        if not self.cross_rack_members:
-            return 0.0
-        values = [
-            c.response_time_s
-            for c in self.completed
-            if c.appliance in self.cross_rack_members
-        ]
-        if not values:
-            return 0.0
-        return float(np.percentile(np.asarray(values, dtype=np.float64), percentile))
+        return self.stats.cross_rack_response.query(percentile)
 
     def downtime_by_link(self) -> dict[str, float]:
         """Severed seconds per link name, clipped to the busy window."""
@@ -858,25 +601,14 @@ class ServingReport:
         leaving unserved and are reported through ``abandonment_rate`` /
         ``failure_rate`` instead.
         """
-        if self.stats is not None:
-            return self.stats.slo_late + self.stats.slo_lost
-        late = sum(1 for c in self.completed if not c.slo_met)
-        dropped = sum(1 for a in self.abandoned if a.request.slo_s is not None)
-        lost = sum(1 for f in self.failed if f.request.slo_s is not None)
-        return late + dropped + lost
+        return self.stats.slo_late + self.stats.slo_lost
 
     @property
     def slo_violation_rate(self) -> float:
         """SLO violations as a fraction of offered SLO-carrying requests."""
-        if self.stats is not None:
-            offered = self.stats.slo_offered
-        else:
-            offered = sum(1 for c in self.completed if c.request.slo_s is not None)
-            offered += sum(1 for a in self.abandoned if a.request.slo_s is not None)
-            offered += sum(1 for f in self.failed if f.request.slo_s is not None)
-        if offered == 0:
+        if self.stats.slo_offered == 0:
             return 0.0
-        return self.slo_violations / offered
+        return self.slo_violations / self.stats.slo_offered
 
     @property
     def slo_attainment(self) -> float:
@@ -885,14 +617,8 @@ class ServingReport:
 
     @property
     def has_slo_requests(self) -> bool:
-        """Whether any offered request carried an SLO (both modes)."""
-        if self.stats is not None:
-            return self.stats.slo_offered > 0
-        return (
-            any(c.request.slo_s is not None for c in self.completed)
-            or any(a.request.slo_s is not None for a in self.abandoned)
-            or any(f.request.slo_s is not None for f in self.failed)
-        )
+        """Whether any offered request carried an SLO."""
+        return self.stats.slo_offered > 0
 
     @property
     def energy_per_request_joules(self) -> float:
@@ -930,19 +656,11 @@ class ServingReport:
     @property
     def mean_failover_delay_s(self) -> float:
         """Mean kill-to-restart latency over retried dispatches."""
-        if self.stats is not None:
-            return self.stats.failover.mean
-        if not self.failover_delays_s:
-            return 0.0
-        return float(np.mean(self.failover_delays_s))
+        return self.stats.failover.mean
 
     def failover_delay_percentile_s(self, percentile: float) -> float:
         """Kill-to-restart latency percentile over retried dispatches."""
-        if self.stats is not None:
-            return self.stats.failover.query(percentile)
-        if not self.failover_delays_s:
-            return 0.0
-        return float(np.percentile(self._sorted_failover_delays(), percentile))
+        return self.stats.failover.query(percentile)
 
     def _busy_window(self) -> tuple[float, float]:
         return (self.first_arrival_s, self.first_arrival_s + self.makespan_s)
@@ -1032,11 +750,11 @@ class ApplianceServer:
     the pre-batching simulator bit for bit.
 
     ``retain_records=True`` (the default) keeps every outcome record on the
-    report — the exact mode.  ``retain_records=False`` streams the records
-    through a :class:`ReportAccumulator` instead (flat memory, sketch-backed
-    percentiles), which is what million-request traces need; ``serve()``
-    then also accepts a lazy request iterator in non-decreasing arrival
-    order, never materializing the trace.
+    report and answers percentiles exactly.  ``retain_records=False`` keeps
+    no records and sketches the percentiles (flat memory), which is what
+    million-request traces need; ``serve()`` accepts a lazy request
+    iterator in non-decreasing arrival order either way, never
+    materializing the trace.
     """
 
     def __init__(self, platform: PlatformModel | Backend | str,

@@ -13,11 +13,12 @@ The loop is built for million-request traces: completion and retry events
 live in :class:`~repro.serving.calendar.CalendarQueue` s (O(1) amortized,
 pop order bit-identical to the heaps they replaced), arrivals are pulled
 one ahead from the trace (a generator trace is never materialized), and
-every outcome record flows through a *record sink* when it seals —
-``_RetainedSink`` keeps the classic exact report lists, while
-``retain_records=False`` streams them into a
-:class:`~repro.serving.server.ReportAccumulator` (running counters plus
-online quantile sketches) so memory stays flat in the trace length.
+every outcome record flows through the record sink when it seals, into
+the report's :class:`~repro.serving.server.ReportAccumulator` (running
+counters plus latency distributions).  Retained runs also keep every
+record on the report's lists and answer percentiles exactly;
+``retain_records=False`` keeps no records and sketches the percentiles,
+so memory stays flat in the trace length.
 In-flight work holds its *provisional* completion records privately
 (:class:`_InflightDispatch` / :class:`_DecodeStream`); a record reaches the
 report only when the work really completes, which is also what makes unit
@@ -46,15 +47,13 @@ Dispatch rules:
   arrival or completion intervenes.
 
 Continuous batching runs each admission as a decode *stream* on one of the
-unit's slots.  Under the default re-pricing mode
-(``ContinuousBatching(reprice=True)``) every occupancy change — admission
-or departure — re-prices the in-flight streams: each stream's completed
-work fraction is carried over and its remaining work re-runs at the new
-concurrency's rate.  Superseded completion events stay in the calendar
-queue and are skipped by an epoch check (lazy deletion); a stream's
-provisional completion record seals with its revised finish time when it
-really completes, and the retained sink restores dispatch order at
-finalize.
+unit's slots.  Every occupancy change — admission or departure — re-prices
+the in-flight streams: each stream's completed work fraction is carried
+over and its remaining work re-runs at the new concurrency's rate.
+Superseded completion events stay in the calendar queue and are skipped
+by an epoch check (lazy deletion); a stream's provisional completion
+record seals with its revised finish time when it really completes, and
+retained runs restore dispatch order at finalize.
 
 Fault injection (``repro.serving.faults``) adds a fourth event source: a
 compiled :class:`~repro.serving.faults.FaultSchedule` feeds a timeline of
@@ -137,76 +136,58 @@ from repro.serving.server import (
 ABANDON_UNSERVED = "unserved"
 
 
-class _RetainedSink:
-    """Exact-mode record sink: every sealed outcome lands on the report.
+class _RecordSink:
+    """Where every outcome record goes when it seals.
 
-    Dispatches seal in *completion* order, but the classic report contract
-    is *dispatch* order (FIFO traces read like the legacy serve loop, and
-    the property suite asserts monotone start times).  Batch ids are handed
-    out in dispatch order, so sorting the sealed records by
-    ``(batch_id, member position)`` at finalize reproduces the historical
-    completed list exactly — including after unit failures, because killed
-    provisional records simply never seal (no retraction bookkeeping).
+    Every record seals into the report's
+    :class:`~repro.serving.server.ReportAccumulator`, which answers all of
+    the report's statistics.  Streaming runs (``retain=False``) seal each
+    record as it happens and keep nothing else, so memory stays flat.
+
+    Retained runs also keep the records on the report's lists.  Their
+    dispatches seal in *completion* order, but the report contract is
+    *dispatch* order (FIFO traces read like the legacy serve loop, and the
+    property suite asserts monotone start times).  Batch ids are handed out
+    in dispatch order, so retained dispatches are held and sealed at
+    finalize sorted by batch id, members in position order — including
+    after unit failures, because killed provisional records simply never
+    seal.  Every float sum and mean of the accumulator then sees the values
+    in dispatch order.
     """
 
-    def __init__(self, report: ServingReport) -> None:
+    def __init__(self, report: ServingReport, retain: bool) -> None:
         self.report = report
-        self._sealed: list[tuple[int, int, CompletedRequest]] = []
-        self.num_completed = 0
-        self.last_finish_s = float("-inf")
-
-    def seal_dispatch(self, records: list[CompletedRequest]) -> None:
-        for member_index, record in enumerate(records):
-            self._sealed.append((record.batch_id, member_index, record))
-            self.num_completed += 1
-            if record.finish_time_s > self.last_finish_s:
-                self.last_finish_s = record.finish_time_s
-
-    def seal_abandoned(self, abandoned: AbandonedRequest) -> None:
-        self.report.abandoned.append(abandoned)
-
-    def seal_failed(self, failed: FailedRequest) -> None:
-        self.report.failed.append(failed)
-
-    def seal_failover(self, delay_s: float) -> None:
-        self.report.failover_delays_s.append(delay_s)
-
-    def finalize(self) -> None:
-        self._sealed.sort(key=lambda item: (item[0], item[1]))
-        self.report.completed.extend(record for _, _, record in self._sealed)
-        self._sealed.clear()
-
-
-class _StreamingSink:
-    """Flat-memory sink: seals records into the report's accumulator."""
-
-    def __init__(self, report: ServingReport, eps: float) -> None:
-        report.stats = ReportAccumulator(eps=eps)
         self.stats = report.stats
-        self._failover_list = report.failover_delays_s
-
-    @property
-    def num_completed(self) -> int:
-        return self.stats.num_completed
-
-    @property
-    def last_finish_s(self) -> float:
-        return self.stats.last_finish_s
+        self.retain = retain
+        self._held: list[list[CompletedRequest]] = []
 
     def seal_dispatch(self, records: list[CompletedRequest]) -> None:
-        self.stats.seal_dispatch(records)
+        if self.retain:
+            self._held.append(records)
+        else:
+            self.stats.seal_dispatch(records)
 
     def seal_abandoned(self, abandoned: AbandonedRequest) -> None:
+        if self.retain:
+            self.report.abandoned.append(abandoned)
         self.stats.seal_abandoned(abandoned)
 
     def seal_failed(self, failed: FailedRequest) -> None:
+        if self.retain:
+            self.report.failed.append(failed)
         self.stats.seal_failed(failed)
 
     def seal_failover(self, delay_s: float) -> None:
+        if self.retain:
+            self.report.failover_delays_s.append(delay_s)
         self.stats.seal_failover(delay_s)
 
     def finalize(self) -> None:
-        pass
+        self._held.sort(key=lambda records: records[0].batch_id)
+        for records in self._held:
+            self.stats.seal_dispatch(records)
+            self.report.completed.extend(records)
+        self._held.clear()
 
 
 @dataclass
@@ -245,11 +226,11 @@ class _DecodeStream:
 class _InflightDispatch:
     """One immutable in-flight dispatch, registered so a fault can kill it.
 
-    Gather-mode batches, singletons, and legacy (non-repriced) continuous
-    admissions all pass through here; re-priced decode streams carry their
-    own state in :class:`_DecodeStream` instead.  ``records`` are the
-    members' provisional completion records — sealed together when the
-    dispatch completes, discarded when a failure kills it.
+    Gather-mode batches and singletons pass through here; continuous
+    decode streams carry their own state in :class:`_DecodeStream`
+    instead.  ``records`` are the members' provisional completion records
+    — sealed together when the dispatch completes, discarded when a
+    failure kills it.
     """
 
     records: list[CompletedRequest]
@@ -265,8 +246,7 @@ class ServerUnit:
     A unit serves one *dispatch* per slot at a time: a singleton request or
     a gathered batch on gather-mode units (``slots == 1``), or up to
     ``max_batch_size`` concurrent decode streams under continuous batching
-    (``slots`` is raised by :func:`simulate` when the policy is continuous;
-    ``reprice`` mirrors the policy's re-pricing mode).
+    (``slots`` is raised by :func:`simulate` when the policy is continuous).
     Units with ``max_batch_size > 1`` must carry a ``batch_costs`` model;
     ``max_batch_size == 1`` units never consult it (batch=1 passthrough).
     """
@@ -280,7 +260,6 @@ class ServerUnit:
     # Runtime state, managed by the simulator.
     active: int = 0
     slots: int = 1
-    reprice: bool = False
     streams: dict[int, _DecodeStream] = field(default_factory=dict)
     # Fault state: a down unit takes no dispatches; ``slowdown`` is the
     # product of the active degradation factors (exactly 1.0 when none
@@ -379,8 +358,7 @@ class _SimulationState:
     scheduler: SchedulingPolicy
     batching: BatchFormationPolicy
     report: ServingReport
-    #: Record sink: retained (exact lists) or streaming (accumulator).
-    sink: _RetainedSink | _StreamingSink = None
+    sink: _RecordSink = None
     # False until a patience-carrying request enters the queue, letting
     # dispatch skip the per-event queue sweep (it can only be a no-op until
     # then — the sweep inspects queue members only, and a queue without
@@ -562,27 +540,10 @@ class _SimulationState:
         self, requests: list[ServiceRequest], unit: ServerUnit, now: float
     ) -> None:
         """Dispatch one batch (singleton or gathered) onto ``unit``."""
-        if unit.slots > 1 and unit.reprice:
+        if unit.slots > 1:
             self.admit_stream(requests[0], unit, now)
             return
-        if unit.slots > 1:
-            # Legacy continuous mode (reprice=False): priced once at the
-            # concurrency reached by this admission; recorded batch size is
-            # that decode occupancy.  ``slowdown`` (exactly 1.0 fault-free)
-            # stretches the wall clock; energy is billed over the stretched
-            # clock, so a degraded unit burns proportionally more.
-            concurrency = unit.active + 1
-            workload = requests[0].workload
-            latency_s = (
-                unit.batch_costs.continuous_latency_s(workload, concurrency)
-                * unit.slowdown
-            )
-            energy_joules = unit.batch_costs.continuous_energy_joules(
-                workload, concurrency, latency_s
-            )
-            batch_size = concurrency
-            transfer_s = unit.transfer_time_s(requests[0])
-        elif len(requests) == 1:
+        if len(requests) == 1:
             # The exact legacy arithmetic: singleton dispatches reproduce the
             # unbatched simulator bit for bit regardless of the batch policy.
             result = unit.oracle.result_for(requests[0].workload)
@@ -635,12 +596,12 @@ class _SimulationState:
     ) -> None:
         """Admit one request into a re-priced decode slot.
 
-        The admission is priced at the occupancy it creates (like legacy
-        continuous mode — the recorded ``batch_size`` is that occupancy),
-        then every pre-existing stream on the unit is re-priced at the new
-        concurrency.  The completion record built here is provisional: its
-        ``finish_time_s`` is revised when the stream really completes, and
-        only the final record seals into the report.
+        The admission is priced at the occupancy it creates (the recorded
+        ``batch_size`` is that occupancy), then every pre-existing stream
+        on the unit is re-priced at the new concurrency.  The completion
+        record built here is provisional: its ``finish_time_s`` is revised
+        when the stream really completes, and only the final record seals
+        into the report.
         """
         concurrency = unit.active + 1
         workload = request.workload
@@ -819,7 +780,7 @@ class _SimulationState:
         if product == unit.slowdown:
             return
         unit.slowdown = product
-        if unit.reprice and unit.streams:
+        if unit.streams:
             self.reprice_streams(unit, now)
 
     def fail_unit(self, unit: ServerUnit, now: float) -> None:
@@ -945,11 +906,12 @@ def simulate(
     to ``"none"``: every dispatch is a singleton and the simulation is
     identical to the pre-batching simulator.
 
-    ``retain_records=True`` (default) keeps every outcome record on the
-    report, exactly as always.  ``retain_records=False`` seals records into
-    a :class:`~repro.serving.server.ReportAccumulator` on ``report.stats``
-    instead — running counters plus ``quantile_eps``-rank-error quantile
-    sketches — so report memory is O(1) in the trace length.
+    Every run seals its outcome records into a
+    :class:`~repro.serving.server.ReportAccumulator` on ``report.stats``.
+    ``retain_records=True`` (default) also keeps every record on the
+    report and answers percentiles exactly.  ``retain_records=False`` keeps
+    no records and answers percentiles from ``quantile_eps``-rank-error
+    quantile sketches, so report memory is O(1) in the trace length.
 
     ``faults`` is an optional :class:`~repro.serving.faults.FaultSchedule`,
     compiled here against the concrete units; ``retry_policy`` routes
@@ -982,9 +944,6 @@ def simulate(
         unit.slots = (
             policy.capacity(unit.max_batch_size) if policy.continuous else 1
         )
-        unit.reprice = bool(
-            policy.continuous and getattr(policy, "reprice", False)
-        )
         unit.streams.clear()
         unit.inflight.clear()
         unit.slow_factors.clear()
@@ -1006,24 +965,26 @@ def simulate(
         appliance_clusters[unit.appliance] = appliance_clusters.get(unit.appliance, 0) + 1
     compiled = faults.compile(units) if faults is not None else None
     fault_events: tuple[FaultEvent, ...] = compiled.events if compiled else ()
+    cross_rack_members = (
+        network.cross_rack_members() if network is not None else frozenset()
+    )
     report = ServingReport(
         platform=platform,
         num_clusters=len(units),
         scheduler=scheduler.name,
         appliance_clusters=appliance_clusters,
         batch_policy=policy.name,
+        cross_rack_members=cross_rack_members,
+        stats=ReportAccumulator(
+            eps=None if retain_records else quantile_eps,
+            cross_rack_members=cross_rack_members,
+        ),
     )
     report.unit_appliance = {unit.unit_id: unit.appliance for unit in units}
     if compiled:
         report.unit_downtime = dict(compiled.downtime)
         report.link_downtime = dict(compiled.link_downtime)
-    if network is not None:
-        report.cross_rack_members = network.cross_rack_members()
-    if retain_records:
-        sink = _RetainedSink(report)
-    else:
-        sink = _StreamingSink(report, eps=quantile_eps)
-        sink.stats.cross_rack_members = report.cross_rack_members
+    sink = _RecordSink(report, retain=retain_records)
 
     # Lists are sorted defensively (as always); anything else streams
     # through with a one-arrival lookahead and an order check.
@@ -1135,8 +1096,8 @@ def simulate(
         else:
             state.abandon(request, now, ABANDON_UNSERVED)
 
-    report.first_arrival_s = first_arrival_s
-    if sink.num_completed:
-        report.makespan_s = max(0.0, sink.last_finish_s - first_arrival_s)
     sink.finalize()
+    report.first_arrival_s = first_arrival_s
+    if report.stats.num_completed:
+        report.makespan_s = max(0.0, report.stats.last_finish_s - first_arrival_s)
     return report

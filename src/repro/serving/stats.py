@@ -1,12 +1,20 @@
-"""Online statistics for streaming serving reports.
+"""Latency distributions for serving reports.
 
-Million-request traces rule out storing every response time and sorting
-percentile arrays on demand; the streaming report path keeps a
-:class:`QuantileSketch` per latency population instead.  The sketch is the
-Greenwald–Khanna (SIGMOD 2001) summary: a sorted list of
-``(value, g, delta)`` tuples maintaining, for every observed value, bounds
-on its rank that are at most ``2 * eps * n`` apart.  Any quantile query is
-then answered by an *observed* value whose true rank is within
+Every report accounts its latency populations (response, queueing, gather,
+transfer, failover, ...) in distribution slots with one surface:
+``add(value)``, ``query(percentile)``, ``mean`` and ``count``.  Two
+implementations exist, and the run's ``retain_records`` picks one:
+
+* :class:`ExactDistribution` keeps every value and answers with
+  ``np.percentile`` / ``np.mean`` over the values in insertion order —
+  retained runs, which also keep every outcome record anyway;
+* :class:`QuantileSketch` keeps a bounded summary — streaming runs, where
+  million-request traces rule out storing every response time.
+
+The sketch is the Greenwald–Khanna (SIGMOD 2001) summary: a sorted list
+of ``(value, g, delta)`` tuples maintaining, for every observed value,
+bounds on its rank that are at most ``2 * eps * n`` apart.  Any quantile
+query is then answered by an *observed* value whose true rank is within
 ``eps * n`` of the requested rank — a hard, deterministic guarantee (no
 RNG, no distribution assumptions), which is what the accuracy-contract
 tests assert against the exact retained-mode statistics.
@@ -20,11 +28,71 @@ their reports bit for bit.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.errors import ConfigurationError
 
 #: Default rank-error budget: quantile answers are within 0.5% of the
 #: requested rank, i.e. a p99 over 1M samples lands between p98.5 and p99.5.
 DEFAULT_EPS = 0.005
+
+
+def _check_percentile(percentile: float) -> None:
+    """Reject a percentile outside ``[0, 100]`` (both distributions)."""
+    if not 0.0 <= percentile <= 100.0:
+        raise ConfigurationError(
+            f"percentile must be in [0, 100], got {percentile}"
+        )
+
+
+class ExactDistribution:
+    """Every observation kept, answered exactly.
+
+    ``query`` is ``np.percentile`` and ``mean`` is ``np.mean`` over the
+    values in insertion order, so a caller that adds values in a fixed
+    order gets the same floats as computing over its own array.  The
+    value list is append-only and private; the sorted copy the percentile
+    queries read is rebuilt only when the count has changed.
+    """
+
+    __slots__ = ("_values", "_sorted")
+
+    def __init__(self) -> None:
+        self._values: list[float] = []
+        self._sorted = np.empty(0)
+
+    def add(self, value: float) -> None:
+        """Insert one observation."""
+        self._values.append(value)
+
+    @property
+    def count(self) -> int:
+        return len(self._values)
+
+    @property
+    def mean(self) -> float:
+        """Mean over the values in insertion order (0.0 when empty)."""
+        if not self._values:
+            return 0.0
+        return float(np.mean(self._values))
+
+    def values(self) -> np.ndarray:
+        """A fresh array of the values in insertion order."""
+        return np.asarray(self._values, dtype=np.float64)
+
+    def query(self, percentile: float) -> float:
+        """Exact value at ``percentile`` (0..100), numpy's interpolation."""
+        _check_percentile(percentile)
+        if not self._values:
+            return 0.0
+        if self._sorted.size != len(self._values):
+            self._sorted = np.sort(self.values())
+        return float(np.percentile(self._sorted, percentile))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ExactDistribution):
+            return NotImplemented
+        return self._values == other._values
 
 
 class QuantileSketch:
@@ -131,10 +199,7 @@ class QuantileSketch:
 
     def query(self, percentile: float) -> float:
         """Value at ``percentile`` (0..100), within the rank-error bound."""
-        if not 0.0 <= percentile <= 100.0:
-            raise ConfigurationError(
-                f"percentile must be in [0, 100], got {percentile}"
-            )
+        _check_percentile(percentile)
         if self.count == 0:
             return 0.0
         self._flush()
@@ -177,4 +242,9 @@ def merge_distribution(into: dict[int, int], key: int, count: int = 1) -> None:
     into[key] = into.get(key, 0) + count
 
 
-__all__ = ["DEFAULT_EPS", "QuantileSketch", "merge_distribution"]
+__all__ = [
+    "DEFAULT_EPS",
+    "ExactDistribution",
+    "QuantileSketch",
+    "merge_distribution",
+]

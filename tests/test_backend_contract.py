@@ -37,7 +37,6 @@ from repro.serving import (
     BackendBatchCostModel,
     DynamicBatching,
     FleetMember,
-    GPUBatchCostModel,
     LatencyOracle,
     ServiceRequest,
     poisson_trace,
@@ -346,21 +345,6 @@ class TestServingEquivalence:
         ).serve(self._trace())
         assert through_backend.completed == legacy.completed
         assert through_backend.total_energy_joules == legacy.total_energy_joules
-
-    def test_backend_cost_model_matches_gpu_cost_model(self):
-        platform = _BatchableTokenPlatform(fixed_ms_per_token=800.0,
-                                           marginal_ms_per_token=25.0)
-        legacy = GPUBatchCostModel(platform)
-        generic = BackendBatchCostModel(as_backend(platform))
-        workloads = [Workload(3, 7), Workload(9, 2), Workload(1, 5)]
-        assert generic.batch_latency_s(workloads) == legacy.batch_latency_s(workloads)
-        assert (generic.batch_energy_joules(workloads, 2.5)
-                == legacy.batch_energy_joules(workloads, 2.5))
-        for concurrency in (1, 2, 4):
-            assert (generic.continuous_latency_s(WORKLOAD, concurrency)
-                    == legacy.continuous_latency_s(WORKLOAD, concurrency))
-            assert (generic.continuous_energy_joules(WORKLOAD, concurrency, 1.7)
-                    == legacy.continuous_energy_joules(WORKLOAD, concurrency, 1.7))
 
     def test_fleet_identical_through_backends(self):
         fast = _FixedLatencyPlatform(0.8)

@@ -116,6 +116,18 @@ class TestServiceLevels:
         with pytest.raises(ConfigurationError):
             ServiceRequest(0, 0.0, Workload(1, 1), patience_s=-1.0)
 
+    @pytest.mark.parametrize("arrival", [float("nan"), float("inf")])
+    def test_non_finite_arrival_rejected_naming_the_field(self, arrival):
+        # Regression: a NaN arrival used to be accepted and crash the event
+        # loop with an IndexError from the calendar queue.
+        with pytest.raises(ConfigurationError, match="arrival_time_s"):
+            ServiceRequest(0, arrival, Workload(1, 1))
+
+    @pytest.mark.parametrize("field", ["slo_s", "patience_s"])
+    def test_nan_service_level_rejected_naming_the_field(self, field):
+        with pytest.raises(ConfigurationError, match=field):
+            ServiceRequest(0, 0.0, Workload(1, 1), **{field: float("nan")})
+
     def test_merge_traces_sorts_and_renumbers(self):
         first = with_service_levels(constant_trace(2.0, 3), service_class="a")
         second = with_service_levels(
@@ -196,56 +208,6 @@ class TestQueueingSimulator:
             early.output_tokens_per_second
         )
 
-    def test_response_cache_invalidated_on_same_length_replacement(self):
-        # Regression: the cache was keyed only on len(completed), so
-        # replacing the list with a same-length list served stale numbers.
-        server = ApplianceServer(_FixedLatencyPlatform(1.0), num_clusters=1)
-        report = server.serve(constant_trace(interarrival_s=2.0, num_requests=4))
-        assert report.mean_response_time_s == pytest.approx(1.0)
-        import dataclasses
-
-        report.completed = [
-            dataclasses.replace(c, finish_time_s=c.finish_time_s + 1.0)
-            for c in report.completed
-        ]
-        assert report.mean_response_time_s == pytest.approx(2.0)
-
-    def test_queueing_delay_cached_like_response_times(self):
-        server = ApplianceServer(_FixedLatencyPlatform(1.0), num_clusters=1)
-        report = server.serve(constant_trace(0.5, 10))
-        first = report._queueing_delays()
-        assert report._queueing_delays() is first
-        report.completed.append(report.completed[-1])
-        assert report._queueing_delays() is not first
-        report.invalidate_caches()
-        assert report._response_cache is None and report._queueing_cache is None
-
-    def test_batch_stats_cached_like_response_times(self):
-        server = ApplianceServer(_FixedLatencyPlatform(1.0), num_clusters=1)
-        report = server.serve(constant_trace(0.5, 10))
-        sizes, gathers = report._batch_stats()
-        assert report._batch_stats()[0] is sizes
-        # The public accessor hands out a copy, never the cached array.
-        assert report.batch_gather_delays_s() is not gathers
-        report.completed.append(report.completed[-1])
-        assert report._batch_stats()[0] is not sizes
-        report.invalidate_caches()
-        assert report._batch_cache is None
-
-    def test_response_time_cache_reused_and_invalidated_on_append(self):
-        server = ApplianceServer(_FixedLatencyPlatform(1.0), num_clusters=1)
-        report = server.serve(constant_trace(interarrival_s=2.0, num_requests=5))
-        # Repeated statistics reuse one lazily-built array.
-        first = report._response_times()
-        assert report._response_times() is first
-        mean_before = report.mean_response_time_s
-        # Appending a completed request invalidates the cache.
-        late = report.completed[-1]
-        report.completed.append(late)
-        assert report._response_times() is not first
-        assert report.num_requests == 6
-        assert report.mean_response_time_s == pytest.approx(mean_before)
-
 
 class TestReportEdgeCases:
     """Regression tests hardening ServingReport statistics at the edges."""
@@ -271,6 +233,18 @@ class TestReportEdgeCases:
         assert report.batch_gather_delays_s().size == 0
         assert report.mean_batch_gather_delay_s == 0.0
         assert report.batch_gather_delay_percentile_s(99) == 0.0
+
+    @pytest.mark.parametrize("retain_records", [True, False])
+    def test_out_of_range_percentile_raises_in_both_modes(self, retain_records):
+        # Regression: retained reports used to raise numpy's ValueError
+        # here while streaming reports raised ConfigurationError.
+        report = ApplianceServer(
+            _FixedLatencyPlatform(1.0), retain_records=retain_records
+        ).serve(constant_trace(0.5, 10))
+        with pytest.raises(ConfigurationError):
+            report.response_time_percentile_s(150)
+        with pytest.raises(ConfigurationError):
+            report.queueing_delay_percentile_s(-1)
 
     def test_single_request_statistics(self):
         report = ApplianceServer(_FixedLatencyPlatform(2.0)).serve(

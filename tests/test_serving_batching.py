@@ -2,15 +2,16 @@
 
 import pytest
 
+from repro.backends import as_backend
 from repro.errors import ConfigurationError
 from repro.serving import (
     ApplianceFleet,
     ApplianceServer,
     BATCH_POLICIES,
+    BackendBatchCostModel,
     ContinuousBatching,
     DynamicBatching,
     FleetMember,
-    GPUBatchCostModel,
     LatencyOracle,
     NoBatching,
     ServerUnit,
@@ -74,12 +75,12 @@ class TestBatchCostModel:
 
     def test_requires_the_gpu_batching_interface(self):
         with pytest.raises(ConfigurationError):
-            GPUBatchCostModel(_FixedLatencyPlatform(1.0))
+            BackendBatchCostModel(as_backend(_FixedLatencyPlatform(1.0)))
 
     def test_batch_priced_at_dominant_shape(self):
         platform = _BatchableTokenPlatform(fixed_ms_per_token=100.0,
                                            marginal_ms_per_token=10.0)
-        costs = GPUBatchCostModel(platform)
+        costs = BackendBatchCostModel(as_backend(platform))
         workloads = [Workload(1, 10), Workload(1, 4)]
         expected_ms = platform.batched_request_latency_ms(Workload(1, 10), 2)
         assert costs.batch_latency_s(workloads) == pytest.approx(expected_ms / 1e3)
@@ -88,7 +89,7 @@ class TestBatchCostModel:
         # The appliance draws its full power for the batch's own wall
         # clock (the estimate the simulator pairs this call with).
         platform = _BatchableTokenPlatform(power_watts=50.0)
-        costs = GPUBatchCostModel(platform)
+        costs = BackendBatchCostModel(as_backend(platform))
         workloads = [Workload(1, 10), Workload(1, 4)]
         latency_s = costs.batch_latency_s(workloads)
         assert costs.batch_energy_joules(workloads, latency_s) == pytest.approx(
@@ -97,7 +98,7 @@ class TestBatchCostModel:
 
     def test_continuous_energy_shared_by_concurrency(self):
         platform = _BatchableTokenPlatform(power_watts=50.0)
-        costs = GPUBatchCostModel(platform)
+        costs = BackendBatchCostModel(as_backend(platform))
         alone = costs.continuous_energy_joules(Workload(1, 10), 1, 2.0)
         shared = costs.continuous_energy_joules(Workload(1, 10), 4, 2.0)
         assert shared == pytest.approx(alone / 4)
@@ -152,6 +153,12 @@ class TestDynamicBatching:
         assert starts[1] == pytest.approx(2.0)
         assert report.mean_batch_gather_delay_s == pytest.approx(2.0)
         assert report.batch_gather_delay_percentile_s(50) == pytest.approx(2.0)
+        # The per-batch array is a fresh copy: editing it leaves the
+        # report's statistics alone.
+        delays = report.batch_gather_delays_s()
+        delays[:] = 0.0
+        assert report.batch_gather_delays_s().tolist() == pytest.approx([2.0])
+        assert report.mean_batch_gather_delay_s == pytest.approx(2.0)
 
     def test_zero_timeout_is_greedy_batching(self):
         # timeout 0 never holds: the first request dispatches alone, and the
@@ -212,18 +219,6 @@ class TestContinuousBatching:
         assert all(c.queueing_delay_s == pytest.approx(0.0) for c in report.completed)
         # Recorded batch sizes are the decode occupancy at admission.
         assert report.batch_size_distribution() == {1: 1, 2: 1, 3: 1, 4: 1}
-
-    def test_admission_time_pricing_without_reprice(self):
-        # Legacy approximation (reprice=False): each admission is priced
-        # once at the concurrency it finds and never revisited.
-        report = _batched_server(
-            max_batch_size=2, policy=ContinuousBatching(2, reprice=False)
-        ).serve(constant_trace(0.0, 2, Workload(1, 1)))
-        by_id = {c.request.request_id: c for c in report.completed}
-        # First admission decodes alone (batch-1 rate); the second shares
-        # the unit and pays the concurrency-2 step time.
-        assert by_id[0].service_time_s == pytest.approx(1.0)
-        assert by_id[1].service_time_s == pytest.approx(1.1)
 
     def test_slots_never_exceed_max_batch_size(self):
         report = _batched_server(
@@ -303,20 +298,6 @@ class TestContinuousRepricing:
         ).serve(constant_trace(0.0, 2, Workload(1, 1)))
         assert report.makespan_s == pytest.approx(1.1)
         assert report.total_energy_joules == pytest.approx(50.0 * 1.1)
-
-    def test_reprice_matches_legacy_when_occupancy_never_changes(self):
-        # A lone stream is never re-priced, so both modes agree exactly.
-        trace = [ServiceRequest(0, 0.0, Workload(1, 3))]
-        legacy = _batched_server(
-            max_batch_size=4, policy=ContinuousBatching(4, reprice=False)
-        ).serve(trace)
-        repriced = _batched_server(
-            max_batch_size=4, policy=ContinuousBatching(4)
-        ).serve(trace)
-        assert repriced.completed == legacy.completed
-        assert repriced.total_energy_joules == pytest.approx(
-            legacy.total_energy_joules
-        )
 
 
 class TestHoldWithoutTimer:

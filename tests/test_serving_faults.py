@@ -463,7 +463,7 @@ class TestFaultEdgeCases:
             ),
             num_clusters=1,
             platform_name="batchy",
-            batch_policy=ContinuousBatching(4, reprice=True),
+            batch_policy=ContinuousBatching(4),
             max_batch_size=4,
             faults=FaultSchedule.scripted(
                 Outage(start_s=2.0, duration_s=3.0, unit_id=0)

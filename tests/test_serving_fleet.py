@@ -252,3 +252,17 @@ class TestAnalysisDrivers:
             "fifo"
         ].response_time_percentile_s(95)
         assert result.best_policy_by_p95() == "fifo"
+
+    def test_best_policy_refuses_streaming_reports(self):
+        # Regression: streaming reports keep no completed records, so every
+        # policy used to rank with an infinite p95, silently leaving the
+        # choice to the abandonment rate alone.
+        result = run_scheduler_comparison(
+            _FixedLatencyPlatform(1.0),
+            arrival_rate_per_s=1.5,
+            duration_s=40.0,
+            num_clusters=1,
+            retain_records=False,
+        )
+        with pytest.raises(ConfigurationError, match="retain_records"):
+            result.best_policy_by_p95()

@@ -83,6 +83,18 @@ class TestReplayCSV:
         with pytest.raises(ConfigurationError):
             replay_trace(path)
 
+    @pytest.mark.parametrize("arrival", ["nan", "inf"])
+    def test_non_finite_arrival_reported_with_location(self, tmp_path, arrival):
+        # Regression: a NaN arrival used to load, then crash both accounting
+        # modes deep in the event loop.
+        path = tmp_path / "requests.csv"
+        path.write_text(
+            "arrival_time_s,input_tokens,output_tokens\n"
+            f"0.5,8,8\n{arrival},8,8\n"
+        )
+        with pytest.raises(ConfigurationError, match="record 3: arrival_time_s"):
+            replay_trace(path)
+
     def test_missing_file_and_bad_format(self, tmp_path):
         with pytest.raises(ConfigurationError):
             replay_trace(tmp_path / "absent.csv")
@@ -126,6 +138,18 @@ class TestReplayJSONL:
         path = tmp_path / "requests.jsonl"
         path.write_text('{"arrival_time_s": 0.0, "input_tokens": 4}\nnot json\n')
         with pytest.raises(ConfigurationError):
+            replay_trace(path)
+
+    @pytest.mark.parametrize("arrival", ["NaN", "Infinity", '"nan"', '"inf"'])
+    def test_non_finite_arrival_reported_with_line(self, tmp_path, arrival):
+        path = tmp_path / "requests.jsonl"
+        path.write_text(
+            '{"arrival_time_s": 0.5, "input_tokens": 4, "output_tokens": 4}\n'
+            "\n"
+            f'{{"arrival_time_s": {arrival}, "input_tokens": 4, '
+            '"output_tokens": 4}\n'
+        )
+        with pytest.raises(ConfigurationError, match="record 3: arrival_time_s"):
             replay_trace(path)
 
     def test_non_object_line_rejected(self, tmp_path):
