@@ -127,7 +127,7 @@ def _backend_factory(backend_name, weights, config, num_devices):
     The backend is rebuilt per repeat (like the other engines) and must
     declare ``generates_tokens`` in its capabilities — analytic backends
     have no hot path to measure.  ``dfx-sim`` measures the runtime stack:
-    per-request simulator construction plus the decode loop.
+    the runtime's one simulator, reset per request, plus the decode loop.
     """
     probe = make_backend(backend_name, config=config, devices=num_devices)
     if not probe.capabilities().generates_tokens:
@@ -140,8 +140,8 @@ def _backend_factory(backend_name, weights, config, num_devices):
         backend = make_backend(
             backend_name, config=config, devices=num_devices, weights=weights
         )
-        # The runtime builds a fresh functional simulator per request, so
-        # each generate call is already a clean run; nothing to reset.
+        # The runtime resets its simulator's KV cache at the start of every
+        # request, so each generate call is already a clean run.
         return (
             lambda n: backend.generate(PROMPT, max_new_tokens=n),
             lambda: None,

@@ -24,10 +24,8 @@ from repro.core.appliance import DFXAppliance, DFX_PLATFORM
 from repro.core.functional import (
     DFXFunctionalSimulator,
     FunctionalCore,
-    GrowableKV,
     LinkedProgram,
     link_program,
-    split_at_syncs,
 )
 
 __all__ = [
@@ -63,8 +61,6 @@ __all__ = [
     "DFX_PLATFORM",
     "DFXFunctionalSimulator",
     "FunctionalCore",
-    "GrowableKV",
     "LinkedProgram",
     "link_program",
-    "split_at_syncs",
 ]

@@ -7,10 +7,11 @@ NumPy buffers; :class:`DFXFunctionalSimulator` runs all devices of a cluster
 in lockstep, implementing the ring synchronizations by gathering the devices'
 partial vectors in core-ID order (the router's reorder unit, Fig. 11).
 
-Two execution paths share one set of instruction semantics:
+One set of instruction semantics has two implementations:
 
 * the **slow path** (:meth:`FunctionalCore.execute_instruction`) dispatches on
-  instruction type per instruction — simple, and the reference for audits;
+  instruction type per instruction — simple, and the specification the fast
+  path is audited against;
 * the **fast path** (:func:`link_program` + :class:`LinkedProgram`) links a
   program once: each sync-free instruction run is compiled into a single
   generated Python function with buffer names lowered to locals and constant
@@ -22,20 +23,32 @@ Two execution paths share one set of instruction semantics:
   object, and the compiler's own program cache means a whole ``generate()``
   call links each program exactly once.
 
+The simulator has one engine.  Every forward runs a lockstep *cohort* of
+generation streams whose KV caches live in the slot arenas of a
+:class:`BatchedKVPool`: :meth:`DFXFunctionalSimulator.forward` is the cohort
+of one in slot 0, and a :class:`BatchedGenerationSession` runs ragged
+streams as cohorts of any size.  The linked code only ever addresses the
+*last* axes of a buffer (``[..., a:b]`` column slices, ``swapaxes(-1, -2)``
+transposes, ``shape[-2:]`` mask extents), so the same code runs a cohort of
+one on rank-2 registers and a larger cohort on rank-3 registers with a
+leading batch axis.
+
 **Bit-exactness contract:** the fast path must produce bit-identical buffers
 to the slow path.  Every fast-path shortcut is a proven identity: generated
 code fuses the slow path's FP16→FP32 conversion chains into ufunc
 ``dtype=float32`` calls that convert elementwise identically; the causal
 mask is elided only when it admits every key (a single query row always
 attends to the whole cache, and FP16→FP32→FP16 round-trips are exact); the
-KV cache appends into a capacity-doubling preallocated buffer
-(:class:`GrowableKV`) whose logical view holds exactly the rows the slow
-path's ``np.concatenate`` would have produced; persistent weights are staged
-upcast to the FP32 accumulation dtype (exact, since they were already
-quantized); and the output-scatter path writes in place only into buffers it
-exclusively owns.  The functional-vs-reference integration tests — and the
-fast-vs-slow register comparison in ``tests/test_fastpath_engine.py`` — are
-the oracle for this contract.
+KV cache appends in place into a preallocated arena slot whose logical view
+holds exactly the rows the slow path's ``np.concatenate`` produces;
+persistent weights are staged upcast to the FP32 accumulation dtype (exact,
+since they were already quantized); the output-scatter path writes in place
+only into buffers it exclusively owns; and a cohort's stacked 3-D matmuls
+are bit-identical per slice to the 2-D matmul of one stream (the batch is
+never flattened into rows, which would change the BLAS kernel).  The
+functional-vs-reference integration tests, the fast-vs-slow register
+comparisons in ``tests/test_fastpath_engine.py`` and the golden pin in
+``tests/test_functional_golden.py`` are the oracle for this contract.
 
 The simulator is verified against the reference :class:`repro.model.GPT2Model`
 in the integration tests: with the same weights and numerics it must produce
@@ -78,55 +91,8 @@ SyncHandler = Callable[[RouterInstruction, np.ndarray], np.ndarray]
 #: Type of a linked (pre-bound) instruction handler.
 Handler = Callable[["FunctionalCore"], None]
 
-#: Smallest KV-cache capacity allocated by :class:`GrowableKV`.
+#: Smallest per-slot KV-cache capacity (rows) of an arena.
 _KV_MIN_CAPACITY = 8
-
-
-class GrowableKV:
-    """An HBM KV-cache buffer with amortized-O(1) row appends.
-
-    Rows live in a preallocated ``(capacity, cols)`` array with a logical
-    ``length``; appends write in place and double the capacity when it runs
-    out, so a generation run of *n* tokens costs O(n) row copies instead of
-    the O(n²) a per-token ``np.concatenate`` pays.  Readers get the logical
-    view (``data[:length]``), which is bit-identical to the concatenated
-    array of every appended row.
-    """
-
-    __slots__ = ("data", "length")
-
-    def __init__(self, cols: int, dtype: np.dtype, reserve: int = 0) -> None:
-        capacity = max(int(reserve), _KV_MIN_CAPACITY)
-        self.data = np.empty((capacity, cols), dtype=dtype)
-        self.length = 0
-
-    @property
-    def capacity(self) -> int:
-        """Allocated row capacity (>= length)."""
-        return int(self.data.shape[0])
-
-    def view(self) -> np.ndarray:
-        """The logical contents: the first ``length`` rows."""
-        return self.data[: self.length]
-
-    def reserve(self, minimum: int) -> None:
-        """Grow capacity to at least ``minimum`` rows, keeping contents."""
-        if minimum > self.data.shape[0]:
-            grown = np.empty((minimum, self.data.shape[1]), dtype=self.data.dtype)
-            grown[: self.length] = self.data[: self.length]
-            self.data = grown
-
-    def append(self, rows: np.ndarray) -> None:
-        """Append ``(n, cols)`` rows, doubling capacity when needed."""
-        count = rows.shape[0]
-        needed = self.length + count
-        if needed > self.data.shape[0]:
-            new_capacity = max(self.data.shape[0] * 2, needed)
-            grown = np.empty((new_capacity, self.data.shape[1]), dtype=self.data.dtype)
-            grown[: self.length] = self.data[: self.length]
-            self.data = grown
-        self.data[self.length : needed] = rows
-        self.length = needed
 
 
 class BatchedKV:
@@ -136,10 +102,12 @@ class BatchedKV:
     belongs to one generation stream and carries its own logical ``length``.
     A lockstep *cohort* occupies a contiguous slot range ``[lo, hi)`` whose
     slots all hold the same length, so the cohort's cache is the zero-copy
-    view ``data[lo:hi, :length]`` — the 3-D analogue of
-    :meth:`GrowableKV.view`.  Slot storage is recycled: departing streams
-    free their slots for later admissions instead of deallocating, and the
-    arena only reallocates when the slot count or row capacity must grow.
+    view ``data[lo:hi, :length]``.  A cohort of one runs without the batch
+    axis and reads its slot as ``data[lo, :length]``, which is laid out
+    exactly like a single stream's 2-D cache.  Appends write in place; the
+    arena only reallocates when :class:`BatchedKVPool` grows it.  Lengths
+    are a plain list: every token step reads and bumps them, and Python
+    ints are several times cheaper to index there than NumPy scalars.
     """
 
     __slots__ = ("data", "lengths")
@@ -147,7 +115,7 @@ class BatchedKV:
     def __init__(self, cols: int, dtype: np.dtype, slots: int, capacity: int) -> None:
         capacity = max(int(capacity), _KV_MIN_CAPACITY)
         self.data = np.empty((slots, capacity, cols), dtype=dtype)
-        self.lengths = np.zeros(slots, dtype=np.int64)
+        self.lengths = [0] * slots
 
     @property
     def slots(self) -> int:
@@ -158,15 +126,23 @@ class BatchedKV:
         return int(self.data.shape[1])
 
     def view(self, lo: int, hi: int) -> np.ndarray:
-        """The cohort's caches: ``(hi - lo, length, cols)``, no copy."""
-        return self.data[lo:hi, : int(self.lengths[lo])]
+        """The cohort's caches, no copy: ``(hi - lo, length, cols)``, or
+        ``(length, cols)`` for a cohort of one."""
+        length = self.lengths[lo]
+        if hi - lo == 1:
+            return self.data[lo, :length]
+        return self.data[lo:hi, :length]
 
     def append(self, lo: int, hi: int, rows: np.ndarray) -> None:
-        """Append ``(hi - lo, n, cols)`` rows to every slot of the cohort."""
-        length = int(self.lengths[lo])
-        count = rows.shape[1]
-        self.data[lo:hi, length : length + count] = rows
-        self.lengths[lo:hi] = length + count
+        """Append ``rows``, shaped like :meth:`view`, to every cohort slot."""
+        length = self.lengths[lo]
+        end = length + rows.shape[-2]
+        if hi - lo == 1:
+            self.data[lo, length:end] = rows
+            self.lengths[lo] = end
+        else:
+            self.data[lo:hi, length:end] = rows
+            self.lengths[lo:hi] = [end] * (hi - lo)
 
     def ensure(self, slots: int, capacity: int) -> None:
         """Grow the arena to at least ``(slots, capacity)``, keeping contents."""
@@ -179,10 +155,7 @@ class BatchedKV:
         )
         grown[:old_slots, :old_capacity] = self.data
         self.data = grown
-        if grown.shape[0] > old_slots:
-            lengths = np.zeros(grown.shape[0], dtype=np.int64)
-            lengths[:old_slots] = self.lengths
-            self.lengths = lengths
+        self.lengths += [0] * (grown.shape[0] - old_slots)
 
     def copy_slots(self, dst: int, src: int, count: int) -> None:
         """Move ``count`` slots' contents from ``src`` to ``dst`` (compaction)."""
@@ -193,14 +166,14 @@ class BatchedKV:
 
 
 class BatchedKVPool:
-    """All KV arenas of a batched simulator, grown and recycled together.
+    """All KV arenas of a simulator, grown and recycled together.
 
     Every ``(layer, device, head)`` cache buffer is one :class:`BatchedKV`
     registered here; the pool keeps them dimensioned identically so one slot
     index means "this stream" in every arena.  Slot storage persists across
-    generation sessions (departing streams just free their slot range), and
-    :meth:`shrink` releases the high-water-mark allocation when a long
-    serving run wants its memory back.
+    requests and generation sessions (departing streams just free their slot
+    range), and :meth:`shrink` releases the high-water-mark allocation when a
+    long serving run wants its memory back.
     """
 
     def __init__(self, dtype: np.dtype) -> None:
@@ -214,23 +187,28 @@ class BatchedKVPool:
         self.arenas.append(arena)
         return arena
 
-    def ensure(self, slots: int | None = None, capacity: int | None = None) -> None:
-        """Grow every arena to at least the requested dimensions."""
-        if slots is not None:
-            self.slots = max(self.slots, int(slots))
-        if capacity is not None:
-            self.capacity = max(self.capacity, int(capacity))
+    def ensure(self, slots: int = 0, capacity: int = 0) -> None:
+        """Grow every arena to at least ``slots`` x ``capacity`` rows.
+
+        Capacity at least doubles whenever it grows, so a forward-by-forward
+        decode without an up-front reserve pays amortized O(1) row copies.
+        """
+        if slots <= self.slots and capacity <= self.capacity:
+            return
+        self.slots = max(self.slots, int(slots))
+        if capacity > self.capacity:
+            self.capacity = max(int(capacity), 2 * self.capacity)
         for arena in self.arenas:
             arena.ensure(self.slots, self.capacity)
 
     def clear_slots(self, lo: int, hi: int) -> None:
         """Reset the logical length of a recycled slot range to zero."""
         for arena in self.arenas:
-            arena.lengths[lo:hi] = 0
+            arena.lengths[lo:hi] = [0] * (hi - lo)
 
     def clear_all(self) -> None:
         for arena in self.arenas:
-            arena.lengths[:] = 0
+            arena.lengths = [0] * len(arena.lengths)
 
     def copy_slots(self, dst: int, src: int, count: int) -> None:
         for arena in self.arenas:
@@ -243,7 +221,7 @@ class BatchedKVPool:
         for arena in self.arenas:
             cols = arena.data.shape[2]
             arena.data = np.empty((0, self.capacity, cols), dtype=self.dtype)
-            arena.lengths = np.zeros(0, dtype=np.int64)
+            arena.lengths = []
 
     def memory_bytes(self) -> int:
         return sum(arena.data.nbytes for arena in self.arenas)
@@ -256,16 +234,12 @@ class FunctionalCore:
     Attributes:
         numerics: Precision mode (FP16 + LUT GELU for the DFX pipeline).
         registers: The register file: buffer name -> 2-D array (rows, length).
-        memory: Off-chip memory: weights, KV cache (:class:`GrowableKV` once
-            written), embedding rows.
-        kv_reserve: Row capacity to preallocate when a KV buffer is first
-            written (a generation run reserves prompt + new tokens up front).
+        memory: Off-chip memory: weights, KV cache, embedding rows.
     """
 
     numerics: Numerics = FP16_DFX
     registers: dict[str, np.ndarray] = field(default_factory=dict)
     memory: dict[str, np.ndarray] = field(default_factory=dict)
-    kv_reserve: int = 0
     # Output-scatter buffers this core allocated itself and may mutate in
     # place (identity-checked against the register file before reuse).
     _scatter_buffers: dict[str, np.ndarray] = field(
@@ -285,8 +259,6 @@ class FunctionalCore:
         value = self.memory.get(name)
         if value is None:
             raise ExecutionError(f"buffer {name!r} not found in registers or memory")
-        if type(value) is GrowableKV:
-            return value.view()
         return value
 
     @staticmethod
@@ -304,21 +276,22 @@ class FunctionalCore:
         """Write ``result`` into the column window of the ``dst`` accumulator.
 
         ``current`` is the register's present value (or ``None``).  Allocates
-        the ``(rows, total_cols)`` buffer on first touch and then writes in
-        place for every further head: copying is only needed when the register
-        holds an array this core did not allocate itself (and might therefore
-        alias another buffer).  Returns the buffer to store back in ``dst``.
+        the ``(..., rows, total_cols)`` buffer on first touch and then writes
+        in place for every further head: copying is only needed when the
+        register holds an array this core did not allocate itself (and might
+        therefore alias another buffer).  Returns the buffer to store back in
+        ``dst``.  Any leading batch axes of ``result`` ride through unchanged.
         """
-        rows = result.shape[0]
-        if current is None or current.shape != (rows, total_cols):
-            buffer = np.zeros((rows, total_cols), dtype=self.numerics.dtype)
+        shape = result.shape[:-1] + (total_cols,)
+        if current is None or current.shape != shape:
+            buffer = np.zeros(shape, dtype=self.numerics.dtype)
             self._scatter_buffers[dst] = buffer
         elif self._scatter_buffers.get(dst) is current:
             buffer = current
         else:
             buffer = current.copy()
             self._scatter_buffers[dst] = buffer
-        buffer[:, col_offset : col_offset + result.shape[1]] = result
+        buffer[..., col_offset : col_offset + result.shape[-1]] = result
         return buffer
 
     def _scatter_write(
@@ -330,29 +303,11 @@ class FunctionalCore:
         )
 
     def _append_kv(self, dst: str, source: np.ndarray) -> None:
-        """Append KV rows to ``memory[dst]``, converting it to a GrowableKV.
-
-        The buffer is kept in the matmul accumulation dtype (FP32 for the DFX
-        pipeline): the appended rows are already quantized register values, so
-        the upcast is exact and the attention matmuls skip their per-token
-        weight conversion.
-        """
+        """Append KV rows to ``memory[dst]``: the reference concatenation."""
         buffer = self.memory.get(dst)
-        if type(buffer) is GrowableKV:
-            buffer.append(source)
-            return
-        dtype = (
-            np.dtype(np.float32)
-            if self.numerics.accumulate_fp32
-            else self.numerics.dtype
+        self.memory[dst] = (
+            source.copy() if buffer is None else np.concatenate([buffer, source])
         )
-        if buffer is None or buffer.size == 0:
-            grown = GrowableKV(source.shape[1], dtype, reserve=self.kv_reserve)
-        else:
-            grown = GrowableKV(buffer.shape[1], dtype, reserve=self.kv_reserve)
-            grown.append(buffer)
-        grown.append(source)
-        self.memory[dst] = grown
 
     # -------------------------------------------------------------- instructions
     def _execute_matrix(self, instruction: MatrixInstruction) -> None:
@@ -499,43 +454,21 @@ class FunctionalCore:
 
 @dataclass
 class BatchedFunctionalCore(FunctionalCore):
-    """A :class:`FunctionalCore` whose buffers carry a leading batch axis.
+    """A :class:`FunctionalCore` that runs one lockstep cohort at a time.
 
-    Registers hold ``(batch, rows, cols)`` arrays — one slice per lockstep
-    stream — and the KV cache lives in shared :class:`BatchedKV` slot arenas
-    instead of per-request :class:`GrowableKV` buffers.  ``slot_lo``/
-    ``slot_hi`` name the arena slot range of the cohort currently executing;
-    the batched fast path reads them when unwrapping KV operands.  Only the
-    two structurally 2-D helpers need overriding: every other instruction
-    semantic is shape-polymorphic (stacked 3-D matmuls and elementwise ufuncs
-    are bit-identical per slice to their 2-D forms, which is what keeps the
-    batched engine on the bit-exactness contract).
+    The KV cache lives in the shared :class:`BatchedKV` slot arenas of
+    ``kv_pool``, and ``slot_lo``/``slot_hi`` name the arena slot range of the
+    cohort currently executing; the fast path reads them when it unwraps a KV
+    operand.  A cohort of one keeps 2-D ``(rows, cols)`` registers; a larger
+    cohort's registers carry a leading batch axis, ``(batch, rows, cols)``.
+    Every other instruction semantic is shape-polymorphic (stacked 3-D
+    matmuls and elementwise ufuncs are bit-identical per slice to their 2-D
+    forms), so only the KV append differs from the plain core.
     """
 
     slot_lo: int = 0
     slot_hi: int = 0
     kv_pool: BatchedKVPool | None = None
-
-    def _scatter_value(
-        self,
-        dst: str,
-        current: np.ndarray | None,
-        result: np.ndarray,
-        total_cols: int,
-        col_offset: int,
-    ) -> np.ndarray:
-        """Batched output scatter: per-head writes share a 3-D accumulator."""
-        shape = result.shape[:-1] + (total_cols,)
-        if current is None or current.shape != shape:
-            buffer = np.zeros(shape, dtype=self.numerics.dtype)
-            self._scatter_buffers[dst] = buffer
-        elif self._scatter_buffers.get(dst) is current:
-            buffer = current
-        else:
-            buffer = current.copy()
-            self._scatter_buffers[dst] = buffer
-        buffer[..., col_offset : col_offset + result.shape[-1]] = result
-        return buffer
 
     def _append_kv(self, dst: str, source: np.ndarray) -> None:
         """Append each stream's KV rows to its arena slot (in place)."""
@@ -543,21 +476,11 @@ class BatchedFunctionalCore(FunctionalCore):
         if type(arena) is not BatchedKV:
             if self.kv_pool is None:
                 raise ExecutionError(
-                    f"batched KV append to {dst!r} without an arena pool"
+                    f"KV append to {dst!r} without an arena pool"
                 )
             arena = self.kv_pool.new_arena(source.shape[-1])
             self.memory[dst] = arena
         arena.append(self.slot_lo, self.slot_hi, source)
-
-
-def split_at_syncs(program: Program) -> list[tuple[list[Instruction], RouterInstruction | None]]:
-    """Split a program into segments ending at each router instruction.
-
-    Returns a list of ``(segment_instructions, sync_or_None)`` pairs; the last
-    pair's sync is ``None`` when the program does not end with a sync.  Thin
-    compatibility wrapper over the memoized :meth:`Program.segments`.
-    """
-    return [(list(segment.instructions), segment.sync) for segment in program.segments()]
 
 
 # ----------------------------------------------------------------- linking pass
@@ -585,7 +508,6 @@ class _SegmentCompiler:
         "_one": np.float32(1.0),
         "_MASK_VALUE": MASK_VALUE,
         "ExecutionError": ExecutionError,
-        "GrowableKV": GrowableKV,
         "BatchedKV": BatchedKV,
     }
 
@@ -595,23 +517,18 @@ class _SegmentCompiler:
         VectorOpcode.MUL: "_np.multiply",
     }
 
-    def __init__(self, numerics: Numerics, batched: bool = False) -> None:
+    def __init__(self, numerics: Numerics) -> None:
         self.numerics = numerics
-        # Batched mode generates the leading-batch-axis variant of each
-        # expression: ellipsis column slices, axis-polymorphic transposes,
-        # and KV unwrapping against the core's cohort slot range.  Every
-        # variant is a per-slice bit-exact generalization of the 2-D form.
-        self.batched = batched
         self.lines: list[str] = []
         self.consts: dict[str, object] = {}
         self.registers_vars: dict[str, str] = {}
         self.defined: set[str] = set()
         self.loaded: set[str] = set()
         self.temp_count = 0
-        # Common-subexpression cache for register-derived views/conversions,
-        # keyed ("2d"|"f32", register name); invalidated when the register is
+        # Common-subexpression cache of register conversions to the compute
+        # dtype, keyed by register name; invalidated when the register is
         # rewritten.  Conversions are pure, so reuse is bit-exact.
-        self._cse: dict[tuple[str, str], str] = {}
+        self._cse: dict[str, str] = {}
         self.out_dtype = self.const(numerics.dtype)
         compute = np.dtype(np.float32) if numerics.accumulate_fp32 else numerics.dtype
         self.compute_dtype = self.const(compute)
@@ -635,9 +552,8 @@ class _SegmentCompiler:
         return self.registers_vars[register]
 
     def _invalidate(self, register: str) -> None:
-        """Drop memoized views/conversions derived from ``register``."""
-        self._cse.pop(("2d", register), None)
-        self._cse.pop(("f32", register), None)
+        """Drop the memoized conversion of ``register``."""
+        self._cse.pop(register, None)
 
     def read_register(self, register: str) -> str:
         """Variable holding ``register``, loading it on first read."""
@@ -662,12 +578,10 @@ class _SegmentCompiler:
         self.emit(f"    {var} = _memory.get({name!r})")
         self.emit(f"    if {var} is None:")
         self.emit(f"        raise ExecutionError({message})")
-        if self.batched:
-            self.emit(f"    if {var}.__class__ is BatchedKV:")
-            self.emit(f"        {var} = {var}.view(_slot_lo, _slot_hi)")
-        else:
-            self.emit(f"    if {var}.__class__ is GrowableKV:")
-            self.emit(f"        {var} = {var}.view()")
+        # A KV arena reads as the executing cohort's view (only a
+        # BatchedFunctionalCore's memory holds arenas).
+        self.emit(f"    if {var}.__class__ is BatchedKV:")
+        self.emit(f"        {var} = {var}.view(core.slot_lo, core.slot_hi)")
         return var
 
     def write_register(self, register: str) -> str:
@@ -676,40 +590,20 @@ class _SegmentCompiler:
         self._invalidate(register)
         return var
 
-    def as_2d(self, register: str) -> str:
-        """Variable holding ``register`` viewed as 2-D (memoized).
-
-        In batched mode registers already carry their canonical 3-D
-        ``(batch, rows, cols)`` shape, so this is the identity.
-        """
-        key = ("2d", register)
-        cached = self._cse.get(key)
-        if cached is not None:
-            return cached
-        var = self.read_register(register)
-        if self.batched:
-            self._cse[key] = var
-            return var
-        out = self.temp()
-        self.emit(f"{out} = {var} if {var}.ndim == 2 else {var}.reshape(1, -1)")
-        self._cse[key] = out
-        return out
-
     def as_compute(self, register: str) -> str:
-        """Variable holding ``register`` as 2-D in the compute dtype (memoized).
+        """Variable holding ``register`` in the compute dtype (memoized).
 
         Conversion before column-slicing is elementwise, so converting the
         full operand once and slicing the converted view is bit-identical to
         converting each slice — and lets all heads share one conversion.
         """
-        key = ("f32", register)
-        cached = self._cse.get(key)
+        cached = self._cse.get(register)
         if cached is not None:
             return cached
-        base = self.as_2d(register)
+        base = self.read_register(register)
         out = self.temp()
         self.emit(f"{out} = _asarray({base}, dtype={self.compute_dtype})")
-        self._cse[key] = out
+        self._cse[register] = out
         return out
 
     # ------------------------------------------------------------ instructions
@@ -719,8 +613,7 @@ class _SegmentCompiler:
             start = instruction.input_col_offset
             stop = start + instruction.input_col_count
             sliced = self.temp()
-            columns = "..." if self.batched else ":"
-            self.emit(f"{sliced} = {operand}[{columns}, {start}:{stop}]")
+            self.emit(f"{sliced} = {operand}[..., {start}:{stop}]")
             operand = sliced
         weight = self.read_any(instruction.weight_operand)
         transpose = (
@@ -728,11 +621,8 @@ class _SegmentCompiler:
         )
         if transpose:
             transposed = self.temp()
-            if self.batched:
-                # Works for shared 2-D weights and per-cohort 3-D KV views.
-                self.emit(f"{transposed} = {weight}.swapaxes(-1, -2)")
-            else:
-                self.emit(f"{transposed} = {weight}.T")
+            # Works for shared 2-D weights and per-cohort 3-D KV views.
+            self.emit(f"{transposed} = {weight}.swapaxes(-1, -2)")
             weight = transposed
         result = self.temp()
         # Persistent weights are staged in the compute dtype already; the
@@ -765,8 +655,7 @@ class _SegmentCompiler:
             # the unmasked one bit for bit, so the where/cast is skipped.
             offset = instruction.mask_offset
             cast = self.const(self.numerics.cast)
-            shape = f"{result}.shape[-2:]" if self.batched else f"{result}.shape"
-            self.emit(f"_rows, _cols = {shape}")
+            self.emit(f"_rows, _cols = {result}.shape[-2:]")
             self.emit(f"if {offset} < _cols - 1:")
             self.emit(f"    _query = _np.arange(_rows)[:, None] + {offset}")
             self.emit(f"    _allowed = _np.arange(_cols)[None, :] <= _query")
@@ -867,13 +756,12 @@ class _SegmentCompiler:
             self.emit(f"{var} = _asarray({source}).astype({self.out_dtype})")
             return
         if opcode is DMAOpcode.STORE_KV:
-            source = self.as_2d(instruction.src)
+            source = self.read_register(instruction.src)
             if instruction.col_count is not None:
                 start = instruction.col_offset
                 stop = start + instruction.col_count
                 sliced = self.temp()
-                columns = "..." if self.batched else ":"
-                self.emit(f"{sliced} = {source}[{columns}, {start}:{stop}]")
+                self.emit(f"{sliced} = {source}[..., {start}:{stop}]")
                 source = sliced
             self.emit(f"_append_kv({instruction.dst!r}, {source})")
             return
@@ -913,9 +801,6 @@ class _SegmentCompiler:
             header.append("    _scatter_value = core._scatter_value")
         if "_append_kv(" in body_text:
             header.append("    _append_kv = core._append_kv")
-        if "_slot_lo" in body_text:
-            header.append("    _slot_lo = core.slot_lo")
-            header.append("    _slot_hi = core.slot_hi")
         epilogue = [
             f"    _registers[{register!r}] = {var}"
             for register, var in self.registers_vars.items()
@@ -934,10 +819,9 @@ def _compile_segment(
     instructions: tuple[Instruction, ...],
     numerics: Numerics,
     label: str,
-    batched: bool = False,
 ) -> Handler:
     """Lower one sync-free instruction run to a single bound handler."""
-    compiler = _SegmentCompiler(numerics, batched)
+    compiler = _SegmentCompiler(numerics)
     for instruction in instructions:
         compiler.add_instruction(instruction)
     return compiler.build(label)
@@ -1020,7 +904,6 @@ def link_program(
     numerics: Numerics,
     shared_inputs: frozenset[str] = frozenset(),
     replicated_memory: frozenset[str] = frozenset(),
-    batched: bool = False,
 ) -> LinkedProgram:
     """Lower ``program`` to a :class:`LinkedProgram` (memoized).
 
@@ -1035,7 +918,7 @@ def link_program(
     instruction stream is unchanged).
     """
     count = len(program.instructions)
-    key = (numerics, shared_inputs, replicated_memory, batched)
+    key = (numerics, shared_inputs, replicated_memory)
     cached = program._link_cache.get(key)
     if cached is not None and cached[0] == count:
         return cached[1]
@@ -1092,15 +975,13 @@ def link_program(
         prefix_instructions, _, body_instructions = splits[index]
         prefix = (
             _compile_segment(
-                prefix_instructions, numerics, f"{program.name}#{index}.shared", batched
+                prefix_instructions, numerics, f"{program.name}#{index}.shared"
             )
             if prefix_instructions
             else None
         )
         body = (
-            _compile_segment(
-                body_instructions, numerics, f"{program.name}#{index}", batched
-            )
+            _compile_segment(body_instructions, numerics, f"{program.name}#{index}")
             if body_instructions
             else None
         )
@@ -1157,8 +1038,11 @@ class DFXFunctionalSimulator:
     reference GPT-2 model built from the same weights.  Token steps run on the
     fast path: compiled programs come from the compiler's program cache (one
     past-length-independent decode-step program covers the whole generation
-    stage), each program is linked to bound handlers once, and KV appends land
-    in preallocated :class:`GrowableKV` buffers.
+    stage), and each program is linked to bound handlers once.  One set of
+    per-device cores and one :class:`BatchedKVPool` serve every call:
+    :meth:`forward` and :meth:`generate` run the cohort of one in arena slot
+    0, and :meth:`batched_session` runs many streams as lockstep cohorts.
+    Opening a session therefore resets the :meth:`forward` cache.
     """
 
     def __init__(
@@ -1200,17 +1084,24 @@ class DFXFunctionalSimulator:
         self._layer_shared_inputs = frozenset(("hidden",))
         self._lm_shared_inputs = frozenset(("hidden_last",))
         self._past_length = 0
-        self._kv_reserve = 0
+        # KV arenas stay in the matmul accumulation dtype: the appended rows
+        # are already quantized register values, so the upcast is exact and
+        # the attention matmuls skip their per-token operand conversion.
+        self._pool = BatchedKVPool(
+            np.float32 if numerics.accumulate_fp32 else numerics.dtype
+        )
         # Persistent per-layer / LM-head cores: the register dicts are reused
         # across token steps (every program defines its registers before
         # reading them, and scatter accumulators are fully overwritten), which
-        # avoids re-staging cores and dictionaries on every token.
+        # avoids re-staging cores and dictionaries on every token.  Only the
+        # decoder layers store KV, so only their cores hold arenas.
         self._layer_cores = [
             [
-                FunctionalCore(
+                BatchedFunctionalCore(
                     numerics=numerics,
                     registers={},
                     memory=self._layer_memory[device_id][layer_index],
+                    kv_pool=self._pool,
                 )
                 for device_id in range(num_devices)
             ]
@@ -1227,9 +1118,6 @@ class DFXFunctionalSimulator:
         self._embedding_core = FunctionalCore(
             numerics=numerics, registers={}, memory={}
         )
-        # Batched (multi-stream) execution state; built lazily on the first
-        # generate_batch() so single-stream users pay nothing for it.
-        self._batched: _BatchedState | None = None
 
     # ------------------------------------------------------------------ binding
     def _bound_memory(self, memory: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
@@ -1289,7 +1177,6 @@ class DFXFunctionalSimulator:
         cores: list[FunctionalCore],
         shared_inputs: frozenset[str] = frozenset(),
         replicated_memory: frozenset[str] = frozenset(),
-        batched: bool = False,
     ) -> list[FunctionalCore]:
         """Run ``program`` on every device core, resolving syncs by all-gather.
 
@@ -1301,9 +1188,7 @@ class DFXFunctionalSimulator:
         linked = (
             program
             if isinstance(program, LinkedProgram)
-            else link_program(
-                program, self.numerics, shared_inputs, replicated_memory, batched
-            )
+            else link_program(program, self.numerics, shared_inputs, replicated_memory)
         )
         primary = cores[0]
         others = cores[1:]
@@ -1332,25 +1217,29 @@ class DFXFunctionalSimulator:
         return cores
 
     # ------------------------------------------------------------------- forward
-    def forward(self, token_ids: np.ndarray) -> tuple[np.ndarray, int]:
-        """Run one forward pass (summarization or one generation iteration).
+    def _forward_cohort(
+        self, token_ids: np.ndarray, past: int, lo: int, hi: int
+    ) -> np.ndarray:
+        """One lockstep forward over the cohort in arena slots ``[lo, hi)``.
 
-        Returns the full-vocabulary logits of the last position and the greedy
-        next-token id.  The KV cache persists across calls.
+        ``token_ids`` is ``(batch, rows)``: each stream's token rows for this
+        step, all streams at the same ``past``.  A cohort of one runs without
+        the batch axis: its tokens become ``(rows,)``, its registers stay 2-D
+        and its arena slot reads as ``data[lo, :length]``, so it runs the same
+        linked code one rank lower, bit-identical to a lone stream.  Returns
+        the FP32 logits of every stream's last position, ``(batch, vocab)``,
+        or ``(vocab,)`` for a cohort of one.
         """
-        token_ids = np.asarray(token_ids, dtype=np.int64)
-        if token_ids.ndim != 1 or token_ids.size == 0:
-            raise ExecutionError("token_ids must be a non-empty 1-D array")
-        rows = int(token_ids.size)
-        past = self._past_length
+        if hi - lo == 1:
+            token_ids = token_ids.reshape(-1)
+        rows = token_ids.shape[-1]
         positions = np.arange(past, past + rows)
 
         # Token embedding (identical on every device; computed via the program).
-        embedding_program = self.compiler.compile_embedding(rows)
         embedding_core = self._embedding_core
         embedding_core.memory["wte_rows"] = self.weights.wte[token_ids]
         embedding_core.memory["wpe_rows"] = self.weights.wpe[positions]
-        embedding_core.execute(embedding_program)
+        embedding_core.execute(self.compiler.compile_embedding(rows))
         hidden = embedding_core.registers["hidden"]
 
         # Decoder layers in lockstep across devices.  A single-row step uses
@@ -1365,50 +1254,101 @@ class DFXFunctionalSimulator:
             self._layer_shared_inputs,
             self._replicated_layer_names,
         )
-        reserve = self._kv_reserve
-        for layer_index in range(self.config.n_layer):
+        for cores in self._layer_cores:
             # Every device starts from the same hidden state; no handler
             # mutates a register array in place, so the staged array is
             # shared by reference rather than copied per device.
-            cores = self._layer_cores[layer_index]
             for core in cores:
                 core.registers["hidden"] = hidden
-                core.kv_reserve = reserve
+                core.slot_lo = lo
+                core.slot_hi = hi
             self._run_lockstep(linked_layer, cores)
             hidden = cores[0].registers["hidden_out"]
 
         # LM head on the last position only.
-        lm_head_program = self.compiler.compile_lm_head()
-        last_hidden = hidden[-1:, :]
         cores = self._lm_cores
+        last_hidden = hidden[..., -1:, :]
         for core in cores:
             core.registers["hidden_last"] = last_hidden
         self._run_lockstep(
-            lm_head_program,
+            self.compiler.compile_lm_head(),
             cores,
             self._lm_shared_inputs,
             self._replicated_lm_names,
         )
-        logits = np.asarray(cores[0].registers["logits"], dtype=np.float32)[0]
+        return np.asarray(cores[0].registers["logits"], dtype=np.float32)[..., 0, :]
 
-        self._past_length += rows
+    def _check_tokens(self, token_ids: np.ndarray, past: int) -> None:
+        """Reject what :meth:`repro.model.GPT2Model.embed` rejects.
+
+        The conditions and messages are the reference model's, so the
+        engine and the reference fail alike on the same input.
+        """
+        if token_ids.ndim != 1:
+            raise ExecutionError(f"token_ids must be 1-D, got shape {token_ids.shape}")
+        if token_ids.size == 0:
+            raise ExecutionError("token_ids must contain at least one token")
+        # Python min/max: a decode step checks one id, where NumPy's
+        # reductions cost more than the list round trip.
+        ids = token_ids.tolist()
+        if min(ids) < 0 or max(ids) >= self.config.vocab_size:
+            raise ExecutionError("token id out of vocabulary range")
+        if past + token_ids.size > self.config.n_positions:
+            raise ExecutionError(
+                f"sequence length {past + token_ids.size} exceeds maximum "
+                f"context {self.config.n_positions}"
+            )
+
+    def _check_request(self, prompt: list[int], max_new_tokens: int, past: int) -> None:
+        """Reject an unservable request before any forward runs.
+
+        Rejects what :meth:`repro.model.TextGenerator.generate_tokens`
+        rejects, for a request that starts ``past`` cached positions in.
+        """
+        if max_new_tokens <= 0:
+            raise ExecutionError("max_new_tokens must be positive")
+        tokens = np.asarray(prompt, dtype=np.int64)
+        self._check_tokens(tokens, past)
+        total = past + tokens.size + max_new_tokens
+        if total > self.config.n_positions:
+            raise ExecutionError(
+                f"requested sequence of {total} tokens exceeds the model's "
+                f"context window of {self.config.n_positions}"
+            )
+
+    def forward(self, token_ids: np.ndarray) -> tuple[np.ndarray, int]:
+        """Run one forward pass (summarization or one generation iteration).
+
+        Returns the full-vocabulary logits of the last position and the greedy
+        next-token id.  The KV cache persists across calls: the pass runs as
+        the cohort of one in arena slot 0, whose capacity grows geometrically
+        when a call outgrows it.
+        """
+        token_ids = np.asarray(token_ids, dtype=np.int64)
+        past = self._past_length
+        self._check_tokens(token_ids, past)
+        end = past + token_ids.size
+        pool = self._pool
+        pool.ensure(slots=1, capacity=end)
+        if past == 0:
+            # A session may have left its own stream in slot 0.
+            pool.clear_slots(0, 1)
+        logits = self._forward_cohort(token_ids, past, 0, 1)
+        self._past_length = end
         return logits, int(np.argmax(logits))
 
     def generate(self, input_token_ids: list[int], max_new_tokens: int) -> list[int]:
-        """Greedy generation mirroring :class:`repro.model.TextGenerator`."""
-        if max_new_tokens <= 0:
-            raise ExecutionError("max_new_tokens must be positive")
-        # Reserve KV capacity for the whole run so the caches never regrow —
-        # including warm buffers kept alive across reset_cache().
-        self._kv_reserve = max(
-            self._kv_reserve,
-            self._past_length + len(input_token_ids) + max_new_tokens,
+        """Greedy generation mirroring :class:`repro.model.TextGenerator`.
+
+        The request is checked whole before the first forward, and the KV
+        capacity of the whole run is reserved up front, so decode never
+        regrows the arenas.
+        """
+        past = self._past_length
+        self._check_request(input_token_ids, max_new_tokens, past)
+        self._pool.ensure(
+            slots=1, capacity=past + len(input_token_ids) + max_new_tokens
         )
-        for device_layers in self._layer_memory:
-            for memory in device_layers:
-                for value in memory.values():
-                    if type(value) is GrowableKV:
-                        value.reserve(self._kv_reserve)
         outputs: list[int] = []
         _, next_token = self.forward(np.asarray(input_token_ids))
         outputs.append(next_token)
@@ -1423,15 +1363,10 @@ class DFXFunctionalSimulator:
         """Clear the KV cache for a new request, keeping everything warm.
 
         Weights, compiled programs, linked segments, and the preallocated KV
-        capacity all survive — only the logical cache length drops to zero —
+        arenas all survive — only the logical cache length drops to zero —
         so a serving loop pays the one-time staging cost once per process,
         not once per request.
         """
-        for device_layers in self._layer_memory:
-            for memory in device_layers:
-                for value in memory.values():
-                    if type(value) is GrowableKV:
-                        value.length = 0
         self._past_length = 0
 
     @property
@@ -1440,125 +1375,12 @@ class DFXFunctionalSimulator:
         return self._past_length
 
     # ------------------------------------------------------------------ batched
-    def _ensure_batched_state(self) -> "_BatchedState":
-        """Build (once) the cores and KV arenas of the batched engine.
-
-        The batched cores share the staged weight arrays with the
-        single-stream cores but keep separate memory dicts, so per-request
-        :class:`GrowableKV` buffers and per-cohort :class:`BatchedKV` arenas
-        never collide.
-        """
-        if self._batched is not None:
-            return self._batched
-        dtype = (
-            np.dtype(np.float32)
-            if self.numerics.accumulate_fp32
-            else self.numerics.dtype
-        )
-        pool = BatchedKVPool(dtype)
-        layer_memory = [
-            [
-                {
-                    name: value
-                    for name, value in memory.items()
-                    if type(value) is not GrowableKV
-                }
-                for memory in device_layers
-            ]
-            for device_layers in self._layer_memory
-        ]
-        layer_cores = [
-            [
-                BatchedFunctionalCore(
-                    numerics=self.numerics,
-                    registers={},
-                    memory=layer_memory[device_id][layer_index],
-                    kv_pool=pool,
-                )
-                for device_id in range(self.num_devices)
-            ]
-            for layer_index in range(self.config.n_layer)
-        ]
-        lm_cores = [
-            BatchedFunctionalCore(
-                numerics=self.numerics,
-                registers={},
-                memory=self._lm_head_memory[device_id],
-                kv_pool=pool,
-            )
-            for device_id in range(self.num_devices)
-        ]
-        embedding_core = BatchedFunctionalCore(
-            numerics=self.numerics, registers={}, memory={}, kv_pool=pool
-        )
-        self._batched = _BatchedState(
-            pool=pool,
-            layer_cores=layer_cores,
-            lm_cores=lm_cores,
-            embedding_core=embedding_core,
-        )
-        return self._batched
-
-    def _batched_forward(
-        self, token_ids: np.ndarray, past: int, lo: int, hi: int
-    ) -> np.ndarray:
-        """One lockstep forward over a cohort occupying arena slots [lo, hi).
-
-        ``token_ids`` is ``(batch, rows)``: each stream's token rows for this
-        step (all streams share the same ``past``).  Returns the greedy next
-        token of every stream.  Per-stream results are bit-identical to
-        feeding the same rows through :meth:`forward` one stream at a time —
-        every fused expression is a stacked-3-D generalization proven
-        bit-exact per slice.
-        """
-        state = self._ensure_batched_state()
-        batch, rows = token_ids.shape
-        positions = np.arange(past, past + rows)
-
-        embedding_program = self.compiler.compile_embedding(rows)
-        embedding_core = state.embedding_core
-        embedding_core.memory["wte_rows"] = self.weights.wte[token_ids]
-        embedding_core.memory["wpe_rows"] = self.weights.wpe[positions]
-        self._run_lockstep(embedding_program, [embedding_core], batched=True)
-        hidden = embedding_core.registers["hidden"]
-
-        if rows == 1:
-            layer_program = self.compiler.compile_decoder_step()
-        else:
-            layer_program = self.compiler.compile_decoder_layer(rows, past)
-        linked_layer = link_program(
-            layer_program,
-            self.numerics,
-            self._layer_shared_inputs,
-            self._replicated_layer_names,
-            batched=True,
-        )
-        for layer_index in range(self.config.n_layer):
-            cores = state.layer_cores[layer_index]
-            for core in cores:
-                core.registers["hidden"] = hidden
-                core.slot_lo = lo
-                core.slot_hi = hi
-            self._run_lockstep(linked_layer, cores)
-            hidden = cores[0].registers["hidden_out"]
-
-        lm_head_program = link_program(
-            self.compiler.compile_lm_head(),
-            self.numerics,
-            self._lm_shared_inputs,
-            self._replicated_lm_names,
-            batched=True,
-        )
-        last_hidden = hidden[:, -1:, :]
-        cores = state.lm_cores
-        for core in cores:
-            core.registers["hidden_last"] = last_hidden
-        self._run_lockstep(lm_head_program, cores)
-        logits = np.asarray(cores[0].registers["logits"], dtype=np.float32)[:, 0, :]
-        return np.argmax(logits, axis=-1)
-
     def batched_session(self) -> "BatchedGenerationSession":
-        """Open a continuous-batching generation session on this simulator."""
+        """Open a continuous-batching generation session on this simulator.
+
+        The session shares the KV arenas with :meth:`forward`, so opening
+        it resets the :meth:`forward` cache.
+        """
         return BatchedGenerationSession(self)
 
     def generate_batch(
@@ -1566,13 +1388,13 @@ class DFXFunctionalSimulator:
         prompts: list[list[int]],
         max_new_tokens: int | list[int],
     ) -> list[list[int]]:
-        """Greedy generation of many streams through the batched engine.
+        """Greedy generation of many streams as lockstep cohorts.
 
         Streams with equal prompt lengths prefill together and decode as
         lockstep cohorts; cohorts whose past lengths align merge, and
         finished streams leave their cohort (their arena slots are recycled).
         Per-stream outputs are bit-identical to :meth:`generate` run stream
-        by stream.
+        by stream.  Resets the :meth:`forward` cache.
         """
         if not prompts:
             return []
@@ -1594,32 +1416,21 @@ class DFXFunctionalSimulator:
         return [session.outputs(stream_id) for stream_id in stream_ids]
 
     def reclaim_batched_kv(self) -> None:
-        """Release the batched KV arenas' slot storage (explicit reclaim).
+        """Release the KV arenas' slot storage (explicit reclaim).
 
         Long serving runs otherwise hold the high-water-mark allocation of
-        the largest cohort ever admitted; after this, the next session grows
-        the arenas back on demand.  Weights, cores, compiled programs, and
-        linked segments all stay warm.
+        the largest cohort ever admitted; after this, the next forward or
+        session grows the arenas back on demand.  The :meth:`forward` cache
+        is dropped with them.  Weights, cores, compiled programs, and linked
+        segments all stay warm.
         """
-        if self._batched is not None:
-            self._batched.pool.shrink()
+        self._pool.shrink()
+        self._past_length = 0
 
     @property
     def batched_kv_memory_bytes(self) -> int:
-        """Bytes currently allocated to the batched KV slot arenas."""
-        if self._batched is None:
-            return 0
-        return self._batched.pool.memory_bytes()
-
-
-@dataclass
-class _BatchedState:
-    """Lazily built per-simulator state of the batched engine."""
-
-    pool: BatchedKVPool
-    layer_cores: list[list[BatchedFunctionalCore]]
-    lm_cores: list[BatchedFunctionalCore]
-    embedding_core: BatchedFunctionalCore
+        """Bytes currently allocated to the KV slot arenas."""
+        return self._pool.memory_bytes()
 
 
 class _Stream:
@@ -1653,7 +1464,7 @@ class _Cohort:
 
 
 class BatchedGenerationSession:
-    """Continuous-batching generation over the batched functional engine.
+    """Continuous-batching generation over the functional engine.
 
     Mirrors a serving scheduler's decode slots: :meth:`admit` queues a
     stream, each :meth:`step` prefills pending admissions (grouped by prompt
@@ -1663,13 +1474,15 @@ class BatchedGenerationSession:
     cohorts whose past lengths align merge into one — so a late admission
     can join an in-flight batch mid-decode.  Slot storage persists across
     sessions on the simulator's arena pool; a new session only resets the
-    logical lengths.
+    logical lengths.  The pool is the one the simulator's :meth:`forward`
+    uses, so opening a session resets the simulator's :meth:`forward`
+    cache, and a session must finish before :meth:`forward` runs again.
     """
 
     def __init__(self, simulator: DFXFunctionalSimulator) -> None:
         self._sim = simulator
-        state = simulator._ensure_batched_state()
-        self._pool = state.pool
+        simulator.reset_cache()
+        self._pool = simulator._pool
         self._pool.clear_all()
         self._slots = self._pool.slots
         self._free: list[tuple[int, int]] = [(0, self._slots)] if self._slots else []
@@ -1713,11 +1526,12 @@ class BatchedGenerationSession:
 
     # --------------------------------------------------------------- interface
     def admit(self, prompt: list[int], max_new_tokens: int) -> int:
-        """Queue a stream; it prefills on the next :meth:`step`."""
-        if max_new_tokens <= 0:
-            raise ExecutionError("max_new_tokens must be positive")
-        if not prompt:
-            raise ExecutionError("prompt must be non-empty")
+        """Queue a stream; it prefills on the next :meth:`step`.
+
+        A request the model cannot serve (bad token ids, no room in the
+        context window) is rejected here, before any forward runs.
+        """
+        self._sim._check_request(prompt, max_new_tokens, 0)
         stream = _Stream(self._next_id, list(prompt), max_new_tokens)
         self._next_id += 1
         self._streams[stream.stream_id] = stream
@@ -1777,9 +1591,9 @@ class BatchedGenerationSession:
             token_matrix = np.asarray(
                 [stream.prompt for stream in group], dtype=np.int64
             )
-            tokens = self._sim._batched_forward(token_matrix, 0, lo, hi)
+            logits = self._sim._forward_cohort(token_matrix, 0, lo, hi)
             cohort = _Cohort(lo, hi, prompt_length, group)
-            self._record_tokens(cohort, tokens)
+            self._record_tokens(cohort, logits)
 
     def _decode_cohort(self, cohort: _Cohort) -> None:
         if cohort not in self._cohorts:
@@ -1787,14 +1601,15 @@ class BatchedGenerationSession:
         step_tokens = np.asarray(
             [[stream.next_token] for stream in cohort.streams], dtype=np.int64
         )
-        tokens = self._sim._batched_forward(
+        logits = self._sim._forward_cohort(
             step_tokens, cohort.past, cohort.lo, cohort.hi
         )
         cohort.past += 1
-        self._record_tokens(cohort, tokens)
+        self._record_tokens(cohort, logits)
 
-    def _record_tokens(self, cohort: _Cohort, tokens: np.ndarray) -> None:
-        """Record one generated token per stream, then process departures."""
+    def _record_tokens(self, cohort: _Cohort, logits: np.ndarray) -> None:
+        """Record each stream's greedy token, then process departures."""
+        tokens = np.argmax(logits.reshape(cohort.size, -1), axis=-1)
         for stream, token in zip(cohort.streams, tokens):
             stream.outputs.append(int(token))
             stream.next_token = int(token)

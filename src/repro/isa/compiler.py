@@ -322,9 +322,9 @@ class DFXCompiler:
         (``weight_reuse_rows=batch``), while the per-stream KV operands keep
         per-row streaming (each stream reads its own cache).  Shapes are exact
         per step, so — like :meth:`compile_decoder_layer` — this is keyed on
-        ``(batch, past_length)``.  The functional batched engine does not
-        execute these programs; it runs the regular (per-stream-shaped)
-        programs in batched linking mode.
+        ``(batch, past_length)``.  The functional engine does not execute
+        these programs; it runs the regular (per-stream-shaped) programs,
+        whose linked code carries the cohort's batch axis.
         """
         if batch <= 0:
             raise CompilationError(f"batch must be positive, got {batch}")

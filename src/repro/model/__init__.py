@@ -14,18 +14,9 @@ from repro.model.config import (
 )
 from repro.model.weights import DecoderLayerWeights, GPT2Weights, generate_weights
 from repro.model.numerics import FP16_DFX, FP16_GPU, FP32_EXACT, Numerics
-from repro.model.kv_cache import (
-    BatchedKVCache,
-    BatchedLayerKVCache,
-    KVCache,
-    LayerKVCache,
-)
-from repro.model.gpt2 import BatchedForwardResult, ForwardResult, GPT2Model
-from repro.model.generation import (
-    BatchedTextGenerator,
-    GenerationResult,
-    TextGenerator,
-)
+from repro.model.kv_cache import KVCache, LayerKVCache
+from repro.model.gpt2 import ForwardResult, GPT2Model
+from repro.model.generation import GenerationResult, TextGenerator
 from repro.model.tokenizer import SyntheticTokenizer
 from repro.model.gelu import GeluLookupTable, gelu_exact, gelu_lut, gelu_tanh
 from repro.model.datasets import (
@@ -60,14 +51,10 @@ __all__ = [
     "FP16_GPU",
     "FP32_EXACT",
     "Numerics",
-    "BatchedKVCache",
-    "BatchedLayerKVCache",
     "KVCache",
     "LayerKVCache",
-    "BatchedForwardResult",
     "ForwardResult",
     "GPT2Model",
-    "BatchedTextGenerator",
     "GenerationResult",
     "TextGenerator",
     "SyntheticTokenizer",

@@ -11,16 +11,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.model.config import GPT2Config
-from repro.model.kv_cache import BatchedLayerKVCache, LayerKVCache
+from repro.model.kv_cache import LayerKVCache
 from repro.model.layers import (
-    batched_scaled_dot_product_attention,
     layer_norm,
     linear,
     merge_heads,
-    merge_heads_batched,
     scaled_dot_product_attention,
     split_heads,
-    split_heads_batched,
 )
 from repro.model.numerics import FP32_EXACT, Numerics
 from repro.model.weights import DecoderLayerWeights
@@ -61,38 +58,6 @@ def self_attention(
     return linear(merged, weights.w_attn_proj, weights.b_attn_proj, numerics)
 
 
-def batched_self_attention(
-    hidden: np.ndarray,
-    weights: DecoderLayerWeights,
-    cache: BatchedLayerKVCache,
-    slots: "np.ndarray | list[int]",
-    config: GPT2Config,
-    numerics: Numerics = FP32_EXACT,
-) -> np.ndarray:
-    """Self-attention over a lockstep cohort of streams.
-
-    ``hidden`` is ``(batch, seq, n_embd)``; ``slots`` names the cohort's KV
-    slots (all at one cached length).  Per-stream results are bit-identical to
-    :func:`self_attention` because the QKV/output projections are stacked 3-D
-    matmuls and the attention core contracts each stream independently.
-    """
-    qkv = linear(hidden, weights.w_qkv, weights.b_qkv, numerics)
-    query, key, value = np.split(qkv, 3, axis=-1)
-
-    query_heads = split_heads_batched(query, config.n_head)
-    key_heads = split_heads_batched(key, config.n_head)
-    value_heads = split_heads_batched(value, config.n_head)
-
-    cache.append(slots, key_heads, value_heads)
-    keys, values = cache.view(slots)
-
-    context = batched_scaled_dot_product_attention(
-        query_heads, keys, values, causal=True, numerics=numerics
-    )
-    merged = merge_heads_batched(context)
-    return linear(merged, weights.w_attn_proj, weights.b_attn_proj, numerics)
-
-
 def feed_forward(
     hidden: np.ndarray,
     weights: DecoderLayerWeights,
@@ -116,34 +81,6 @@ def decoder_layer_forward(
         hidden, weights.ln1_gamma, weights.ln1_beta, config.layer_norm_eps, numerics
     )
     attention_output = self_attention(normed1, weights, cache, config, numerics)
-    hidden = numerics.add(hidden, attention_output)
-
-    normed2 = layer_norm(
-        hidden, weights.ln2_gamma, weights.ln2_beta, config.layer_norm_eps, numerics
-    )
-    ffn_output = feed_forward(normed2, weights, numerics)
-    return numerics.add(hidden, ffn_output)
-
-
-def batched_decoder_layer_forward(
-    hidden: np.ndarray,
-    weights: DecoderLayerWeights,
-    cache: BatchedLayerKVCache,
-    slots: "np.ndarray | list[int]",
-    config: GPT2Config,
-    numerics: Numerics = FP32_EXACT,
-) -> np.ndarray:
-    """One pre-norm decoder layer over ``(batch, seq, n_embd)`` hidden states.
-
-    LayerNorm, GELU, and the residual adds are all elementwise or last-axis
-    reductions, so the batch dimension rides through them unchanged.
-    """
-    normed1 = layer_norm(
-        hidden, weights.ln1_gamma, weights.ln1_beta, config.layer_norm_eps, numerics
-    )
-    attention_output = batched_self_attention(
-        normed1, weights, cache, slots, config, numerics
-    )
     hidden = numerics.add(hidden, attention_output)
 
     normed2 = layer_norm(

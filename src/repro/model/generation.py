@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.errors import ExecutionError
 from repro.model.gpt2 import GPT2Model
-from repro.model.kv_cache import BatchedKVCache, KVCache
+from repro.model.kv_cache import KVCache
 from repro.model.tokenizer import END_OF_TEXT_TOKEN_ID, SyntheticTokenizer
 
 
@@ -126,211 +126,3 @@ class TextGenerator:
         probabilities = np.exp(scaled)
         probabilities /= probabilities.sum()
         return int(self._rng.choice(len(probabilities), p=probabilities))
-
-
-class _BatchedStream:
-    """Book-keeping for one stream inside a batched generation run."""
-
-    __slots__ = ("index", "slot", "remaining", "next_token", "result", "rng", "done")
-
-    def __init__(
-        self,
-        index: int,
-        slot: int,
-        remaining: int,
-        result: GenerationResult,
-        rng: np.random.Generator,
-    ) -> None:
-        self.index = index
-        self.slot = slot
-        self.remaining = remaining
-        self.next_token: int | None = None
-        self.result = result
-        self.rng = rng
-        self.done = False
-
-
-class BatchedTextGenerator:
-    """Generate ``B`` token streams concurrently over one functional model.
-
-    Streams with equal prompt lengths prefill together; during decode, all
-    streams at the same cached length form one lockstep cohort per step (so
-    cohorts merge as soon as their pasts equalize, and shrink as streams hit
-    their budgets).  Each stream's tokens are bit-identical to a sequential
-    :class:`TextGenerator` run with seed ``seed + stream_index``: every batched
-    operator contracts per-stream slices independently, and each stream draws
-    from its own RNG.
-
-    The slot-addressed KV cache is owned by the generator and recycled across
-    calls — departures release slots, later arrivals reuse the same buffers.
-    """
-
-    def __init__(
-        self,
-        model: GPT2Model,
-        tokenizer: SyntheticTokenizer | None = None,
-        seed: int = 0,
-    ) -> None:
-        self.model = model
-        self.tokenizer = tokenizer or SyntheticTokenizer(
-            vocab_size=model.config.vocab_size
-        )
-        self.seed = seed
-        self._cache: BatchedKVCache | None = None
-
-    # ------------------------------------------------------------------- cache
-    @property
-    def cache(self) -> BatchedKVCache:
-        """The shared slot-addressed KV cache (created on first use)."""
-        if self._cache is None:
-            self._cache = self.model.new_batched_cache()
-        return self._cache
-
-    def reset_cache(self) -> None:
-        """Drop the preallocated KV arenas (e.g. between benchmark phases)."""
-        self._cache = None
-
-    # ------------------------------------------------------------------ tokens
-    def generate_tokens_batch(
-        self,
-        prompts: list[list[int]],
-        max_new_tokens: int | list[int],
-        temperature: float = 0.0,
-        stop_at_end_of_text: bool = False,
-    ) -> list[GenerationResult]:
-        """Generate all ``prompts`` concurrently; results stay in input order.
-
-        ``max_new_tokens`` may be one budget for all streams or one per
-        stream (ragged budgets exercise cohort join/leave mid-decode).
-        """
-        if not prompts:
-            return []
-        if isinstance(max_new_tokens, int):
-            budgets = [max_new_tokens] * len(prompts)
-        else:
-            budgets = list(max_new_tokens)
-            if len(budgets) != len(prompts):
-                raise ExecutionError(
-                    f"{len(budgets)} budgets for {len(prompts)} prompts"
-                )
-        for prompt, budget in zip(prompts, budgets):
-            if not prompt:
-                raise ExecutionError("input_token_ids must not be empty")
-            if budget < 0:
-                raise ExecutionError("max_new_tokens must be non-negative")
-            if len(prompt) + budget > self.model.config.n_positions:
-                raise ExecutionError(
-                    f"requested sequence of {len(prompt) + budget} tokens exceeds "
-                    f"the model's context window of {self.model.config.n_positions}"
-                )
-
-        cache = self.cache
-        streams: list[_BatchedStream] = []
-        for index, (prompt, budget) in enumerate(zip(prompts, budgets)):
-            slot = cache.acquire_slot(capacity=len(prompt) + budget)
-            streams.append(
-                _BatchedStream(
-                    index=index,
-                    slot=slot,
-                    remaining=budget,
-                    result=GenerationResult(input_token_ids=list(prompt)),
-                    rng=np.random.default_rng(self.seed + index),
-                )
-            )
-
-        # Summarization: streams with equal prompt lengths share one pass.
-        by_length: dict[int, list[_BatchedStream]] = {}
-        for stream in streams:
-            by_length.setdefault(len(stream.result.input_token_ids), []).append(stream)
-        for length in sorted(by_length):
-            group = by_length[length]
-            matrix = np.asarray(
-                [s.result.input_token_ids for s in group], dtype=np.int64
-            )
-            forward = self.model.forward_batch(
-                matrix, cache, [s.slot for s in group]
-            )
-            for row, stream in enumerate(group):
-                stream.result.summarization_logits = forward.logits[row, -1].copy()
-                self._advance(stream, forward.logits[row, -1], temperature, cache)
-
-        # Generation: regroup every step, so cohorts merge the moment their
-        # cached lengths equalize and shrink as streams finish.
-        while True:
-            active = [s for s in streams if not s.done]
-            if stop_at_end_of_text:
-                # Sequential generation checks for the stop token *before*
-                # the next forward; mirror that so cache lengths match.
-                for stream in active:
-                    if stream.next_token == END_OF_TEXT_TOKEN_ID:
-                        self._retire(stream, cache)
-                active = [s for s in active if not s.done]
-            if not active:
-                break
-            cohorts: dict[int, list[_BatchedStream]] = {}
-            for stream in active:
-                cohorts.setdefault(cache.slot_len(stream.slot), []).append(stream)
-            for past in sorted(cohorts):
-                cohort = cohorts[past]
-                matrix = np.asarray(
-                    [[s.next_token] for s in cohort], dtype=np.int64
-                )
-                forward = self.model.forward_batch(
-                    matrix, cache, [s.slot for s in cohort]
-                )
-                for row, stream in enumerate(cohort):
-                    self._advance(stream, forward.logits[row, -1], temperature, cache)
-
-        return [stream.result for stream in streams]
-
-    # -------------------------------------------------------------------- text
-    def generate_text_batch(
-        self,
-        prompts: list[str],
-        max_new_tokens: int | list[int],
-        temperature: float = 0.0,
-    ) -> list[tuple[str, GenerationResult]]:
-        """Tokenize, batch-generate, and detokenize each generated suffix."""
-        token_prompts = [self.tokenizer.encode(prompt) for prompt in prompts]
-        results = self.generate_tokens_batch(token_prompts, max_new_tokens, temperature)
-        return [
-            (self.tokenizer.decode(result.output_token_ids), result)
-            for result in results
-        ]
-
-    # ---------------------------------------------------------------- internals
-    def _advance(
-        self,
-        stream: _BatchedStream,
-        last_logits: np.ndarray,
-        temperature: float,
-        cache: BatchedKVCache,
-    ) -> None:
-        """Select the stream's next token, retiring it when the budget is spent."""
-        if stream.remaining <= 0:
-            self._retire(stream, cache)
-            return
-        token = self._select_token(stream, last_logits, temperature)
-        stream.result.output_token_ids.append(token)
-        stream.next_token = token
-        stream.remaining -= 1
-        if stream.remaining == 0:
-            self._retire(stream, cache)
-
-    def _retire(self, stream: _BatchedStream, cache: BatchedKVCache) -> None:
-        stream.result.kv_cache_length = cache.slot_len(stream.slot)
-        stream.done = True
-        cache.release_slot(stream.slot)
-
-    def _select_token(
-        self, stream: _BatchedStream, logits: np.ndarray, temperature: float
-    ) -> int:
-        if temperature < 0:
-            raise ExecutionError("temperature must be non-negative")
-        if temperature == 0.0:
-            return int(np.argmax(logits))
-        scaled = np.asarray(logits, dtype=np.float64) / temperature
-        scaled -= scaled.max()
-        probabilities = np.exp(scaled)
-        probabilities /= probabilities.sum()
-        return int(stream.rng.choice(len(probabilities), p=probabilities))

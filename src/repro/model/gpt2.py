@@ -18,8 +18,8 @@ import numpy as np
 
 from repro.errors import ExecutionError
 from repro.model.config import GPT2Config
-from repro.model.decoder import batched_decoder_layer_forward, decoder_layer_forward
-from repro.model.kv_cache import BatchedKVCache, KVCache
+from repro.model.decoder import decoder_layer_forward
+from repro.model.kv_cache import KVCache
 from repro.model.layers import layer_norm, softmax
 from repro.model.numerics import FP32_EXACT, Numerics
 from repro.model.weights import GPT2Weights, generate_weights
@@ -43,21 +43,6 @@ class ForwardResult:
     def next_token_probabilities(self) -> np.ndarray:
         """Softmax over the last position's logits."""
         return softmax(self.logits[-1:, :])[0]
-
-
-@dataclass
-class BatchedForwardResult:
-    """Output of one lockstep forward pass over a cohort of streams.
-
-    Attributes:
-        logits: ``(batch, seq, vocab_size)`` LM-head logits.
-        next_token_ids: ``(batch,)`` greedy tokens from each last position.
-        hidden_states: ``(batch, seq, n_embd)`` final hidden states.
-    """
-
-    logits: np.ndarray
-    next_token_ids: np.ndarray
-    hidden_states: np.ndarray
 
 
 class GPT2Model:
@@ -149,89 +134,6 @@ class GPT2Model:
             logits=logits, next_token_id=next_token, hidden_states=hidden
         )
 
-    # ---------------------------------------------------------------- batched
-    def embed_batch(
-        self, token_ids: np.ndarray, position_offset: int = 0
-    ) -> np.ndarray:
-        """Token embedding for a ``(batch, seq)`` matrix of token ids.
-
-        Every stream sits at the same position offset (a lockstep cohort), so
-        one ``(seq, n_embd)`` position-embedding block broadcasts across the
-        batch; per-stream rows are bit-identical to :meth:`embed`.
-        """
-        token_ids = np.asarray(token_ids, dtype=np.int64)
-        if token_ids.ndim != 2:
-            raise ExecutionError(
-                f"batched token_ids must be 2-D, got shape {token_ids.shape}"
-            )
-        if token_ids.shape[0] == 0 or token_ids.shape[1] == 0:
-            raise ExecutionError("batched token_ids must be non-empty")
-        if np.any(token_ids < 0) or np.any(token_ids >= self.config.vocab_size):
-            raise ExecutionError("token id out of vocabulary range")
-        positions = np.arange(position_offset, position_offset + token_ids.shape[1])
-        if positions[-1] >= self.config.n_positions:
-            raise ExecutionError(
-                f"sequence length {positions[-1] + 1} exceeds maximum context "
-                f"{self.config.n_positions}"
-            )
-        token_vectors = self.weights.wte[token_ids]
-        position_vectors = self.weights.wpe[positions]
-        return self.numerics.add(token_vectors, position_vectors)
-
-    def forward_batch(
-        self,
-        token_ids: np.ndarray,
-        cache: BatchedKVCache,
-        slots: "np.ndarray | list[int]",
-    ) -> BatchedForwardResult:
-        """Run one lockstep forward pass over a cohort of streams.
-
-        ``token_ids`` is ``(batch, seq)``; ``slots`` names each stream's KV
-        slot in ``cache`` (all slots must hold the same cached length — a
-        cohort).  Per-stream logits are bit-identical to running
-        :meth:`forward` stream by stream, because every batched operator
-        contracts each stream's slice independently.
-        """
-        if cache.config.n_layer != self.config.n_layer:
-            raise ExecutionError("cache was built for a different model configuration")
-        slots = np.asarray(slots, dtype=np.int64)
-        token_ids = np.asarray(token_ids, dtype=np.int64)
-        if token_ids.ndim != 2 or token_ids.shape[0] != slots.size:
-            raise ExecutionError(
-                f"token_ids shape {token_ids.shape} does not match {slots.size} slots"
-            )
-        past_lengths = {int(cache.slot_len(int(slot))) for slot in slots}
-        if len(past_lengths) > 1:
-            raise ExecutionError(
-                f"cohort slots must share one cached length, got {sorted(past_lengths)}"
-            )
-        offset = past_lengths.pop() if past_lengths else 0
-
-        hidden = self.embed_batch(token_ids, position_offset=offset)
-
-        for layer_index in range(self.config.n_layer):
-            hidden = batched_decoder_layer_forward(
-                hidden,
-                self.weights.layers[layer_index],
-                cache.layer(layer_index),
-                slots,
-                self.config,
-                self.numerics,
-            )
-
-        hidden = layer_norm(
-            hidden,
-            self.weights.ln_f_gamma,
-            self.weights.ln_f_beta,
-            self.config.layer_norm_eps,
-            self.numerics,
-        )
-        logits = self.lm_head(hidden)
-        next_tokens = np.argmax(logits[:, -1, :], axis=-1).astype(np.int64)
-        return BatchedForwardResult(
-            logits=logits, next_token_ids=next_tokens, hidden_states=hidden
-        )
-
     # -------------------------------------------------------------- convenience
     def new_cache(self, capacity: int = 0) -> KVCache:
         """Create an empty KV cache with this model's dtype.
@@ -240,9 +142,3 @@ class GPT2Model:
         decoding a request of known total length never regrows the cache.
         """
         return KVCache.empty(self.config, dtype=self.numerics.dtype, capacity=capacity)
-
-    def new_batched_cache(self, slots: int = 0, capacity: int = 0) -> BatchedKVCache:
-        """Create an empty slot-addressed cache for concurrent streams."""
-        return BatchedKVCache.empty(
-            self.config, dtype=self.numerics.dtype, slots=slots, capacity=capacity
-        )

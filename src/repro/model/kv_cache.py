@@ -115,229 +115,6 @@ class LayerKVCache:
         self._length = needed
 
 
-class BatchedLayerKVCache:
-    """Slot-addressed Key/Value cache for one decoder layer.
-
-    Capacity arrays have shape ``(slots, n_head, capacity, head_dim)`` with a
-    per-slot logical length, so ``B`` concurrent generation streams share one
-    pair of preallocated arenas instead of ``B`` independent caches.  Slots
-    are recycled: releasing a stream resets its length to zero and the next
-    arrival reuses the same buffer rows without reallocating.
-
-    All batched accessors take a *uniform-length* slot list (a lockstep
-    cohort): ``view`` returns ``(S, n_head, length, head_dim)`` stacks whose
-    per-slot slices are bit-identical to what a per-stream
-    :class:`LayerKVCache` would hold.
-    """
-
-    def __init__(
-        self,
-        n_head: int,
-        head_dim: int,
-        dtype: np.dtype = np.float32,
-        slots: int = 0,
-        capacity: int = 0,
-    ) -> None:
-        self._n_head = int(n_head)
-        self._head_dim = int(head_dim)
-        capacity = max(int(capacity), 0)
-        self._keys = np.zeros((slots, n_head, capacity, head_dim), dtype=dtype)
-        self._values = np.zeros((slots, n_head, capacity, head_dim), dtype=dtype)
-        self._lengths = np.zeros(slots, dtype=np.int64)
-
-    # -------------------------------------------------------------- properties
-    @property
-    def slots(self) -> int:
-        """Number of allocated stream slots."""
-        return int(self._keys.shape[0])
-
-    @property
-    def capacity(self) -> int:
-        """Allocated token-position capacity per slot."""
-        return int(self._keys.shape[2])
-
-    def slot_len(self, slot: int) -> int:
-        """Cached positions held by ``slot``."""
-        return int(self._lengths[slot])
-
-    # ------------------------------------------------------------------ growth
-    def ensure(self, slots: int | None = None, capacity: int | None = None) -> None:
-        """Grow the arenas to hold at least ``slots`` x ``capacity`` rows.
-
-        Growth doubles (amortized-O(1) appends) and preserves every slot's
-        cached prefix; shrinking never happens here (see ``reset``).
-        """
-        want_slots = max(self.slots, slots or 0)
-        want_capacity = self.capacity
-        if capacity is not None and capacity > want_capacity:
-            want_capacity = max(capacity, want_capacity * 2, _MIN_CAPACITY)
-        if want_slots == self.slots and want_capacity == self.capacity:
-            return
-        for attribute in ("_keys", "_values"):
-            old = getattr(self, attribute)
-            grown = np.zeros(
-                (want_slots, self._n_head, want_capacity, self._head_dim),
-                dtype=old.dtype,
-            )
-            if old.shape[0] and old.shape[2]:
-                grown[: old.shape[0], :, : old.shape[2], :] = old
-            setattr(self, attribute, grown)
-        if want_slots > self._lengths.shape[0]:
-            lengths = np.zeros(want_slots, dtype=np.int64)
-            lengths[: self._lengths.shape[0]] = self._lengths
-            self._lengths = lengths
-
-    # ----------------------------------------------------------------- updates
-    def _uniform_length(self, slot_ids: np.ndarray) -> int:
-        lengths = self._lengths[slot_ids]
-        if lengths.size and np.any(lengths != lengths[0]):
-            raise ExecutionError(
-                f"cohort slots must share one length, got {lengths.tolist()}"
-            )
-        return int(lengths[0]) if lengths.size else 0
-
-    def append(
-        self,
-        slot_ids: "np.ndarray | list[int]",
-        new_keys: np.ndarray,
-        new_values: np.ndarray,
-    ) -> None:
-        """Append ``rows`` positions to every slot of a uniform-length cohort.
-
-        ``new_keys``/``new_values`` have shape ``(S, n_head, rows, head_dim)``
-        where ``S == len(slot_ids)``.
-        """
-        slot_ids = np.asarray(slot_ids, dtype=np.int64)
-        if new_keys.shape != new_values.shape:
-            raise ExecutionError(
-                f"key/value shape mismatch: {new_keys.shape} vs {new_values.shape}"
-            )
-        if new_keys.shape[0] != slot_ids.size:
-            raise ExecutionError(
-                f"appended batch {new_keys.shape[0]} does not match "
-                f"{slot_ids.size} slots"
-            )
-        length = self._uniform_length(slot_ids)
-        rows = int(new_keys.shape[2])
-        needed = length + rows
-        if needed > self.capacity:
-            self.ensure(capacity=needed)
-        self._keys[slot_ids, :, length:needed, :] = new_keys
-        self._values[slot_ids, :, length:needed, :] = new_values
-        self._lengths[slot_ids] = needed
-
-    def view(
-        self, slot_ids: "np.ndarray | list[int]"
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Stacked ``(S, n_head, length, head_dim)`` Keys and Values."""
-        slot_ids = np.asarray(slot_ids, dtype=np.int64)
-        length = self._uniform_length(slot_ids)
-        return (
-            self._keys[slot_ids, :, :length, :],
-            self._values[slot_ids, :, :length, :],
-        )
-
-    def reset_slots(self, slot_ids: "np.ndarray | list[int]") -> None:
-        """Recycle slots: logical lengths drop to zero, buffers stay."""
-        self._lengths[np.asarray(slot_ids, dtype=np.int64)] = 0
-
-    def memory_bytes(self, bytes_per_element: int = 2) -> int:
-        """Logical bytes cached across all slots (Keys plus Values)."""
-        cached_rows = int(self._lengths.sum())
-        return 2 * cached_rows * self._n_head * self._head_dim * bytes_per_element
-
-
-class BatchedKVCache:
-    """Per-layer slot-addressed KV caches for a whole model.
-
-    Streams ``acquire_slot()`` on arrival and ``release_slot()`` on departure;
-    released slots go to a free list and are reused by later arrivals, so a
-    long-running serving loop allocates each arena once and recycles it.
-    """
-
-    def __init__(self, config: GPT2Config, layers: list[BatchedLayerKVCache]) -> None:
-        self.config = config
-        self.layers = layers
-        self._free: list[int] = list(range(layers[0].slots if layers else 0))
-        self._active: set[int] = set()
-
-    @classmethod
-    def empty(
-        cls,
-        config: GPT2Config,
-        dtype: np.dtype = np.float32,
-        slots: int = 0,
-        capacity: int = 0,
-    ) -> "BatchedKVCache":
-        """Create an all-free cache with ``slots`` streams preallocated."""
-        layers = [
-            BatchedLayerKVCache(
-                config.n_head,
-                config.head_dim,
-                dtype=dtype,
-                slots=slots,
-                capacity=capacity,
-            )
-            for _ in range(config.n_layer)
-        ]
-        return cls(config=config, layers=layers)
-
-    # ------------------------------------------------------------------- slots
-    @property
-    def slots(self) -> int:
-        """Total allocated slots (free plus active)."""
-        return self.layers[0].slots if self.layers else 0
-
-    @property
-    def active_slots(self) -> int:
-        """Slots currently owned by a stream."""
-        return len(self._active)
-
-    def acquire_slot(self, capacity: int = 0) -> int:
-        """Claim a free slot (recycled if available, freshly grown if not)."""
-        if not self._free:
-            old = self.slots
-            grown = max(2 * old, old + 1, 4)
-            for layer in self.layers:
-                layer.ensure(slots=grown)
-            self._free.extend(range(old, grown))
-        slot = self._free.pop()
-        if capacity > 0:
-            for layer in self.layers:
-                layer.ensure(capacity=capacity)
-        self._active.add(slot)
-        return slot
-
-    def release_slot(self, slot: int) -> None:
-        """Return a slot to the free list; its buffers are kept for reuse."""
-        if slot not in self._active:
-            raise ExecutionError(f"slot {slot} is not active")
-        self._active.remove(slot)
-        for layer in self.layers:
-            layer.reset_slots([slot])
-        self._free.append(slot)
-
-    def slot_len(self, slot: int) -> int:
-        """Cached positions for ``slot`` (identical across layers)."""
-        if not self.layers:
-            return 0
-        return self.layers[0].slot_len(slot)
-
-    def layer(self, index: int) -> BatchedLayerKVCache:
-        """Return the cache for decoder layer ``index``."""
-        if not 0 <= index < len(self.layers):
-            raise ExecutionError(
-                f"layer index {index} out of range for {len(self.layers)} layers"
-            )
-        return self.layers[index]
-
-    def memory_bytes(self, bytes_per_element: int = 2) -> int:
-        """Logical bytes cached across all layers and slots."""
-        return sum(
-            layer.memory_bytes(bytes_per_element) for layer in self.layers
-        )
-
-
 @dataclass
 class KVCache:
     """Per-layer Key/Value caches for a whole model."""

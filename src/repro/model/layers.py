@@ -91,24 +91,6 @@ def merge_heads(x: np.ndarray) -> np.ndarray:
     return x.transpose(1, 0, 2).reshape(seq_len, n_head * head_dim)
 
 
-def split_heads_batched(x: np.ndarray, n_head: int) -> np.ndarray:
-    """Reshape ``(batch, seq, n_embd)`` to ``(batch, n_head, seq, head_dim)``.
-
-    Each batch slice is bit-identical to :func:`split_heads` on that slice.
-    """
-    batch, seq_len, n_embd = x.shape
-    if n_embd % n_head != 0:
-        raise ExecutionError(f"embedding {n_embd} not divisible by {n_head} heads")
-    head_dim = n_embd // n_head
-    return x.reshape(batch, seq_len, n_head, head_dim).transpose(0, 2, 1, 3)
-
-
-def merge_heads_batched(x: np.ndarray) -> np.ndarray:
-    """Reshape ``(batch, n_head, seq, head_dim)`` back to ``(batch, seq, n_embd)``."""
-    batch, n_head, seq_len, head_dim = x.shape
-    return x.transpose(0, 2, 1, 3).reshape(batch, seq_len, n_head * head_dim)
-
-
 def scaled_dot_product_attention(
     query: np.ndarray,
     key: np.ndarray,
@@ -149,57 +131,6 @@ def scaled_dot_product_attention(
     probabilities = softmax(scores, axis=-1, numerics=numerics)
     context = np.einsum(
         "hqk,hkd->hqd",
-        np.asarray(probabilities, dtype=np.float32),
-        np.asarray(value, dtype=np.float32),
-    )
-    return numerics.cast(context)
-
-
-def batched_scaled_dot_product_attention(
-    query: np.ndarray,
-    key: np.ndarray,
-    value: np.ndarray,
-    causal: bool = True,
-    numerics: Numerics = FP32_EXACT,
-) -> np.ndarray:
-    """Attention over a batch of streams: 4-D twin of the 3-D kernel above.
-
-    Args:
-        query: ``(batch, n_head, q_len, head_dim)``.
-        key: ``(batch, n_head, k_len, head_dim)``.
-        value: ``(batch, n_head, k_len, head_dim)``.
-        causal: Apply the lower-triangular mask (MaskedMM).
-        numerics: Precision mode.
-
-    Returns:
-        ``(batch, n_head, q_len, head_dim)`` attention output whose per-stream
-        slices are bit-identical to :func:`scaled_dot_product_attention` on
-        the corresponding 3-D slices (stacked einsum contracts each slice
-        independently, so no cross-stream reduction order changes).
-    """
-    if query.ndim != 4 or key.ndim != 4 or value.ndim != 4:
-        raise ExecutionError(
-            "batched attention expects 4-D (batch, n_head, seq, head_dim) tensors"
-        )
-    if key.shape != value.shape:
-        raise ExecutionError(f"key/value shape mismatch: {key.shape} vs {value.shape}")
-    batch, n_head, q_len, head_dim = query.shape
-    k_len = key.shape[2]
-
-    scale = 1.0 / np.sqrt(head_dim)
-    scores = np.einsum(
-        "bhqd,bhkd->bhqk",
-        np.asarray(query, dtype=np.float32),
-        np.asarray(key, dtype=np.float32),
-    ) * scale
-
-    if causal:
-        allowed = causal_mask(q_len, k_len)
-        scores = np.where(allowed[None, None, :, :], scores, MASK_VALUE)
-
-    probabilities = softmax(scores, axis=-1, numerics=numerics)
-    context = np.einsum(
-        "bhqk,bhkd->bhqd",
         np.asarray(probabilities, dtype=np.float32),
         np.asarray(value, dtype=np.float32),
     )

@@ -8,8 +8,10 @@ LUT-GELU) with the timing simulator (which estimates what the hardware would
 have taken), so examples and services can call one API and get both text and
 latency.
 
-The runtime is intentionally small: it owns a functional simulator, a timing
-appliance, and a tokenizer, and exposes ``generate`` / ``generate_text``.
+The runtime is intentionally small: it owns one functional simulator (built
+on first use and reset before each call, so weights, compiled programs and KV
+arenas stay warm across requests), a timing appliance, and a tokenizer, and
+exposes ``generate`` / ``generate_text`` / ``generate_batch``.
 """
 
 from __future__ import annotations
@@ -59,8 +61,8 @@ class RuntimeGeneration:
 class RuntimeBatchGeneration:
     """Result of one batched runtime call: per-stream tokens + cohort cost.
 
-    All streams execute as lockstep cohorts on the batched functional engine,
-    so the batch has one wall clock (the cohort's) rather than per-stream
+    All streams execute as lockstep cohorts on the functional engine, so the
+    batch has one wall clock (the cohort's) rather than per-stream
     latencies.  ``latency_s`` prices the *dominant* request shape at the full
     batch size — the standard static-batching bound.
     """
@@ -121,27 +123,23 @@ class DFXRuntime:
             calibration=calibration,
             check_capacity=False,
         )
-        self._simulator: DFXFunctionalSimulator | None = None
-        self._batched_simulator: DFXFunctionalSimulator | None = None
+        self._engine: DFXFunctionalSimulator | None = None
 
     # ---------------------------------------------------------------- internals
-    def _fresh_simulator(self) -> DFXFunctionalSimulator:
-        """Build a fresh functional simulator (empty KV cache) for one request."""
-        return DFXFunctionalSimulator(
-            self.weights, num_devices=self.num_devices, numerics=self.numerics
-        )
+    def _reset_engine(self) -> DFXFunctionalSimulator:
+        """The one functional simulator behind every call, with an empty cache.
 
-    def _shared_batched_simulator(self) -> DFXFunctionalSimulator:
-        """The persistent simulator behind batched calls.
-
-        Batched sessions keep their KV state in slot arenas that every new
-        session clears and recycles, so one simulator serves all batched
-        requests — weights, compiled programs, and arena buffers stay warm
-        across calls.
+        It is built on first use; later calls only reset its KV cache, so
+        weights, compiled programs, linked segments and the KV arenas stay
+        warm across requests.
         """
-        if self._batched_simulator is None:
-            self._batched_simulator = self._fresh_simulator()
-        return self._batched_simulator
+        if self._engine is None:
+            self._engine = DFXFunctionalSimulator(
+                self.weights, num_devices=self.num_devices, numerics=self.numerics
+            )
+        else:
+            self._engine.reset_cache()
+        return self._engine
 
     # ------------------------------------------------------------------ public
     def generate(
@@ -155,8 +153,9 @@ class DFXRuntime:
         workload = Workload(
             input_tokens=len(input_token_ids), output_tokens=max_new_tokens
         )
-        simulator = self._fresh_simulator()
-        output_tokens = simulator.generate(list(input_token_ids), max_new_tokens)
+        output_tokens = self._reset_engine().generate(
+            list(input_token_ids), max_new_tokens
+        )
         timing = self.appliance.run(workload)
         return RuntimeGeneration(
             input_token_ids=list(input_token_ids),
@@ -176,7 +175,7 @@ class DFXRuntime:
         prompts: list[list[int]],
         max_new_tokens: int | list[int],
     ) -> RuntimeBatchGeneration:
-        """Generate many streams concurrently through the batched engine.
+        """Generate many streams concurrently as lockstep cohorts.
 
         Per-stream outputs are bit-identical to calling :meth:`generate`
         stream by stream; the attached cost is the lockstep cohort's wall
@@ -197,7 +196,7 @@ class DFXRuntime:
             )
         if any(budget <= 0 for budget in budgets):
             raise ExecutionError("max_new_tokens must be positive")
-        outputs = self._shared_batched_simulator().generate_batch(
+        outputs = self._reset_engine().generate_batch(
             [list(prompt) for prompt in prompts], budgets
         )
         workload = Workload(

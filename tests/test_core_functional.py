@@ -9,7 +9,7 @@ caching and four ring syncs, final norm, LM head) on 1, 2, and 4 devices.
 import numpy as np
 import pytest
 
-from repro.core.functional import DFXFunctionalSimulator, FunctionalCore, split_at_syncs
+from repro.core.functional import DFXFunctionalSimulator, FunctionalCore
 from repro.errors import ExecutionError
 from repro.isa.compiler import DFXCompiler
 from repro.isa.instructions import RouterInstruction, VectorInstruction
@@ -17,6 +17,7 @@ from repro.isa.opcodes import RouterOpcode, VectorOpcode
 from repro.isa.program import Program
 from repro.model.config import GPT2_TEST_TINY
 from repro.model.gpt2 import GPT2Model
+from repro.model.generation import TextGenerator
 from repro.model.numerics import FP16_DFX, FP32_EXACT
 from repro.parallel.partitioner import build_partition_plan
 
@@ -59,10 +60,10 @@ class TestFunctionalCorePrimitives:
     def test_split_at_syncs(self):
         plan = build_partition_plan(GPT2_TEST_TINY, 2)
         program = DFXCompiler(GPT2_TEST_TINY, plan, 0).compile_decoder_layer(1, 0)
-        segments = split_at_syncs(program)
-        assert sum(1 for _, sync in segments if sync is not None) == 4
+        segments = program.segments()
+        assert sum(1 for segment in segments if segment.sync is not None) == 4
         # Instruction count is preserved across the split.
-        total = sum(len(seg) for seg, _ in segments) + 4
+        total = sum(len(segment.instructions) for segment in segments) + 4
         assert total == len(program)
 
 
@@ -113,3 +114,72 @@ class TestSimulatorMatchesReference:
             simulator.forward(np.array([]))
         with pytest.raises(ExecutionError):
             simulator.generate([1, 2], max_new_tokens=0)
+
+
+class TestBoundaryValidation:
+    """Bad token ids and context overflows fail at the engine boundary with
+    the reference model's ``ExecutionError``, before any forward runs."""
+
+    VOCAB = GPT2_TEST_TINY.vocab_size
+    CONTEXT = GPT2_TEST_TINY.n_positions
+
+    @pytest.fixture()
+    def simulator(self, tiny_weights):
+        return DFXFunctionalSimulator(tiny_weights, num_devices=2, numerics=FP16_DFX)
+
+    @pytest.mark.parametrize(
+        "tokens",
+        [[-1, 2], [VOCAB], [[1, 2]], [], [1] * (CONTEXT + 1)],
+        ids=["negative", "past-vocab", "2-d", "empty", "past-context"],
+    )
+    def test_forward_fails_like_reference_embed(self, simulator, reference, tokens):
+        with pytest.raises(ExecutionError) as expected:
+            reference.forward(np.asarray(tokens, dtype=np.int64))
+        with pytest.raises(ExecutionError) as raised:
+            simulator.forward(np.asarray(tokens, dtype=np.int64))
+        assert str(raised.value) == str(expected.value)
+        assert simulator.kv_cache_length == 0
+
+    def test_chunk_past_context_leaves_cache_untouched(self, simulator):
+        simulator.forward(np.ones(self.CONTEXT - 2, dtype=np.int64))
+        with pytest.raises(ExecutionError, match="exceeds maximum context"):
+            simulator.forward(np.ones(3, dtype=np.int64))
+        assert simulator.kv_cache_length == self.CONTEXT - 2
+        simulator.forward(np.ones(2, dtype=np.int64))
+        assert simulator.kv_cache_length == self.CONTEXT
+
+    @pytest.mark.parametrize(
+        "prompt, budget",
+        [([-1, 2], 3), ([VOCAB, 2], 3), ([1] * (CONTEXT - 2), 5)],
+        ids=["negative", "past-vocab", "past-context"],
+    )
+    def test_generate_rejects_what_reference_rejects(
+        self, simulator, reference, prompt, budget
+    ):
+        with pytest.raises(ExecutionError):
+            TextGenerator(reference).generate_tokens(prompt, budget)
+        with pytest.raises(ExecutionError):
+            simulator.generate(prompt, budget)
+        assert simulator.kv_cache_length == 0
+
+    def test_generate_counts_cached_positions_against_context(self, simulator):
+        simulator.forward(np.ones(self.CONTEXT - 4, dtype=np.int64))
+        with pytest.raises(ExecutionError, match="context window"):
+            simulator.generate([1, 2], 3)
+        assert simulator.kv_cache_length == self.CONTEXT - 4
+
+    @pytest.mark.parametrize(
+        "prompt, budget",
+        [([-1, 2], 3), ([VOCAB, 2], 3), ([1] * (CONTEXT - 2), 5)],
+        ids=["negative", "past-vocab", "past-context"],
+    )
+    def test_generate_batch_rejects_before_any_step(
+        self, simulator, prompt, budget
+    ):
+        with pytest.raises(ExecutionError):
+            simulator.generate_batch([[1, 2, 3], prompt], [4, budget])
+        session = simulator.batched_session()
+        with pytest.raises(ExecutionError):
+            session.admit(prompt, budget)
+        assert session.active_streams == 0
+        assert not session.step()

@@ -3,17 +3,19 @@
 Covers the compiled-program cache (each distinct shape compiles at most once
 per ``generate()``), immutability of cached programs under execution, the
 bit-exactness contract between the linked fast path and the per-instruction
-slow path, KV growth inside the functional cores, and warm-cache reuse via
-``reset_cache``.
+slow path (single streams and batched cohorts), KV arena growth inside the
+functional cores, and warm-cache reuse via ``reset_cache``.
 """
 
 import numpy as np
 import pytest
 
 from repro.core.functional import (
+    BatchedFunctionalCore,
+    BatchedKV,
+    BatchedKVPool,
     DFXFunctionalSimulator,
     FunctionalCore,
-    GrowableKV,
     link_program,
 )
 from repro.isa.compiler import DFXCompiler
@@ -125,10 +127,53 @@ class TestFastSlowBitExactness:
                 fast.registers[name], value, err_msg=f"register {name}"
             )
         for name, value in slow.memory.items():
-            expected = value.view() if isinstance(value, GrowableKV) else value
-            actual = fast.memory[name]
-            actual = actual.view() if isinstance(actual, GrowableKV) else actual
-            np.testing.assert_array_equal(actual, expected, err_msg=f"memory {name}")
+            np.testing.assert_array_equal(
+                fast.memory[name], value, err_msg=f"memory {name}"
+            )
+
+    @pytest.mark.parametrize("batch", [1, 2])
+    def test_cohort_matches_slow_path_per_stream(self, tiny_weights, rng, batch):
+        # A cohort on arena KV runs the linked code once for all its streams;
+        # each stream's registers and KV slice must equal the slow path run
+        # on that stream alone.  A cohort of one runs without the batch axis.
+        simulator = DFXFunctionalSimulator(tiny_weights, num_devices=1, numerics=FP16_DFX)
+        program = simulator.compiler.compile_decoder_layer(4, 0)
+        streams = rng.normal(size=(batch, 4, GPT2_TEST_TINY.n_embd)).astype(np.float16)
+
+        def sync_handler(sync, local):
+            return FP16_DFX.cast(np.concatenate([local], axis=-1))
+
+        pool = BatchedKVPool(np.float32)
+        pool.ensure(slots=batch, capacity=4)
+        cohort = BatchedFunctionalCore(
+            numerics=FP16_DFX,
+            registers={"hidden": streams[0] if batch == 1 else streams},
+            memory=dict(simulator._layer_memory[0][0]),
+            slot_lo=0,
+            slot_hi=batch,
+            kv_pool=pool,
+        )
+        cohort.execute(program, sync_handler)
+
+        for stream in range(batch):
+            slow = self._stage(simulator, streams[stream])
+            for instruction in program.instructions:
+                slow.execute_instruction(instruction, sync_handler)
+            assert set(slow.registers) <= set(cohort.registers)
+            for name, value in slow.registers.items():
+                fast = cohort.registers[name]
+                if fast.ndim == value.ndim + 1:
+                    fast = fast[stream]
+                assert fast.dtype == value.dtype, name
+                assert np.array_equal(fast, value), f"stream {stream} register {name}"
+            kv_names = [name for name in slow.memory if name.startswith("kv.")]
+            assert kv_names
+            for name in kv_names:
+                arena = cohort.memory[name]
+                assert type(arena) is BatchedKV
+                assert np.array_equal(
+                    arena.view(stream, stream + 1), slow.memory[name]
+                ), f"stream {stream} KV {name}"
 
     def test_program_outputs_visible_on_every_core(self, simulator):
         simulator.forward(np.array([1, 2, 3]))
@@ -139,20 +184,20 @@ class TestFastSlowBitExactness:
 
 
 class TestKVGrowthInCores:
-    def test_store_kv_uses_growable_buffers(self, simulator):
+    def test_store_kv_uses_arena_buffers(self, simulator):
         simulator.forward(np.array([7, 8]))
         memory = simulator._layer_memory[0][0]
         kv_buffers = [v for k, v in memory.items() if k.startswith("kv.")]
         assert kv_buffers, "expected KV buffers after a forward pass"
-        assert all(isinstance(buffer, GrowableKV) for buffer in kv_buffers)
-        assert all(buffer.length == 2 for buffer in kv_buffers)
+        assert all(type(buffer) is BatchedKV for buffer in kv_buffers)
+        assert all(buffer.lengths[0] == 2 for buffer in kv_buffers)
 
     def test_generate_reserves_full_capacity_up_front(self, simulator):
         simulator.generate([1, 2, 3], max_new_tokens=8)
         memory = simulator._layer_memory[0][0]
         buffer = next(v for k, v in memory.items() if k.startswith("kv."))
         assert buffer.capacity >= 3 + 8
-        assert buffer.length == 3 + 8 - 1  # last token is never fed back
+        assert buffer.lengths[0] == 3 + 8 - 1  # last token is never fed back
 
     def test_reset_cache_keeps_capacity_and_matches_fresh_run(self, tiny_weights):
         warm = DFXFunctionalSimulator(tiny_weights, num_devices=2, numerics=FP16_DFX)
@@ -174,15 +219,26 @@ class TestKVGrowthInCores:
         buffer = next(v for k, v in memory.items() if k.startswith("kv."))
         assert buffer.capacity >= 23
 
-    def test_growable_kv_append_and_doubling(self):
-        buffer = GrowableKV(cols=4, dtype=np.dtype(np.float32), reserve=2)
-        rows = np.arange(8, dtype=np.float32).reshape(2, 4)
-        for _ in range(10):
-            buffer.append(rows)
-        assert buffer.length == 20
-        assert buffer.capacity >= 20
-        np.testing.assert_array_equal(buffer.view()[:2], rows)
-        np.testing.assert_array_equal(buffer.view()[18:], rows)
+    def test_forward_decode_regrows_arenas_geometrically(self, simulator, tiny_weights):
+        # forward() has no up-front reserve: decoding token by token past the
+        # arena capacity must regrow it by doubling, not row by row.
+        _, token = simulator.forward(np.array([1, 2, 3]))
+        tokens = [token]
+        capacities = [simulator._pool.capacity]
+        for _ in range(29):
+            _, token = simulator.forward(np.array([token]))
+            tokens.append(token)
+            capacities.append(simulator._pool.capacity)
+        assert capacities[-1] >= 3 + 29
+        grown = sorted(set(capacities))
+        assert len(grown) <= 3
+        assert all(later >= 2 * earlier for earlier, later in zip(grown, grown[1:]))
+        memory = simulator._layer_memory[0][0]
+        buffer = next(v for k, v in memory.items() if k.startswith("kv."))
+        assert buffer.capacity == capacities[-1]
+        assert buffer.lengths[0] == 3 + 29
+        fresh = DFXFunctionalSimulator(tiny_weights, num_devices=2, numerics=FP16_DFX)
+        assert tokens == fresh.generate([1, 2, 3], max_new_tokens=30)
 
 
 class TestScatterOwnership:
@@ -309,13 +365,13 @@ class TestBatchedEngine:
             tiny_weights, num_devices=2, numerics=FP16_DFX
         )
         first = simulator.generate_batch(self.PROMPTS, self.BUDGETS)
-        state = simulator._batched
-        arenas_before = [id(arena.data) for arena in state.pool.arenas]
+        pool = simulator._pool
+        arenas_before = [id(arena.data) for arena in pool.arenas]
         bytes_before = simulator.batched_kv_memory_bytes
         again = simulator.generate_batch(self.PROMPTS, self.BUDGETS)
         assert again == first
         # Same-shaped rerun fits the warm arenas: no reallocation at all.
-        assert [id(arena.data) for arena in state.pool.arenas] == arenas_before
+        assert [id(arena.data) for arena in pool.arenas] == arenas_before
         assert simulator.batched_kv_memory_bytes == bytes_before
 
     def test_reclaim_releases_arena_memory_and_stays_correct(self, tiny_weights):
@@ -328,16 +384,20 @@ class TestBatchedEngine:
         assert simulator.batched_kv_memory_bytes == 0
         assert simulator.generate_batch(self.PROMPTS, self.BUDGETS) == first
 
-    def test_batched_engine_leaves_unbatched_kv_untouched(self, tiny_weights):
+    def test_session_resets_forward_cache(self, tiny_weights):
+        # forward() and sessions share one KV store, so opening a session
+        # resets the forward() cache, and the next generate starts clean.
         simulator = DFXFunctionalSimulator(
             tiny_weights, num_devices=2, numerics=FP16_DFX
         )
-        sequential = simulator.generate([5, 6, 7], 4)
-        length_before = simulator.kv_cache_length
-        simulator.generate_batch(self.PROMPTS, self.BUDGETS)
-        assert simulator.kv_cache_length == length_before
-        simulator.reset_cache()
-        assert simulator.generate([5, 6, 7], 4) == sequential
+        simulator.generate([5, 6, 7], 4)
+        assert simulator.kv_cache_length > 0
+        session = simulator.batched_session()
+        assert simulator.kv_cache_length == 0
+        session.admit([1, 2, 3], 5)
+        session.run()
+        fresh = DFXFunctionalSimulator(tiny_weights, num_devices=2, numerics=FP16_DFX)
+        assert simulator.generate([5, 6, 7], 4) == fresh.generate([5, 6, 7], 4)
 
 
 class TestLinkedProgramStructure:

@@ -79,93 +79,3 @@ class TestTextInterface:
         assert isinstance(text, str)
         assert len(result.output_token_ids) == 4
         assert len(result.input_token_ids) == 4
-
-
-class TestBatchedGeneration:
-    """BatchedTextGenerator vs the sequential TextGenerator oracle."""
-
-    PROMPTS = [[1, 2, 3], [4, 5], [6, 7, 8, 9], [10, 11], [3, 1, 4]]
-    BUDGETS = [5, 3, 7, 1, 4]
-
-    @pytest.fixture()
-    def batched(self, tiny_model):
-        from repro.model.generation import BatchedTextGenerator
-
-        return BatchedTextGenerator(tiny_model, seed=11)
-
-    def _oracle(self, tiny_model, index, prompt, budget, temperature=0.0):
-        return TextGenerator(tiny_model, seed=11 + index).generate_tokens(
-            prompt, budget, temperature=temperature
-        )
-
-    def test_ragged_batch_bit_identical_per_stream(self, batched, tiny_model):
-        results = batched.generate_tokens_batch(self.PROMPTS, self.BUDGETS)
-        for index, (prompt, budget, result) in enumerate(
-            zip(self.PROMPTS, self.BUDGETS, results)
-        ):
-            oracle = self._oracle(tiny_model, index, prompt, budget)
-            assert result.output_token_ids == oracle.output_token_ids
-            assert result.kv_cache_length == oracle.kv_cache_length
-            np.testing.assert_array_equal(
-                result.summarization_logits, oracle.summarization_logits
-            )
-
-    def test_batch_of_one_matches_unbatched(self, batched, tiny_model):
-        result = batched.generate_tokens_batch([[5, 9, 12]], 6)[0]
-        oracle = self._oracle(tiny_model, 0, [5, 9, 12], 6)
-        assert result.output_token_ids == oracle.output_token_ids
-
-    def test_sampled_streams_use_independent_seeds(self, batched, tiny_model):
-        results = batched.generate_tokens_batch(
-            self.PROMPTS, self.BUDGETS, temperature=0.8
-        )
-        for index, (prompt, budget, result) in enumerate(
-            zip(self.PROMPTS, self.BUDGETS, results)
-        ):
-            oracle = self._oracle(tiny_model, index, prompt, budget, temperature=0.8)
-            assert result.output_token_ids == oracle.output_token_ids
-
-    def test_slots_recycled_across_calls(self, batched):
-        first = batched.generate_tokens_batch(self.PROMPTS, self.BUDGETS)
-        slots_after_first = batched.cache.slots
-        again = batched.generate_tokens_batch(self.PROMPTS, self.BUDGETS)
-        assert batched.cache.slots == slots_after_first
-        assert batched.cache.active_slots == 0
-        assert [r.output_token_ids for r in again] == [
-            r.output_token_ids for r in first
-        ]
-
-    def test_reset_cache_drops_arenas(self, batched):
-        batched.generate_tokens_batch([[1, 2]], 2)
-        assert batched.cache.slots > 0
-        batched.reset_cache()
-        assert batched.cache.slots == 0
-
-    def test_zero_budget_stream_rides_along(self, batched, tiny_model):
-        results = batched.generate_tokens_batch([[4, 5], [6, 7]], [0, 3])
-        assert results[0].output_token_ids == []
-        assert results[0].summarization_logits is not None
-        oracle = self._oracle(tiny_model, 1, [6, 7], 3)
-        assert results[1].output_token_ids == oracle.output_token_ids
-
-    def test_validation_mirrors_sequential(self, batched):
-        with pytest.raises(ExecutionError):
-            batched.generate_tokens_batch([[]], 2)
-        with pytest.raises(ExecutionError):
-            batched.generate_tokens_batch([[1]], -1)
-        with pytest.raises(ExecutionError):
-            batched.generate_tokens_batch([[1], [2]], [1])
-        with pytest.raises(ExecutionError):
-            batched.generate_tokens_batch(
-                [list(range(3, GPT2_TEST_TINY.n_positions))], 10
-            )
-        assert batched.generate_tokens_batch([], 4) == []
-
-    def test_text_batch_interface(self, batched):
-        pairs = batched.generate_text_batch(
-            ["hello my name is", "the quick brown"], 3
-        )
-        assert len(pairs) == 2
-        for text, result in pairs:
-            assert isinstance(text, str)
-            assert len(result.output_token_ids) == 3

@@ -155,88 +155,3 @@ class TestModelCache:
         per_token_bytes = 2 * GPT2_1_5B.n_layer * GPT2_1_5B.n_embd * 2
         assert per_token_bytes == 294_912
         assert 0.25e6 < per_token_bytes < 0.35e6
-
-
-class TestBatchedLayerCache:
-    def test_empty_and_growth(self):
-        from repro.model.kv_cache import BatchedLayerKVCache
-
-        cache = BatchedLayerKVCache(n_head=4, head_dim=16, slots=2, capacity=0)
-        assert cache.slots == 2 and cache.capacity == 0
-        cache.append([0, 1], np.ones((2, 4, 3, 16)), np.ones((2, 4, 3, 16)))
-        assert cache.slot_len(0) == cache.slot_len(1) == 3
-        assert cache.capacity >= 3
-        keys, values = cache.view([0, 1])
-        assert keys.shape == (2, 4, 3, 16)
-        np.testing.assert_array_equal(keys, np.ones((2, 4, 3, 16)))
-
-    def test_per_slot_slices_match_sequential_cache(self):
-        from repro.model.kv_cache import BatchedLayerKVCache, LayerKVCache
-
-        rng = np.random.default_rng(5)
-        batched = BatchedLayerKVCache(n_head=2, head_dim=4, slots=3)
-        sequential = [LayerKVCache.empty(2, 4) for _ in range(3)]
-        for _ in range(4):
-            block_k = rng.normal(size=(3, 2, 1, 4)).astype(np.float32)
-            block_v = rng.normal(size=(3, 2, 1, 4)).astype(np.float32)
-            batched.append([0, 1, 2], block_k, block_v)
-            for slot, cache in enumerate(sequential):
-                cache.append(block_k[slot], block_v[slot])
-        keys, values = batched.view([0, 1, 2])
-        for slot, cache in enumerate(sequential):
-            np.testing.assert_array_equal(keys[slot], cache.keys)
-            np.testing.assert_array_equal(values[slot], cache.values)
-
-    def test_ragged_cohort_rejected(self):
-        from repro.model.kv_cache import BatchedLayerKVCache
-
-        cache = BatchedLayerKVCache(n_head=2, head_dim=4, slots=2)
-        cache.append([0], np.ones((1, 2, 2, 4)), np.ones((1, 2, 2, 4)))
-        with pytest.raises(ExecutionError):
-            cache.view([0, 1])
-        with pytest.raises(ExecutionError):
-            cache.append([0, 1], np.ones((2, 2, 1, 4)), np.ones((2, 2, 1, 4)))
-
-    def test_reset_recycles_without_reallocating(self):
-        from repro.model.kv_cache import BatchedLayerKVCache
-
-        cache = BatchedLayerKVCache(n_head=2, head_dim=4, slots=2, capacity=8)
-        cache.append([0, 1], np.ones((2, 2, 5, 4)), np.ones((2, 2, 5, 4)))
-        buffer_before = cache._keys
-        cache.reset_slots([0, 1])
-        assert cache.slot_len(0) == 0
-        assert cache.memory_bytes() == 0
-        cache.append([0, 1], np.zeros((2, 2, 2, 4)), np.zeros((2, 2, 2, 4)))
-        assert cache._keys is buffer_before
-
-
-class TestBatchedModelCache:
-    def test_slot_acquire_release_recycles(self):
-        from repro.model.kv_cache import BatchedKVCache
-
-        cache = BatchedKVCache.empty(GPT2_TEST_TINY)
-        first = cache.acquire_slot(capacity=8)
-        second = cache.acquire_slot(capacity=8)
-        assert first != second
-        slots_allocated = cache.slots
-        cache.release_slot(first)
-        assert cache.acquire_slot() == first
-        assert cache.slots == slots_allocated
-        with pytest.raises(ExecutionError):
-            cache.release_slot(first + second + 1000)
-
-    def test_memory_bytes_counts_logical_rows(self):
-        from repro.model.kv_cache import BatchedKVCache
-
-        config = GPT2_TEST_TINY
-        cache = BatchedKVCache.empty(config, dtype=np.float16, slots=2, capacity=16)
-        slot = cache.acquire_slot()
-        assert cache.memory_bytes() == 0
-        for layer in cache.layers:
-            layer.append(
-                [slot],
-                np.zeros((1, config.n_head, 10, config.head_dim), dtype=np.float16),
-                np.zeros((1, config.n_head, 10, config.head_dim), dtype=np.float16),
-            )
-        expected = config.n_layer * 2 * config.n_head * 10 * config.head_dim * 2
-        assert cache.memory_bytes() == expected

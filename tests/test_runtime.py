@@ -67,3 +67,19 @@ class TestValidation:
         wrong_weights = generate_weights(GPT2_TEST_SMALL, seed=0)
         with pytest.raises(ConfigurationError):
             DFXRuntime(GPT2_TEST_TINY, num_devices=2, weights=wrong_weights)
+
+    @pytest.mark.parametrize(
+        "prompt, budget",
+        [([-5, 4], 2), ([GPT2_TEST_TINY.vocab_size], 2),
+         ([1] * (GPT2_TEST_TINY.n_positions - 2), 5)],
+        ids=["negative", "past-vocab", "past-context"],
+    )
+    def test_unservable_request_rejected(self, runtime, prompt, budget):
+        with pytest.raises(ExecutionError):
+            runtime.generate(prompt, max_new_tokens=budget)
+        with pytest.raises(ExecutionError):
+            runtime.generate_batch([[1, 2], prompt], [3, budget])
+        # The shared simulator stays usable after a rejected request.
+        assert runtime.generate([5, 6, 7], 3).output_token_ids == (
+            runtime.generate_batch([[5, 6, 7]], 3).output_token_ids[0]
+        )
