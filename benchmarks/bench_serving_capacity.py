@@ -9,8 +9,7 @@ cluster of the 4U host is enabled to show the capacity headroom.
 from _bench_helpers import print_header, run_once
 
 from repro.analysis.reports import format_table
-from repro.baselines.gpu import GPUAppliance
-from repro.core.appliance import DFXAppliance
+from repro.backends import make_backend
 from repro.model.config import GPT2_1_5B
 from repro.serving import ApplianceServer, CHATBOT_MIX, poisson_trace
 
@@ -20,8 +19,8 @@ ARRIVAL_RATE = 0.8
 
 def _run_serving_study():
     trace = poisson_trace(ARRIVAL_RATE, TRACE_SECONDS, CHATBOT_MIX, seed=11)
-    dfx = DFXAppliance(GPT2_1_5B, num_devices=4)
-    gpu = GPUAppliance(GPT2_1_5B, num_devices=4)
+    dfx = make_backend("dfx", config=GPT2_1_5B, devices=4)
+    gpu = make_backend("gpu", config=GPT2_1_5B, devices=4)
     return {
         "trace_length": len(trace),
         "gpu_1": ApplianceServer(gpu, 1, "gpu").serve(trace),

@@ -12,9 +12,9 @@ subsystem on the operator's real questions:
 2. **Fleet composition** — the full host (two DFX clusters) versus a
    heterogeneous fleet that drafts the rack's GPU appliance behind the same
    queue, with per-appliance utilization.
-3. **Capacity planning** — `find_max_rate_under_slo`: the highest offered
-   load each configuration sustains while keeping p95 response time under
-   the SLO.
+3. **Capacity planning** — `run_serving_capacity`, which runs
+   `capacity_search` on each configuration's front end: the highest
+   offered load it sustains while keeping p95 response time under the SLO.
 4. **The batching tradeoff (Sec. III-A)** — `run_batching_comparison`: the
    same configurations serve a sparse Poisson trace and a bursty high-rate
    trace, unbatched and under dynamic / continuous batching.  DFX wins tail
@@ -27,8 +27,8 @@ subsystem on the operator's real questions:
 
 Every appliance below comes from the unified backend registry
 (`make_backend("dfx", ...)` / `make_backend("gpu", ...)`): the serving
-front ends, the fleet, and the capacity searches all consume the same
-`Backend` protocol.
+front ends (the fleet and its one-member `ApplianceServer`) and the
+capacity searches all consume the same `Backend` protocol.
 
 Run with:  python examples/datacenter_serving.py
 """

@@ -60,7 +60,6 @@ from repro.backends import (
     Backend,
     BackendCapabilities,
     BatchEstimate,
-    as_backend,
     available_backends,
     make_backend,
     register_backend,
@@ -97,7 +96,6 @@ __all__ = [
     "Backend",
     "BackendCapabilities",
     "BatchEstimate",
-    "as_backend",
     "available_backends",
     "make_backend",
     "register_backend",

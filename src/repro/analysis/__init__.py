@@ -38,7 +38,6 @@ from repro.analysis.experiments import (
     SchedulerComparisonResult,
     ServingCapacityResult,
     Figure8DSEResult,
-    fleet_capacity_plan,
     run_batch_capacity_sweep,
     run_batching_comparison,
     run_design_space_exploration,
@@ -80,7 +79,6 @@ __all__ = [
     "Figure8DSEResult",
     "SchedulerComparisonResult",
     "ServingCapacityResult",
-    "fleet_capacity_plan",
     "run_design_space_exploration",
     "run_figure8_dse",
     "run_batch_capacity_sweep",

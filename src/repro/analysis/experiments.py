@@ -28,7 +28,7 @@ from repro.analysis.workload_presets import (
     PRIMARY_SETUP,
     SCALABILITY_SETUP,
 )
-from repro.backends import Backend, make_backend, resolve_backend
+from repro.backends import Backend, make_backend
 from repro.baselines.gpu import GPUAppliance
 from repro.errors import ConfigurationError
 from repro.baselines.tpu import TPUBaseline
@@ -56,14 +56,11 @@ from repro.serving import (
     FleetMember,
     NetworkLink,
     NetworkModel,
-    PlatformModel,
     RetryPolicy,
     ServingReport,
     WorkloadMix,
     bursty_trace,
     capacity_search,
-    find_max_rate_under_slo,
-    make_scheduler,
     poisson_trace,
     with_service_levels,
 )
@@ -345,7 +342,7 @@ def run_table2(
 
 # ------------------------------------------------- Serving (datacenter study)
 def _serving_backend(
-    spec: str | Backend | PlatformModel,
+    spec: str | Backend,
     config: GPT2Config,
     num_devices: int | None,
 ) -> Backend:
@@ -354,15 +351,15 @@ def _serving_backend(
     Registry names are built with the driver's model configuration and
     device count (``num_devices=None`` keeps the factory's own device
     default, so single-device backends like ``"tpu"`` resolve cleanly);
-    backend instances and legacy platform models pass through (they
-    already embed their configuration).
+    backend instances pass through (they already embed their
+    configuration).
     """
     if isinstance(spec, str):
         kwargs = {"config": config}
         if num_devices is not None:
             kwargs["devices"] = num_devices
         return make_backend(spec, **kwargs)
-    return resolve_backend(spec)
+    return make_backend(spec)
 
 
 @dataclass(frozen=True)
@@ -408,7 +405,7 @@ class SchedulerComparisonResult:
 
 
 def run_scheduler_comparison(
-    platform: PlatformModel | Backend | str | None = None,
+    platform: Backend | str | None = None,
     *,
     policies: tuple[str, ...] = ("fifo", "sjf", "priority", "deadline"),
     arrival_rate_per_s: float = 0.8,
@@ -425,8 +422,8 @@ def run_scheduler_comparison(
     """Serve one trace under each policy on one appliance (default: DFX 4U host).
 
     ``platform`` may be a registered backend name (``"dfx"``, ``"gpu"``,
-    ``"tpu"``), a :class:`~repro.backends.base.Backend`, or a legacy
-    platform model; names are built with ``config`` and ``num_devices``
+    ``"tpu"``) or a :class:`~repro.backends.base.Backend`; names are built
+    with ``config`` and ``num_devices``
     (``None`` keeps the backend factory's own device default).  Pass
     ``trace`` directly to study classed traffic (priorities / SLOs /
     patience); otherwise a Poisson trace over ``mix`` is generated.
@@ -505,61 +502,30 @@ def run_serving_capacity(
     def trace_builder(rate: float):
         return poisson_trace(rate, trace_duration_s, mix, seed=seed)
 
-    plans = {
-        "gpu-x1": find_max_rate_under_slo(
-            gpu, trace_builder, slo_s, percentile=percentile,
-            num_clusters=1, platform_name="gpu", scheduler=scheduler,
+    def server(backend: Backend, clusters: int, name: str) -> ApplianceServer:
+        return ApplianceServer(backend, clusters, name, scheduler=scheduler,
+                               retain_records=retain_records)
+
+    front_ends = {
+        "gpu-x1": server(gpu, 1, "gpu"),
+        "dfx-x1": server(dfx, 1, "dfx"),
+        "dfx-x2": server(dfx, 2, "dfx-x2"),
+        "dfx-x2+gpu": ApplianceFleet(
+            [
+                FleetMember("dfx", dfx, num_clusters=2),
+                FleetMember("gpu", gpu, num_clusters=1),
+            ],
+            scheduler=scheduler,
             retain_records=retain_records,
-        ),
-        "dfx-x1": find_max_rate_under_slo(
-            dfx, trace_builder, slo_s, percentile=percentile,
-            num_clusters=1, platform_name="dfx", scheduler=scheduler,
-            retain_records=retain_records,
-        ),
-        "dfx-x2": find_max_rate_under_slo(
-            dfx, trace_builder, slo_s, percentile=percentile,
-            num_clusters=2, platform_name="dfx-x2", scheduler=scheduler,
-            retain_records=retain_records,
-        ),
-        "dfx-x2+gpu": fleet_capacity_plan(
-            ApplianceFleet(
-                [
-                    FleetMember("dfx", dfx, num_clusters=2),
-                    FleetMember("gpu", gpu, num_clusters=1),
-                ],
-                scheduler=scheduler,
-                retain_records=retain_records,
-            ),
-            trace_builder,
-            slo_s,
-            percentile=percentile,
         ),
     }
+    plans = {
+        label: capacity_search(
+            front_end, trace_builder, slo_s, percentile=percentile
+        )
+        for label, front_end in front_ends.items()
+    }
     return ServingCapacityResult(slo_s=slo_s, percentile=percentile, plans=plans)
-
-
-def fleet_capacity_plan(
-    fleet: ApplianceFleet,
-    trace_builder,
-    slo_s: float,
-    *,
-    percentile: float = 95.0,
-    rate_bounds: tuple[float, float] = (0.05, 64.0),
-    relative_tolerance: float = 0.05,
-    max_abandonment_rate: float = 0.0,
-) -> CapacityPlan:
-    """:func:`repro.serving.find_max_rate_under_slo` for a whole fleet."""
-    return capacity_search(
-        fleet.serve,
-        trace_builder,
-        slo_s,
-        platform=fleet.name,
-        scheduler_name=make_scheduler(fleet.scheduler).name,
-        percentile=percentile,
-        rate_bounds=rate_bounds,
-        relative_tolerance=relative_tolerance,
-        max_abandonment_rate=max_abandonment_rate,
-    )
 
 
 # --------------------------------------------------- Serving (fault campaigns)
@@ -648,7 +614,7 @@ class FaultCampaignResult:
 
 
 def run_fault_campaign(
-    platform: PlatformModel | Backend | str | None = None,
+    platform: Backend | str | None = None,
     *,
     policies: tuple[str, ...] = ("fifo", "sjf", "priority", "deadline"),
     seeds: tuple[int, ...] = (0, 1, 2),
@@ -788,7 +754,7 @@ def run_fleet_topology_plan(
     *,
     racks: int = 2,
     appliances_per_rack: int = 2,
-    backend: str | Backend | PlatformModel = "dfx",
+    backend: str | Backend = "dfx",
     config: GPT2Config = GPT2_1_5B,
     num_devices: int | None = None,
     arrival_rate_per_s: float = 0.8,
@@ -920,8 +886,8 @@ def run_batching_comparison(
     batch_timeout_s: float = 2.0,
     percentile: float = 99.0,
     seed: int = 13,
-    dfx_backend: str | Backend | PlatformModel = "dfx",
-    gpu_backend: str | Backend | PlatformModel = "gpu",
+    dfx_backend: str | Backend = "dfx",
+    gpu_backend: str | Backend = "gpu",
 ) -> BatchingComparisonResult:
     """Serve low-load Poisson and high-load bursty traces across batch regimes.
 
@@ -1028,7 +994,7 @@ class BatchCapacitySweepResult:
 
 
 def run_batch_capacity_sweep(
-    backend: str | Backend | PlatformModel = "gpu",
+    backend: str | Backend = "gpu",
     *,
     config: GPT2Config = GPT2_1_5B,
     num_devices: int = 4,
@@ -1045,13 +1011,12 @@ def run_batch_capacity_sweep(
 ) -> BatchCapacitySweepResult:
     """Sweep ``max_batch_size`` against a tail SLO via capacity search.
 
-    For each batch size the driver runs
-    :func:`~repro.serving.find_max_rate_under_slo` under size-or-timeout
-    dynamic batching (size 1 is the unbatched baseline) on the same
-    deterministic Poisson trace family, producing the batch-aware capacity
-    plan the ROADMAP's serving studies call for.  ``backend`` is a
-    registry name, a backend instance, or a legacy platform model; it must
-    support batching for sizes above 1.
+    For each batch size the driver runs :func:`~repro.serving.capacity_search`
+    on one appliance under size-or-timeout dynamic batching (size 1 is the
+    unbatched baseline) on the same deterministic Poisson trace family,
+    producing the batch-aware capacity plan the ROADMAP's serving studies
+    call for.  ``backend`` is a registry name or a backend instance; it
+    must support batching for sizes above 1.
     """
     if not batch_sizes:
         raise ConfigurationError("batch_sizes must be non-empty")
@@ -1067,16 +1032,16 @@ def run_batch_capacity_sweep(
         batch_policy = (
             "none" if size == 1 else DynamicBatching(size, batch_timeout_s)
         )
-        plans[size] = find_max_rate_under_slo(
+        server = ApplianceServer(
             resolved,
-            trace_builder,
-            slo_s,
-            percentile=percentile,
-            num_clusters=num_clusters,
-            platform_name=f"{resolved.name}-batch{size}",
+            num_clusters,
+            f"{resolved.name}-batch{size}",
             scheduler=scheduler,
             batch_policy=batch_policy,
             max_batch_size=size,
+        )
+        plans[size] = capacity_search(
+            server, trace_builder, slo_s, percentile=percentile,
             rate_bounds=rate_bounds,
         )
     return BatchCapacitySweepResult(

@@ -1,8 +1,8 @@
 """Unified backend layer: one appliance API for every execution platform.
 
 * ``base``     — the :class:`Backend` protocol, :class:`BackendCapabilities`,
-  :class:`BatchEstimate`, the generic :class:`AnalyticBackend` wrapper, and
-  :func:`as_backend` (the legacy ``PlatformModel`` shim).
+  :class:`BatchEstimate`, and the generic :class:`AnalyticBackend` adapter
+  over a ``run(workload)`` platform model, which the adapters build on.
 * ``adapters`` — concrete adapters: DFX analytic cluster, DFX functional-sim
   runtime, GPU appliance, TPU baseline.
 * ``registry`` — ``make_backend("dfx", devices=4)`` string-keyed factories,
@@ -16,7 +16,6 @@ from repro.backends.base import (
     BackendCapabilities,
     BatchEstimate,
     UNBOUNDED_BATCH_SIZE,
-    as_backend,
     dominant_workload,
     is_backend,
 )
@@ -31,7 +30,6 @@ from repro.backends.registry import (
     available_backends,
     make_backend,
     register_backend,
-    resolve_backend,
 )
 
 __all__ = [
@@ -40,7 +38,6 @@ __all__ = [
     "BackendCapabilities",
     "BatchEstimate",
     "UNBOUNDED_BATCH_SIZE",
-    "as_backend",
     "dominant_workload",
     "is_backend",
     "DFXClusterBackend",
@@ -51,5 +48,4 @@ __all__ = [
     "available_backends",
     "make_backend",
     "register_backend",
-    "resolve_backend",
 ]

@@ -10,17 +10,17 @@ the TPU baseline — answers the same three questions:
 * :meth:`Backend.capabilities` — what can this platform actually do
   (batching, device count, energy reporting, functional token generation)?
 
-The serving subsystem (oracle, server, fleet, batch cost models), the
-analysis drivers, the CLI, and the benchmarks all consume this protocol, so
-a new platform integrates once — implement the three methods, register a
-factory in :mod:`repro.backends.registry`, and every consumer picks it up.
+The serving subsystem (oracle, front ends, batch cost models), the
+analysis drivers, the CLI, and the benchmarks all consume this protocol —
+as a backend instance or a registry name, nothing else — so a new platform
+integrates once: implement the three methods, register a factory in
+:mod:`repro.backends.registry`, and every consumer picks it up.
 
-:class:`AnalyticBackend` is the adapter half: it wraps any legacy platform
-model exposing ``run(workload) -> InferenceResult`` (the pre-protocol
-interface every appliance and baseline already speaks) and derives batch
-pricing from the platform's GPU-style batching hooks when present.  The
-module-level :func:`as_backend` picks the right wrapper automatically, so
-old call sites keep working unmodified.
+:class:`AnalyticBackend` is the adapter half: it wraps a platform model
+exposing ``run(workload) -> InferenceResult`` (the interface every
+appliance and baseline timing model speaks) and derives batch pricing from
+the platform's GPU-style batching hooks when present.  The DFX, GPU and
+TPU adapters in :mod:`repro.backends.adapters` are built on it.
 """
 
 from __future__ import annotations
@@ -163,8 +163,7 @@ def is_backend(candidate: object) -> bool:
 class AnalyticBackend:
     """Adapter: any platform model with ``run(workload)`` as a :class:`Backend`.
 
-    Covers the legacy ``PlatformModel`` protocol the serving subsystem grew
-    up on.  When the wrapped platform also exposes the GPU-style batching
+    When the wrapped platform also exposes the GPU-style batching
     hook (``batched_request_latency_ms``), batch pricing is derived from it
     and the capabilities advertise batching — with no declared cap
     (:data:`UNBOUNDED_BATCH_SIZE`), because the hook itself has none;
@@ -269,17 +268,3 @@ class AnalyticBackend:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}({self.name!r})"
-
-
-def as_backend(candidate, name: str | None = None) -> Backend:
-    """Coerce a platform model (or pass a backend through) to a :class:`Backend`.
-
-    A backend instance is returned unchanged (``name`` must then be omitted
-    or match); anything with ``run(workload)`` is wrapped in
-    :class:`AnalyticBackend`, batch-capable when it carries the GPU-style
-    batching hooks.  This is the deprecation shim that keeps every old
-    ``PlatformModel`` call site working.
-    """
-    if is_backend(candidate):
-        return candidate
-    return AnalyticBackend(candidate, name=name)

@@ -18,7 +18,7 @@ from repro.backends.adapters import (
     GPUApplianceBackend,
     TPUBackend,
 )
-from repro.backends.base import Backend, as_backend, is_backend
+from repro.backends.base import Backend, is_backend
 from repro.errors import ConfigurationError
 
 def _dfx_4u_preset(*args, **kwargs) -> DFXClusterBackend:
@@ -83,21 +83,3 @@ def make_backend(spec: str | Backend, **kwargs) -> Backend:
         f"backend must be a registry name or a Backend instance, "
         f"got {type(spec).__name__}"
     )
-
-
-def resolve_backend(spec, name: str | None = None, **kwargs) -> Backend:
-    """The permissive resolver the serving layer uses.
-
-    Accepts a registry name, a :class:`Backend` instance, or a legacy
-    platform model with ``run(workload)`` (wrapped via :func:`as_backend`)
-    — the deprecation shim that keeps every pre-protocol constructor
-    signature working.
-    """
-    if isinstance(spec, str) or is_backend(spec):
-        return make_backend(spec, **kwargs)
-    if kwargs:
-        raise ConfigurationError(
-            "keyword arguments are only valid with a backend name, "
-            f"got a {type(spec).__name__} instance plus {sorted(kwargs)}"
-        )
-    return as_backend(spec, name=name)

@@ -5,10 +5,10 @@ into an objective vector over the production question ROADMAP open item 3
 poses — which appliance configuration wins on latency x throughput x
 energy x cost for a given traffic mix:
 
-* **tail latency** (min) — a short, seeded serving-simulator run
-  (``ApplianceServer``, or ``ApplianceFleet`` with a star topology when
-  the candidate spans racks or a fleet mix) measuring the p99 response
-  time under a Poisson arrival trace;
+* **tail latency** (min) — a short, seeded serving-simulator run (an
+  ``ApplianceFleet`` of the candidate's instances, replicated per rack on
+  a star topology when the candidate spans racks) measuring the p99
+  response time under a Poisson arrival trace;
 * **aggregate tokens/s** (max) — analytic, from ``estimate`` /
   ``batched_estimate``: units x tokens per batch / batch latency, summed
   across instances and racks;
@@ -262,9 +262,8 @@ class ApplianceEvaluator:
         batch: int,
         racks: int,
     ) -> float:
-        from repro.serving.fleet import ApplianceFleet, FleetMember
         from repro.serving.network import NetworkModel
-        from repro.serving.server import ApplianceServer
+        from repro.serving.server import ApplianceFleet, FleetMember
 
         batch_policy = "dynamic" if batch > 1 else "none"
         trace = poisson_trace(
@@ -273,42 +272,30 @@ class ApplianceEvaluator:
             self.mix,
             seed=candidate_seed(self.seed, candidate.key),
         )
-        if racks == 1 and len(instances) == 1:
-            server = ApplianceServer(
-                instances[0].backend,
-                num_clusters=instances[0].units,
-                scheduler=scheduler,
-                batch_policy=batch_policy,
-                max_batch_size=batch,
-            )
-            report = server.serve(trace)
-        else:
-            members = []
-            placement: dict[str, list[str]] = {}
-            for rack in range(racks):
-                rack_name = f"rack{rack}"
-                placement[rack_name] = []
-                for instance in instances:
-                    member_name = f"{rack_name}-{instance.backend_name}"
-                    members.append(
-                        FleetMember(
-                            name=member_name,
-                            platform=instance.backend,
-                            num_clusters=instance.units,
-                            max_batch_size=batch,
-                        )
+        members = []
+        placement: dict[str, list[str]] = {}
+        for rack in range(racks):
+            rack_name = f"rack{rack}"
+            placement[rack_name] = []
+            for instance in instances:
+                member_name = f"{rack_name}-{instance.backend_name}"
+                members.append(
+                    FleetMember(
+                        name=member_name,
+                        platform=instance.backend,
+                        num_clusters=instance.units,
+                        max_batch_size=batch,
                     )
-                    placement[rack_name].append(member_name)
-            network = (
-                NetworkModel.star(placement) if racks > 1 else None
-            )
-            fleet = ApplianceFleet(
-                members,
-                scheduler=scheduler,
-                batch_policy=batch_policy,
-                network=network,
-            )
-            report = fleet.serve(trace)
+                )
+                placement[rack_name].append(member_name)
+        network = NetworkModel.star(placement) if racks > 1 else None
+        fleet = ApplianceFleet(
+            members,
+            scheduler=scheduler,
+            batch_policy=batch_policy,
+            network=network,
+        )
+        report = fleet.serve(trace)
         if report.num_requests == 0:
             raise ConfigurationError(
                 "the serving trace produced no requests; raise "

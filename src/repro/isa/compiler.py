@@ -21,8 +21,10 @@ and Query so the DMA can hide the Value transpose behind the Key/Query
 matrix-vector products.
 
 Compiled programs are **memoized**: ``compile_decoder_layer`` caches on
-``(rows, past_length)``, ``compile_embedding`` on ``rows``, and the LM-head
-and decode-step programs are compiled once per compiler.  Callers must treat
+``(rows, past_length)``, ``compile_embedding`` on ``rows``, the LM head on
+its cohort batch (one builder serves ``compile_lm_head`` and
+``compile_batched_lm_head``), and the decode-step program is compiled once
+per compiler.  Callers must treat
 returned programs as immutable (the functional and timing engines only read
 them); mutate a copy via :meth:`Program.concatenate` instead.  For the
 generation stage, :meth:`DFXCompiler.compile_decoder_step` emits a single
@@ -123,10 +125,9 @@ class DFXCompiler:
         # across calls and must not be mutated by callers.
         self._decoder_cache: dict[tuple[int, int], Program] = {}
         self._embedding_cache: dict[int, Program] = {}
-        self._lm_head_cache: Program | None = None
+        self._lm_head_cache: dict[int, Program] = {}
         self._decoder_step_cache: Program | None = None
         self._batched_step_cache: dict[tuple[int, int], Program] = {}
-        self._batched_lm_head_cache: dict[int, Program] = {}
         #: Number of *uncached* compilations per program key; tests assert the
         #: hot path compiles each distinct shape at most once.
         self.compile_counts: Counter[str] = Counter()
@@ -570,54 +571,7 @@ class DFXCompiler:
         transposed WTE and the logits are gathered for the argmax.  Compiled
         once per compiler (the program has no shape parameters).
         """
-        if self._lm_head_cache is not None:
-            return self._lm_head_cache
-        self.compile_counts["lm-head"] += 1
-        emb = self.config.n_embd
-        vocab = self.config.vocab_size
-        program = Program(
-            name=f"lm-head[device={self.device_id}]",
-            rows=1,
-            inputs=("hidden_last",),
-            outputs=("logits",),
-        )
-        program.extend(
-            self._layer_norm("ln_f", "hidden_last", "final_norm",
-                             "ln_f_gamma", "ln_f_beta", rows=1, tag=PHASE_LM_HEAD)
-        )
-        program.append(
-            self._weight_load("wte_part", self.partition.vocab_rows * emb, PHASE_LM_HEAD)
-        )
-        program.append(
-            MatrixInstruction(
-                MatrixOpcode.MM,
-                dst="logits_local",
-                input_operand="final_norm",
-                weight_operand="wte_part",
-                rows=1,
-                in_dim=emb,
-                out_dim=self.partition.vocab_rows,
-                transpose_weight=True,
-                apply_redu_max=True,
-                redu_max_dst="logits_local_max",
-                tag=PHASE_LM_HEAD,
-                comment="logits against the device's WTE slice",
-            )
-        )
-        program.append(self._sync("logits_local", "logits", vocab, rows=1))
-        program.append(
-            DMAInstruction(
-                opcode=DMAOpcode.STORE_OUTPUT,
-                dst="output_token",
-                src="logits",
-                size_bytes=4,
-                memory=MemorySpace.DDR,
-                tag=PHASE_LM_HEAD,
-                comment="write the selected token id back to DDR",
-            )
-        )
-        self._lm_head_cache = program
-        return program
+        return self._build_lm_head(1)
 
     def compile_batched_lm_head(self, batch: int) -> Program:
         """LM head for a lockstep cohort: one WTE stream scores ``batch`` rows.
@@ -631,11 +585,22 @@ class DFXCompiler:
             raise CompilationError(f"batch must be positive, got {batch}")
         if batch == 1:
             return self.compile_lm_head()
-        cached = self._batched_lm_head_cache.get(batch)
+        return self._build_lm_head(batch)
+
+    def _build_lm_head(self, batch: int) -> Program:
+        """LM-head program for ``batch`` rows (cached; see the public wrappers)."""
+        cached = self._lm_head_cache.get(batch)
         if cached is not None:
             return cached
-        name = f"batched-lm-head[device={self.device_id},batch={batch}]"
-        self.compile_counts[name] += 1
+        # The batch-1 program keeps its own name, counter key and comments.
+        if batch == 1:
+            name = f"lm-head[device={self.device_id}]"
+            self.compile_counts["lm-head"] += 1
+            rows_scored, token_ids = "", "token id"
+        else:
+            name = f"batched-lm-head[device={self.device_id},batch={batch}]"
+            self.compile_counts[name] += 1
+            rows_scored, token_ids = ", all streams", "token ids"
         emb = self.config.n_embd
         vocab = self.config.vocab_size
         program = Program(
@@ -666,7 +631,7 @@ class DFXCompiler:
                 redu_max_dst="logits_local_max",
                 weight_reuse_rows=batch,
                 tag=PHASE_LM_HEAD,
-                comment="logits against the device's WTE slice, all streams",
+                comment=f"logits against the device's WTE slice{rows_scored}",
             )
         )
         program.append(self._sync("logits_local", "logits", vocab, rows=batch))
@@ -678,10 +643,10 @@ class DFXCompiler:
                 size_bytes=4 * batch,
                 memory=MemorySpace.DDR,
                 tag=PHASE_LM_HEAD,
-                comment="write the selected token ids back to DDR",
+                comment=f"write the selected {token_ids} back to DDR",
             )
         )
-        self._batched_lm_head_cache[batch] = program
+        self._lm_head_cache[batch] = program
         return program
 
     # ------------------------------------------------------------- full token

@@ -1,20 +1,21 @@
 """Datacenter serving subsystem.
 
-Every entry point that takes a platform — the oracle, the server, the
-fleet, the sweeps — speaks the unified :class:`~repro.backends.base.Backend`
-protocol: pass a registered backend name (``"dfx"``, ``"gpu"``, ``"tpu"``,
-``"dfx-sim"``), a :class:`~repro.backends.base.Backend` instance, or a
-legacy platform model with ``run(workload)`` (wrapped on the fly), and the
-same simulator serves it.
+Every entry point that takes a platform — the oracle, the front ends,
+the batch cost model — speaks the unified
+:class:`~repro.backends.base.Backend` protocol: pass a registered backend
+name (``"dfx"``, ``"gpu"``, ``"tpu"``, ``"dfx-sim"``) or a
+:class:`~repro.backends.base.Backend` instance, and the same simulator
+serves it.
 
 Layout (see the module docstrings for details):
 
 * ``requests``   — traces (synthetic Poisson / constant / bursty / diurnal
   generators plus ``replay_trace`` for recorded CSV/JSONL logs), workload
   mixes, and service-level tagging.
-* ``server``     — latency oracle, reports, ``ApplianceServer`` front end,
-  ``saturation_sweep`` and ``find_max_rate_under_slo`` capacity planning.
-* ``simulator``  — the discrete-event core shared by appliance and fleet.
+* ``server``     — latency oracle, reports, the ``ApplianceFleet`` front end
+  (``ApplianceServer`` is its one-member form) and ``capacity_search``
+  capacity planning.
+* ``simulator``  — the discrete-event core every front end runs.
 * ``schedulers`` — pluggable dispatch policies (FIFO / SJF / priority /
   deadline / shape-aware batch gathering); subclass ``SchedulingPolicy``
   and register in ``SCHEDULERS`` to add one.
@@ -22,7 +23,7 @@ Layout (see the module docstrings for details):
   continuous decode slots, re-priced on occupancy change by default) and
   the backend-generic ``BackendBatchCostModel``; subclass
   ``BatchFormationPolicy`` and register in ``BATCH_POLICIES`` to add one.
-* ``fleet``      — heterogeneous multi-appliance serving behind one queue.
+* ``fleet``      — re-exports ``ApplianceFleet`` and ``FleetMember``.
 * ``faults``     — fault injection and degraded-mode serving: seeded
   ``FaultSchedule`` campaigns (scripted outages, Poisson MTBF/MTTR
   processes, link degradation), ``RetryPolicy`` for killed in-flight
@@ -75,16 +76,15 @@ from repro.serving.server import (
     FAIL_RETRIES,
     FAIL_UNIT,
     AbandonedRequest,
+    ApplianceFleet,
     ApplianceServer,
     CapacityPlan,
     CompletedRequest,
     FailedRequest,
+    FleetMember,
     LatencyOracle,
-    PlatformModel,
     ServingReport,
     capacity_search,
-    find_max_rate_under_slo,
-    saturation_sweep,
 )
 from repro.serving.network import NetworkLink, NetworkModel
 from repro.serving.schedulers import (
@@ -98,7 +98,6 @@ from repro.serving.schedulers import (
     make_scheduler,
 )
 from repro.serving.simulator import ABANDON_UNSERVED, ServerUnit, simulate
-from repro.serving.fleet import ApplianceFleet, FleetMember
 
 __all__ = [
     "ARTICLE_MIX",
@@ -142,11 +141,8 @@ __all__ = [
     "Outage",
     "RetryPolicy",
     "LatencyOracle",
-    "PlatformModel",
     "ServingReport",
     "capacity_search",
-    "find_max_rate_under_slo",
-    "saturation_sweep",
     "NetworkLink",
     "NetworkModel",
     "SCHEDULERS",

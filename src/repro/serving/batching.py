@@ -24,7 +24,8 @@ Adding a batch policy: subclass :class:`BatchFormationPolicy`, implement
 ``ready`` (and ``flush_at`` if partial batches must dispatch on a
 timer), give it a unique ``name``, and register it in
 :data:`BATCH_POLICIES`.  Everything that accepts a batch policy — the
-:class:`~repro.serving.server.ApplianceServer`, the fleet, and
+:class:`~repro.serving.server.ApplianceFleet` front end (and its
+one-member :class:`~repro.serving.server.ApplianceServer`) and
 :func:`~repro.serving.simulator.simulate` — also accepts the registry
 name, resolved through :func:`make_batch_policy`.
 """
@@ -33,12 +34,8 @@ from __future__ import annotations
 
 from typing import Protocol, Sequence
 
-from repro.backends.base import (
-    Backend,
-    BatchEstimate,
-    as_backend,
-    dominant_workload,
-)
+from repro.backends.base import Backend, BatchEstimate, dominant_workload
+from repro.backends.registry import make_backend
 from repro.errors import ConfigurationError
 from repro.workloads import Workload
 
@@ -92,9 +89,9 @@ class BackendBatchCostModel:
     """
 
     def __init__(
-        self, backend: Backend, max_batch_size: int | None = None
+        self, backend: Backend | str, max_batch_size: int | None = None
     ) -> None:
-        self.backend = as_backend(backend)
+        self.backend = make_backend(backend)
         capabilities = self.backend.capabilities()
         if not capabilities.supports_batching:
             raise ConfigurationError(

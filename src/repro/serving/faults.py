@@ -52,6 +52,7 @@ change), or add a new event kind plus its handler in
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass, field
 
@@ -127,11 +128,18 @@ class Outage:
     link: str | None = None
 
     def __post_init__(self) -> None:
-        if self.start_s < 0:
-            raise ConfigurationError("outage start_s must be non-negative")
-        if self.duration_s is not None and self.duration_s <= 0:
+        # Each check is written so that NaN fails it (NaN compares false
+        # with everything): a NaN or infinite setting would otherwise fail
+        # deep in the event loop, hang it, or serve silently wrong numbers.
+        if not 0.0 <= self.start_s < math.inf:
             raise ConfigurationError(
-                "outage duration_s must be positive (None = fail-stop)"
+                "outage start_s must be finite and non-negative, "
+                f"got {self.start_s}"
+            )
+        if self.duration_s is not None and not 0.0 < self.duration_s < math.inf:
+            raise ConfigurationError(
+                "outage duration_s must be finite and positive "
+                f"(None = fail-stop), got {self.duration_s}"
             )
         _validate_target("an outage", self.unit_id, self.member, self.link)
 
@@ -166,12 +174,21 @@ class Degradation:
     link: str | None = None
 
     def __post_init__(self) -> None:
-        if self.start_s < 0:
-            raise ConfigurationError("degradation start_s must be non-negative")
-        if self.duration_s <= 0:
-            raise ConfigurationError("degradation duration_s must be positive")
-        if self.slowdown <= 0:
-            raise ConfigurationError("slowdown must be positive")
+        # NaN-failing checks, as in Outage.
+        if not 0.0 <= self.start_s < math.inf:
+            raise ConfigurationError(
+                "degradation start_s must be finite and non-negative, "
+                f"got {self.start_s}"
+            )
+        if not 0.0 < self.duration_s < math.inf:
+            raise ConfigurationError(
+                "degradation duration_s must be finite and positive, "
+                f"got {self.duration_s}"
+            )
+        if not 0.0 < self.slowdown < math.inf:
+            raise ConfigurationError(
+                f"slowdown must be finite and positive, got {self.slowdown}"
+            )
         _validate_target(
             "a degradation", self.unit_id, self.member, self.link
         )
@@ -201,14 +218,21 @@ class FaultProcess:
     members: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.mtbf_s <= 0:
-            raise ConfigurationError("mtbf_s must be positive")
-        if self.mttr_s is not None and self.mttr_s <= 0:
+        # NaN-failing checks, as in Outage; an infinite horizon would draw
+        # windows forever.
+        if not 0.0 < self.mtbf_s < math.inf:
             raise ConfigurationError(
-                "mttr_s must be positive (None = fail-stop)"
+                f"mtbf_s must be finite and positive, got {self.mtbf_s}"
             )
-        if self.horizon_s <= 0:
-            raise ConfigurationError("horizon_s must be positive")
+        if self.mttr_s is not None and not 0.0 < self.mttr_s < math.inf:
+            raise ConfigurationError(
+                "mttr_s must be finite and positive (None = fail-stop), "
+                f"got {self.mttr_s}"
+            )
+        if not 0.0 < self.horizon_s < math.inf:
+            raise ConfigurationError(
+                f"horizon_s must be finite and positive, got {self.horizon_s}"
+            )
 
     def draw_windows(self, stream_key: int) -> list[tuple[float, float]]:
         """Down windows for one target, deterministic in (seed, stream_key)."""
@@ -516,15 +540,25 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ConfigurationError("max_attempts must be >= 1")
-        if self.backoff_s < 0:
-            raise ConfigurationError("backoff_s must be non-negative")
-        if self.backoff_multiplier <= 0:
-            raise ConfigurationError("backoff_multiplier must be positive")
+        # NaN-failing checks, as in Outage.
+        if not 0.0 <= self.backoff_s < math.inf:
+            raise ConfigurationError(
+                f"backoff_s must be finite and non-negative, got {self.backoff_s}"
+            )
+        if not 0.0 < self.backoff_multiplier < math.inf:
+            raise ConfigurationError(
+                "backoff_multiplier must be finite and positive, "
+                f"got {self.backoff_multiplier}"
+            )
         if self.retry_budget is not None and self.retry_budget < 0:
             raise ConfigurationError("retry_budget must be non-negative")
-        if self.max_backoff_s is not None and self.max_backoff_s < 0:
+        if (
+            self.max_backoff_s is not None
+            and not 0.0 <= self.max_backoff_s < math.inf
+        ):
             raise ConfigurationError(
-                "max_backoff_s must be non-negative (None = uncapped)"
+                "max_backoff_s must be finite and non-negative "
+                f"(None = uncapped), got {self.max_backoff_s}"
             )
 
     def delay_s(self, failures: int) -> float:

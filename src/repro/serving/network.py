@@ -34,6 +34,7 @@ equivalence-tested in the property suite.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -57,14 +58,21 @@ class NetworkLink:
     bandwidth_bytes_per_s: float | None = None
 
     def __post_init__(self) -> None:
-        if self.latency_s < 0:
-            raise ConfigurationError("link latency_s must be non-negative")
+        # Each check is written so that NaN fails it (NaN compares false
+        # with everything); a NaN link would otherwise fail deep in the
+        # event loop instead of here.
+        if not 0.0 <= self.latency_s < math.inf:
+            raise ConfigurationError(
+                "link latency_s must be finite and non-negative, "
+                f"got {self.latency_s}"
+            )
         if (
             self.bandwidth_bytes_per_s is not None
-            and self.bandwidth_bytes_per_s <= 0
+            and not 0.0 < self.bandwidth_bytes_per_s < math.inf
         ):
             raise ConfigurationError(
-                "link bandwidth_bytes_per_s must be positive (None = free)"
+                "link bandwidth_bytes_per_s must be finite and positive "
+                f"(None = free), got {self.bandwidth_bytes_per_s}"
             )
 
     @property
@@ -119,8 +127,11 @@ class NetworkModel:
                 f"ingress rack {self.ingress!r} is not a rack; "
                 f"racks: {sorted(self.racks)}"
             )
-        if self.bytes_per_token < 0:
-            raise ConfigurationError("bytes_per_token must be non-negative")
+        if not 0.0 <= self.bytes_per_token < math.inf:
+            raise ConfigurationError(
+                "bytes_per_token must be finite and non-negative, "
+                f"got {self.bytes_per_token}"
+            )
         placement: dict[str, str] = {}
         for rack, members in self.racks.items():
             if not rack:

@@ -14,8 +14,9 @@ proof even while the fast units are momentarily busy).
 Adding a policy: subclass :class:`SchedulingPolicy`, implement ``select``
 (and optionally ``infeasible``), give it a unique ``name``, and register it
 in :data:`SCHEDULERS`.  Everything that accepts a scheduler — the
-:class:`~repro.serving.server.ApplianceServer`, the fleet, the sweeps — also
-accepts the registry name, resolved through :func:`make_scheduler`.
+:class:`~repro.serving.server.ApplianceFleet` front end (and its one-member
+:class:`~repro.serving.server.ApplianceServer`), the analysis drivers —
+also accepts the registry name, resolved through :func:`make_scheduler`.
 """
 
 from __future__ import annotations

@@ -1,45 +1,50 @@
-"""Serving reports, the latency oracle, and the appliance-level entry points.
+"""Serving reports, the latency oracle, and the serving front end.
 
-The serving subsystem is split across four modules:
+The serving subsystem is split across these modules:
 
 * ``serving/server.py`` (this module) — the :class:`LatencyOracle`, the
   outcome records (:class:`CompletedRequest`, :class:`AbandonedRequest`,
   :class:`FailedRequest`), the :class:`ReportAccumulator` every run seals
-  them into, the aggregate :class:`ServingReport` that reads it, the
-  back-compat :class:`ApplianceServer` front end, and the capacity-planning
-  helpers (:func:`saturation_sweep`, :func:`find_max_rate_under_slo`).
+  them into, the aggregate :class:`ServingReport` that reads it, the one
+  serving front end :class:`ApplianceFleet` (several appliances, each a
+  :class:`FleetMember`, behind one queue) with :class:`ApplianceServer` as
+  its one-member form, and :func:`capacity_search` for capacity planning.
 * ``serving/simulator.py`` — the discrete-event core: a single event loop
   that replays a trace against any set of server units.
 * ``serving/schedulers.py`` — pluggable dispatch policies (FIFO, SJF,
   priority classes, deadline/EDF with infeasibility drops).
 * ``serving/batching.py`` — batch-formation policies (none, size-or-timeout
   dynamic batching, continuous decode slots) and batch cost models.
-* ``serving/fleet.py`` — heterogeneous multi-appliance serving: several
-  appliances (e.g. two DFX clusters plus a GPU baseline) behind one queue.
+* ``serving/fleet.py`` — re-exports :class:`FleetMember` and
+  :class:`ApplianceFleet` under their historical import path.
 
 The DFX server appliance hosts one or two independent FPGA clusters behind a
 dual-socket CPU (paper Fig. 5 / Sec. VI); each cluster serves one request at
 a time because text generation is run unbatched (Sec. III-A) — the batching
-layer exists to model the GPU side of that tradeoff.  Per-request service
-time comes from any :class:`~repro.backends.base.Backend` — pass a
-registered name (``"dfx"``, ``"gpu"``, ``"tpu"``, ``"dfx-sim"``), a backend
-instance, or a legacy platform model exposing ``run(workload) ->
-InferenceResult`` (wrapped on the fly) — so the same harness compares
-serving capacity across every platform the registry knows.
+layer exists to model the GPU side of that tradeoff.  A datacenter rack
+mixes such hosts with GPU servers, so the front end is a fleet and one
+appliance is a fleet of one.  Per-request service time comes from any
+:class:`~repro.backends.base.Backend` — pass a registered name (``"dfx"``,
+``"gpu"``, ``"tpu"``, ``"dfx-sim"``) or a backend instance — so the same
+harness compares serving capacity across every platform the registry knows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Protocol
 
 import numpy as np
 
-from repro.backends import Backend, is_backend, resolve_backend
+from repro.backends import Backend, make_backend
 from repro.errors import ConfigurationError
 from repro.results import InferenceResult
-from repro.serving.batching import BackendBatchCostModel, make_batch_policy
+from repro.serving.batching import (
+    BackendBatchCostModel,
+    BatchFormationPolicy,
+    make_batch_policy,
+)
 from repro.serving.requests import ServiceRequest
+from repro.serving.schedulers import SchedulingPolicy, make_scheduler
 from repro.serving.stats import (
     DEFAULT_EPS,
     ExactDistribution,
@@ -66,29 +71,16 @@ FAIL_BUDGET = "retry-budget-exhausted"
 Distribution = ExactDistribution | QuantileSketch
 
 
-class PlatformModel(Protocol):
-    """Anything that can estimate one request's end-to-end result.
-
-    The pre-backend interface; everything accepting a ``PlatformModel``
-    also accepts a :class:`~repro.backends.base.Backend` instance or a
-    registered backend name (``"dfx"``, ``"gpu"``, ...), resolved through
-    :func:`~repro.backends.registry.resolve_backend`.
-    """
-
-    def run(self, workload: Workload) -> InferenceResult:  # pragma: no cover - protocol
-        ...
-
-
 class LatencyOracle:
     """Caches per-workload latency/energy so traces with repeated shapes are cheap.
 
-    Accepts any :class:`~repro.backends.base.Backend`, a registered backend
-    name, or a legacy platform model with ``run(workload)`` (wrapped on the
-    fly); estimates come from :meth:`~repro.backends.base.Backend.estimate`.
+    Accepts any :class:`~repro.backends.base.Backend` or a registered
+    backend name; estimates come from
+    :meth:`~repro.backends.base.Backend.estimate`.
     """
 
-    def __init__(self, platform: PlatformModel | Backend | str) -> None:
-        self.backend = resolve_backend(platform)
+    def __init__(self, platform: Backend | str) -> None:
+        self.backend = make_backend(platform)
         self._cache: dict[Workload, InferenceResult] = {}
 
     def result_for(self, workload: Workload) -> InferenceResult:
@@ -718,36 +710,63 @@ class ServingReport:
         }
 
 
-class ApplianceServer:
-    """A server appliance with ``num_clusters`` independent accelerator clusters.
+@dataclass(frozen=True)
+class FleetMember:
+    """One appliance in the fleet: a backend and its cluster count.
 
-    Thin front end over the discrete-event simulator: builds one server unit
-    per cluster (all sharing this appliance's latency oracle) and replays the
-    trace under the chosen scheduling policy.  The default FIFO policy
-    reproduces the original single-loop ``serve()`` semantics exactly.
+    ``platform`` is a :class:`~repro.backends.base.Backend` or a registered
+    backend name (``FleetMember("dfx", "dfx", 2)`` builds the default DFX
+    cluster adapter).  ``num_clusters=None`` (the default) takes the
+    cluster count from the resolved backend's capabilities
+    (``capabilities().num_units``), so presets like
+    ``FleetMember("host0", "dfx-4u")`` spell their shape by name.
+    ``max_batch_size`` > 1 marks the member's clusters batch-capable; the
+    resolved backend's capabilities must then support batching.
+    """
 
-    ``platform`` may be a :class:`~repro.backends.base.Backend`, a
-    registered backend name (``ApplianceServer("dfx", 2)``), or a legacy
-    platform model with ``run(workload)``.  ``num_clusters=None`` (the
-    default) takes the cluster count from the backend's capabilities
-    (``capabilities().num_units``), so presets like ``"dfx-4u"`` spell the
-    fleet shape by name; pass an explicit count to override.
+    name: str
+    platform: Backend | str
+    num_clusters: int | None = None
+    max_batch_size: int = 1
+
+    def __post_init__(self) -> None:
+        if not self.name:
+            raise ConfigurationError("fleet member needs a non-empty name")
+        if self.num_clusters is not None and self.num_clusters <= 0:
+            raise ConfigurationError("num_clusters must be positive")
+        if self.max_batch_size < 1:
+            raise ConfigurationError("max_batch_size must be >= 1")
+
+
+class ApplianceFleet:
+    """A set of (possibly heterogeneous) appliances behind one queue.
+
+    The serving front end: each :class:`FleetMember` contributes its
+    clusters as server units backed by its own latency oracle, and the
+    discrete-event simulator dispatches greedily onto the idle unit that
+    finishes the request earliest (so a faster appliance absorbs more of
+    the offered load).  A single appliance is the one-member fleet
+    (:class:`ApplianceServer`).
+
+    Scheduling policy (which request goes next) is orthogonal to fleet
+    composition (where it runs); any policy from
+    :mod:`repro.serving.schedulers` works unchanged.  Batch formation is a
+    third axis: a member with ``max_batch_size > 1`` (e.g. the GPU
+    appliance) contributes batch-capable units priced through
+    :class:`~repro.serving.batching.BackendBatchCostModel`, while DFX
+    members keep the unbatched batch=1 passthrough — the paper's asymmetry
+    (Sec. III-A).  The defaults (``"none"``, capacity 1) are the paper's
+    unbatched regime and reproduce the pre-batching simulator bit for bit.
+    A fourth axis is where the members sit: a
+    :class:`~repro.serving.network.NetworkModel` placing every member in a
+    rack prices prompt-ingress plus token-egress transfer into each
+    dispatch, so routing becomes network-aware; ``network=None`` keeps the
+    one-box arithmetic bit for bit.
 
     ``faults`` (a :class:`~repro.serving.faults.FaultSchedule`),
-    ``retry_policy``, and ``degraded_mode`` configure fault injection for
-    every ``serve()`` call — kept on the server object so capacity searches
-    that call bare ``serve(trace)`` run the same campaign at every rate.
-
-    ``batch_policy`` decides when batches form; ``max_batch_size`` is the
-    per-cluster capacity and defaults to the policy's own batch size, so
-    ``ApplianceServer(gpu, batch_policy="dynamic")`` batches without extra
-    plumbing (pass an explicit ``max_batch_size`` to cap it — capping to 1
-    forces the singleton passthrough even under a batching policy).  A
-    capacity above 1 makes every cluster batch-capable, which requires the
-    backend's capabilities to support batching — see
-    :class:`~repro.serving.batching.BackendBatchCostModel`.  The defaults
-    (``"none"``, capacity 1) are the paper's unbatched regime and reproduce
-    the pre-batching simulator bit for bit.
+    ``retry_policy`` and ``degraded_mode`` configure fault injection for
+    every ``serve()`` call — kept on the object so a capacity search, which
+    calls bare ``serve(trace)``, runs the same campaign at every rate.
 
     ``retain_records=True`` (the default) keeps every outcome record on the
     report and answers percentiles exactly.  ``retain_records=False`` keeps
@@ -757,112 +776,186 @@ class ApplianceServer:
     materializing the trace.
     """
 
-    def __init__(self, platform: PlatformModel | Backend | str,
+    def __init__(
+        self,
+        members: list[FleetMember] | tuple[FleetMember, ...],
+        scheduler: str | SchedulingPolicy = "fifo",
+        name: str | None = None,
+        batch_policy: str | BatchFormationPolicy = "none",
+        faults=None,
+        retry_policy=None,
+        degraded_mode=None,
+        network=None,
+        retain_records: bool = True,
+    ) -> None:
+        if not members:
+            raise ConfigurationError("a fleet needs at least one member")
+        names = [member.name for member in members]
+        if len(set(names)) != len(names):
+            raise ConfigurationError(f"fleet member names must be unique: {names}")
+        if network is not None:
+            # Fail at fleet build time, not mid-simulation: every member
+            # must be placed in a rack, and every placed name must exist.
+            for member_name in names:
+                network.rack_of(member_name)
+            unknown = set(network.members) - set(names)
+            if unknown:
+                raise ConfigurationError(
+                    f"network places unknown members {sorted(unknown)}; "
+                    f"fleet members: {names}"
+                )
+        self.network = network
+        self.members = tuple(members)
+        self.scheduler = scheduler
+        self.batch_policy = batch_policy
+        self.name = name or "+".join(names)
+        self.faults = faults
+        self.retry_policy = retry_policy
+        self.degraded_mode = degraded_mode
+        # Read by every serve(), so it may be changed between runs.
+        self.retain_records = retain_records
+        # Each member's backend (instance or registry name) is resolved once
+        # at fleet build time.
+        self._backends = {
+            member.name: make_backend(member.platform) for member in self.members
+        }
+        # num_clusters=None members take their count from the backend's
+        # declared capabilities (e.g. "dfx-4u" carries two clusters).
+        self._cluster_counts = {
+            member.name: (
+                member.num_clusters
+                if member.num_clusters is not None
+                else self._backends[member.name].capabilities().num_units
+            )
+            for member in self.members
+        }
+        # One oracle per member so repeated shapes stay cheap across traces.
+        self._oracles = {
+            member.name: LatencyOracle(self._backends[member.name])
+            for member in self.members
+        }
+        # Batch cost models are validated eagerly so a misconfigured member
+        # (batch-capable but a non-batching backend) fails at fleet build
+        # time, not mid-simulation.
+        self._batch_costs = {
+            member.name: (
+                BackendBatchCostModel(
+                    self._backends[member.name], member.max_batch_size
+                )
+                if member.max_batch_size > 1
+                else None
+            )
+            for member in self.members
+        }
+
+    @property
+    def num_clusters(self) -> int:
+        """Total server units across the fleet."""
+        return sum(self._cluster_counts.values())
+
+    def clusters_for(self, member_name: str) -> int:
+        """Resolved cluster count of one member (after capability defaults)."""
+        if member_name not in self._cluster_counts:
+            raise ConfigurationError(
+                f"no fleet member named {member_name!r}; "
+                f"members: {[m.name for m in self.members]}"
+            )
+        return self._cluster_counts[member_name]
+
+    def backend_for(self, member_name: str) -> Backend:
+        """The resolved backend serving one member's clusters."""
+        if member_name not in self._backends:
+            raise ConfigurationError(
+                f"no fleet member named {member_name!r}; "
+                f"members: {[m.name for m in self.members]}"
+            )
+        return self._backends[member_name]
+
+    def serve(self, trace) -> ServingReport:
+        """Replay a trace (list or lazy iterable) across the whole fleet."""
+        # Imported here: simulator.py needs this module's report classes, so a
+        # top-level import would be circular.
+        from repro.serving.simulator import ServerUnit, simulate
+
+        units: list[ServerUnit] = []
+        for member in self.members:
+            oracle = self._oracles[member.name]
+            for _ in range(self._cluster_counts[member.name]):
+                units.append(
+                    ServerUnit(
+                        unit_id=len(units),
+                        appliance=member.name,
+                        oracle=oracle,
+                        max_batch_size=member.max_batch_size,
+                        batch_costs=self._batch_costs[member.name],
+                    )
+                )
+        return simulate(
+            units,
+            trace,
+            scheduler=make_scheduler(self.scheduler),
+            platform=self.name,
+            batching=make_batch_policy(self.batch_policy),
+            faults=self.faults,
+            retry_policy=self.retry_policy,
+            degraded_mode=self.degraded_mode,
+            network=self.network,
+            retain_records=self.retain_records,
+        )
+
+
+class ApplianceServer(ApplianceFleet):
+    """A server appliance with ``num_clusters`` independent accelerator clusters.
+
+    The one-member :class:`ApplianceFleet`: its member is named
+    ``platform_name`` (default: the backend's name), which also labels the
+    report's platform.  ``platform`` is a
+    :class:`~repro.backends.base.Backend` or a registered backend name
+    (``ApplianceServer("dfx", 2)``).  ``num_clusters=None`` (the default)
+    takes the cluster count from the backend's capabilities
+    (``capabilities().num_units``), so presets like ``"dfx-4u"`` spell the
+    appliance shape by name.
+
+    ``max_batch_size`` is the per-cluster capacity and defaults to the batch
+    policy's own batch size, so ``ApplianceServer(gpu,
+    batch_policy="dynamic")`` batches without extra plumbing (pass an
+    explicit ``max_batch_size`` to cap it — capping to 1 forces the
+    singleton passthrough even under a batching policy).  A capacity above 1
+    requires the backend's capabilities to support batching.
+    """
+
+    def __init__(self, platform: Backend | str,
                  num_clusters: int | None = None,
                  platform_name: str | None = None,
-                 scheduler: str | object = "fifo",
-                 batch_policy: str | object = "none",
+                 scheduler: str | SchedulingPolicy = "fifo",
+                 batch_policy: str | BatchFormationPolicy = "none",
                  max_batch_size: int | None = None,
                  faults=None,
                  retry_policy=None,
                  degraded_mode=None,
                  retain_records: bool = True) -> None:
-        self.backend = resolve_backend(platform)
-        self.oracle = LatencyOracle(self.backend)
-        if num_clusters is None:
-            num_clusters = self.backend.capabilities().num_units
-        if num_clusters <= 0:
-            raise ConfigurationError("num_clusters must be positive")
-        self.num_clusters = num_clusters
-        self.faults = faults
-        self.retry_policy = retry_policy
-        self.degraded_mode = degraded_mode
-        if platform_name is None:
-            # Backends carry their registry name; legacy platform models
-            # keep the historical type-name default.
-            if isinstance(platform, str) or is_backend(platform):
-                platform_name = self.backend.name
-            else:
-                platform_name = type(platform).__name__
-        self.platform_name = platform_name
-        self.scheduler = scheduler
+        backend = make_backend(platform)
         # Resolved once so the derived unit capacity always matches the
         # policy that will run (a "dynamic" policy with default units would
         # otherwise silently serve unbatched while the report claims
         # batching ran).
-        self.batch_policy = make_batch_policy(batch_policy)
+        batch_policy = make_batch_policy(batch_policy)
         if max_batch_size is None:
-            max_batch_size = self.batch_policy.max_batch_size
-        if max_batch_size < 1:
-            raise ConfigurationError("max_batch_size must be >= 1")
-        self.max_batch_size = max_batch_size
-        self.batch_costs = (
-            BackendBatchCostModel(self.backend, max_batch_size)
-            if max_batch_size > 1
-            else None
-        )
-        self.retain_records = retain_records
-
-    def serve(self, trace) -> ServingReport:
-        """Replay a request trace (list or lazy iterable) against the clusters."""
-        # Imported here: simulator.py needs this module's report classes, so a
-        # top-level import would be circular.
-        from repro.serving.schedulers import make_scheduler
-        from repro.serving.simulator import ServerUnit, simulate
-
-        units = [
-            ServerUnit(
-                unit_id=cluster,
-                appliance=self.platform_name,
-                oracle=self.oracle,
-                max_batch_size=self.max_batch_size,
-                batch_costs=self.batch_costs,
-            )
-            for cluster in range(self.num_clusters)
-        ]
-        return simulate(
-            units,
-            trace,
-            scheduler=make_scheduler(self.scheduler),
-            platform=self.platform_name,
-            batching=self.batch_policy,
-            faults=self.faults,
-            retry_policy=self.retry_policy,
-            degraded_mode=self.degraded_mode,
-            retain_records=self.retain_records,
+            max_batch_size = batch_policy.max_batch_size
+        super().__init__(
+            [FleetMember(platform_name or backend.name, backend,
+                         num_clusters, max_batch_size)],
+            scheduler=scheduler,
+            batch_policy=batch_policy,
+            faults=faults,
+            retry_policy=retry_policy,
+            degraded_mode=degraded_mode,
+            retain_records=retain_records,
         )
 
-
-def saturation_sweep(
-    platform: PlatformModel | Backend | str,
-    trace_builder,
-    arrival_rates: list[float],
-    num_clusters: int = 1,
-    platform_name: str | None = None,
-    scheduler: str | object = "fifo",
-    batch_policy: str | object = "none",
-    max_batch_size: int | None = None,
-    retain_records: bool = True,
-) -> dict[float, ServingReport]:
-    """Serve the same workload mix at increasing arrival rates.
-
-    ``trace_builder(rate)`` must return a request trace for that offered
-    load — a list or a lazy iterator in non-decreasing arrival order; the
-    result maps each rate to its serving report, letting callers find the
-    saturation point (where queueing delay explodes).
-    ``retain_records=False`` streams each rate's report (flat memory), which
-    is how high-rate sweep points stay affordable.
-    """
-    server = ApplianceServer(
-        platform,
-        num_clusters=num_clusters,
-        platform_name=platform_name,
-        scheduler=scheduler,
-        batch_policy=batch_policy,
-        max_batch_size=max_batch_size,
-        retain_records=retain_records,
-    )
-    return {rate: server.serve(trace_builder(rate)) for rate in arrival_rates}
+    # Bound in this class body because perfbench's tracer wraps each front
+    # end's own ``serve`` (``vars(cls)["serve"]``).
+    serve = ApplianceFleet.serve
 
 
 @dataclass(frozen=True)
@@ -889,28 +982,31 @@ class CapacityPlan:
 
 
 def capacity_search(
-    serve,
+    front_end: ApplianceFleet,
     trace_builder,
     slo_s: float,
     *,
-    platform: str,
-    scheduler_name: str,
     percentile: float = 95.0,
     rate_bounds: tuple[float, float] = (0.05, 64.0),
     relative_tolerance: float = 0.05,
     max_abandonment_rate: float = 0.0,
 ) -> CapacityPlan:
-    """Generic capacity search over anything with a ``serve(trace)`` method.
+    """Capacity planning: the highest offered rate whose tail meets the SLO.
 
-    Exponentially grows the offered rate from ``rate_bounds[0]`` until the
-    ``percentile`` response time exceeds ``slo_s`` (or the abandonment rate
-    exceeds ``max_abandonment_rate``), then bisects the bracket until it is
-    within ``relative_tolerance``.  ``trace_builder(rate)`` must be
-    deterministic for the search to converge.
+    Serves ``front_end`` (an :class:`ApplianceFleet`, or the one-member
+    :class:`ApplianceServer`) at probed rates: exponentially grows the
+    offered rate from ``rate_bounds[0]`` until the ``percentile`` response
+    time exceeds ``slo_s`` (or the abandonment rate exceeds
+    ``max_abandonment_rate``), then bisects the bracket until it is within
+    ``relative_tolerance``.  ``trace_builder(rate)`` must be deterministic
+    for the search to converge.  The search reads only each probed report's
+    tail percentile and abandonment rate, so a front end built with
+    ``retain_records=False`` runs it with flat memory at every probed rate.
 
-    Returns a :class:`CapacityPlan` whose ``max_rate_per_s`` is 0.0 when even
-    the lowest probed rate violates the SLO, and ``rate_bounds[1]`` when the
-    SLO holds all the way to the cap.
+    The plan is labelled with ``front_end.name`` and its scheduler's name.
+    Its ``max_rate_per_s`` is 0.0 when even the lowest probed rate violates
+    the SLO, and ``rate_bounds[1]`` when the SLO holds all the way to the
+    cap.
     """
     if slo_s <= 0:
         raise ConfigurationError("slo_s must be positive")
@@ -924,7 +1020,7 @@ def capacity_search(
 
     def meets_slo(rate: float) -> bool:
         if rate not in reports:
-            reports[rate] = serve(trace_builder(rate))
+            reports[rate] = front_end.serve(trace_builder(rate))
         report = reports[rate]
         return (
             report.response_time_percentile_s(percentile) <= slo_s
@@ -933,8 +1029,8 @@ def capacity_search(
 
     def plan(max_rate: float) -> CapacityPlan:
         return CapacityPlan(
-            platform=platform,
-            scheduler=scheduler_name,
+            platform=front_end.name,
+            scheduler=make_scheduler(front_end.scheduler).name,
             slo_s=slo_s,
             percentile=percentile,
             max_rate_per_s=max_rate,
@@ -962,49 +1058,3 @@ def capacity_search(
         else:
             bad = middle
     return plan(good)
-
-
-def find_max_rate_under_slo(
-    platform: PlatformModel | Backend | str,
-    trace_builder,
-    slo_s: float,
-    *,
-    percentile: float = 95.0,
-    num_clusters: int = 1,
-    platform_name: str | None = None,
-    scheduler: str | object = "fifo",
-    batch_policy: str | object = "none",
-    max_batch_size: int | None = None,
-    rate_bounds: tuple[float, float] = (0.05, 64.0),
-    relative_tolerance: float = 0.05,
-    max_abandonment_rate: float = 0.0,
-    retain_records: bool = True,
-) -> CapacityPlan:
-    """Capacity planning for one appliance: highest rate whose tail meets the SLO.
-
-    Thin wrapper binding :func:`capacity_search` to an
-    :class:`ApplianceServer`; use :func:`capacity_search` directly for fleets
-    or custom serving front ends.  The search only reads the probed reports'
-    tail percentile and abandonment rate, so ``retain_records=False`` runs
-    it with flat memory at every probed rate.
-    """
-    server = ApplianceServer(
-        platform,
-        num_clusters=num_clusters,
-        platform_name=platform_name,
-        scheduler=scheduler,
-        batch_policy=batch_policy,
-        max_batch_size=max_batch_size,
-        retain_records=retain_records,
-    )
-    return capacity_search(
-        server.serve,
-        trace_builder,
-        slo_s,
-        platform=server.platform_name,
-        scheduler_name=getattr(server.scheduler, "name", str(server.scheduler)),
-        percentile=percentile,
-        rate_bounds=rate_bounds,
-        relative_tolerance=relative_tolerance,
-        max_abandonment_rate=max_abandonment_rate,
-    )

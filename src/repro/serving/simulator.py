@@ -4,10 +4,11 @@ One event loop replays a request trace against an arbitrary set of
 :class:`ServerUnit` s (clusters), each backed by a latency oracle.  Three
 event kinds exist — request arrival, service completion, and batch flush —
 and between events the scheduler is asked which queued request(s) to
-dispatch onto which idle unit.  The same loop powers the single-appliance
-:class:`~repro.serving.server.ApplianceServer` (all units share one oracle)
-and the heterogeneous :class:`~repro.serving.fleet.ApplianceFleet` (units
-from different appliances with different speeds behind one queue).
+dispatch onto which idle unit.  The loop is run by the one serving front
+end, :class:`~repro.serving.server.ApplianceFleet` (units from different
+appliances with different speeds behind one queue); a single appliance,
+:class:`~repro.serving.server.ApplianceServer`, is the fleet of one whose
+units all share one oracle.
 
 The loop is built for million-request traces: completion and retry events
 live in :class:`~repro.serving.calendar.CalendarQueue` s (O(1) amortized,

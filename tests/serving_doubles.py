@@ -1,15 +1,22 @@
-"""Shared platform-model test doubles for the serving test modules."""
+"""Shared backend test doubles for the serving test modules.
 
+Each double is a platform model with ``run(workload)`` that serves as its
+own :class:`~repro.backends.base.AnalyticBackend` (it wraps ``self``), so
+the serving layer takes it as a backend instance named after its class.
+"""
+
+from repro.backends import AnalyticBackend
 from repro.results import InferenceResult, StageLatency
 from repro.workloads import Workload
 
 
-class FixedLatencyPlatform:
+class FixedLatencyPlatform(AnalyticBackend):
     """Test double: every request takes exactly ``latency_s`` seconds."""
 
     def __init__(self, latency_s: float, power_watts: float = 100.0):
         self.latency_s = latency_s
         self.power_watts = power_watts
+        super().__init__(self)
 
     def run(self, workload: Workload) -> InferenceResult:
         return InferenceResult(
@@ -23,11 +30,12 @@ class FixedLatencyPlatform:
         )
 
 
-class TokenProportionalPlatform:
+class TokenProportionalPlatform(AnalyticBackend):
     """Test double: service time is ``output_tokens * seconds_per_token``."""
 
     def __init__(self, seconds_per_token: float = 0.1):
         self.seconds_per_token = seconds_per_token
+        super().__init__(self)
 
     def run(self, workload: Workload) -> InferenceResult:
         latency_ms = workload.output_tokens * self.seconds_per_token * 1e3
@@ -42,7 +50,7 @@ class TokenProportionalPlatform:
         )
 
 
-class BatchableTokenPlatform:
+class BatchableTokenPlatform(AnalyticBackend):
     """Test double with the GPU batching interface.
 
     Mirrors the GPU baseline's shape: each decode step pays a fixed
@@ -58,6 +66,7 @@ class BatchableTokenPlatform:
         self.fixed_ms_per_token = fixed_ms_per_token
         self.marginal_ms_per_token = marginal_ms_per_token
         self.power_watts = power_watts
+        super().__init__(self)
 
     def batched_per_token_generation_ms(self, batch_size: int) -> float:
         """Per-request share of one decode step at ``batch_size``."""

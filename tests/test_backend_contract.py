@@ -12,10 +12,9 @@ Every backend in the registry must honour the same contract:
   describe what ``batched_estimate`` actually accepts, and
   ``generates_tokens`` backends really generate.
 
-The equivalence classes at the bottom prove the serving stack (oracle,
-server, fleet, batch cost model) is bit-identical through the adapters —
-the old platform-model path and the new backend path produce the same
-reports, record for record.
+The serving classes at the bottom hold the serving stack (oracle, front
+ends, batch cost model) to the same boundary: it takes a backend instance
+or a registry name, and rejects anything else by its type.
 """
 
 import pytest
@@ -23,12 +22,12 @@ import pytest
 from repro.backends import (
     AnalyticBackend,
     BackendCapabilities,
-    as_backend,
     available_backends,
     is_backend,
     make_backend,
     register_backend,
 )
+from repro.baselines.gpu import GPUAppliance
 from repro.errors import ConfigurationError
 from repro.model.config import GPT2_TEST_TINY
 from repro.serving import (
@@ -84,7 +83,7 @@ class TestRegistry:
         from repro.backends.registry import BACKENDS
 
         def factory(**kwargs):
-            return as_backend(_FixedLatencyPlatform(1.0), name="fixed")
+            return _FixedLatencyPlatform(1.0)
 
         register_backend("fixed-test", factory)
         try:
@@ -108,13 +107,6 @@ class TestCapabilitiesValidation:
                                 max_batch_size=4)
         with pytest.raises(ConfigurationError):
             BackendCapabilities(platform="x", max_batch_size=0)
-
-    def test_as_backend_rejects_non_platform(self):
-        with pytest.raises(ConfigurationError):
-            as_backend(object())
-
-    def test_as_backend_passthrough(self, backends):
-        assert as_backend(backends["gpu"]) is backends["gpu"]
 
     def test_wrapper_without_batching_hook_cannot_claim_batching(self):
         with pytest.raises(ConfigurationError):
@@ -305,65 +297,7 @@ class TestDFXSimBatchingHonesty:
 
 
 class TestServingEquivalence:
-    """Oracle/server/fleet behavior is bit-identical through the adapters."""
-
-    def _trace(self):
-        return poisson_trace(1.5, 40.0, seed=21)
-
-    def test_oracle_identical_through_wrapper(self):
-        platform = _BatchableTokenPlatform(fixed_ms_per_token=700.0)
-        direct = LatencyOracle(platform)
-        wrapped = LatencyOracle(as_backend(platform))
-        for workload in (Workload(1, 1), Workload(4, 9), Workload(64, 32)):
-            assert direct.service_time_s(workload) == wrapped.service_time_s(workload)
-            assert (direct.result_for(workload).energy_joules
-                    == wrapped.result_for(workload).energy_joules)
-
-    @pytest.mark.parametrize("backend_name", ["dfx", "gpu"])
-    def test_server_identical_through_backend(self, backend_name):
-        backend = make_backend(backend_name, config=GPT2_TEST_TINY)
-        legacy = ApplianceServer(
-            backend.platform, 2, platform_name=backend_name
-        ).serve(self._trace())
-        through_backend = ApplianceServer(backend, 2).serve(self._trace())
-        assert through_backend.completed == legacy.completed
-        assert through_backend.abandoned == legacy.abandoned
-        assert through_backend.total_energy_joules == legacy.total_energy_joules
-        assert through_backend.makespan_s == legacy.makespan_s
-        assert through_backend.platform == legacy.platform
-
-    def test_batched_server_identical_through_backend(self):
-        platform = _BatchableTokenPlatform(fixed_ms_per_token=900.0,
-                                           marginal_ms_per_token=40.0)
-        policy = DynamicBatching(4, timeout_s=0.5)
-        legacy = ApplianceServer(
-            platform, 1, "batchable", batch_policy=policy, max_batch_size=4
-        ).serve(self._trace())
-        through_backend = ApplianceServer(
-            as_backend(platform, name="batchable"), 1, "batchable",
-            batch_policy=policy, max_batch_size=4,
-        ).serve(self._trace())
-        assert through_backend.completed == legacy.completed
-        assert through_backend.total_energy_joules == legacy.total_energy_joules
-
-    def test_fleet_identical_through_backends(self):
-        fast = _FixedLatencyPlatform(0.8)
-        batchy = _BatchableTokenPlatform(fixed_ms_per_token=600.0)
-        policy = DynamicBatching(3, timeout_s=0.4)
-        legacy = ApplianceFleet(
-            [FleetMember("fast", fast, 1), FleetMember("batchy", batchy, 1, 3)],
-            batch_policy=policy,
-        ).serve(self._trace())
-        through_backends = ApplianceFleet(
-            [
-                FleetMember("fast", as_backend(fast), 1),
-                FleetMember("batchy", as_backend(batchy), 1, 3),
-            ],
-            batch_policy=policy,
-        ).serve(self._trace())
-        assert through_backends.completed == legacy.completed
-        assert through_backends.abandoned == legacy.abandoned
-        assert through_backends.total_energy_joules == legacy.total_energy_joules
+    """The serving stack honors each backend's own models and names."""
 
     def test_custom_batched_energy_model_is_honored(self):
         """A backend whose batched energy is not power x wall clock keeps
@@ -415,32 +349,22 @@ class TestServingEquivalence:
             fleet.backend_for("gpu")
 
 
-class TestBatchingComparisonEquivalence:
-    """The Sec. III-A tradeoff numbers are unchanged through the adapters."""
+class TestBackendBoundary:
+    """Serving entry points take a backend instance or a registry name only."""
 
-    def test_backend_and_platform_paths_agree(self):
-        from repro.analysis import experiments
-        from repro.baselines.gpu import GPUAppliance
-        from repro.core.appliance import DFXAppliance
-
-        kwargs = dict(
-            num_devices=1, duration_s=40.0, low_rate_per_s=0.5,
-            burst_rate_per_s=15.0, idle_rate_per_s=0.5,
-            mean_burst_s=5.0, mean_idle_s=5.0, batch_timeout_s=1.0,
-        )
-        via_registry = experiments.run_batching_comparison(
-            GPT2_TEST_TINY, **kwargs
-        )
-        via_platforms = experiments.run_batching_comparison(
-            GPT2_TEST_TINY,
-            dfx_backend=DFXAppliance(GPT2_TEST_TINY, num_devices=1),
-            gpu_backend=GPUAppliance(GPT2_TEST_TINY, num_devices=1),
-            **kwargs,
-        )
-        assert (via_registry.low_load_tail_latency_s()
-                == via_platforms.low_load_tail_latency_s())
-        assert (via_registry.high_load_tokens_per_second()
-                == via_platforms.high_load_tokens_per_second())
-        assert (via_registry.gpu_batching_throughput_gain
-                == via_platforms.gpu_batching_throughput_gain)
-        assert via_registry.dfx_wins_low_load_latency
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda raw: ApplianceServer(raw, 1),
+            lambda raw: ApplianceFleet([FleetMember("raw", raw, 1)]),
+            LatencyOracle,
+            BackendBatchCostModel,
+        ],
+        ids=["server", "fleet", "oracle", "batch-cost-model"],
+    )
+    def test_raw_platform_model_rejected_naming_its_type(self, build):
+        # A bare timing model with run(workload) is not a Backend: wrap it in
+        # its adapter (GPUApplianceBackend(appliance=...)) to serve it.
+        raw = GPUAppliance(GPT2_TEST_TINY, num_devices=1)
+        with pytest.raises(ConfigurationError, match="got GPUAppliance"):
+            build(raw)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.backends import DFXClusterBackend, GPUApplianceBackend
 from repro.baselines.gpu import GPUAppliance
 from repro.core.appliance import DFXAppliance
 from repro.errors import ConfigurationError
@@ -17,7 +18,7 @@ from repro.serving.requests import (
     poisson_trace,
     with_service_levels,
 )
-from repro.serving.server import ApplianceServer, LatencyOracle, saturation_sweep
+from repro.serving.server import ApplianceServer, LatencyOracle
 from repro.workloads import Workload
 
 import numpy as np
@@ -377,10 +378,10 @@ class TestBurstyTrace:
         assert report.num_offered == len(merged)
 
 
-class TestWithRealPlatformModels:
+class TestWithRealApplianceBackends:
     def test_latency_oracle_caches_results(self):
         appliance = DFXAppliance(GPT2_345M, num_devices=1)
-        oracle = LatencyOracle(appliance)
+        oracle = LatencyOracle(DFXClusterBackend(appliance=appliance))
         first = oracle.result_for(Workload(32, 8))
         second = oracle.result_for(Workload(32, 8))
         assert first is second
@@ -389,20 +390,12 @@ class TestWithRealPlatformModels:
         trace = poisson_trace(arrival_rate_per_s=0.5, duration_s=60.0,
                               mix=CHATBOT_MIX, seed=3)
         dfx_report = ApplianceServer(
-            DFXAppliance(GPT2_345M, num_devices=1), platform_name="dfx"
+            DFXClusterBackend(appliance=DFXAppliance(GPT2_345M, num_devices=1)),
+            platform_name="dfx",
         ).serve(trace)
         gpu_report = ApplianceServer(
-            GPUAppliance(GPT2_345M, num_devices=1), platform_name="gpu"
+            GPUApplianceBackend(appliance=GPUAppliance(GPT2_345M, num_devices=1)),
+            platform_name="gpu",
         ).serve(trace)
         assert dfx_report.mean_response_time_s < gpu_report.mean_response_time_s
         assert dfx_report.output_tokens_per_second > gpu_report.output_tokens_per_second
-
-    def test_saturation_sweep_structure(self):
-        platform = _FixedLatencyPlatform(0.5)
-        reports = saturation_sweep(
-            platform,
-            trace_builder=lambda rate: poisson_trace(rate, 30.0, CHATBOT_MIX, seed=1),
-            arrival_rates=[0.5, 4.0],
-        )
-        assert set(reports) == {0.5, 4.0}
-        assert reports[4.0].mean_queueing_delay_s >= reports[0.5].mean_queueing_delay_s

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.backends import as_backend
 from repro.errors import ConfigurationError
 from repro.serving import (
     ApplianceFleet,
@@ -75,12 +74,12 @@ class TestBatchCostModel:
 
     def test_requires_the_gpu_batching_interface(self):
         with pytest.raises(ConfigurationError):
-            BackendBatchCostModel(as_backend(_FixedLatencyPlatform(1.0)))
+            BackendBatchCostModel(_FixedLatencyPlatform(1.0))
 
     def test_batch_priced_at_dominant_shape(self):
         platform = _BatchableTokenPlatform(fixed_ms_per_token=100.0,
                                            marginal_ms_per_token=10.0)
-        costs = BackendBatchCostModel(as_backend(platform))
+        costs = BackendBatchCostModel(platform)
         workloads = [Workload(1, 10), Workload(1, 4)]
         expected_ms = platform.batched_request_latency_ms(Workload(1, 10), 2)
         assert costs.batch_latency_s(workloads) == pytest.approx(expected_ms / 1e3)
@@ -89,7 +88,7 @@ class TestBatchCostModel:
         # The appliance draws its full power for the batch's own wall
         # clock (the estimate the simulator pairs this call with).
         platform = _BatchableTokenPlatform(power_watts=50.0)
-        costs = BackendBatchCostModel(as_backend(platform))
+        costs = BackendBatchCostModel(platform)
         workloads = [Workload(1, 10), Workload(1, 4)]
         latency_s = costs.batch_latency_s(workloads)
         assert costs.batch_energy_joules(workloads, latency_s) == pytest.approx(
@@ -98,7 +97,7 @@ class TestBatchCostModel:
 
     def test_continuous_energy_shared_by_concurrency(self):
         platform = _BatchableTokenPlatform(power_watts=50.0)
-        costs = BackendBatchCostModel(as_backend(platform))
+        costs = BackendBatchCostModel(platform)
         alone = costs.continuous_energy_joules(Workload(1, 10), 1, 2.0)
         shared = costs.continuous_energy_joules(Workload(1, 10), 4, 2.0)
         assert shared == pytest.approx(alone / 4)
@@ -337,7 +336,7 @@ class TestBatchingValidation:
             platform, 1, "batchable",
             batch_policy=DynamicBatching(4, timeout_s=100.0),
         )
-        assert server.max_batch_size == 4
+        assert server.members[0].max_batch_size == 4
         report = server.serve(constant_trace(0.0, 4, Workload(1, 1)))
         assert report.batch_size_distribution() == {4: 1}
 

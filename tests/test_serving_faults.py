@@ -26,6 +26,8 @@ from repro.serving import (
     FAIL_UNIT,
     FaultSchedule,
     FleetMember,
+    NetworkLink,
+    NetworkModel,
     Outage,
     RetryPolicy,
     ServiceRequest,
@@ -495,6 +497,49 @@ class TestFaultEdgeCases:
         assert first == second
         assert first.availability == second.availability
         assert first.goodput_fraction == second.goodput_fraction
+
+
+#: Builders of one setting each, keyed by how its error message names it.
+NON_FINITE_BUILDERS = {
+    "outage start_s": lambda x: Outage(start_s=x, unit_id=0),
+    "outage duration_s": lambda x: Outage(start_s=1.0, duration_s=x, unit_id=0),
+    "degradation start_s": lambda x: Degradation(
+        start_s=x, duration_s=1.0, slowdown=2.0, unit_id=0
+    ),
+    "degradation duration_s": lambda x: Degradation(
+        start_s=1.0, duration_s=x, slowdown=2.0, unit_id=0
+    ),
+    "slowdown": lambda x: Degradation(
+        start_s=1.0, duration_s=1.0, slowdown=x, unit_id=0
+    ),
+    "mtbf_s": lambda x: FaultSchedule.poisson(x, 5.0, 30.0),
+    "mttr_s": lambda x: FaultSchedule.poisson(10.0, x, 30.0),
+    "horizon_s": lambda x: FaultSchedule.poisson(10.0, 5.0, x),
+    "backoff_s": lambda x: RetryPolicy(backoff_s=x),
+    "backoff_multiplier": lambda x: RetryPolicy(backoff_multiplier=x),
+    "max_backoff_s": lambda x: RetryPolicy(max_backoff_s=x),
+    "link latency_s": lambda x: NetworkLink(latency_s=x),
+    "link bandwidth_bytes_per_s": lambda x: NetworkLink(bandwidth_bytes_per_s=x),
+    "bytes_per_token": lambda x: NetworkModel.star(
+        {"rack0": ("a",)}, bytes_per_token=x
+    ),
+}
+
+
+class TestNonFiniteSettings:
+    """Fault, retry and link settings reject NaN and infinity when built.
+
+    Each used to pass its ``x < 0`` / ``x <= 0`` check and then fail deep in
+    the event loop (an ``IndexError`` from the calendar queue), hang it (an
+    infinite fault horizon), or serve silently wrong numbers (a NaN
+    slowdown, a NaN MTBF that never fails).
+    """
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("field", list(NON_FINITE_BUILDERS))
+    def test_rejected_at_build_naming_the_field(self, field, bad):
+        with pytest.raises(ConfigurationError, match=f"^{field} must be finite"):
+            NON_FINITE_BUILDERS[field](bad)
 
 
 # -------------------------------------------------- capability unit counts

@@ -2,15 +2,15 @@
 
 import pytest
 
-from repro.analysis.experiments import fleet_capacity_plan, run_scheduler_comparison
+from repro.analysis.experiments import run_scheduler_comparison
 from repro.errors import ConfigurationError
 from repro.serving import (
     ApplianceFleet,
     ApplianceServer,
     FleetMember,
     ServiceRequest,
+    capacity_search,
     constant_trace,
-    find_max_rate_under_slo,
     poisson_trace,
     with_service_levels,
 )
@@ -129,11 +129,11 @@ class TestCapacityPlanning:
 
     def test_capacity_increases_with_clusters(self):
         platform = _FixedLatencyPlatform(1.0)
-        one = find_max_rate_under_slo(
-            platform, self._trace_builder, slo_s=2.0, num_clusters=1
+        one = capacity_search(
+            ApplianceServer(platform, 1), self._trace_builder, slo_s=2.0
         )
-        two = find_max_rate_under_slo(
-            platform, self._trace_builder, slo_s=2.0, num_clusters=2
+        two = capacity_search(
+            ApplianceServer(platform, 2), self._trace_builder, slo_s=2.0
         )
         assert 0.0 < one.max_rate_per_s < two.max_rate_per_s
         # An M/M/1-ish queue with 1 s service saturates near 1 req/s.
@@ -142,16 +142,18 @@ class TestCapacityPlanning:
         assert one.report_at_capacity.response_time_percentile_s(95) <= 2.0
 
     def test_capacity_zero_when_slo_unmeetable(self):
-        plan = find_max_rate_under_slo(
-            _FixedLatencyPlatform(5.0), self._trace_builder, slo_s=1.0
+        plan = capacity_search(
+            ApplianceServer(_FixedLatencyPlatform(5.0), 1),
+            self._trace_builder,
+            slo_s=1.0,
         )
         assert plan.max_rate_per_s == 0.0
         assert plan.max_requests_per_hour == 0.0
         assert plan.report_at_capacity is None
 
     def test_capacity_caps_at_rate_bound_when_slo_always_holds(self):
-        plan = find_max_rate_under_slo(
-            _FixedLatencyPlatform(0.001),
+        plan = capacity_search(
+            ApplianceServer(_FixedLatencyPlatform(0.001), 1),
             self._trace_builder,
             slo_s=10.0,
             rate_bounds=(0.5, 4.0),
@@ -159,29 +161,27 @@ class TestCapacityPlanning:
         assert plan.max_rate_per_s == pytest.approx(4.0)
 
     def test_invalid_search_parameters(self):
-        platform = _FixedLatencyPlatform(1.0)
+        server = ApplianceServer(_FixedLatencyPlatform(1.0), 1)
         with pytest.raises(ConfigurationError):
-            find_max_rate_under_slo(platform, self._trace_builder, slo_s=0.0)
+            capacity_search(server, self._trace_builder, slo_s=0.0)
         with pytest.raises(ConfigurationError):
-            find_max_rate_under_slo(
-                platform, self._trace_builder, slo_s=1.0, rate_bounds=(2.0, 1.0)
+            capacity_search(
+                server, self._trace_builder, slo_s=1.0, rate_bounds=(2.0, 1.0)
             )
         with pytest.raises(ConfigurationError):
-            find_max_rate_under_slo(
-                platform, self._trace_builder, slo_s=1.0, relative_tolerance=0.0
+            capacity_search(
+                server, self._trace_builder, slo_s=1.0, relative_tolerance=0.0
             )
 
     def test_fleet_capacity_exceeds_single_member_capacity(self):
         # The SLO (6 s) is loose enough for the slow member (4 s service) to
         # contribute, so the fleet sustains more load than its fast half.
         fleet = _two_speed_fleet()
-        fleet_plan = fleet_capacity_plan(fleet, self._trace_builder, slo_s=6.0)
-        fast_plan = find_max_rate_under_slo(
-            _FixedLatencyPlatform(1.0),
+        fleet_plan = capacity_search(fleet, self._trace_builder, slo_s=6.0)
+        fast_plan = capacity_search(
+            ApplianceServer(_FixedLatencyPlatform(1.0), 2, "fast"),
             self._trace_builder,
             slo_s=6.0,
-            num_clusters=2,
-            platform_name="fast",
         )
         assert fleet_plan.max_rate_per_s > fast_plan.max_rate_per_s
         assert fleet_plan.platform == "fast+slow"
@@ -193,13 +193,11 @@ class TestCapacityPlanning:
         # *worse* than the fast appliance alone — adding hardware that
         # cannot meet the SLO is not free capacity.
         fleet = _two_speed_fleet()
-        fleet_plan = fleet_capacity_plan(fleet, self._trace_builder, slo_s=2.0)
-        fast_plan = find_max_rate_under_slo(
-            _FixedLatencyPlatform(1.0),
+        fleet_plan = capacity_search(fleet, self._trace_builder, slo_s=2.0)
+        fast_plan = capacity_search(
+            ApplianceServer(_FixedLatencyPlatform(1.0), 2, "fast"),
             self._trace_builder,
             slo_s=2.0,
-            num_clusters=2,
-            platform_name="fast",
         )
         assert fleet_plan.max_rate_per_s < fast_plan.max_rate_per_s
 
@@ -209,12 +207,12 @@ class TestCapacityPlanning:
                 poisson_trace(rate, 60.0, seed=3), patience_s=1.5
             )
 
-        platform = _FixedLatencyPlatform(1.0)
-        lax = find_max_rate_under_slo(
-            platform, impatient_builder, slo_s=3.0, max_abandonment_rate=0.5
+        server = ApplianceServer(_FixedLatencyPlatform(1.0), 1)
+        lax = capacity_search(
+            server, impatient_builder, slo_s=3.0, max_abandonment_rate=0.5
         )
-        strict = find_max_rate_under_slo(
-            platform, impatient_builder, slo_s=3.0, max_abandonment_rate=0.0
+        strict = capacity_search(
+            server, impatient_builder, slo_s=3.0, max_abandonment_rate=0.0
         )
         assert strict.max_rate_per_s <= lax.max_rate_per_s
 

@@ -4,6 +4,7 @@ import heapq
 
 import pytest
 
+from repro.backends import DFXClusterBackend
 from repro.core.appliance import DFXAppliance
 from repro.errors import ConfigurationError
 from repro.model.config import GPT2_345M
@@ -78,7 +79,7 @@ class TestFIFOEquivalence:
         assert report.makespan_s == pytest.approx(last_finish - first_arrival)
 
     def test_exact_equivalence_on_real_appliance(self):
-        platform = DFXAppliance(GPT2_345M, num_devices=1)
+        platform = DFXClusterBackend(appliance=DFXAppliance(GPT2_345M, num_devices=1))
         trace = poisson_trace(0.8, 30.0, seed=4)
         expected, expected_energy, _ = _legacy_fifo_serve(platform, 2, trace)
         report = ApplianceServer(platform, 2, "dfx").serve(trace)
