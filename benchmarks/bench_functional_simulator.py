@@ -30,7 +30,7 @@ def test_bench_timing_simulator_token_step(benchmark):
     """Time one full 1.5B token step (compile + schedule, cold cache)."""
     def step():
         appliance = DFXAppliance(GPT2_1_5B, num_devices=4)
-        return appliance.cluster.token_step(rows=1, past_length=128)
+        return appliance.device.core.token_step(1, 128)
 
     result = benchmark.pedantic(step, rounds=3, iterations=1)
     assert result.timing.total_cycles > 0

@@ -1,8 +1,7 @@
 """Run every paper experiment and print a compact paper-vs-measured report.
 
-This is the script used to populate EXPERIMENTS.md.  It exercises the same
-experiment drivers as the benchmark harness but without pytest, so it can be
-run directly:
+It exercises the same experiment drivers as the benchmark harness but
+without pytest, so it can be run directly:
 
     python scripts/run_all_experiments.py
     python scripts/run_all_experiments.py --section "figure 1"

@@ -9,9 +9,10 @@ The package builds the whole system in software:
   GPT-2 decoder layers (Algorithm 1) into per-device programs;
 * :mod:`repro.parallel` — intra-layer model parallelism (head-wise /
   column-wise partitioning) and the pipelined baseline;
-* :mod:`repro.fpga` — Alveo U280 substrate models (HBM, DDR, Aurora ring,
-  resources, floorplan, power);
-* :mod:`repro.core` — the DFX compute core / cluster / appliance timing
+* :mod:`repro.fpga` — the Alveo U280 substrate (device spec with HBM/DDR
+  capacities and board power, KV-cache sizing, Aurora ring, resources,
+  floorplan);
+* :mod:`repro.core` — the DFX compute core / device / appliance timing
   simulator plus a functional interpreter for correctness checks;
 * :mod:`repro.baselines` — calibrated V100 GPU appliance and TPU models;
 * :mod:`repro.backends` — the unified :class:`Backend` protocol and the

@@ -3,7 +3,8 @@
 Each driver builds the relevant platform models, runs the paper's workloads,
 and returns a structured result object.  The benchmark modules under
 ``benchmarks/`` and the examples call these drivers and print the same
-rows/series the paper reports; EXPERIMENTS.md records paper-vs-measured values.
+rows/series the paper reports; ``scripts/run_all_experiments.py`` prints the
+paper-vs-measured report for every driver.
 """
 
 from __future__ import annotations

@@ -1,5 +1,5 @@
 """The DFX accelerator model: tiling, unit timing models, scheduler, compute
-core, device, cluster, appliance, and the functional interpreter."""
+core, device, appliance, and the functional interpreter."""
 
 from repro.core.calibration import Calibration, DEFAULT_CALIBRATION, IDEAL_CALIBRATION
 from repro.core.tiling import (
@@ -19,7 +19,6 @@ from repro.core.register_file import RegisterUsage, estimate_register_usage
 from repro.core.scheduler import InstructionTrace, ProgramTiming, TimingScheduler
 from repro.core.compute_core import ComputeCore, TokenStepTiming
 from repro.core.device import FPGADevice, MemoryFootprint
-from repro.core.cluster import DFXCluster
 from repro.core.appliance import DFXAppliance, DFX_PLATFORM
 from repro.core.functional import (
     DFXFunctionalSimulator,
@@ -56,7 +55,6 @@ __all__ = [
     "TokenStepTiming",
     "FPGADevice",
     "MemoryFootprint",
-    "DFXCluster",
     "DFXAppliance",
     "DFX_PLATFORM",
     "DFXFunctionalSimulator",

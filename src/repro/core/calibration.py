@@ -6,7 +6,8 @@ constants in this module cover effects the paper does not quantify —
 sustained HBM efficiency, per-instruction issue overhead, host hand-off per
 token — and are the only "fitted" parts of the DFX model.  Their defaults are
 chosen so the simulated per-token latencies land close to the paper's
-measured values (Fig. 14/18); EXPERIMENTS.md records the remaining gaps.
+measured values (Fig. 14/18); the paper-vs-measured report that
+``scripts/run_all_experiments.py`` prints shows the remaining gaps.
 
 All constants are grouped in one frozen dataclass so experiments can run
 sensitivity sweeps over them (see ``benchmarks/bench_ablation_dataflow.py``).

@@ -2,14 +2,13 @@
 
 A compute core is the per-FPGA accelerator of Fig. 7.  This class wires the
 compiler (which knows the device's partition of the model) to the unit timing
-models and the scheduler, and exposes cached per-step timings that the cluster
-and appliance layers aggregate into end-to-end latencies.
+models and the scheduler, and prices one token step per step shape, which the
+appliance sums into end-to-end latencies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from repro.core.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.core.dma import DMAModel
@@ -20,7 +19,6 @@ from repro.core.tiling import TilingConfig
 from repro.core.vpu import VPUModel
 from repro.fpga.u280 import DEFAULT_U280, U280Spec
 from repro.isa.compiler import DFXCompiler
-from repro.isa.program import Program
 from repro.model.config import GPT2Config
 from repro.parallel.partitioner import PartitionPlan
 
@@ -29,7 +27,7 @@ from repro.parallel.partitioner import PartitionPlan
 class TokenStepTiming:
     """Timing of one full token step (embedding + all layers + LM head)."""
 
-    rows: int
+    batch: int
     past_length: int
     timing: ProgramTiming
     flops_per_device: float
@@ -66,130 +64,41 @@ class ComputeCore:
                 num_devices=plan.num_devices, spec=spec, calibration=calibration
             ),
         )
-        # Per-(rows, past) caches; layer programs are identical across layers.
-        self._layer_cache: dict[tuple[int, int], tuple[Program, ProgramTiming]] = {}
-        self._embedding_cache: dict[int, tuple[Program, ProgramTiming]] = {}
-        self._lm_head_cache: tuple[Program, ProgramTiming] | None = None
-        # Batched-cohort caches keyed on (batch, past) / batch.
-        self._batched_layer_cache: dict[
-            tuple[int, int], tuple[Program, ProgramTiming]
-        ] = {}
-        self._batched_lm_head_cache: dict[int, tuple[Program, ProgramTiming]] = {}
+        self._steps: dict[tuple[int, int], TokenStepTiming] = {}
 
-    # --------------------------------------------------------------- components
-    def layer_timing(self, rows: int, past_length: int) -> ProgramTiming:
-        """Timing of one decoder layer for the given step shape (cached)."""
-        key = (rows, past_length)
-        if key not in self._layer_cache:
-            program = self.compiler.compile_decoder_layer(rows, past_length)
-            self._layer_cache[key] = (program, self.scheduler.time_program(program))
-        return self._layer_cache[key][1]
-
-    def layer_program(self, rows: int, past_length: int) -> Program:
-        """Compiled decoder-layer program for the given step shape (cached)."""
-        self.layer_timing(rows, past_length)
-        return self._layer_cache[(rows, past_length)][0]
-
-    def embedding_timing(self, rows: int) -> ProgramTiming:
-        """Timing of the token-embedding program (cached per row count)."""
-        if rows not in self._embedding_cache:
-            program = self.compiler.compile_embedding(rows)
-            self._embedding_cache[rows] = (program, self.scheduler.time_program(program))
-        return self._embedding_cache[rows][1]
-
-    def lm_head_timing(self) -> ProgramTiming:
-        """Timing of the LM-head program (constant across steps)."""
-        if self._lm_head_cache is None:
-            program = self.compiler.compile_lm_head()
-            self._lm_head_cache = (program, self.scheduler.time_program(program))
-        return self._lm_head_cache[1]
-
-    def batched_layer_timing(self, batch: int, past_length: int) -> ProgramTiming:
-        """Timing of one decoder layer for a lockstep decode cohort (cached)."""
-        if batch == 1:
-            return self.layer_timing(1, past_length)
-        key = (batch, past_length)
-        if key not in self._batched_layer_cache:
-            program = self.compiler.compile_batched_decoder_step(batch, past_length)
-            self._batched_layer_cache[key] = (
-                program, self.scheduler.time_program(program)
-            )
-        return self._batched_layer_cache[key][1]
-
-    def batched_lm_head_timing(self, batch: int) -> ProgramTiming:
-        """Timing of the LM head scoring all cohort streams (cached)."""
-        if batch == 1:
-            return self.lm_head_timing()
-        if batch not in self._batched_lm_head_cache:
-            program = self.compiler.compile_batched_lm_head(batch)
-            self._batched_lm_head_cache[batch] = (
-                program, self.scheduler.time_program(program)
-            )
-        return self._batched_lm_head_cache[batch][1]
-
-    # -------------------------------------------------------------- token steps
-    def token_step(self, rows: int, past_length: int) -> TokenStepTiming:
-        """Timing of one full token step on this device.
-
-        A step is: token embedding, ``n_layer`` identical decoder layers
-        (timed once and scaled), and the LM head.
-        """
-        embedding = self.embedding_timing(rows)
-        layer = self.layer_timing(rows, past_length)
-        lm_head = self.lm_head_timing()
-        total = embedding.merged(layer.scaled(self.config.n_layer)).merged(lm_head)
-
-        layer_flops = self.layer_program(rows, past_length).total_flops()
-        embedding_program = self._embedding_cache[rows][0]
-        lm_head_program = self._lm_head_cache[0] if self._lm_head_cache else None
-        flops = (
-            embedding_program.total_flops()
-            + layer_flops * self.config.n_layer
-            + (lm_head_program.total_flops() if lm_head_program else 0.0)
-        )
-        return TokenStepTiming(
-            rows=rows, past_length=past_length, timing=total, flops_per_device=flops
-        )
-
-    def token_step_seconds(self, rows: int, past_length: int) -> float:
-        """Seconds for one token step, including the host hand-off overhead."""
-        step = self.token_step(rows, past_length)
-        return (
-            step.seconds(self.spec.kernel_frequency_hz)
-            + self.calibration.host_overhead_per_token_s
-        )
-
-    def batched_token_step(self, batch: int, past_length: int) -> TokenStepTiming:
-        """Timing of one lockstep cohort decode step (``batch`` streams).
+    def token_step(self, batch: int, past_length: int) -> TokenStepTiming:
+        """Timing of one lockstep token step of ``batch`` streams on this device.
 
         Every stream advances by one token: the embedding handles ``batch``
-        rows, each decoder layer multicasts its weight stream across the
-        cohort, and the LM head scores all last rows against one WTE pass.
-        ``batch == 1`` is exactly :meth:`token_step` with one row.
+        rows, the ``n_layer`` identical decoder layers (timed once and scaled)
+        stream their weights once and multicast them across the cohort, and
+        the LM head scores every stream's last row against one WTE pass.
+        ``batch == 1`` is the single-stream step.  Memoized per
+        ``(batch, past_length)``: returned timings are shared across calls
+        and must not be mutated by callers.
         """
-        if batch == 1:
-            return self.token_step(rows=1, past_length=past_length)
-        embedding = self.embedding_timing(batch)
-        layer = self.batched_layer_timing(batch, past_length)
-        lm_head = self.batched_lm_head_timing(batch)
-        total = embedding.merged(layer.scaled(self.config.n_layer)).merged(lm_head)
+        key = (batch, past_length)
+        step = self._steps.get(key)
+        if step is None:
+            step = self._steps[key] = self._time_step(batch, past_length)
+        return step
 
-        layer_program = self._batched_layer_cache[(batch, past_length)][0]
-        embedding_program = self._embedding_cache[batch][0]
-        lm_head_program = self._batched_lm_head_cache[batch][0]
+    def _time_step(self, batch: int, past_length: int) -> TokenStepTiming:
+        """Uncached token-step timing (see :meth:`token_step`)."""
+        embedding = self.compiler.compile_embedding(batch)
+        layer = self.compiler.compile_batched_decoder_step(batch, past_length)
+        lm_head = self.compiler.compile_batched_lm_head(batch)
+        time_program = self.scheduler.time_program
+        n_layer = self.config.n_layer
+        timing = time_program(embedding).merged(
+            time_program(layer).scaled(n_layer)
+        ).merged(time_program(lm_head))
         flops = (
-            embedding_program.total_flops()
-            + layer_program.total_flops() * self.config.n_layer
-            + lm_head_program.total_flops()
+            embedding.total_flops()
+            + layer.total_flops() * n_layer
+            + lm_head.total_flops()
         )
         return TokenStepTiming(
-            rows=batch, past_length=past_length, timing=total, flops_per_device=flops
-        )
-
-    def batched_token_step_seconds(self, batch: int, past_length: int) -> float:
-        """Seconds for one cohort step; one host hand-off covers all streams."""
-        step = self.batched_token_step(batch, past_length)
-        return (
-            step.seconds(self.spec.kernel_frequency_hz)
-            + self.calibration.host_overhead_per_token_s
+            batch=batch, past_length=past_length, timing=timing,
+            flops_per_device=flops,
         )

@@ -1,14 +1,9 @@
-"""FPGA hardware substrate: Alveo U280 spec, HBM/DDR/PCIe/Aurora channel
-models, resource estimation, SLR floorplanning, and power."""
+"""FPGA hardware substrate: Alveo U280 spec (capacities, bandwidths, board
+power), KV-cache sizing, the Aurora ring link, resource estimation, and SLR
+floorplanning."""
 
 from repro.fpga.u280 import DEFAULT_U280, ResourceBudget, U280Spec
-from repro.fpga.memory import (
-    DDRModel,
-    HBMModel,
-    PCIeModel,
-    kv_cache_bytes,
-    weights_fit_in_hbm,
-)
+from repro.fpga.memory import kv_cache_bytes
 from repro.fpga.aurora import AURORA_ENCODING_EFFICIENCY, AuroraLinkModel
 from repro.fpga.resources import (
     CORE_COMPONENTS,
@@ -21,17 +16,12 @@ from repro.fpga.resources import (
     mpu_dsp_count,
 )
 from repro.fpga.floorplan import FloorplanResult, SLRAssignment, plan_floorplan
-from repro.fpga.power import FPGAPowerModel
 
 __all__ = [
     "DEFAULT_U280",
     "ResourceBudget",
     "U280Spec",
-    "DDRModel",
-    "HBMModel",
-    "PCIeModel",
     "kv_cache_bytes",
-    "weights_fit_in_hbm",
     "AURORA_ENCODING_EFFICIENCY",
     "AuroraLinkModel",
     "CORE_COMPONENTS",
@@ -45,5 +35,4 @@ __all__ = [
     "FloorplanResult",
     "SLRAssignment",
     "plan_floorplan",
-    "FPGAPowerModel",
 ]

@@ -1,114 +1,15 @@
-"""Off-chip memory channel models: HBM, DDR, and PCIe transfer timing.
+"""Off-chip memory sizing: the Key/Value cache's HBM footprint.
 
-The DFX dataflow is dominated by streaming weight tiles from HBM: the DMA
-reads 32 channels x 512 bits per kernel cycle (2 KiB/cycle at 200 MHz, i.e.
-409.6 GB/s of the 460 GB/s theoretical peak).  DDR holds the infrequently
-accessed data (tokens, biases, WTE/WPE) and PCIe only carries the tiny host
-hand-off, so simple bandwidth/latency models suffice for both.
+The DFX dataflow streams weight tiles from HBM (32 channels x 512 bits per
+kernel cycle) and keeps each device's slice of the Key/Value cache there
+beside its weights.  The timing model prices the streams through
+``repro.core.calibration`` and the device capacity check lives in
+``repro.core.device``; this module sizes the cache they both read.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 from repro.errors import ConfigurationError
-from repro.fpga.u280 import DEFAULT_U280, U280Spec
-
-
-@dataclass(frozen=True)
-class HBMModel:
-    """High-bandwidth-memory streaming model.
-
-    Attributes:
-        spec: Device specification providing channel counts and clocks.
-        efficiency: Fraction of the per-cycle streaming peak actually achieved
-            (bank conflicts, refresh, AXI overheads).  Calibrated constant —
-            see ``repro.core.calibration``.
-        read_latency_cycles: Kernel-clock cycles from issuing a read burst to
-            first data (only charged once per transfer thanks to pipelining).
-    """
-
-    spec: U280Spec = DEFAULT_U280
-    efficiency: float = 0.82
-    read_latency_cycles: int = 64
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.efficiency <= 1.0:
-            raise ConfigurationError(
-                f"HBM efficiency must be in (0, 1], got {self.efficiency}"
-            )
-
-    @property
-    def bytes_per_cycle(self) -> float:
-        """Effective bytes delivered per kernel cycle."""
-        return self.spec.hbm_bytes_per_kernel_cycle * self.efficiency
-
-    @property
-    def effective_bandwidth(self) -> float:
-        """Effective bandwidth in bytes/s."""
-        return self.bytes_per_cycle * self.spec.kernel_frequency_hz
-
-    def stream_cycles(self, num_bytes: int, include_latency: bool = True) -> float:
-        """Kernel cycles needed to stream ``num_bytes`` from HBM."""
-        if num_bytes < 0:
-            raise ConfigurationError("num_bytes must be non-negative")
-        if num_bytes == 0:
-            return 0.0
-        cycles = num_bytes / self.bytes_per_cycle
-        if include_latency:
-            cycles += self.read_latency_cycles
-        return cycles
-
-
-@dataclass(frozen=True)
-class DDRModel:
-    """DDR4 channel model for tokens, biases, and embedding tables."""
-
-    spec: U280Spec = DEFAULT_U280
-    efficiency: float = 0.70
-    access_latency_cycles: int = 120
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.efficiency <= 1.0:
-            raise ConfigurationError(
-                f"DDR efficiency must be in (0, 1], got {self.efficiency}"
-            )
-
-    @property
-    def effective_bandwidth(self) -> float:
-        """Effective bandwidth in bytes/s."""
-        return self.spec.ddr_peak_bandwidth * self.efficiency
-
-    def transfer_cycles(self, num_bytes: int) -> float:
-        """Kernel cycles to move ``num_bytes`` to or from DDR."""
-        if num_bytes < 0:
-            raise ConfigurationError("num_bytes must be non-negative")
-        if num_bytes == 0:
-            return 0.0
-        seconds = num_bytes / self.effective_bandwidth
-        return seconds * self.spec.kernel_frequency_hz + self.access_latency_cycles
-
-
-@dataclass(frozen=True)
-class PCIeModel:
-    """PCIe Gen3 x16 host link; only carries the start/done handshake and tokens."""
-
-    spec: U280Spec = DEFAULT_U280
-    efficiency: float = 0.85
-    round_trip_latency_s: float = 5e-6
-
-    def transfer_seconds(self, num_bytes: int) -> float:
-        """Seconds to move ``num_bytes`` across PCIe including the round trip."""
-        if num_bytes < 0:
-            raise ConfigurationError("num_bytes must be non-negative")
-        bandwidth = self.spec.pcie_bandwidth * self.efficiency
-        return self.round_trip_latency_s + num_bytes / bandwidth
-
-
-def weights_fit_in_hbm(partition_weight_bytes: int, spec: U280Spec = DEFAULT_U280) -> bool:
-    """Whether a device's weight partition fits its HBM capacity."""
-    return partition_weight_bytes <= spec.hbm_capacity_bytes
 
 
 def kv_cache_bytes(

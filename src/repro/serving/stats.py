@@ -28,6 +28,8 @@ their reports bit for bit.
 
 from __future__ import annotations
 
+from math import isfinite
+
 import numpy as np
 
 from repro.errors import ConfigurationError
@@ -43,6 +45,11 @@ def _check_percentile(percentile: float) -> None:
         raise ConfigurationError(
             f"percentile must be in [0, 100], got {percentile}"
         )
+
+
+def _not_finite(value: float) -> ConfigurationError:
+    """The error both distributions raise for a NaN or infinite observation."""
+    return ConfigurationError(f"observation must be finite, got {value}")
 
 
 class ExactDistribution:
@@ -62,7 +69,9 @@ class ExactDistribution:
         self._sorted = np.empty(0)
 
     def add(self, value: float) -> None:
-        """Insert one observation."""
+        """Insert one finite observation."""
+        if not isfinite(value):
+            raise _not_finite(value)
         self._values.append(value)
 
     @property
@@ -128,7 +137,9 @@ class QuantileSketch:
         self._max = float("-inf")
 
     def add(self, value: float) -> None:
-        """Insert one observation."""
+        """Insert one finite observation."""
+        if not isfinite(value):
+            raise _not_finite(value)
         self._buffer.append(value)
         self.count += 1
         self.total += value

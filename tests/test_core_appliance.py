@@ -5,7 +5,7 @@ import pytest
 from repro.core.appliance import DFXAppliance
 from repro.core.calibration import IDEAL_CALIBRATION
 from repro.errors import ConfigurationError
-from repro.model.config import GPT2_1_5B, GPT2_345M
+from repro.model.config import GPT2_1_5B, GPT2_345M, GPT2_TEST_SMALL
 from repro.results import (
     DFX_BREAKDOWN_PHASES,
     PHASE_SELF_ATTENTION,
@@ -134,3 +134,24 @@ class TestBatchedRequestSeconds:
         over = Workload(GPT2_1_5B.n_positions, 1)
         with pytest.raises(ConfigurationError):
             dfx_1_5b_4dev.batched_request_seconds(over, batch=2)
+
+
+@pytest.mark.parametrize(
+    ("price", "field"),
+    [
+        (lambda a: a.batched_request_seconds(Workload(8, 4), 0), "batch"),
+        (lambda a: a.batched_request_seconds(Workload(8, 4), 2.5), "batch"),
+        (lambda a: a.batched_request_seconds(Workload(8, 4), True), "batch"),
+        (lambda a: a.per_token_generation_seconds(-1), "context_length"),
+        (lambda a: a.per_token_generation_seconds(10_000), "context_length"),
+        (lambda a: a.per_token_generation_seconds(2.5), "context_length"),
+    ],
+    ids=["batch-zero", "batch-fraction", "batch-bool", "context-negative",
+         "context-past-window", "context-fraction"],
+)
+def test_bad_step_shapes_rejected_at_the_timing_boundary(price, field):
+    appliance = DFXAppliance(GPT2_TEST_SMALL, num_devices=4, check_capacity=False)
+    with pytest.raises(ConfigurationError, match=f"^{field} must be an integer"):
+        price(appliance)
+    # A context that fills the whole window is still valid.
+    assert appliance.per_token_generation_seconds(GPT2_TEST_SMALL.n_positions) > 0

@@ -1,13 +1,15 @@
-"""Tests for the compute core, device capacity checks, and the cluster."""
+"""Tests for the compute core's token step, device capacity checks, and the
+appliance's device-count scaling."""
 
 import pytest
 
-from repro.core.cluster import DFXCluster
+from repro.core.appliance import DFXAppliance
 from repro.core.compute_core import ComputeCore
 from repro.core.device import FPGADevice
 from repro.errors import ResourceExhaustedError
 from repro.model.config import GPT2_1_5B, GPT2_345M
 from repro.parallel.partitioner import build_partition_plan
+from repro.workloads import Workload
 
 
 @pytest.fixture(scope="module")
@@ -17,19 +19,22 @@ def core_1_5b():
 
 
 class TestComputeCore:
-    def test_layer_timing_is_cached(self, core_1_5b):
-        first = core_1_5b.layer_timing(1, 10)
-        second = core_1_5b.layer_timing(1, 10)
+    def test_token_step_is_cached(self, core_1_5b):
+        first = core_1_5b.token_step(1, 10)
+        second = core_1_5b.token_step(1, 10)
         assert first is second
+        assert core_1_5b.token_step(2, 10) is not first
 
     def test_longer_context_costs_more(self, core_1_5b):
-        short = core_1_5b.layer_timing(1, 8).total_cycles
-        long = core_1_5b.layer_timing(1, 512).total_cycles
+        short = core_1_5b.token_step(1, 8).timing.total_cycles
+        long = core_1_5b.token_step(1, 512).timing.total_cycles
         assert long > short
 
     def test_token_step_includes_all_layers(self, core_1_5b):
         step = core_1_5b.token_step(1, 32)
-        layer = core_1_5b.layer_timing(1, 32)
+        layer = core_1_5b.scheduler.time_program(
+            core_1_5b.compiler.compile_decoder_layer(1, 32)
+        )
         assert step.timing.total_cycles > GPT2_1_5B.n_layer * 0.95 * layer.total_cycles
 
     def test_token_step_flops_match_partitioned_model_size(self, core_1_5b):
@@ -41,7 +46,9 @@ class TestComputeCore:
 
     def test_token_step_seconds_in_expected_range(self, core_1_5b):
         # Paper Fig. 14: ~6.9 ms per token on the 1.5B model with 4 FPGAs.
-        seconds = core_1_5b.token_step_seconds(1, 64)
+        seconds = core_1_5b.token_step(1, 64).seconds(
+            core_1_5b.spec.kernel_frequency_hz
+        ) + core_1_5b.calibration.host_overhead_per_token_s
         assert 0.004 < seconds < 0.010
 
 
@@ -69,55 +76,40 @@ class TestDeviceCapacity:
 
 
 class TestCluster:
-    def test_cluster_step_matches_representative_core(self):
-        cluster = DFXCluster(GPT2_345M, num_devices=2)
-        assert cluster.token_step(1, 16).timing.total_cycles == pytest.approx(
-            cluster.core.token_step(1, 16).timing.total_cycles
-        )
+    """The appliance's ring of devices: scaling with the device count."""
 
     def test_more_devices_reduce_step_time(self):
-        one = DFXCluster(GPT2_345M, num_devices=1).token_step_seconds(1, 64)
-        four = DFXCluster(GPT2_345M, num_devices=4).token_step_seconds(1, 64)
+        one = DFXAppliance(GPT2_345M, num_devices=1).per_token_generation_seconds(64)
+        four = DFXAppliance(GPT2_345M, num_devices=4).per_token_generation_seconds(64)
         assert four < one
         # ...but not perfectly linearly (sync + non-parallel vector work).
         assert four > one / 4
 
     def test_power_scales_with_devices(self):
-        assert DFXCluster(GPT2_345M, 4).total_power_watts() == pytest.approx(180.0)
-        assert DFXCluster(GPT2_345M, 1).total_power_watts() == pytest.approx(45.0)
+        workload = Workload(4, 1)
+        assert DFXAppliance(GPT2_345M, 4).run(workload).total_power_watts == (
+            pytest.approx(180.0)
+        )
+        assert DFXAppliance(GPT2_345M, 1).run(workload).total_power_watts == (
+            pytest.approx(45.0)
+        )
 
     def test_cluster_flops_scale_with_devices(self):
-        cluster = DFXCluster(GPT2_345M, num_devices=2)
-        per_device = cluster.token_step(1, 4).flops_per_device
-        assert cluster.cluster_flops_per_step(1, 4) == pytest.approx(2 * per_device)
+        appliance = DFXAppliance(GPT2_345M, num_devices=2)
+        per_device = appliance.device.core.token_step(1, 0).flops_per_device
+        assert appliance.run(Workload(1, 1)).flops == pytest.approx(2 * per_device)
 
 
 class TestBatchedTokenStep:
-    def test_batch_one_is_exactly_the_single_step(self, core_1_5b):
-        single = core_1_5b.token_step(rows=1, past_length=16)
-        batched = core_1_5b.batched_token_step(batch=1, past_length=16)
-        assert batched.timing.total_cycles == single.timing.total_cycles
-        assert batched.flops_per_device == single.flops_per_device
-
     def test_cohort_step_amortizes_the_weight_stream(self, core_1_5b):
-        single = core_1_5b.token_step(rows=1, past_length=16).timing.total_cycles
+        single = core_1_5b.token_step(1, 16).timing.total_cycles
         for batch in (2, 4, 8):
-            cohort = core_1_5b.batched_token_step(batch, 16).timing.total_cycles
+            cohort = core_1_5b.token_step(batch, 16).timing.total_cycles
             # One cohort step costs more than one stream's step but far less
             # than running the batch sequentially.
             assert single < cohort < batch * single
 
     def test_per_stream_kv_work_still_scales_with_batch(self, core_1_5b):
-        shallow = core_1_5b.batched_token_step(8, past_length=8)
-        deep = core_1_5b.batched_token_step(8, past_length=512)
+        shallow = core_1_5b.token_step(8, past_length=8)
+        deep = core_1_5b.token_step(8, past_length=512)
         assert deep.timing.total_cycles > shallow.timing.total_cycles
-
-    def test_cluster_delegates_batched_steps(self):
-        plan_config = GPT2_345M
-        cluster = DFXCluster(plan_config, num_devices=4)
-        step = cluster.batched_token_step(4, 16)
-        assert step.rows == 4
-        assert step.timing.total_cycles == (
-            cluster.core.batched_token_step(4, 16).timing.total_cycles
-        )
-        assert cluster.batched_token_step_seconds(4, 16) > 0

@@ -1,10 +1,9 @@
-"""Tests for the Aurora ring-link model and the FPGA power model."""
+"""Tests for the Aurora ring-link model."""
 
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.fpga.aurora import AURORA_ENCODING_EFFICIENCY, AuroraLinkModel
-from repro.fpga.power import FPGAPowerModel
 
 
 class TestAuroraLink:
@@ -45,28 +44,3 @@ class TestAuroraLink:
         with pytest.raises(ConfigurationError):
             AuroraLinkModel().ring_all_gather_seconds(1024, 0)
 
-
-class TestFPGAPower:
-    def test_full_load_matches_paper_measurement(self):
-        model = FPGAPowerModel()
-        assert model.board_power_watts(1.0) == pytest.approx(45.0)
-
-    def test_idle_power_is_static_only(self):
-        model = FPGAPowerModel()
-        assert model.board_power_watts(0.0) == pytest.approx(model.static_watts)
-
-    def test_appliance_power_scales_with_devices(self):
-        model = FPGAPowerModel()
-        assert model.appliance_power_watts(4) == pytest.approx(180.0)
-
-    def test_energy(self):
-        model = FPGAPowerModel()
-        assert model.energy_joules(2.0, 4) == pytest.approx(360.0)
-
-    def test_invalid_utilization_rejected(self):
-        with pytest.raises(ConfigurationError):
-            FPGAPowerModel().board_power_watts(1.5)
-
-    def test_invalid_device_count_rejected(self):
-        with pytest.raises(ConfigurationError):
-            FPGAPowerModel().appliance_power_watts(0)

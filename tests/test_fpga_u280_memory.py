@@ -1,18 +1,10 @@
-"""Tests for the U280 spec and the HBM/DDR/PCIe channel models."""
+"""Tests for the U280 spec and the KV-cache sizing helper."""
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.fpga.memory import (
-    DDRModel,
-    HBMModel,
-    PCIeModel,
-    kv_cache_bytes,
-    weights_fit_in_hbm,
-)
+from repro.fpga.memory import kv_cache_bytes
 from repro.fpga.u280 import DEFAULT_U280, ResourceBudget, U280Spec
-from repro.model.config import GPT2_1_5B
-from repro.parallel.partitioner import build_partition_plan
 
 
 class TestU280Spec:
@@ -51,50 +43,7 @@ class TestU280Spec:
             ResourceBudget(lut=-1, ff=0, bram_36k=0, uram=0, dsp=0)
 
 
-class TestHBMModel:
-    def test_effective_bandwidth_scales_with_efficiency(self):
-        full = HBMModel(efficiency=1.0)
-        half = HBMModel(efficiency=0.5)
-        assert half.effective_bandwidth == pytest.approx(full.effective_bandwidth / 2)
-
-    def test_stream_cycles_for_one_tile(self):
-        hbm = HBMModel(efficiency=1.0)
-        assert hbm.stream_cycles(2048, include_latency=False) == pytest.approx(1.0)
-
-    def test_stream_includes_read_latency_once(self):
-        hbm = HBMModel(efficiency=1.0, read_latency_cycles=64)
-        assert hbm.stream_cycles(2048) == pytest.approx(65.0)
-
-    def test_zero_bytes_is_free(self):
-        assert HBMModel().stream_cycles(0) == 0.0
-
-    def test_invalid_efficiency_rejected(self):
-        with pytest.raises(ConfigurationError):
-            HBMModel(efficiency=0.0)
-        with pytest.raises(ConfigurationError):
-            HBMModel(efficiency=1.2)
-
-
-class TestDDRAndPCIe:
-    def test_ddr_transfer_time_scales_with_bytes(self):
-        ddr = DDRModel()
-        assert ddr.transfer_cycles(2 * 10**6) > ddr.transfer_cycles(10**6)
-
-    def test_ddr_invalid_efficiency(self):
-        with pytest.raises(ConfigurationError):
-            DDRModel(efficiency=0)
-
-    def test_pcie_round_trip_floor(self):
-        pcie = PCIeModel()
-        assert pcie.transfer_seconds(0) == pytest.approx(pcie.round_trip_latency_s)
-        assert pcie.transfer_seconds(16_000_000) > pcie.transfer_seconds(0)
-
-
 class TestCapacityHelpers:
-    def test_1_5b_partition_fits_hbm_with_4_devices(self):
-        plan = build_partition_plan(GPT2_1_5B, 4)
-        assert weights_fit_in_hbm(plan.device_weight_bytes())
-
     def test_kv_cache_bytes_formula(self):
         # 48 layers x 6 local heads x 64 dims x 1024 tokens x 2 tensors x 2 B.
         expected = 48 * 2 * 6 * 1024 * 64 * 2

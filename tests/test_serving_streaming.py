@@ -33,7 +33,7 @@ from repro.serving import (
 )
 from repro.serving.calendar import CalendarQueue
 from repro.serving.requests import ServiceRequest
-from repro.serving.stats import DEFAULT_EPS, QuantileSketch
+from repro.serving.stats import DEFAULT_EPS, ExactDistribution, QuantileSketch
 from serving_doubles import FixedLatencyPlatform as _FixedLatencyPlatform
 from test_serving_properties import (
     SEEDS,
@@ -200,6 +200,25 @@ class TestQuantileSketch:
             QuantileSketch(0.5)
         with pytest.raises(ConfigurationError):
             QuantileSketch().query(101)
+
+
+@pytest.mark.parametrize("slot", [QuantileSketch, ExactDistribution])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_distribution_slots_reject_non_finite_observations(slot, bad):
+    distribution = slot()
+    distribution.add(1.0)
+    distribution.add(2.0)
+    with pytest.raises(ConfigurationError, match=f"finite, got {bad}"):
+        distribution.add(bad)
+    distribution.add(3.0)
+    # The rejected value left no trace: the slot answers as if fed 1, 2, 3.
+    clean = slot()
+    for value in (1.0, 2.0, 3.0):
+        clean.add(value)
+    assert distribution.count == clean.count == 3
+    assert distribution.mean == clean.mean == 2.0
+    assert distribution.query(99) == clean.query(99)
+    assert math.isfinite(distribution.query(99))
 
 
 # ------------------------------------------- streaming vs retained equivalence
