@@ -6,17 +6,18 @@ DSE engine answers: *which* configuration wins on latency x throughput x
 energy x cost for a given traffic mix?
 
 1. a factorial sweep over backend x scheduler x batch size, scored on four
-   objectives (p99 latency from a short serving-simulator run; aggregate
-   tokens/s, energy/token, and device cost analytically);
+   objectives (p99 latency from a short serving-simulator run — each
+   candidate served as one `ServingScenario`; aggregate tokens/s,
+   energy/token, and device cost analytically);
 2. the Pareto front of that sweep — the Sec. III-A asymmetry falls out:
    the unbatched DFX appliance owns the latency end, the batched GPU
    appliance owns the throughput end;
 3. the same space under the seeded evolutionary (NSGA-II-style) search,
    which finds the identical front while evaluating only a fraction of a
-   larger grid;
-4. the Fig. 8 tile-shape sweep re-expressed as a one-dimension factorial
-   slice of the same engine — same numbers as the legacy driver, but the
-   paper's (64, 16) choice is now read off a Pareto front.
+   larger grid.
+
+The paper's own tile-shape sweep (Fig. 8) is `run_figure8`
+(`python -m repro.cli experiment figure8`).
 
 Run with:  python examples/appliance_dse.py
 """
@@ -26,11 +27,9 @@ from __future__ import annotations
 from repro.analysis.reports import format_table
 from repro.dse import (
     ApplianceEvaluator,
-    TilingEvaluator,
     appliance_search_space,
     evolutionary_search,
     factorial_search,
-    figure8_search_space,
 )
 
 #: One short serving run per candidate: enough requests for a stable tail
@@ -88,21 +87,9 @@ def explore_evolutionary() -> None:
     print()
 
 
-def explore_figure8_slice() -> None:
-    print("== 4. Fig. 8 as a factorial slice of the same engine ==\n")
-    result = factorial_search(
-        figure8_search_space(), TilingEvaluator(config="1.5b", kv_length=64)
-    )
-    print_front(result.front)
-    best = result.front.best("mha_gflops")
-    print(f"\nthe paper's pick — the throughput end of the front: "
-          f"{best.candidate.key}")
-
-
 def main() -> None:
     explore_factorial()
     explore_evolutionary()
-    explore_figure8_slice()
 
 
 if __name__ == "__main__":

@@ -4,11 +4,11 @@ The paper positions DFX as a datacenter appliance (a 4U host carries two
 4-FPGA clusters, Sec. VI).  This example exercises the event-driven serving
 subsystem on the operator's real questions:
 
-1. **Scheduling policy** — the same two-class trace (interactive chat with a
-   6 s SLO and 30 s patience, plus best-effort article writing) replayed on
-   the 4U host under FIFO, shortest-job-first, priority-class, and
-   deadline-aware dispatch, with per-class tail latency, abandonment, and
-   SLO-violation rates.
+1. **Scheduling policy** — `run_scheduler_comparison`: the same two-class
+   trace (interactive chat with a 6 s SLO and 30 s patience, plus
+   best-effort article writing) replayed on the 4U host under FIFO,
+   shortest-job-first, priority-class, and deadline-aware dispatch, with
+   per-class tail latency, abandonment, and SLO-violation rates.
 2. **Fleet composition** — the full host (two DFX clusters) versus a
    heterogeneous fleet that drafts the rack's GPU appliance behind the same
    queue, with per-appliance utilization.
@@ -25,29 +25,33 @@ subsystem on the operator's real questions:
    extra SLO-compliant offered load each step of `max_batch_size` buys the
    GPU appliance.
 
-Every appliance below comes from the unified backend registry
-(`make_backend("dfx", ...)` / `make_backend("gpu", ...)`): the serving
-front ends (the fleet and its one-member `ApplianceServer`) and the
-capacity searches all consume the same `Backend` protocol.
+Every run below is one `ServingScenario` — who serves, what arrives — and
+each study varies one scenario along its own axis with
+`dataclasses.replace`.  Every appliance comes from the unified backend
+registry (`make_backend("dfx", ...)` / `make_backend("gpu", ...)`), so the
+fleets and the capacity searches all consume the same `Backend` protocol.
 
 Run with:  python examples/datacenter_serving.py
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro import GPT2_1_5B, make_backend
 from repro.analysis.reports import format_table
 from repro.analysis.experiments import (
     run_batch_capacity_sweep,
     run_batching_comparison,
+    run_scheduler_comparison,
     run_serving_capacity,
 )
 from repro.serving import (
-    ApplianceFleet,
-    ApplianceServer,
     ARTICLE_MIX,
     CHATBOT_MIX,
+    DATACENTER_MIX,
     FleetMember,
+    ServingScenario,
     merge_traces,
     poisson_trace,
     with_service_levels,
@@ -113,14 +117,13 @@ def main() -> None:
     dfx_platform = make_backend("dfx", config=GPT2_1_5B, devices=4)
     gpu_platform = make_backend("gpu", config=GPT2_1_5B, devices=4)
 
+    host = ServingScenario(
+        members=(FleetMember("dfx-x2", dfx_platform, 2),), requests=trace
+    )
+
     print("-- Scheduling policies on the 4U host (DFX, 2 clusters) --\n")
-    rows = [
-        policy_row(
-            policy,
-            ApplianceServer(dfx_platform, 2, "dfx-x2", scheduler=policy).serve(trace),
-        )
-        for policy in POLICIES
-    ]
+    comparison = run_scheduler_comparison(host, POLICIES)
+    rows = [policy_row(policy, report) for policy, report in comparison.reports.items()]
     print(format_table(
         ["policy", "served", "abandoned", "p95 chat (s)", "p95 batch (s)",
          "SLO viol %", "util %"],
@@ -130,15 +133,11 @@ def main() -> None:
           "latency and SLO violations drop while best-effort batch absorbs the wait.")
 
     print("\n-- Fleet composition under the same traffic (priority dispatch) --\n")
-    dfx_only = ApplianceServer(dfx_platform, 2, "dfx", scheduler="priority").serve(trace)
-    fleet = ApplianceFleet(
-        [
-            FleetMember("dfx", dfx_platform, num_clusters=2),
-            FleetMember("gpu", gpu_platform, num_clusters=1),
-        ],
-        scheduler="priority",
-    )
-    mixed = fleet.serve(trace)
+    dfx = FleetMember("dfx", dfx_platform, num_clusters=2)
+    gpu = FleetMember("gpu", gpu_platform, num_clusters=1)
+    by_priority = replace(host, scheduler="priority")
+    dfx_only = replace(by_priority, members=(dfx,)).run()
+    mixed = replace(by_priority, members=(dfx, gpu)).run()
     print(format_table(
         ["fleet", "served", "abandoned", "p95 chat (s)", "p95 batch (s)",
          "SLO viol %", "per-appliance util"],
@@ -150,12 +149,16 @@ def main() -> None:
           "slightly longer chat tail for the requests it serves itself.")
 
     print("\n-- Capacity under SLO: max offered load with p95 <= 8 s --\n")
-    capacity = run_serving_capacity(GPT2_1_5B, slo_s=8.0)
+    capacity = run_serving_capacity(
+        ServingScenario(duration_s=240.0, mix=DATACENTER_MIX, seed=5),
+        config=GPT2_1_5B,
+        slo_s=8.0,
+    )
     print(format_table(
         ["configuration", "max rate (req/s)", "max load (req/hour)"],
         [
             [label, plan.max_rate_per_s, plan.max_requests_per_hour]
-            for label, plan in capacity.plans.items()
+            for label, plan in capacity.items()
         ],
     ))
     print("\nThe second DFX cluster roughly doubles SLO-compliant capacity, and "
@@ -189,8 +192,10 @@ def main() -> None:
 
     print("\n-- Batch-aware capacity: max GPU load under a p95 SLO, per batch size --\n")
     sweep = run_batch_capacity_sweep(
-        "gpu", config=GPT2_1_5B, slo_s=30.0, batch_sizes=(1, 2, 4, 8),
-        batch_timeout_s=1.0,
+        ServingScenario(
+            members=(FleetMember("gpu", gpu_platform, 1),), duration_s=120.0, seed=7
+        ),
+        slo_s=30.0, batch_sizes=(1, 2, 4, 8), batch_timeout_s=1.0,
     )
     print(format_table(
         ["max batch size", "max rate (req/s)", "max load (req/hour)",

@@ -129,8 +129,6 @@ def section_dse() -> None:
         values = {name: round(value, 4)
                   for name, value in member.vector.as_dict().items()}
         print(f"  {member.candidate.key}: {values}")
-    fig8_dse = experiments.run_figure8_dse()
-    print("Fig. 8 slice front:", fig8_dse.front_points())
 
 
 #: Every report section: title -> renderer.  Order matches the paper.

@@ -36,12 +36,9 @@ from repro.analysis.experiments import (
     BatchCapacitySweepResult,
     BatchingComparisonResult,
     SchedulerComparisonResult,
-    ServingCapacityResult,
-    Figure8DSEResult,
     run_batch_capacity_sweep,
     run_batching_comparison,
     run_design_space_exploration,
-    run_figure8_dse,
     run_scheduler_comparison,
     run_serving_capacity,
 )
@@ -76,11 +73,8 @@ __all__ = [
     "experiments",
     "BatchCapacitySweepResult",
     "BatchingComparisonResult",
-    "Figure8DSEResult",
     "SchedulerComparisonResult",
-    "ServingCapacityResult",
     "run_design_space_exploration",
-    "run_figure8_dse",
     "run_batch_capacity_sweep",
     "run_batching_comparison",
     "run_scheduler_comparison",

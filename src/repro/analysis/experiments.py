@@ -5,12 +5,20 @@ and returns a structured result object.  The benchmark modules under
 ``benchmarks/`` and the examples call these drivers and print the same
 rows/series the paper reports; ``scripts/run_all_experiments.py`` prints the
 paper-vs-measured report for every driver.
+
+The serving studies (the datacenter case of Sec. III-A and Sec. VI) take a
+:class:`~repro.serving.ServingScenario` — one declared serving run — and
+vary it along their own axis with :func:`dataclasses.replace`: scheduling
+policy, fleet composition, fault seed, link cost, batch regime or batch
+size.  The scenario builds every fleet, rack star and synthetic trace, so
+a new study is a base scenario, a loop of ``replace`` calls, and a result
+class.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 from repro.analysis.breakdown import BreakdownReport, dfx_breakdown, gpu_breakdown
 from repro.analysis.cost import CostComparison, cost_comparison
@@ -29,7 +37,7 @@ from repro.analysis.workload_presets import (
     PRIMARY_SETUP,
     SCALABILITY_SETUP,
 )
-from repro.backends import Backend, make_backend
+from repro.backends import make_backend
 from repro.baselines.gpu import GPUAppliance
 from repro.errors import ConfigurationError
 from repro.baselines.tpu import TPUBaseline
@@ -43,27 +51,19 @@ from repro.model.datasets import paper_datasets
 from repro.model.gpt2 import GPT2Model
 from repro.model.numerics import FP16_DFX, FP16_GPU
 from repro.model.weights import generate_weights
-from repro.results import InferenceResult
 from repro.serving import (
     CHATBOT_MIX,
-    DATACENTER_MIX,
-    ApplianceFleet,
-    ApplianceServer,
     CapacityPlan,
     ContinuousBatching,
-    DegradedModePolicy,
     DynamicBatching,
     FaultSchedule,
     FleetMember,
     NetworkLink,
-    NetworkModel,
-    RetryPolicy,
     ServingReport,
+    ServingScenario,
     WorkloadMix,
     bursty_trace,
     capacity_search,
-    poisson_trace,
-    with_service_levels,
 )
 from repro.workloads import (
     BALANCED_64_64_WORKLOAD,
@@ -342,32 +342,10 @@ def run_table2(
 
 
 # ------------------------------------------------- Serving (datacenter study)
-def _serving_backend(
-    spec: str | Backend,
-    config: GPT2Config,
-    num_devices: int | None,
-) -> Backend:
-    """Resolve a serving driver's backend argument.
-
-    Registry names are built with the driver's model configuration and
-    device count (``num_devices=None`` keeps the factory's own device
-    default, so single-device backends like ``"tpu"`` resolve cleanly);
-    backend instances pass through (they already embed their
-    configuration).
-    """
-    if isinstance(spec, str):
-        kwargs = {"config": config}
-        if num_devices is not None:
-            kwargs["devices"] = num_devices
-        return make_backend(spec, **kwargs)
-    return make_backend(spec)
-
-
 @dataclass(frozen=True)
 class SchedulerComparisonResult:
     """One trace served under several scheduling policies on one appliance."""
 
-    trace_length: int
     reports: dict[str, ServingReport]  # policy name -> report
 
     @staticmethod
@@ -384,7 +362,7 @@ class SchedulerComparisonResult:
         if len(report.completed) != report.num_requests:
             raise ConfigurationError(
                 "the p95 over offered requests needs every completed record; "
-                "run the comparison with retain_records=True"
+                "run the comparison with streaming=False (retain_records=True)"
             )
         if report.num_offered == 0:
             return 0.0
@@ -406,127 +384,68 @@ class SchedulerComparisonResult:
 
 
 def run_scheduler_comparison(
-    platform: Backend | str | None = None,
-    *,
+    scenario: ServingScenario,
     policies: tuple[str, ...] = ("fifo", "sjf", "priority", "deadline"),
-    arrival_rate_per_s: float = 0.8,
-    duration_s: float = 300.0,
-    num_clusters: int = 2,
-    mix: WorkloadMix = DATACENTER_MIX,
-    seed: int = 11,
-    trace=None,
-    platform_name: str | None = None,
-    config: GPT2Config = GPT2_1_5B,
-    num_devices: int | None = None,
-    retain_records: bool = True,
 ) -> SchedulerComparisonResult:
-    """Serve one trace under each policy on one appliance (default: DFX 4U host).
+    """Serve one scenario under each scheduling policy.
 
-    ``platform`` may be a registered backend name (``"dfx"``, ``"gpu"``,
-    ``"tpu"``) or a :class:`~repro.backends.base.Backend`; names are built
-    with ``config`` and ``num_devices``
-    (``None`` keeps the backend factory's own device default).  Pass
-    ``trace`` directly to study classed traffic (priorities / SLOs /
-    patience); otherwise a Poisson trace over ``mix`` is generated.
-    ``retain_records=False`` streams every policy's report (flat memory on
-    long traces).
+    Every policy serves the identical trace (the scenario's ``requests``,
+    or its seeded synthetic arrivals); ``streaming=True`` streams every
+    policy's report (flat memory on long traces).
     """
-    if platform is None:
-        platform = _serving_backend("dfx", config, num_devices)
-        platform_name = platform_name or "dfx"
-    elif isinstance(platform, str):
-        # Resolve once so every policy serves the identical backend.
-        platform = _serving_backend(platform, config, num_devices)
-    if trace is None:
-        trace = poisson_trace(arrival_rate_per_s, duration_s, mix, seed=seed)
-    elif not hasattr(trace, "__len__"):
-        # The identical trace is served once per policy, so a lazy trace
-        # must be materialized here (it would be exhausted by the first).
-        trace = list(trace)
-    reports = {
-        policy: ApplianceServer(
-            platform,
-            num_clusters=num_clusters,
-            platform_name=platform_name,
-            scheduler=policy,
-            retain_records=retain_records,
-        ).serve(trace)
-        for policy in policies
-    }
-    return SchedulerComparisonResult(trace_length=len(trace), reports=reports)
-
-
-@dataclass(frozen=True)
-class ServingCapacityResult:
-    """Capacity planning: max sustainable rate under an SLO per configuration."""
-
-    slo_s: float
-    percentile: float
-    plans: dict[str, CapacityPlan]  # configuration label -> plan
-
-    def capacities_per_hour(self) -> dict[str, float]:
-        """Max offered load (requests/hour) meeting the SLO, per configuration."""
-        return {
-            label: plan.max_requests_per_hour for label, plan in self.plans.items()
+    return SchedulerComparisonResult(
+        reports={
+            policy: replace(scenario, scheduler=policy).run() for policy in policies
         }
+    )
 
 
 def run_serving_capacity(
-    config: GPT2Config = GPT2_1_5B,
+    scenario: ServingScenario,
     *,
+    config: GPT2Config = GPT2_1_5B,
+    num_devices: int = 4,
     slo_s: float = 8.0,
     percentile: float = 95.0,
-    num_devices: int = 4,
-    mix: WorkloadMix = DATACENTER_MIX,
-    trace_duration_s: float = 240.0,
-    seed: int = 5,
-    scheduler: str = "fifo",
-    retain_records: bool = True,
-) -> ServingCapacityResult:
+) -> dict[str, CapacityPlan]:
     """How much offered load each appliance configuration sustains under an SLO.
 
     Compares the GPU appliance, one DFX cluster, the full 4U host (two DFX
     clusters), and the heterogeneous fleet (both DFX clusters plus the GPU
     appliance behind one queue) — the capacity numbers the datacenter
-    operator actually provisions by.  Both appliances come from the
-    backend registry, so the whole study runs through the unified
-    :class:`~repro.backends.base.Backend` protocol.
+    operator actually provisions by.  Each configuration replaces the
+    scenario's members, and ``capacity_search`` probes the scenario's trace
+    at each offered rate; returns configuration label -> plan.
 
     The search reads only each probed report's tail percentile and
-    abandonment rate, so ``retain_records=False`` keeps every probe's
-    memory flat (percentiles then come from quantile sketches, within
-    their rank-error bound of the exact search).
+    abandonment rate, so ``streaming=True`` keeps every probe's memory
+    flat (percentiles then come from quantile sketches, within their
+    rank-error bound of the exact search).
     """
     dfx = make_backend("dfx", config=config, devices=num_devices)
     gpu = make_backend("gpu", config=config, devices=num_devices)
-
-    def trace_builder(rate: float):
-        return poisson_trace(rate, trace_duration_s, mix, seed=seed)
-
-    def server(backend: Backend, clusters: int, name: str) -> ApplianceServer:
-        return ApplianceServer(backend, clusters, name, scheduler=scheduler,
-                               retain_records=retain_records)
-
-    front_ends = {
-        "gpu-x1": server(gpu, 1, "gpu"),
-        "dfx-x1": server(dfx, 1, "dfx"),
-        "dfx-x2": server(dfx, 2, "dfx-x2"),
-        "dfx-x2+gpu": ApplianceFleet(
-            [
-                FleetMember("dfx", dfx, num_clusters=2),
-                FleetMember("gpu", gpu, num_clusters=1),
-            ],
-            scheduler=scheduler,
-            retain_records=retain_records,
-        ),
+    configurations = {
+        "gpu-x1": (FleetMember("gpu", gpu, 1),),
+        "dfx-x1": (FleetMember("dfx", dfx, 1),),
+        "dfx-x2": (FleetMember("dfx-x2", dfx, 2),),
+        "dfx-x2+gpu": (FleetMember("dfx", dfx, 2), FleetMember("gpu", gpu, 1)),
     }
-    plans = {
-        label: capacity_search(
-            front_end, trace_builder, slo_s, percentile=percentile
+    return {
+        label: _capacity_plan(
+            replace(scenario, members=members), slo_s, percentile=percentile
         )
-        for label, front_end in front_ends.items()
+        for label, members in configurations.items()
     }
-    return ServingCapacityResult(slo_s=slo_s, percentile=percentile, plans=plans)
+
+
+def _capacity_plan(scenario: ServingScenario, slo_s: float, **search) -> CapacityPlan:
+    """``capacity_search`` over the scenario's trace family, varying its rate."""
+    return capacity_search(
+        scenario.front_end(),
+        lambda rate: replace(scenario, rate_per_s=rate).trace(),
+        slo_s,
+        **search,
+    )
 
 
 # --------------------------------------------------- Serving (fault campaigns)
@@ -540,10 +459,6 @@ class FaultCampaignResult:
     average over seeds.
     """
 
-    policies: tuple[str, ...]
-    seeds: tuple[int, ...]
-    mtbf_s: float
-    mttr_s: float | None
     reports: dict[str, dict[int, ServingReport]]
 
     def _mean_over_seeds(self, metric) -> dict[str, float]:
@@ -561,14 +476,6 @@ class FaultCampaignResult:
         """Mean completed fraction of offered load, per policy."""
         return self._mean_over_seeds(lambda r: r.goodput_fraction)
 
-    def mean_failover_delay_s(self) -> dict[str, float]:
-        """Mean kill-to-restart latency of retried requests, per policy."""
-        return self._mean_over_seeds(lambda r: r.mean_failover_delay_s)
-
-    def mean_slo_violation_rate(self) -> dict[str, float]:
-        """Mean SLO-violation rate under failures, per policy."""
-        return self._mean_over_seeds(lambda r: r.slo_violation_rate)
-
     def total_retries(self) -> dict[str, int]:
         """Retries spent across all seeds, per policy."""
         return {
@@ -583,22 +490,11 @@ class FaultCampaignResult:
             for policy, by_seed in self.reports.items()
         }
 
-    def best_policy_by_goodput(self) -> str:
-        """Policy completing the largest offered fraction (ties: fewer SLO
-        violations, then faster failover)."""
-        goodput = self.mean_goodput()
-        violations = self.mean_slo_violation_rate()
-        failover = self.mean_failover_delay_s()
-        return min(
-            self.policies,
-            key=lambda p: (-goodput[p], violations[p], failover[p]),
-        )
-
     def summary_rows(self) -> list[tuple[str, float, float, float, int, int]]:
         """(policy, availability, goodput, failover_s, retries, failed) rows."""
         availability = self.mean_availability()
         goodput = self.mean_goodput()
-        failover = self.mean_failover_delay_s()
+        failover = self._mean_over_seeds(lambda r: r.mean_failover_delay_s)
         retries = self.total_retries()
         failed = self.total_failed()
         return [
@@ -610,86 +506,49 @@ class FaultCampaignResult:
                 retries[policy],
                 failed[policy],
             )
-            for policy in self.policies
+            for policy in self.reports
         ]
 
 
 def run_fault_campaign(
-    platform: Backend | str | None = None,
+    scenario: ServingScenario,
     *,
-    policies: tuple[str, ...] = ("fifo", "sjf", "priority", "deadline"),
-    seeds: tuple[int, ...] = (0, 1, 2),
-    arrival_rate_per_s: float = 0.6,
-    duration_s: float = 180.0,
     mtbf_s: float = 40.0,
     mttr_s: float | None = 15.0,
-    num_clusters: int | None = None,
-    mix: WorkloadMix = CHATBOT_MIX,
-    slo_s: float | None = None,
-    retry_policy: RetryPolicy | None = None,
-    degraded_mode: DegradedModePolicy | None = None,
-    platform_name: str | None = None,
-    config: GPT2Config = GPT2_1_5B,
-    num_devices: int | None = None,
-    retain_records: bool = True,
+    policies: tuple[str, ...] = ("fifo", "sjf", "priority", "deadline"),
+    seeds: tuple[int, ...] = (0, 1, 2),
 ) -> FaultCampaignResult:
     """Compare schedulers' failover quality across seeded fault campaigns.
 
-    For each seed, one Poisson trace and one Poisson MTBF/MTTR
-    :class:`~repro.serving.faults.FaultSchedule` are drawn (sharing the
-    seed, so the whole campaign is reproducible bit for bit), and every
-    policy serves the identical (trace, schedule) pair.  The default
-    platform is the ``"dfx-4u"`` preset — the paper's 4U host with two DFX
-    clusters, whose unit count flows from the backend's capabilities — so
-    single-unit outages degrade rather than silence the appliance.
-
-    ``slo_s`` tags every request with one response-time objective so the
-    SLO-violation-rate-under-failures column is populated; ``retry_policy``
-    defaults to three attempts with exponential backoff.
+    For each seed, the scenario's trace and one Poisson MTBF/MTTR
+    :class:`~repro.serving.faults.FaultSchedule` over its duration are
+    drawn with that seed (so the whole campaign is reproducible bit for
+    bit), and every policy serves the identical (trace, schedule) pair.
+    Serve the paper's 4U host (the ``"dfx-4u"`` preset, two DFX clusters)
+    so single-unit outages degrade rather than silence the appliance.  The
+    scenario's ``slo_s`` gives every report an SLO-violation rate under
+    failures, and its ``retry_policy`` handles killed requests.
     """
     if not policies:
         raise ConfigurationError("a fault campaign needs at least one policy")
     if not seeds:
         raise ConfigurationError("a fault campaign needs at least one seed")
-    if platform is None:
-        platform = _serving_backend("dfx-4u", config, num_devices)
-        platform_name = platform_name or "dfx-4u"
-    elif isinstance(platform, str):
-        # Resolve once so every policy and seed serves the identical backend.
-        platform = _serving_backend(platform, config, num_devices)
-    if retry_policy is None:
-        retry_policy = RetryPolicy()
-
-    scenarios = {}
-    for seed in seeds:
-        trace = poisson_trace(arrival_rate_per_s, duration_s, mix, seed=seed)
-        if slo_s is not None:
-            trace = with_service_levels(trace, slo_s=slo_s)
-        faults = FaultSchedule.poisson(mtbf_s, mttr_s, duration_s, seed=seed)
-        scenarios[seed] = (trace, faults)
-
-    reports: dict[str, dict[int, ServingReport]] = {}
-    for policy in policies:
-        by_seed: dict[int, ServingReport] = {}
-        for seed, (trace, faults) in scenarios.items():
-            server = ApplianceServer(
-                platform,
-                num_clusters=num_clusters,
-                platform_name=platform_name,
-                scheduler=policy,
-                faults=faults,
-                retry_policy=retry_policy,
-                degraded_mode=degraded_mode,
-                retain_records=retain_records,
-            )
-            by_seed[seed] = server.serve(trace)
-        reports[policy] = by_seed
+    campaigns = [
+        replace(
+            scenario,
+            seed=seed,
+            faults=FaultSchedule.poisson(mtbf_s, mttr_s, scenario.duration_s, seed=seed),
+        )
+        for seed in seeds
+    ]
     return FaultCampaignResult(
-        policies=tuple(policies),
-        seeds=tuple(seeds),
-        mtbf_s=mtbf_s,
-        mttr_s=mttr_s,
-        reports=reports,
+        reports={
+            policy: {
+                campaign.seed: replace(campaign, scheduler=policy).run()
+                for campaign in campaigns
+            }
+            for policy in policies
+        }
     )
 
 
@@ -704,26 +563,15 @@ class FleetTopologyResult:
     the network's doing.
     """
 
-    racks: int
-    appliances_per_rack: int
-    link: NetworkLink
     priced: ServingReport
     baseline: ServingReport
 
     @property
-    def cross_rack_p99_s(self) -> float:
-        """p99 response time of cross-rack-served requests under the network."""
-        return self.priced.cross_rack_response_percentile_s(99.0)
-
-    @property
-    def baseline_cross_rack_p99_s(self) -> float:
-        """Same members' p99 under the zero-cost network."""
-        return self.baseline.cross_rack_response_percentile_s(99.0)
-
-    @property
     def cross_rack_latency_tax_s(self) -> float:
         """How much the wire added to the cross-rack p99."""
-        return self.cross_rack_p99_s - self.baseline_cross_rack_p99_s
+        return self.priced.cross_rack_response_percentile_s(
+            99.0
+        ) - self.baseline.cross_rack_response_percentile_s(99.0)
 
     def summary_rows(self) -> list[tuple[str, float, float]]:
         """(metric, priced, zero-cost-baseline) rows for printing."""
@@ -735,8 +583,8 @@ class FleetTopologyResult:
             ),
             (
                 "cross-rack p99 (s)",
-                self.cross_rack_p99_s,
-                self.baseline_cross_rack_p99_s,
+                self.priced.cross_rack_response_percentile_s(99.0),
+                self.baseline.cross_rack_response_percentile_s(99.0),
             ),
             (
                 "mean transfer (s)",
@@ -751,75 +599,18 @@ class FleetTopologyResult:
         ]
 
 
-def run_fleet_topology_plan(
-    *,
-    racks: int = 2,
-    appliances_per_rack: int = 2,
-    backend: str | Backend = "dfx",
-    config: GPT2Config = GPT2_1_5B,
-    num_devices: int | None = None,
-    arrival_rate_per_s: float = 0.8,
-    duration_s: float = 180.0,
-    mix: WorkloadMix = DATACENTER_MIX,
-    seed: int = 7,
-    scheduler: str = "fifo",
-    link_latency_s: float = 0.05,
-    link_bandwidth_bytes_per_s: float | None = 1.25e9,
-    bytes_per_token: float = 4.0,
-    retain_records: bool = True,
-) -> FleetTopologyResult:
-    """Serve one region's traffic on ``racks`` × ``appliances_per_rack``.
+def run_fleet_topology_plan(scenario: ServingScenario) -> FleetTopologyResult:
+    """Serve one region's traffic on the scenario's racks, priced and free.
 
-    Builds a star topology — requests arrive at ``rack0`` and every other
-    rack hangs off it by one link with ``link_latency_s`` propagation delay
-    and ``link_bandwidth_bytes_per_s`` payload bandwidth (``None`` = free
-    serialization) — then serves the identical trace twice: once under
-    those link parameters and once under a zero-cost network.  The result's
+    Serves the scenario as declared — ``racks`` copies of its members on a
+    star behind ``rack0``, each off-ingress rack paying ``link`` — and
+    again under a zero-cost link.  The result's
     ``cross_rack_latency_tax_s`` is the wire's contribution to the
     off-rack p99, the number a region planner trades against rack count.
     """
-    if racks < 1:
-        raise ConfigurationError("a topology plan needs at least one rack")
-    if appliances_per_rack < 1:
-        raise ConfigurationError("appliances_per_rack must be positive")
-    if isinstance(backend, str):
-        backend = _serving_backend(backend, config, num_devices)
-    members = [
-        FleetMember(f"rack{rack}-host{host}", backend)
-        for rack in range(racks)
-        for host in range(appliances_per_rack)
-    ]
-    placement = {
-        f"rack{rack}": tuple(
-            f"rack{rack}-host{host}" for host in range(appliances_per_rack)
-        )
-        for rack in range(racks)
-    }
-    link = NetworkLink(
-        latency_s=link_latency_s,
-        bandwidth_bytes_per_s=link_bandwidth_bytes_per_s,
-    )
-    trace = poisson_trace(arrival_rate_per_s, duration_s, mix, seed=seed)
-    reports = {}
-    for label, topology_link in (("priced", link), ("baseline", NetworkLink())):
-        fleet = ApplianceFleet(
-            members,
-            scheduler=scheduler,
-            network=NetworkModel.star(
-                placement,
-                ingress="rack0",
-                link=topology_link,
-                bytes_per_token=bytes_per_token,
-            ),
-            retain_records=retain_records,
-        )
-        reports[label] = fleet.serve(trace)
     return FleetTopologyResult(
-        racks=racks,
-        appliances_per_rack=appliances_per_rack,
-        link=link,
-        priced=reports["priced"],
-        baseline=reports["baseline"],
+        priced=scenario.run(),
+        baseline=replace(scenario, link=NetworkLink()).run(),
     )
 
 
@@ -887,8 +678,6 @@ def run_batching_comparison(
     batch_timeout_s: float = 2.0,
     percentile: float = 99.0,
     seed: int = 13,
-    dfx_backend: str | Backend = "dfx",
-    gpu_backend: str | Backend = "gpu",
 ) -> BatchingComparisonResult:
     """Serve low-load Poisson and high-load bursty traces across batch regimes.
 
@@ -898,16 +687,30 @@ def run_batching_comparison(
     expected outcome is the paper's argument in numbers: DFX wins tail
     latency at low load (no batch to gather, faster per request), while
     the GPU fleet only reaches competitive throughput on the bursty trace
-    once dynamic batching amortizes its kernel overhead.
-
-    ``dfx_backend`` / ``gpu_backend`` name (or directly provide) the two
-    backends, so the same study runs against e.g. the functional-sim
-    runtime or a custom-registered platform; batch pricing flows through
-    the backend-generic :class:`~repro.serving.BackendBatchCostModel`.
+    once dynamic batching amortizes its kernel overhead.  Batch pricing
+    flows through the backend-generic
+    :class:`~repro.serving.BackendBatchCostModel`.
     """
-    dfx = _serving_backend(dfx_backend, config, num_devices)
-    gpu = _serving_backend(gpu_backend, config, num_devices)
-    low_trace = poisson_trace(low_rate_per_s, duration_s, mix, seed=seed)
+    dfx = FleetMember("dfx", make_backend("dfx", config=config, devices=num_devices), 1)
+    gpu = FleetMember("gpu", make_backend("gpu", config=config, devices=num_devices), 1)
+    batched_gpu = replace(gpu, max_batch_size=max_batch_size)
+    low_load = ServingScenario(
+        rate_per_s=low_rate_per_s, duration_s=duration_s, mix=mix, seed=seed
+    )
+    configurations = {
+        "dfx-unbatched": replace(low_load, members=(dfx,)),
+        "gpu-unbatched": replace(low_load, members=(gpu,)),
+        "gpu-dynamic": replace(
+            low_load,
+            members=(batched_gpu,),
+            batch_policy=DynamicBatching(max_batch_size, batch_timeout_s),
+        ),
+        "gpu-continuous": replace(
+            low_load,
+            members=(batched_gpu,),
+            batch_policy=ContinuousBatching(max_batch_size),
+        ),
+    }
     high_trace = bursty_trace(
         burst_rate_per_s,
         idle_rate_per_s,
@@ -917,23 +720,12 @@ def run_batching_comparison(
         mix=mix,
         seed=seed,
     )
-    servers = {
-        "dfx-unbatched": ApplianceServer(dfx, 1, "dfx"),
-        "gpu-unbatched": ApplianceServer(gpu, 1, "gpu"),
-        "gpu-dynamic": ApplianceServer(
-            gpu, 1, "gpu",
-            batch_policy=DynamicBatching(max_batch_size, batch_timeout_s),
-            max_batch_size=max_batch_size,
-        ),
-        "gpu-continuous": ApplianceServer(
-            gpu, 1, "gpu",
-            batch_policy=ContinuousBatching(max_batch_size),
-            max_batch_size=max_batch_size,
-        ),
-    }
     return BatchingComparisonResult(
-        low_load={label: server.serve(low_trace) for label, server in servers.items()},
-        high_load={label: server.serve(high_trace) for label, server in servers.items()},
+        low_load={label: s.run() for label, s in configurations.items()},
+        high_load={
+            label: replace(s, requests=high_trace).run()
+            for label, s in configurations.items()
+        },
         percentile=percentile,
     )
 
@@ -950,17 +742,7 @@ class BatchCapacitySweepResult:
     while the tail still meets the SLO?
     """
 
-    backend: str
-    slo_s: float
-    percentile: float
-    batch_timeout_s: float
     plans: dict[int, CapacityPlan]
-
-    def capacities_per_hour(self) -> dict[int, float]:
-        """Max offered load (requests/hour) meeting the SLO, per batch size."""
-        return {
-            size: plan.max_requests_per_hour for size, plan in self.plans.items()
-        }
 
     def best_batch_size(self) -> int:
         """The swept batch size sustaining the highest SLO-compliant rate.
@@ -995,63 +777,42 @@ class BatchCapacitySweepResult:
 
 
 def run_batch_capacity_sweep(
-    backend: str | Backend = "gpu",
+    scenario: ServingScenario,
     *,
-    config: GPT2Config = GPT2_1_5B,
-    num_devices: int = 4,
     batch_sizes: tuple[int, ...] = (1, 2, 4, 8),
     slo_s: float = 30.0,
     percentile: float = 95.0,
     batch_timeout_s: float = 1.0,
-    num_clusters: int = 1,
-    scheduler: str = "fifo",
-    mix: WorkloadMix = CHATBOT_MIX,
-    trace_duration_s: float = 120.0,
-    seed: int = 7,
     rate_bounds: tuple[float, float] = (0.05, 32.0),
 ) -> BatchCapacitySweepResult:
     """Sweep ``max_batch_size`` against a tail SLO via capacity search.
 
-    For each batch size the driver runs :func:`~repro.serving.capacity_search`
-    on one appliance under size-or-timeout dynamic batching (size 1 is the
-    unbatched baseline) on the same deterministic Poisson trace family,
-    producing the batch-aware capacity plan the ROADMAP's serving studies
-    call for.  ``backend`` is a registry name or a backend instance; it
-    must support batching for sizes above 1.
+    For each batch size, every scenario member ``m`` becomes
+    ``m-batch{size}`` at that capacity under size-or-timeout dynamic
+    batching (size 1 is the unbatched baseline), and
+    :func:`~repro.serving.capacity_search` probes the scenario's trace
+    family — the batch-aware capacity plan the ROADMAP's serving studies
+    call for.  The members' backends must support batching for sizes
+    above 1.
     """
     if not batch_sizes:
         raise ConfigurationError("batch_sizes must be non-empty")
     if any(size < 1 for size in batch_sizes):
         raise ConfigurationError("batch sizes must be >= 1")
-    resolved = _serving_backend(backend, config, num_devices)
-
-    def trace_builder(rate: float):
-        return poisson_trace(rate, trace_duration_s, mix, seed=seed)
-
     plans: dict[int, CapacityPlan] = {}
     for size in batch_sizes:
-        batch_policy = (
-            "none" if size == 1 else DynamicBatching(size, batch_timeout_s)
+        sized = replace(
+            scenario,
+            members=tuple(
+                replace(member, name=f"{member.name}-batch{size}", max_batch_size=size)
+                for member in scenario.members
+            ),
+            batch_policy="none" if size == 1 else DynamicBatching(size, batch_timeout_s),
         )
-        server = ApplianceServer(
-            resolved,
-            num_clusters,
-            f"{resolved.name}-batch{size}",
-            scheduler=scheduler,
-            batch_policy=batch_policy,
-            max_batch_size=size,
+        plans[size] = _capacity_plan(
+            sized, slo_s, percentile=percentile, rate_bounds=rate_bounds
         )
-        plans[size] = capacity_search(
-            server, trace_builder, slo_s, percentile=percentile,
-            rate_bounds=rate_bounds,
-        )
-    return BatchCapacitySweepResult(
-        backend=resolved.name,
-        slo_s=slo_s,
-        percentile=percentile,
-        batch_timeout_s=batch_timeout_s,
-        plans=plans,
-    )
+    return BatchCapacitySweepResult(plans=plans)
 
 
 # ------------------------------------------------------------------- Accuracy
@@ -1074,52 +835,6 @@ def run_accuracy_comparison(
 
 
 # ------------------------------------------------------------------------ DSE
-@dataclass(frozen=True)
-class Figure8DSEResult:
-    """Fig. 8 re-expressed as a factorial slice of the DSE engine.
-
-    ``exploration`` is the engine's full record; ``mha_gflops`` and
-    ``mpu_luts`` re-key the objective values by (d, l) tile point, matching
-    the legacy :class:`Figure8Result` vocabulary bit for bit.
-    """
-
-    exploration: "repro.dse.ExplorationResult"  # noqa: F821 - doc only
-
-    @property
-    def mha_gflops(self) -> dict[tuple[int, int], float]:
-        return {
-            entry.candidate["tile"]: entry.vector.value("mha_gflops")
-            for entry in self.exploration.evaluated
-        }
-
-    @property
-    def mpu_luts(self) -> dict[tuple[int, int], float]:
-        return {
-            entry.candidate["tile"]: entry.vector.value("mpu_lut")
-            for entry in self.exploration.evaluated
-        }
-
-    def front_points(self) -> list[tuple[int, int]]:
-        """The Pareto-optimal (d, l) tile shapes."""
-        return [member.candidate["tile"] for member in self.exploration.front]
-
-
-def run_figure8_dse(config: str = "1.5b", kv_length: int = 64) -> Figure8DSEResult:
-    """Fig. 8 through the general DSE engine (factorial over tile shapes).
-
-    Produces the exact numbers of :func:`run_figure8` — same
-    ``multi_head_attention_gflops`` and ``estimate_core_resources`` calls —
-    but as a two-objective Pareto exploration, so the paper's chosen
-    (64, 16) point can be read off the front instead of a hand-rolled
-    tolerance scan.
-    """
-    from repro.dse import TilingEvaluator, factorial_search, figure8_search_space
-
-    space = figure8_search_space()
-    evaluator = TilingEvaluator(config=config, kv_length=kv_length)
-    return Figure8DSEResult(exploration=factorial_search(space, evaluator))
-
-
 def run_design_space_exploration(
     *,
     mode: str = "evolutionary",

@@ -71,17 +71,12 @@ from repro.serving import (
     ARTICLE_MIX,
     CHATBOT_MIX,
     DATACENTER_MIX,
-    ApplianceFleet,
-    ApplianceServer,
     FaultSchedule,
     FleetMember,
     NetworkLink,
-    NetworkModel,
     RetryPolicy,
     ServingReport,
-    bursty_trace,
-    diurnal_trace,
-    poisson_trace,
+    ServingScenario,
     replay_trace,
 )
 from repro.serving.batching import BATCH_POLICIES
@@ -350,70 +345,16 @@ def _print_serving_report(report: ServingReport, *, faults: bool = False) -> Non
 
 
 def _command_serve(args: argparse.Namespace) -> int:
+    if args.mttr_s is not None and args.mtbf_s is None:
+        print("error: --mttr-s requires --mtbf-s", file=sys.stderr)
+        return 2
     backend_kwargs = {"config": from_preset(args.model)}
     if args.devices is not None:
         backend_kwargs["devices"] = args.devices
     backend = make_backend(args.backend, **backend_kwargs)
 
-    if args.trace is not None:
-        trace = replay_trace(args.trace)
-        source = args.trace
-    else:
-        mix = SERVE_MIXES[args.mix]
-        builders = {
-            "poisson": lambda: poisson_trace(
-                args.rate, args.duration, mix, seed=args.seed,
-                limit=args.limit, lazy=args.streaming,
-            ),
-            "bursty": lambda: bursty_trace(
-                args.rate, 0.0, args.duration, mix=mix, seed=args.seed,
-                limit=args.limit, lazy=args.streaming,
-            ),
-            "diurnal": lambda: diurnal_trace(
-                args.rate, args.duration, period_s=args.period_s, mix=mix,
-                seed=args.seed, limit=args.limit, lazy=args.streaming,
-            ),
-        }
-        trace = builders[args.arrivals]()
-        cap = f", limit={args.limit}" if args.limit is not None else ""
-        source = (f"{args.arrivals}(rate={args.rate}/s, "
-                  f"duration={args.duration}s, mix={args.mix}, "
-                  f"seed={args.seed}{cap})")
-    if args.slo_s is not None or args.patience_s is not None:
-        # Override only the fields the user passed — a replayed log's own
-        # priorities, service classes, and the other service levels stay.
-        overrides = {}
-        if args.slo_s is not None:
-            overrides["slo_s"] = args.slo_s
-        if args.patience_s is not None:
-            overrides["patience_s"] = args.patience_s
-        tagged = (dataclasses.replace(request, **overrides) for request in trace)
-        trace = list(tagged) if hasattr(trace, "__len__") else tagged
-    if hasattr(trace, "__len__"):
-        print(f"serving {len(trace)} requests from {source}")
-    else:
-        print(f"serving a streamed trace from {source}")
-
-    faults = None
-    retry_policy = None
-    if args.mttr_s is not None and args.mtbf_s is None:
-        print("error: --mttr-s requires --mtbf-s", file=sys.stderr)
-        return 2
-    if args.mtbf_s is not None:
-        # Fault horizon: the synthetic duration, or just past the last
-        # recorded arrival for a replayed log.
-        if args.trace is not None:
-            horizon = (trace[-1].arrival_time_s + 1.0) if trace else 1.0
-        else:
-            horizon = args.duration
-        faults = FaultSchedule.poisson(
-            args.mtbf_s, args.mttr_s, horizon, seed=args.fault_seed
-        )
-        retry_policy = RetryPolicy(max_attempts=args.retry_max)
-        repair = f"mttr={args.mttr_s}s" if args.mttr_s else "fail-stop"
-        print(f"faults: poisson(mtbf={args.mtbf_s}s, {repair}, "
-              f"seed={args.fault_seed}), retry_max={args.retry_max}")
-
+    racks = None
+    members = (FleetMember(backend.name, backend, args.clusters, args.max_batch_size),)
     if args.topology is not None:
         try:
             racks_text, _, per_rack_text = args.topology.lower().partition("x")
@@ -424,52 +365,66 @@ def _command_serve(args: argparse.Namespace) -> int:
             print(f"error: --topology must be RxM with positive integers "
                   f"(e.g. 2x2), got {args.topology!r}", file=sys.stderr)
             return 2
-        bandwidth = args.link_gbps * 1e9 / 8.0 if args.link_gbps > 0 else None
-        members = [
-            FleetMember(f"rack{rack}-host{host}", backend)
-            for rack in range(racks)
-            for host in range(per_rack)
-        ]
-        network = NetworkModel.star(
-            {
-                f"rack{rack}": tuple(
-                    f"rack{rack}-host{host}" for host in range(per_rack)
-                )
-                for rack in range(racks)
-            },
-            ingress="rack0",
-            link=NetworkLink(
-                latency_s=args.link_latency_s,
-                bandwidth_bytes_per_s=bandwidth,
+        members = tuple(FleetMember(f"host{host}", backend) for host in range(per_rack))
+    bandwidth = args.link_gbps * 1e9 / 8.0 if args.link_gbps > 0 else None
+    scenario = ServingScenario(
+        members=members,
+        scheduler=args.scheduler,
+        batch_policy=args.batch_policy,
+        racks=racks,
+        link=NetworkLink(latency_s=args.link_latency_s, bandwidth_bytes_per_s=bandwidth),
+        arrivals=args.arrivals,
+        rate_per_s=args.rate,
+        duration_s=args.duration,
+        period_s=args.period_s,
+        mix=SERVE_MIXES[args.mix],
+        seed=args.seed,
+        limit=args.limit,
+        requests=replay_trace(args.trace) if args.trace is not None else None,
+        slo_s=args.slo_s,
+        patience_s=args.patience_s,
+        streaming=args.streaming,
+    )
+
+    trace = scenario.trace()
+    if args.trace is not None:
+        source = args.trace
+    else:
+        cap = f", limit={args.limit}" if args.limit is not None else ""
+        source = (f"{args.arrivals}(rate={args.rate}/s, "
+                  f"duration={args.duration}s, mix={args.mix}, "
+                  f"seed={args.seed}{cap})")
+    if hasattr(trace, "__len__"):
+        print(f"serving {len(trace)} requests from {source}")
+    else:
+        print(f"serving a streamed trace from {source}")
+
+    if args.mtbf_s is not None:
+        # Fault horizon: the synthetic duration, or just past the last
+        # recorded arrival for a replayed log.
+        if args.trace is not None:
+            horizon = (trace[-1].arrival_time_s + 1.0) if trace else 1.0
+        else:
+            horizon = args.duration
+        scenario = dataclasses.replace(
+            scenario,
+            faults=FaultSchedule.poisson(
+                args.mtbf_s, args.mttr_s, horizon, seed=args.fault_seed
             ),
+            retry_policy=RetryPolicy(max_attempts=args.retry_max),
         )
+        repair = f"mttr={args.mttr_s}s" if args.mttr_s else "fail-stop"
+        print(f"faults: poisson(mtbf={args.mtbf_s}s, {repair}, "
+              f"seed={args.fault_seed}), retry_max={args.retry_max}")
+    if racks is not None:
         bandwidth_text = (
             f"{args.link_gbps}Gbps" if bandwidth is not None else "free"
         )
         print(f"topology: {racks} rack(s) x {per_rack} appliance(s), "
               f"ingress=rack0, link latency={args.link_latency_s}s, "
               f"bandwidth={bandwidth_text}")
-        front_end = ApplianceFleet(
-            members,
-            scheduler=args.scheduler,
-            batch_policy=args.batch_policy,
-            faults=faults,
-            retry_policy=retry_policy,
-            network=network,
-            retain_records=not args.streaming,
-        )
-    else:
-        front_end = ApplianceServer(
-            backend,
-            num_clusters=args.clusters,
-            scheduler=args.scheduler,
-            batch_policy=args.batch_policy,
-            max_batch_size=args.max_batch_size,
-            faults=faults,
-            retry_policy=retry_policy,
-            retain_records=not args.streaming,
-        )
-    _print_serving_report(front_end.serve(trace), faults=faults is not None)
+    report = scenario.front_end().serve(trace)
+    _print_serving_report(report, faults=scenario.faults is not None)
     return 0
 
 

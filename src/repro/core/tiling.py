@@ -20,12 +20,8 @@ import math
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
+from repro.fpga.resources import TILE_DESIGN_POINTS
 from repro.model.config import GPT2Config
-
-#: Design points explored in Fig. 8 (constant d*l = 1024 MACs).
-TILE_DESIGN_POINTS: tuple[tuple[int, int], ...] = (
-    (8, 128), (16, 64), (32, 32), (64, 16), (128, 8),
-)
 
 #: The tile shape DFX standardizes on.
 DEFAULT_TILE = (64, 16)

@@ -3,7 +3,7 @@
 The subsystem answers ROADMAP open item 3: given the Backend registry —
 where every candidate appliance is one ``make_backend`` call — which
 configuration (backend, devices, scheduler, batch policy, fleet mix, rack
-count, tile shape) wins on latency x throughput x energy x cost?
+count) wins on latency x throughput x energy x cost?
 
 Layers, bottom up:
 
@@ -19,9 +19,12 @@ Layers, bottom up:
   (``--jobs N`` bit-identical to serial; JSON persistence per candidate).
 * :mod:`repro.dse.engine` — the search loop and the
   :func:`factorial_search` / :func:`evolutionary_search` entry points.
-* :mod:`repro.dse.appliance` / :mod:`repro.dse.figure8` — the two built-in
-  evaluators: the four-objective appliance scorer and the Fig. 8 tile
-  sweep re-expressed as a factorial slice.
+* :mod:`repro.dse.appliance` — the built-in four-objective appliance
+  evaluator; its tail-latency axis serves each candidate as one
+  :class:`~repro.serving.ServingScenario`.
+
+The paper's own tile-shape exploration (Fig. 8) has one path,
+:func:`repro.analysis.experiments.run_figure8`.
 """
 
 from repro.dse.appliance import (
@@ -34,11 +37,6 @@ from repro.dse.engine import (
     evolutionary_search,
     factorial_search,
     run_search,
-)
-from repro.dse.figure8 import (
-    FIGURE8_OBJECTIVES,
-    TilingEvaluator,
-    figure8_search_space,
 )
 from repro.dse.generators import (
     CandidateGenerator,
@@ -68,7 +66,6 @@ __all__ = [
     "KEY_SEPARATOR",
     "SENSES",
     "DEVICE_UNIT_PRICE_USD",
-    "FIGURE8_OBJECTIVES",
     "Candidate",
     "CandidateGenerator",
     "Dimension",
@@ -84,7 +81,6 @@ __all__ = [
     "ParetoFront",
     "SearchSpace",
     "ApplianceEvaluator",
-    "TilingEvaluator",
     "appliance_search_space",
     "candidate_seed",
     "check_vector",
@@ -92,7 +88,6 @@ __all__ = [
     "evolutionary_search",
     "factorial_search",
     "feasible_only",
-    "figure8_search_space",
     "non_dominated_sort",
     "pareto_front",
     "result_filename",

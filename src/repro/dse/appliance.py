@@ -5,10 +5,11 @@ into an objective vector over the production question ROADMAP open item 3
 poses — which appliance configuration wins on latency x throughput x
 energy x cost for a given traffic mix:
 
-* **tail latency** (min) — a short, seeded serving-simulator run (an
-  ``ApplianceFleet`` of the candidate's instances, replicated per rack on
-  a star topology when the candidate spans racks) measuring the p99
-  response time under a Poisson arrival trace;
+* **tail latency** (min) — a short, seeded serving-simulator run (one
+  :class:`~repro.serving.scenario.ServingScenario` whose members are the
+  candidate's instances, replicated per rack on a zero-cost star when the
+  candidate spans racks) measuring the p99 response time under a Poisson
+  arrival trace;
 * **aggregate tokens/s** (max) — analytic, from ``estimate`` /
   ``batched_estimate``: units x tokens per batch / batch latency, summed
   across instances and racks;
@@ -55,7 +56,10 @@ from repro.dse.objectives import Objective, ObjectiveVector
 from repro.dse.pool import candidate_seed
 from repro.dse.space import Candidate, Dimension, SearchSpace
 from repro.errors import ConfigurationError
-from repro.serving.requests import CHATBOT_MIX, WorkloadMix, poisson_trace
+from repro.serving.network import NetworkLink
+from repro.serving.requests import CHATBOT_MIX, WorkloadMix
+from repro.serving.scenario import ServingScenario
+from repro.serving.server import FleetMember
 from repro.workloads import BALANCED_64_64_WORKLOAD, Workload
 
 #: Accelerator unit price per backend registry name (USD), from the
@@ -262,40 +266,21 @@ class ApplianceEvaluator:
         batch: int,
         racks: int,
     ) -> float:
-        from repro.serving.network import NetworkModel
-        from repro.serving.server import ApplianceFleet, FleetMember
-
-        batch_policy = "dynamic" if batch > 1 else "none"
-        trace = poisson_trace(
-            self.arrival_rate_per_s,
-            self.serving_duration_s,
-            self.mix,
+        scenario = ServingScenario(
+            members=tuple(
+                FleetMember(instance.backend_name, instance.backend, instance.units, batch)
+                for instance in instances
+            ),
+            scheduler=scheduler,
+            batch_policy="dynamic" if batch > 1 else "none",
+            racks=racks if racks > 1 else None,
+            link=NetworkLink(),
+            rate_per_s=self.arrival_rate_per_s,
+            duration_s=self.serving_duration_s,
+            mix=self.mix,
             seed=candidate_seed(self.seed, candidate.key),
         )
-        members = []
-        placement: dict[str, list[str]] = {}
-        for rack in range(racks):
-            rack_name = f"rack{rack}"
-            placement[rack_name] = []
-            for instance in instances:
-                member_name = f"{rack_name}-{instance.backend_name}"
-                members.append(
-                    FleetMember(
-                        name=member_name,
-                        platform=instance.backend,
-                        num_clusters=instance.units,
-                        max_batch_size=batch,
-                    )
-                )
-                placement[rack_name].append(member_name)
-        network = NetworkModel.star(placement) if racks > 1 else None
-        fleet = ApplianceFleet(
-            members,
-            scheduler=scheduler,
-            batch_policy=batch_policy,
-            network=network,
-        )
-        report = fleet.serve(trace)
+        report = scenario.run()
         if report.num_requests == 0:
             raise ConfigurationError(
                 "the serving trace produced no requests; raise "

@@ -32,6 +32,11 @@ Layout (see the module docstrings for details):
 * ``network``    — rack/link topology over fleet members: ``NetworkModel``
   prices prompt-ingress plus token-egress transfer into every off-rack
   dispatch, and named links are fault targets (``Outage(link=...)``).
+* ``scenario``   — ``ServingScenario``, one serving run declared as a frozen
+  value (members, racks, arrivals, service levels, faults).  It is the one
+  place that builds a fleet, a rack star or a synthetic trace for
+  ``cli serve``, the study drivers and the DSE evaluator; a study varies
+  one scenario with ``dataclasses.replace``.
 """
 
 from repro.serving.batching import (
@@ -87,6 +92,7 @@ from repro.serving.server import (
     capacity_search,
 )
 from repro.serving.network import NetworkLink, NetworkModel
+from repro.serving.scenario import ServingScenario
 from repro.serving.schedulers import (
     SCHEDULERS,
     DeadlineScheduler,
@@ -145,6 +151,7 @@ __all__ = [
     "capacity_search",
     "NetworkLink",
     "NetworkModel",
+    "ServingScenario",
     "SCHEDULERS",
     "DeadlineScheduler",
     "FIFOScheduler",

@@ -172,9 +172,25 @@ DATACENTER_MIX = WorkloadMix(
 )
 
 
+def _check_finite(
+    name: str, value: float, low: float = -math.inf, *, inclusive: bool = False
+) -> None:
+    """Raise naming ``name`` unless ``value`` is finite and above ``low``
+    (at or above it when ``inclusive``).
+
+    Written so that NaN fails (NaN compares false with everything); a NaN
+    or infinite trace argument would otherwise hang a builder or return a
+    silently empty trace.
+    """
+    above = low <= value if inclusive else low < value
+    if not (above and value < math.inf):
+        bound = "" if low == -math.inf else f" and {'>=' if inclusive else '>'} {low}"
+        raise ConfigurationError(f"{name} must be finite{bound}, got {value}")
+
+
 def _check_limit(limit: int | None) -> None:
-    if limit is not None and limit <= 0:
-        raise ConfigurationError("limit must be positive when given")
+    if limit is not None:
+        _check_finite("limit", limit, 0)
 
 
 def poisson_trace(
@@ -202,10 +218,8 @@ def poisson_trace(
     Returns:
         Requests sorted by arrival time, all arriving within ``duration_s``.
     """
-    if arrival_rate_per_s <= 0:
-        raise ConfigurationError("arrival_rate_per_s must be positive")
-    if duration_s <= 0:
-        raise ConfigurationError("duration_s must be positive")
+    _check_finite("arrival_rate_per_s", arrival_rate_per_s, 0)
+    _check_finite("duration_s", duration_s, 0)
     _check_limit(limit)
 
     def generate() -> Iterator[ServiceRequest]:
@@ -240,12 +254,9 @@ def constant_trace(
     list (``num_requests`` already bounds the trace, so there is no
     separate ``limit``).
     """
-    if interarrival_s < 0:
-        raise ConfigurationError("interarrival_s must be non-negative")
-    if num_requests <= 0:
-        raise ConfigurationError("num_requests must be positive")
-    if start_time_s < 0:
-        raise ConfigurationError("start_time_s must be non-negative")
+    _check_finite("interarrival_s", interarrival_s, 0, inclusive=True)
+    _check_finite("num_requests", num_requests, 0)
+    _check_finite("start_time_s", start_time_s, 0, inclusive=True)
     requests = (
         ServiceRequest(
             request_id=i,
@@ -297,18 +308,15 @@ def bursty_trace(
         compatible with :func:`with_service_levels` and :func:`merge_traces`
         like every other trace builder.
     """
-    if burst_rate_per_s <= 0:
-        raise ConfigurationError("burst_rate_per_s must be positive")
-    if idle_rate_per_s < 0:
-        raise ConfigurationError("idle_rate_per_s must be non-negative")
+    _check_finite("burst_rate_per_s", burst_rate_per_s, 0)
+    _check_finite("idle_rate_per_s", idle_rate_per_s, 0, inclusive=True)
     if burst_rate_per_s <= idle_rate_per_s:
         raise ConfigurationError(
             "burst_rate_per_s must exceed idle_rate_per_s (on-off separation)"
         )
-    if duration_s <= 0:
-        raise ConfigurationError("duration_s must be positive")
-    if mean_burst_s <= 0 or mean_idle_s <= 0:
-        raise ConfigurationError("phase lengths must be positive")
+    _check_finite("duration_s", duration_s, 0)
+    _check_finite("mean_burst_s", mean_burst_s, 0)
+    _check_finite("mean_idle_s", mean_idle_s, 0)
     _check_limit(limit)
 
     def generate() -> Iterator[ServiceRequest]:
@@ -383,20 +391,17 @@ def diurnal_trace(
         compatible with :func:`with_service_levels` and :func:`merge_traces`
         like every other trace builder.
     """
-    if peak_rate_per_s <= 0:
-        raise ConfigurationError("peak_rate_per_s must be positive")
+    _check_finite("peak_rate_per_s", peak_rate_per_s, 0)
     if trough_rate_per_s is None:
         trough_rate_per_s = peak_rate_per_s / 10.0
-    if trough_rate_per_s < 0:
-        raise ConfigurationError("trough_rate_per_s must be non-negative")
+    _check_finite("trough_rate_per_s", trough_rate_per_s, 0, inclusive=True)
     if trough_rate_per_s > peak_rate_per_s:
         raise ConfigurationError(
             "trough_rate_per_s must not exceed peak_rate_per_s"
         )
-    if duration_s <= 0:
-        raise ConfigurationError("duration_s must be positive")
-    if period_s <= 0:
-        raise ConfigurationError("period_s must be positive")
+    _check_finite("duration_s", duration_s, 0)
+    _check_finite("period_s", period_s, 0)
+    _check_finite("phase_s", phase_s)
     _check_limit(limit)
 
     def rate_at(time_s: float) -> float:

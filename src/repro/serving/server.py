@@ -31,7 +31,7 @@ harness compares serving capacity across every platform the registry knows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -722,19 +722,21 @@ class FleetMember:
     ``FleetMember("host0", "dfx-4u")`` spell their shape by name.
     ``max_batch_size`` > 1 marks the member's clusters batch-capable; the
     resolved backend's capabilities must then support batching.
+    ``max_batch_size=None`` takes the fleet's batch policy's own size, so
+    a ``"dynamic"`` fleet batches without extra plumbing.
     """
 
     name: str
     platform: Backend | str
     num_clusters: int | None = None
-    max_batch_size: int = 1
+    max_batch_size: int | None = 1
 
     def __post_init__(self) -> None:
         if not self.name:
             raise ConfigurationError("fleet member needs a non-empty name")
         if self.num_clusters is not None and self.num_clusters <= 0:
             raise ConfigurationError("num_clusters must be positive")
-        if self.max_batch_size < 1:
+        if self.max_batch_size is not None and self.max_batch_size < 1:
             raise ConfigurationError("max_batch_size must be >= 1")
 
 
@@ -805,7 +807,16 @@ class ApplianceFleet:
                     f"fleet members: {names}"
                 )
         self.network = network
-        self.members = tuple(members)
+        # Resolved once so an unset member capacity always matches the
+        # policy that will run (a "dynamic" policy on capacity-1 units would
+        # otherwise silently serve unbatched while the report claims
+        # batching ran).
+        batch_policy = make_batch_policy(batch_policy)
+        self.members = tuple(
+            member if member.max_batch_size is not None
+            else replace(member, max_batch_size=batch_policy.max_batch_size)
+            for member in members
+        )
         self.scheduler = scheduler
         self.batch_policy = batch_policy
         self.name = name or "+".join(names)
@@ -916,8 +927,8 @@ class ApplianceServer(ApplianceFleet):
     (``capabilities().num_units``), so presets like ``"dfx-4u"`` spell the
     appliance shape by name.
 
-    ``max_batch_size`` is the per-cluster capacity and defaults to the batch
-    policy's own batch size, so ``ApplianceServer(gpu,
+    ``max_batch_size`` is the per-cluster capacity and defaults (``None``)
+    to the batch policy's own batch size, so ``ApplianceServer(gpu,
     batch_policy="dynamic")`` batches without extra plumbing (pass an
     explicit ``max_batch_size`` to cap it — capping to 1 forces the
     singleton passthrough even under a batching policy).  A capacity above 1
@@ -935,13 +946,6 @@ class ApplianceServer(ApplianceFleet):
                  degraded_mode=None,
                  retain_records: bool = True) -> None:
         backend = make_backend(platform)
-        # Resolved once so the derived unit capacity always matches the
-        # policy that will run (a "dynamic" policy with default units would
-        # otherwise silently serve unbatched while the report claims
-        # batching ran).
-        batch_policy = make_batch_policy(batch_policy)
-        if max_batch_size is None:
-            max_batch_size = batch_policy.max_batch_size
         super().__init__(
             [FleetMember(platform_name or backend.name, backend,
                          num_clusters, max_batch_size)],

@@ -1,4 +1,4 @@
-"""Shared helpers: unit conversions, FP16 emulation, argument validation."""
+"""Shared helpers: unit conversions and FP16 emulation."""
 
 from repro.utils.units import (
     GIGA,
@@ -24,13 +24,6 @@ from repro.utils.fp16 import (
     fp16_mul,
     quantization_error,
 )
-from repro.utils.validation import (
-    check_positive,
-    check_non_negative,
-    check_in_range,
-    check_one_of,
-    check_divisible,
-)
 
 __all__ = [
     "GIGA",
@@ -53,9 +46,4 @@ __all__ = [
     "fp16_add",
     "fp16_mul",
     "quantization_error",
-    "check_positive",
-    "check_non_negative",
-    "check_in_range",
-    "check_one_of",
-    "check_divisible",
 ]

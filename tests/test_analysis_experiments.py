@@ -14,8 +14,11 @@ from repro.analysis.workload_presets import (
     PRIMARY_SETUP,
     SCALABILITY_SETUP,
 )
+from repro.backends import make_backend
+from repro.errors import ConfigurationError
 from repro.model.config import GPT2_345M, GPT2_TEST_TINY
 from repro.results import PHASE_FFN, PHASE_LAYERNORM, PHASE_RESIDUAL, PHASE_SELF_ATTENTION, PHASE_SYNC
+from repro.serving import DATACENTER_MIX, FleetMember, ServingScenario
 from repro.workloads import Workload
 
 
@@ -154,22 +157,21 @@ class TestBatchCapacitySweep:
 
     @pytest.fixture(scope="class")
     def sweep(self):
+        gpu = make_backend("gpu", config=GPT2_TEST_TINY, devices=1)
         return experiments.run_batch_capacity_sweep(
-            "gpu",
-            config=GPT2_TEST_TINY,
-            num_devices=1,
+            ServingScenario(
+                members=(FleetMember("gpu", gpu, 1),), duration_s=40.0, seed=7
+            ),
             batch_sizes=(1, 4),
             slo_s=2.0,
             batch_timeout_s=0.25,
-            trace_duration_s=40.0,
             rate_bounds=(0.1, 16.0),
         )
 
     def test_one_plan_per_batch_size(self, sweep):
         assert set(sweep.plans) == {1, 4}
-        assert sweep.backend == "gpu"
+        assert sweep.plans[4].platform == "gpu-batch4"
         assert sweep.plans[1].max_rate_per_s > 0
-        assert set(sweep.capacities_per_hour()) == {1, 4}
 
     def test_batching_extends_slo_capacity(self, sweep):
         # The GPU's fixed kernel overhead dominates the tiny config, so
@@ -188,19 +190,22 @@ class TestBatchCapacitySweep:
         assert unbatched.batch_policy == "none"
 
     def test_validation(self):
-        with pytest.raises(Exception):
-            experiments.run_batch_capacity_sweep(batch_sizes=())
-        with pytest.raises(Exception):
-            experiments.run_batch_capacity_sweep(batch_sizes=(0, 2))
+        with pytest.raises(ConfigurationError, match="non-empty"):
+            experiments.run_batch_capacity_sweep(ServingScenario(), batch_sizes=())
+        with pytest.raises(ConfigurationError, match=">= 1"):
+            experiments.run_batch_capacity_sweep(ServingScenario(), batch_sizes=(0, 2))
 
     def test_accepts_backend_names_for_drivers(self):
-        # run_scheduler_comparison resolves registry names too.
+        # Scenario members resolve registry names too.
         result = experiments.run_scheduler_comparison(
-            "tpu",
+            ServingScenario(
+                members=(FleetMember("tpu", "tpu", 1),),
+                rate_per_s=0.5,
+                duration_s=20.0,
+                mix=DATACENTER_MIX,
+                seed=11,
+            ),
             policies=("fifo",),
-            arrival_rate_per_s=0.5,
-            duration_s=20.0,
-            num_clusters=1,
         )
         assert set(result.reports) == {"fifo"}
         assert result.reports["fifo"].platform == "tpu"

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.experiments import run_figure8, run_figure8_dse
 from repro.dse import (
     ApplianceEvaluator,
     Dimension,
@@ -135,38 +134,6 @@ class TestRunSearch:
         assert entry.vector.value("x") == 1.0
         with pytest.raises(ConfigurationError, match="no evaluation"):
             result.evaluation("x=9|y=9")
-
-
-class TestFigure8Regression:
-    """The factorial slice must reproduce the legacy driver bit for bit."""
-
-    def test_bit_identical_to_legacy_driver(self):
-        legacy = run_figure8()
-        via_engine = run_figure8_dse()
-        assert via_engine.mha_gflops == legacy.mha_gflops
-        assert via_engine.mpu_luts == {
-            point: report.components["mpu"].lut
-            for point, report in legacy.resource_reports.items()
-        }
-
-    def test_paper_choice_is_on_the_front(self):
-        via_engine = run_figure8_dse()
-        assert legacy_choice() in via_engine.front_points()
-
-    def test_front_members_verified_by_exhaustive_oracle(self):
-        result = run_figure8_dse().exploration
-        front_keys = set(result.front.keys())
-        for entry in result.evaluated:
-            dominated = any(
-                other.vector.dominates(entry.vector)
-                for other in result.evaluated
-                if other.key != entry.key
-            )
-            assert (entry.key in front_keys) == (not dominated)
-
-
-def legacy_choice() -> tuple[int, int]:
-    return run_figure8().cheapest_best_point()
 
 
 @pytest.fixture(scope="module")

@@ -14,6 +14,7 @@ from repro.serving.requests import (
     WorkloadMix,
     bursty_trace,
     constant_trace,
+    diurnal_trace,
     merge_traces,
     poisson_trace,
     with_service_levels,
@@ -54,6 +55,39 @@ class TestTraces:
     def test_constant_trace(self):
         trace = constant_trace(2.0, 3, Workload(8, 8))
         assert [r.arrival_time_s for r in trace] == [0.0, 2.0, 4.0]
+
+
+#: Valid arguments of each trace builder; each case spoils one of them.
+_BUILDER_ARGUMENTS = {
+    poisson_trace: {"arrival_rate_per_s": 1.0, "duration_s": 10.0, "limit": 3},
+    constant_trace: {"interarrival_s": 1.0, "num_requests": 3, "start_time_s": 0.0},
+    bursty_trace: {
+        "burst_rate_per_s": 5.0, "idle_rate_per_s": 1.0, "duration_s": 10.0,
+        "mean_burst_s": 2.0, "mean_idle_s": 2.0, "limit": 3,
+    },
+    diurnal_trace: {
+        "peak_rate_per_s": 5.0, "duration_s": 10.0, "trough_rate_per_s": 1.0,
+        "period_s": 20.0, "phase_s": 0.0, "limit": 3,
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "builder, argument, value",
+    [
+        (builder, argument, value)
+        for builder, arguments in _BUILDER_ARGUMENTS.items()
+        for argument in arguments
+        for value in (float("nan"), float("inf"))
+    ],
+    ids=lambda param: getattr(param, "__name__", str(param)),
+)
+def test_trace_builders_reject_nan_and_infinity(builder, argument, value):
+    # Lazy, so a builder that lets the value through fails "DID NOT RAISE"
+    # here instead of hanging or silently returning a truncated trace.
+    arguments = {**_BUILDER_ARGUMENTS[builder], argument: value}
+    with pytest.raises(ConfigurationError, match=argument):
+        builder(**arguments, lazy=True)
 
 
 class TestWorkloadMix:

@@ -5,10 +5,12 @@ import pytest
 from repro.analysis.experiments import run_scheduler_comparison
 from repro.errors import ConfigurationError
 from repro.serving import (
+    DATACENTER_MIX,
     ApplianceFleet,
     ApplianceServer,
     FleetMember,
     ServiceRequest,
+    ServingScenario,
     capacity_search,
     constant_trace,
     poisson_trace,
@@ -217,17 +219,22 @@ class TestCapacityPlanning:
         assert strict.max_rate_per_s <= lax.max_rate_per_s
 
 
+def _one_cluster_double(**fields) -> ServingScenario:
+    """One 1 s test-double cluster serving the comparison's historical
+    default trace (the datacenter mix, seed 11)."""
+    member = FleetMember("fixed", _FixedLatencyPlatform(1.0), num_clusters=1)
+    fields = {"mix": DATACENTER_MIX, "seed": 11, **fields}
+    return ServingScenario(members=(member,), **fields)
+
+
 class TestAnalysisDrivers:
     def test_run_scheduler_comparison_on_test_double(self):
-        result = run_scheduler_comparison(
-            _FixedLatencyPlatform(1.0),
-            arrival_rate_per_s=1.5,
-            duration_s=40.0,
-            num_clusters=1,
-        )
+        scenario = _one_cluster_double(rate_per_s=1.5, duration_s=40.0)
+        result = run_scheduler_comparison(scenario)
         assert set(result.reports) == {"fifo", "sjf", "priority", "deadline"}
+        trace_length = len(scenario.trace())
         assert all(
-            r.num_requests + r.num_abandoned == result.trace_length
+            r.num_requests + r.num_abandoned == trace_length
             for r in result.reports.values()
         )
         assert result.best_policy_by_p95() in result.reports
@@ -239,10 +246,7 @@ class TestAnalysisDrivers:
         # time, so FIFO (which served everyone, however slowly) wins.
         trace = with_service_levels(poisson_trace(2.0, 60.0, seed=5), slo_s=2.0)
         result = run_scheduler_comparison(
-            _FixedLatencyPlatform(1.0),
-            num_clusters=1,
-            policies=("fifo", "deadline"),
-            trace=trace,
+            _one_cluster_double(requests=trace), policies=("fifo", "deadline")
         )
         deadline = result.reports["deadline"]
         assert deadline.abandonment_rate > 0.05
@@ -256,11 +260,7 @@ class TestAnalysisDrivers:
         # policy used to rank with an infinite p95, silently leaving the
         # choice to the abandonment rate alone.
         result = run_scheduler_comparison(
-            _FixedLatencyPlatform(1.0),
-            arrival_rate_per_s=1.5,
-            duration_s=40.0,
-            num_clusters=1,
-            retain_records=False,
+            _one_cluster_double(rate_per_s=1.5, duration_s=40.0, streaming=True)
         )
         with pytest.raises(ConfigurationError, match="retain_records"):
             result.best_policy_by_p95()

@@ -1,47 +1,8 @@
-"""Unit tests for repro.utils.validation and the exception hierarchy."""
+"""Unit tests for the exception hierarchy."""
 
 import pytest
 
 from repro import errors
-from repro.utils import validation
-
-
-class TestCheckers:
-    def test_check_positive_accepts_positive(self):
-        assert validation.check_positive("x", 3.5) == 3.5
-
-    def test_check_positive_rejects_zero_and_negative(self):
-        with pytest.raises(ValueError):
-            validation.check_positive("x", 0)
-        with pytest.raises(ValueError):
-            validation.check_positive("x", -1)
-
-    def test_check_non_negative(self):
-        assert validation.check_non_negative("x", 0) == 0
-        with pytest.raises(ValueError):
-            validation.check_non_negative("x", -0.1)
-
-    def test_check_in_range(self):
-        assert validation.check_in_range("x", 0.5, 0.0, 1.0) == 0.5
-        with pytest.raises(ValueError):
-            validation.check_in_range("x", 1.5, 0.0, 1.0)
-
-    def test_check_one_of(self):
-        assert validation.check_one_of("mode", "a", ["a", "b"]) == "a"
-        with pytest.raises(ValueError):
-            validation.check_one_of("mode", "c", ["a", "b"])
-
-    def test_check_divisible(self):
-        assert validation.check_divisible("n", 24, 4) == 24
-        with pytest.raises(ValueError):
-            validation.check_divisible("n", 25, 4)
-        with pytest.raises(ValueError):
-            validation.check_divisible("n", 25, 0)
-
-    def test_check_same_length(self):
-        validation.check_same_length("a", [1, 2], "b", [3, 4])
-        with pytest.raises(ValueError):
-            validation.check_same_length("a", [1], "b", [1, 2])
 
 
 class TestErrorHierarchy:
