@@ -2,10 +2,10 @@
 
 The timing simulator answers "how long does the program take"; this module
 answers "does the compiled program compute the right thing".  A
-:class:`FunctionalCore` interprets one device's instruction stream against
-NumPy buffers; :class:`DFXFunctionalSimulator` runs all devices of a cluster
-in lockstep, implementing the ring synchronizations by gathering the devices'
-partial vectors in core-ID order (the router's reorder unit, Fig. 11).
+:class:`FunctionalCore` interprets DFX instructions against NumPy buffers;
+:class:`DFXFunctionalSimulator` runs a whole cluster in lockstep, resolving
+each ring synchronization by gathering the devices' partial vectors in
+device order (the router's reorder unit, Fig. 11).
 
 One set of instruction semantics has two implementations:
 
@@ -16,22 +16,28 @@ One set of instruction semantics has two implementations:
   program once: each sync-free instruction run is compiled into a single
   generated Python function with buffer names lowered to locals and constant
   operands pre-bound, so lockstep layer execution pays no per-instruction
-  dispatch.  The linker also splits every run into a *shared prefix*
-  (instructions whose inputs are identical on all devices — LayerNorms,
-  residuals — executed once on core 0 and shared by reference) and a
-  per-core body.  Linked programs are memoized on the :class:`Program`
-  object, and the compiler's own program cache means a whole ``generate()``
-  call links each program exactly once.
+  dispatch.  Linked programs are memoized on the :class:`Program` object,
+  and the compiler's own program cache means a whole ``generate()`` call
+  links each program exactly once.
+
+Every device of a cluster runs the same instruction stream on an equal
+shard, so the simulator runs all of them on **one device-stacked core** per
+decoder layer.  Each sharded buffer (weights, biases, KV arenas, and every
+register computed from them) carries a leading device axis; values every
+device shares (the hidden state, LayerNorms, residuals, every sync output)
+carry none, so broadcasting runs each of them once per layer.  A linked body
+thus runs once per step for all devices, and a ring sync is one
+concatenation over the device axis.  Registers are ``(batch, rows, cols)``
+when shared and ``(devices, batch, rows, cols)`` per device.
 
 The simulator has one engine.  Every forward runs a lockstep *cohort* of
 generation streams whose KV caches live in the slot arenas of a
 :class:`BatchedKVPool`: :meth:`DFXFunctionalSimulator.forward` is the cohort
-of one in slot 0, and a :class:`BatchedGenerationSession` runs ragged
-streams as cohorts of any size.  The linked code only ever addresses the
-*last* axes of a buffer (``[..., a:b]`` column slices, ``swapaxes(-1, -2)``
-transposes, ``shape[-2:]`` mask extents), so the same code runs a cohort of
-one on rank-2 registers and a larger cohort on rank-3 registers with a
-leading batch axis.
+of one (batch 1) in slot 0, and a :class:`BatchedGenerationSession` runs
+ragged streams as cohorts of any size.  The linked code only ever addresses
+the *last* axes of a buffer (``[..., a:b]`` column slices,
+``swapaxes(-1, -2)`` transposes, ``shape[-2:]`` mask extents), so the same
+code runs every device count and cohort size.
 
 **Bit-exactness contract:** the fast path must produce bit-identical buffers
 to the slow path.  Every fast-path shortcut is a proven identity: generated
@@ -43,12 +49,14 @@ KV cache appends in place into a preallocated arena slot whose logical view
 holds exactly the rows the slow path's ``np.concatenate`` produces;
 persistent weights are staged upcast to the FP32 accumulation dtype (exact,
 since they were already quantized); the output-scatter path writes in place
-only into buffers it exclusively owns; and a cohort's stacked 3-D matmuls
-are bit-identical per slice to the 2-D matmul of one stream (the batch is
-never flattened into rows, which would change the BLAS kernel).  The
-functional-vs-reference integration tests, the fast-vs-slow register
-comparisons in ``tests/test_fastpath_engine.py`` and the golden pin in
-``tests/test_functional_golden.py`` are the oracle for this contract.
+only into buffers it exclusively owns; and a stacked matmul over the device
+and batch axes calls the same BLAS kernel for each 2-D slice as the 2-D
+matmul of one device and one stream does (neither axis is ever flattened
+into rows, which would change the kernel).  Elementwise ops and last-axis
+reductions ignore leading axes.  The fast-vs-slow comparisons and the
+slow-path lockstep oracle in ``tests/test_fastpath_engine.py`` and the
+golden pin in ``tests/test_functional_golden.py`` hold the engine to this
+contract.
 
 The simulator is verified against the reference :class:`repro.model.GPT2Model`
 in the integration tests: with the same weights and numerics it must produce
@@ -58,8 +66,11 @@ handling, and the value-first reordering end to end.
 
 from __future__ import annotations
 
+import itertools
+import numbers
+import weakref
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -75,6 +86,8 @@ from repro.isa.instructions import (
 from repro.isa.opcodes import DMAOpcode, MatrixOpcode, VectorOpcode
 from repro.isa.program import Program
 from repro.model.config import GPT2Config
+from repro.model.generation import check_budget
+from repro.model.gpt2 import check_integer_tokens
 from repro.model.layers import MASK_VALUE
 from repro.model.numerics import FP16_DFX, Numerics
 from repro.model.weights import GPT2Weights
@@ -96,84 +109,78 @@ _KV_MIN_CAPACITY = 8
 
 
 class BatchedKV:
-    """A slot arena of per-stream KV caches sharing one allocation.
+    """One ``(layer, head)`` KV cache of every device and stream.
 
-    Rows live in a preallocated ``(slots, capacity, cols)`` array; each slot
+    Rows live in a preallocated ``(devices, slots, capacity, cols)`` array:
+    the leading axis is the device that owns the head shard, and each slot
     belongs to one generation stream and carries its own logical ``length``.
     A lockstep *cohort* occupies a contiguous slot range ``[lo, hi)`` whose
     slots all hold the same length, so the cohort's cache is the zero-copy
-    view ``data[lo:hi, :length]``.  A cohort of one runs without the batch
-    axis and reads its slot as ``data[lo, :length]``, which is laid out
-    exactly like a single stream's 2-D cache.  Appends write in place; the
-    arena only reallocates when :class:`BatchedKVPool` grows it.  Lengths
-    are a plain list: every token step reads and bumps them, and Python
-    ints are several times cheaper to index there than NumPy scalars.
+    view ``data[:, lo:hi, :length]``.  Appends write in place; the arena
+    only reallocates when :class:`BatchedKVPool` grows it.  Lengths are a
+    plain list: every token step reads and bumps them, and Python ints are
+    several times cheaper to index there than NumPy scalars.
     """
 
     __slots__ = ("data", "lengths")
 
-    def __init__(self, cols: int, dtype: np.dtype, slots: int, capacity: int) -> None:
+    def __init__(
+        self, devices: int, cols: int, dtype: np.dtype, slots: int, capacity: int
+    ) -> None:
         capacity = max(int(capacity), _KV_MIN_CAPACITY)
-        self.data = np.empty((slots, capacity, cols), dtype=dtype)
+        self.data = np.empty((devices, slots, capacity, cols), dtype=dtype)
         self.lengths = [0] * slots
 
     @property
     def slots(self) -> int:
-        return int(self.data.shape[0])
+        return int(self.data.shape[1])
 
     @property
     def capacity(self) -> int:
-        return int(self.data.shape[1])
+        return int(self.data.shape[2])
 
     def view(self, lo: int, hi: int) -> np.ndarray:
-        """The cohort's caches, no copy: ``(hi - lo, length, cols)``, or
-        ``(length, cols)`` for a cohort of one."""
-        length = self.lengths[lo]
-        if hi - lo == 1:
-            return self.data[lo, :length]
-        return self.data[lo:hi, :length]
+        """The cohort's caches, no copy: ``(devices, hi - lo, length, cols)``."""
+        return self.data[:, lo:hi, : self.lengths[lo]]
 
     def append(self, lo: int, hi: int, rows: np.ndarray) -> None:
         """Append ``rows``, shaped like :meth:`view`, to every cohort slot."""
         length = self.lengths[lo]
         end = length + rows.shape[-2]
-        if hi - lo == 1:
-            self.data[lo, length:end] = rows
-            self.lengths[lo] = end
-        else:
-            self.data[lo:hi, length:end] = rows
-            self.lengths[lo:hi] = [end] * (hi - lo)
+        self.data[:, lo:hi, length:end] = rows
+        self.lengths[lo:hi] = [end] * (hi - lo)
 
     def ensure(self, slots: int, capacity: int) -> None:
         """Grow the arena to at least ``(slots, capacity)``, keeping contents."""
-        old_slots, old_capacity, cols = self.data.shape
+        devices, old_slots, old_capacity, cols = self.data.shape
         if slots <= old_slots and capacity <= old_capacity:
             return
         grown = np.empty(
-            (max(slots, old_slots), max(capacity, old_capacity), cols),
+            (devices, max(slots, old_slots), max(capacity, old_capacity), cols),
             dtype=self.data.dtype,
         )
-        grown[:old_slots, :old_capacity] = self.data
+        grown[:, :old_slots, :old_capacity] = self.data
         self.data = grown
-        self.lengths += [0] * (grown.shape[0] - old_slots)
+        self.lengths += [0] * (grown.shape[1] - old_slots)
 
     def copy_slots(self, dst: int, src: int, count: int) -> None:
         """Move ``count`` slots' contents from ``src`` to ``dst`` (compaction)."""
         if dst == src:
             return
-        self.data[dst : dst + count] = self.data[src : src + count]
+        self.data[:, dst : dst + count] = self.data[:, src : src + count]
         self.lengths[dst : dst + count] = self.lengths[src : src + count]
 
 
 class BatchedKVPool:
     """All KV arenas of a simulator, grown and recycled together.
 
-    Every ``(layer, device, head)`` cache buffer is one :class:`BatchedKV`
-    registered here; the pool keeps them dimensioned identically so one slot
-    index means "this stream" in every arena.  Slot storage persists across
-    requests and generation sessions (departing streams just free their slot
-    range), and :meth:`shrink` releases the high-water-mark allocation when a
-    long serving run wants its memory back.
+    Every ``(layer, head)`` cache buffer is one :class:`BatchedKV` (all
+    devices on its leading axis) registered here; the pool keeps them
+    dimensioned identically so one slot index means "this stream" in every
+    arena.  Slot storage persists across requests and generation sessions
+    (departing streams just free their slot range), and :meth:`shrink`
+    releases the high-water-mark allocation when a long serving run wants
+    its memory back.
     """
 
     def __init__(self, dtype: np.dtype) -> None:
@@ -182,8 +189,8 @@ class BatchedKVPool:
         self.capacity = _KV_MIN_CAPACITY
         self.arenas: list[BatchedKV] = []
 
-    def new_arena(self, cols: int) -> BatchedKV:
-        arena = BatchedKV(cols, self.dtype, self.slots, self.capacity)
+    def new_arena(self, devices: int, cols: int) -> BatchedKV:
+        arena = BatchedKV(devices, cols, self.dtype, self.slots, self.capacity)
         self.arenas.append(arena)
         return arena
 
@@ -219,8 +226,8 @@ class BatchedKVPool:
         self.slots = 0
         self.capacity = _KV_MIN_CAPACITY
         for arena in self.arenas:
-            cols = arena.data.shape[2]
-            arena.data = np.empty((0, self.capacity, cols), dtype=self.dtype)
+            devices, _, _, cols = arena.data.shape
+            arena.data = np.empty((devices, 0, self.capacity, cols), dtype=self.dtype)
             arena.lengths = []
 
     def memory_bytes(self) -> int:
@@ -229,11 +236,14 @@ class BatchedKVPool:
 
 @dataclass
 class FunctionalCore:
-    """Interprets one device's DFX instructions against NumPy buffers.
+    """Interprets DFX instructions against NumPy buffers.
 
     Attributes:
         numerics: Precision mode (FP16 + LUT GELU for the DFX pipeline).
-        registers: The register file: buffer name -> 2-D array (rows, length).
+        registers: The register file: buffer name -> array whose last two
+            axes are ``(rows, length)``.  Instruction semantics act on those
+            two axes only, so any leading axes (the engine's device and
+            cohort batch axes) ride through unchanged.
         memory: Off-chip memory: weights, KV cache, embedding rows.
     """
 
@@ -280,7 +290,7 @@ class FunctionalCore:
         in place for every further head: copying is only needed when the
         register holds an array this core did not allocate itself (and might
         therefore alias another buffer).  Returns the buffer to store back in
-        ``dst``.  Any leading batch axes of ``result`` ride through unchanged.
+        ``dst``.  Leading device and batch axes of ``result`` ride through.
         """
         shape = result.shape[:-1] + (total_cols,)
         if current is None or current.shape != shape:
@@ -418,9 +428,7 @@ class FunctionalCore:
     def execute(self, program: Program, sync_handler: SyncHandler | None = None) -> None:
         """Execute ``program``; ring syncs are resolved through ``sync_handler``."""
         linked = link_program(program, self.numerics)
-        for prefix, _, body, sync in linked.segments:
-            if prefix is not None:
-                prefix(self)
+        for body, sync in linked.segments:
             if body is not None:
                 body(self)
             if sync is not None:
@@ -454,16 +462,17 @@ class FunctionalCore:
 
 @dataclass
 class BatchedFunctionalCore(FunctionalCore):
-    """A :class:`FunctionalCore` that runs one lockstep cohort at a time.
+    """A :class:`FunctionalCore` that runs every device of one decoder layer.
 
-    The KV cache lives in the shared :class:`BatchedKV` slot arenas of
-    ``kv_pool``, and ``slot_lo``/``slot_hi`` name the arena slot range of the
-    cohort currently executing; the fast path reads them when it unwraps a KV
-    operand.  A cohort of one keeps 2-D ``(rows, cols)`` registers; a larger
-    cohort's registers carry a leading batch axis, ``(batch, rows, cols)``.
-    Every other instruction semantic is shape-polymorphic (stacked 3-D
-    matmuls and elementwise ufuncs are bit-identical per slice to their 2-D
-    forms), so only the KV append differs from the plain core.
+    Its memory holds the layer's device-stacked buffers and its registers
+    carry a leading device axis wherever the value is per device, so one
+    linked body advances every device at once (see the module docstring).
+    The core runs one lockstep cohort at a time: the KV cache lives in the
+    shared :class:`BatchedKV` arenas of ``kv_pool``, and ``slot_lo``/``slot_hi``
+    name the arena slot range of the cohort currently executing; the fast
+    path reads them when it unwraps a KV operand.  Every other instruction
+    semantic is shape-polymorphic, so only the KV append differs from the
+    plain core.
     """
 
     slot_lo: int = 0
@@ -471,14 +480,17 @@ class BatchedFunctionalCore(FunctionalCore):
     kv_pool: BatchedKVPool | None = None
 
     def _append_kv(self, dst: str, source: np.ndarray) -> None:
-        """Append each stream's KV rows to its arena slot (in place)."""
+        """Append each device's and stream's KV rows to its arena slot.
+
+        ``source`` is ``(devices, batch, rows, cols)``; the append is in place.
+        """
         arena = self.memory.get(dst)
         if type(arena) is not BatchedKV:
             if self.kv_pool is None:
                 raise ExecutionError(
                     f"KV append to {dst!r} without an arena pool"
                 )
-            arena = self.kv_pool.new_arena(source.shape[-1])
+            arena = self.kv_pool.new_arena(source.shape[0], source.shape[-1])
             self.memory[dst] = arena
         arena.append(self.slot_lo, self.slot_hi, source)
 
@@ -621,7 +633,7 @@ class _SegmentCompiler:
         )
         if transpose:
             transposed = self.temp()
-            # Works for shared 2-D weights and per-cohort 3-D KV views.
+            # Swaps the last two axes of stacked weights and KV views alike.
             self.emit(f"{transposed} = {weight}.swapaxes(-1, -2)")
             weight = transposed
         result = self.temp()
@@ -830,21 +842,12 @@ def _compile_segment(
 class LinkedSegment(NamedTuple):
     """One sync-free run of a linked program.
 
-    ``prefix`` holds the instructions whose results are provably identical on
-    every lockstep core (they read only *shared* registers — program inputs
-    declared identical by the caller, ring-sync outputs, earlier prefix
-    results — and *replicated* memory buffers such as the LayerNorm
-    parameters).  The executor runs the prefix once on core 0 and shares the
-    ``shared_out`` registers with the other cores by reference, which is safe
-    because no handler mutates a register array in place.  ``body`` holds the
-    remaining per-core instructions (everything touching partitioned weights
-    or per-device memory).  Either handler may be ``None`` when empty.  Note
-    that on secondary cores only the ``shared_out`` subset of prefix results
-    is materialized in the register file.
+    ``body`` is the run's generated handler (``None`` when the run is
+    empty); ``sync`` is the ring synchronization that ends it (``None`` for
+    a final run without one).  On a device-stacked core the body advances
+    every device at once.
     """
 
-    prefix: Handler | None
-    shared_out: tuple[str, ...]
     body: Handler | None
     sync: RouterInstruction | None
 
@@ -857,178 +860,30 @@ class LinkedProgram:
     segments: tuple[LinkedSegment, ...]
 
 
-def _segment_reads(segment) -> set[str]:
-    """Every buffer name read somewhere in ``segment`` (incl. its sync src)."""
-    reads: set[str] = set()
-    for instruction in segment.instructions:
-        reads.update(instruction.source_operands())
-    if segment.sync is not None:
-        reads.add(segment.sync.src)
-    return reads
-
-
-def _instruction_shareable(
-    instruction: Instruction,
-    shared_names: set[str],
-    replicated_memory: frozenset[str],
-    percore_written: set[str],
-) -> bool:
-    """True when every core would compute bit-identical results for it.
-
-    An instruction is shareable when it writes only registers and all its
-    reads resolve to shared registers or replicated memory; anything that
-    writes per-device memory (KV / output stores) or reads a name a per-core
-    body has written stays per-core.
-    """
-    if isinstance(instruction, VectorInstruction):
-        if instruction.opcode is VectorOpcode.STORE:
-            return False
-        names = instruction.source_operands()
-    elif isinstance(instruction, MatrixInstruction):
-        names = instruction.source_operands()
-    elif isinstance(instruction, DMAInstruction):
-        if instruction.opcode in (DMAOpcode.STORE_KV, DMAOpcode.STORE_OUTPUT):
-            return False
-        names = (instruction.src,)
-    else:
-        return False
-    return all(
-        name in shared_names
-        or (name in replicated_memory and name not in percore_written)
-        for name in names
-    )
-
-
-def link_program(
-    program: Program,
-    numerics: Numerics,
-    shared_inputs: frozenset[str] = frozenset(),
-    replicated_memory: frozenset[str] = frozenset(),
-) -> LinkedProgram:
+def link_program(program: Program, numerics: Numerics) -> LinkedProgram:
     """Lower ``program`` to a :class:`LinkedProgram` (memoized).
 
-    ``shared_inputs`` names registers the caller promises to stage with
-    identical values on every lockstep core (e.g. ``hidden``);
-    ``replicated_memory`` names memory buffers bound to identical arrays on
-    every core (e.g. LayerNorm parameters).  Both default to empty, which
-    yields an all-body (purely per-core) linking.  The result is cached on
-    the program object, keyed on the numerics instance (whose bound methods
-    the generated code captures), the two name sets, and the instruction
-    count (programs are built append-only, so a length match means the
-    instruction stream is unchanged).
+    The result is cached on the program object, keyed on the numerics
+    instance (whose bound methods the generated code captures) and the
+    instruction count (programs are built append-only, so a length match
+    means the instruction stream is unchanged).
     """
     count = len(program.instructions)
-    key = (numerics, shared_inputs, replicated_memory)
-    cached = program._link_cache.get(key)
+    cached = program._link_cache.get(numerics)
     if cached is not None and cached[0] == count:
         return cached[1]
-
-    raw_segments = program.segments()
-
-    # Forward pass: split each segment into a shared prefix and per-core body.
-    shared_names: set[str] = set(shared_inputs)
-    percore_written: set[str] = set()
-    splits: list[tuple[tuple[Instruction, ...], set[str], tuple[Instruction, ...]]] = []
-    for segment in raw_segments:
-        instructions = segment.instructions
-        prefix_defined: set[str] = set()
-        cut = 0
-        for instruction in instructions:
-            if not _instruction_shareable(
-                instruction,
-                shared_names | prefix_defined,
-                replicated_memory,
-                percore_written,
-            ):
-                break
-            prefix_defined.update(instruction.destination_operands())
-            cut += 1
-        body = instructions[cut:]
-        body_defined = {
-            name for instruction in body for name in instruction.destination_operands()
-        }
-        splits.append((instructions[:cut], prefix_defined, body))
-        shared_names |= prefix_defined
-        shared_names -= body_defined
-        percore_written |= body_defined
-        if segment.sync is not None:
-            shared_names.add(segment.sync.dst)
-            percore_written.discard(segment.sync.dst)
-
-    # Backward pass: a prefix result must be materialized on every core only
-    # if some per-core body, sync, or the program output observes it later.
-    later_reads: set[str] = set(program.outputs)
-    shared_outs: list[tuple[str, ...]] = [()] * len(raw_segments)
-    for index in range(len(raw_segments) - 1, -1, -1):
-        segment = raw_segments[index]
-        _, prefix_defined, body = splits[index]
-        observed: set[str] = set(later_reads)
-        for instruction in body:
-            observed.update(instruction.source_operands())
-        if segment.sync is not None:
-            observed.add(segment.sync.src)
-        shared_outs[index] = tuple(sorted(prefix_defined & observed))
-        later_reads |= _segment_reads(segment)
-
-    segments = []
-    for index, segment in enumerate(raw_segments):
-        prefix_instructions, _, body_instructions = splits[index]
-        prefix = (
-            _compile_segment(
-                prefix_instructions, numerics, f"{program.name}#{index}.shared"
-            )
-            if prefix_instructions
-            else None
+    segments = tuple(
+        LinkedSegment(
+            _compile_segment(segment.instructions, numerics, f"{program.name}#{index}")
+            if segment.instructions
+            else None,
+            segment.sync,
         )
-        body = (
-            _compile_segment(body_instructions, numerics, f"{program.name}#{index}")
-            if body_instructions
-            else None
-        )
-        segments.append(LinkedSegment(prefix, shared_outs[index], body, segment.sync))
-
-    linked = LinkedProgram(name=program.name, segments=tuple(segments))
-    program._link_cache[key] = (count, linked)
+        for index, segment in enumerate(program.segments())
+    )
+    linked = LinkedProgram(name=program.name, segments=segments)
+    program._link_cache[numerics] = (count, linked)
     return linked
-
-
-#: Largest 2-D array (elements) compared when scanning for replicated memory;
-#: replicated buffers are small vectors (LayerNorm parameters), so the big
-#: partitioned weight matrices are skipped without comparing their contents.
-_REPLICATION_SCAN_LIMIT = 1 << 16
-
-
-def _share_replicated_memory(
-    per_device: list[dict[str, np.ndarray]],
-) -> frozenset[str]:
-    """Names bound to equal arrays on every device's memory dict.
-
-    Detected entries are rebound to device 0's array on every device — safe
-    because nothing mutates staged memory arrays in place — so that reads of
-    replicated parameters resolve to one shared object.
-    """
-    first = per_device[0]
-    replicated: set[str] = set()
-    for name, array in first.items():
-        if array.ndim > 1 and array.size > _REPLICATION_SCAN_LIMIT:
-            continue
-        same = True
-        for other in per_device[1:]:
-            candidate = other.get(name)
-            if candidate is array:
-                continue
-            if (
-                candidate is None
-                or candidate.shape != array.shape
-                or not np.array_equal(candidate, array)
-            ):
-                same = False
-                break
-        if same:
-            for other in per_device[1:]:
-                other[name] = array
-            replicated.add(name)
-    return frozenset(replicated)
 
 
 class DFXFunctionalSimulator:
@@ -1038,11 +893,17 @@ class DFXFunctionalSimulator:
     reference GPT-2 model built from the same weights.  Token steps run on the
     fast path: compiled programs come from the compiler's program cache (one
     past-length-independent decode-step program covers the whole generation
-    stage), and each program is linked to bound handlers once.  One set of
-    per-device cores and one :class:`BatchedKVPool` serve every call:
+    stage), and each program is linked to bound handlers once.
+
+    Each decoder layer runs on one :class:`BatchedFunctionalCore` holding
+    every device's shard stacked on a leading device axis.  The LM head runs
+    on one core per run of consecutive devices with equal vocabulary shards:
+    one core when the vocabulary divides evenly, two when the last device
+    takes a remainder.  One :class:`BatchedKVPool` serves every call:
     :meth:`forward` and :meth:`generate` run the cohort of one in arena slot
     0, and :meth:`batched_session` runs many streams as lockstep cohorts.
-    Opening a session therefore resets the :meth:`forward` cache.
+    Opening a session therefore resets the :meth:`forward` cache, and
+    :meth:`forward` refuses to run while that session has streams left.
     """
 
     def __init__(
@@ -1057,89 +918,71 @@ class DFXFunctionalSimulator:
         self.plan: PartitionPlan = build_partition_plan(self.config, num_devices)
         self.compiler = DFXCompiler(self.config, self.plan, device_id=0)
         self.weights = weights.astype(numerics.dtype)
-
-        # Per-device, per-layer persistent memories (weights + KV cache).
-        self._layer_memory: list[list[dict[str, np.ndarray]]] = []
-        for device_id in range(num_devices):
-            device_layers = partition_model_weights(self.weights, self.plan, device_id)
-            self._layer_memory.append(
-                [self._bind_layer_memory(layer) for layer in device_layers]
-            )
-        self._lm_head_memory = [
-            self._bind_lm_head_memory(device_id) for device_id in range(num_devices)
-        ]
-        # Detect memory buffers replicated (equal-valued) across devices —
-        # LayerNorm parameters in this partitioning scheme — and rebind them
-        # to one shared array so lockstep execution can run the instruction
-        # runs that depend only on them once instead of once per core.
-        layer_replicated = [
-            _share_replicated_memory(
-                [self._layer_memory[device_id][layer_index]
-                 for device_id in range(num_devices)]
-            )
-            for layer_index in range(self.config.n_layer)
-        ]
-        self._replicated_layer_names = frozenset.intersection(*layer_replicated)
-        self._replicated_lm_names = _share_replicated_memory(self._lm_head_memory)
-        self._layer_shared_inputs = frozenset(("hidden",))
-        self._lm_shared_inputs = frozenset(("hidden_last",))
-        self._past_length = 0
-        # KV arenas stay in the matmul accumulation dtype: the appended rows
-        # are already quantized register values, so the upcast is exact and
-        # the attention matmuls skip their per-token operand conversion.
-        self._pool = BatchedKVPool(
+        # Persistent memory is staged in the matmul accumulation dtype.  The
+        # weights were already quantized by ``weights.astype``, so the upcast
+        # is exact; it hoists the per-instruction ``asarray(..., float32)``
+        # out of the token loop, and the KV arenas skip the conversion of
+        # their appended (already quantized) register rows the same way.
+        self._staged_dtype = np.dtype(
             np.float32 if numerics.accumulate_fp32 else numerics.dtype
         )
-        # Persistent per-layer / LM-head cores: the register dicts are reused
-        # across token steps (every program defines its registers before
-        # reading them, and scatter accumulators are fully overwritten), which
-        # avoids re-staging cores and dictionaries on every token.  Only the
-        # decoder layers store KV, so only their cores hold arenas.
+        self._past_length = 0
+        # The open session, held weakly: a strong reference would make a
+        # cycle (the session holds the simulator) that keeps a dropped
+        # simulator's buffers alive until the cyclic collector runs.
+        self._session: weakref.ref[BatchedGenerationSession] | None = None
+        self._pool = BatchedKVPool(self._staged_dtype)
+
+        # One device-stacked memory per decoder layer.
+        self._layer_memory: list[dict[str, np.ndarray]] = [
+            {} for _ in range(self.config.n_layer)
+        ]
+        for device_id in range(num_devices):
+            device_layers = partition_model_weights(self.weights, self.plan, device_id)
+            for memory, layer in zip(self._layer_memory, device_layers):
+                self._stage_layer(memory, device_id, layer)
+        # Persistent cores: the register dicts are reused across token steps
+        # (every program defines its registers before reading them, and
+        # scatter accumulators are fully overwritten).  Only the decoder
+        # layers store KV, so only their cores hold arenas.
         self._layer_cores = [
-            [
-                BatchedFunctionalCore(
-                    numerics=numerics,
-                    registers={},
-                    memory=self._layer_memory[device_id][layer_index],
-                    kv_pool=self._pool,
-                )
-                for device_id in range(num_devices)
-            ]
-            for layer_index in range(self.config.n_layer)
-        ]
-        self._lm_cores = [
-            FunctionalCore(
-                numerics=numerics,
-                registers={},
-                memory=self._lm_head_memory[device_id],
+            BatchedFunctionalCore(
+                numerics=numerics, registers={}, memory=memory, kv_pool=self._pool
             )
-            for device_id in range(num_devices)
+            for memory in self._layer_memory
         ]
+        self._lm_cores = self._build_lm_cores()
         self._embedding_core = FunctionalCore(
             numerics=numerics, registers={}, memory={}
         )
 
     # ------------------------------------------------------------------ binding
-    def _bound_memory(self, memory: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-        """Stage persistent memory in the matmul accumulation dtype.
+    def _stack(
+        self, memory: dict[str, np.ndarray], name: str, index: int, count: int,
+        shard: np.ndarray,
+    ) -> None:
+        """Write ``shard`` as entry ``index`` of the stacked ``memory[name]``.
 
-        The weights were already quantized by ``weights.astype(numerics.dtype)``,
-        so upcasting the staged copies to FP32 is exact — it just hoists the
-        per-instruction ``asarray(..., float32)`` conversion out of the token
-        loop (every read re-quantizes to ``numerics.dtype``, so register
-        contents are unchanged).  Also makes the strided QKV column slices
-        contiguous, which the matmul kernels prefer.
+        The buffer is ``(count, 1, rows, cols)`` (a 1-D bias becomes one row),
+        so it broadcasts against a cohort's ``(batch, rows, cols)`` registers;
+        it is allocated on the first shard and filled in place after that.
         """
-        if not self.numerics.accumulate_fp32:
-            return memory
-        return {
-            name: np.asarray(array, dtype=np.float32)
-            for name, array in memory.items()
-        }
+        stacked = memory.get(name)
+        if stacked is None:
+            shape = (count, 1) + np.atleast_2d(shard).shape
+            stacked = memory[name] = np.empty(shape, dtype=self._staged_dtype)
+        stacked[index, 0] = shard
 
-    def _bind_layer_memory(self, layer: DeviceLayerWeights) -> dict[str, np.ndarray]:
+    def _stage_layer(
+        self, memory: dict[str, np.ndarray], device_id: int, layer: DeviceLayerWeights
+    ) -> None:
+        """Stage one device's shard of a decoder layer into its stacked memory.
+
+        The partitioner replicates the LayerNorm parameters, so they are kept
+        once, with no device axis.
+        """
         qkv_dim = layer.w_qkv.shape[1] // 3
-        memory: dict[str, np.ndarray] = {
+        shards = {
             "w_query": layer.w_qkv[:, 0 * qkv_dim : 1 * qkv_dim],
             "w_key": layer.w_qkv[:, 1 * qkv_dim : 2 * qkv_dim],
             "w_value": layer.w_qkv[:, 2 * qkv_dim : 3 * qkv_dim],
@@ -1152,69 +995,67 @@ class DFXFunctionalSimulator:
             "b_ffn1": layer.b_ffn1,
             "w_ffn2": layer.w_ffn2,
             "b_ffn2": layer.b_ffn2,
-            "ln1_gamma": layer.ln1_gamma,
-            "ln1_beta": layer.ln1_beta,
-            "ln2_gamma": layer.ln2_gamma,
-            "ln2_beta": layer.ln2_beta,
         }
-        return self._bound_memory(memory)
+        for name, shard in shards.items():
+            self._stack(memory, name, device_id, self.num_devices, shard)
+        if device_id == 0:
+            for name in ("ln1_gamma", "ln1_beta", "ln2_gamma", "ln2_beta"):
+                memory[name] = np.asarray(getattr(layer, name), dtype=self._staged_dtype)
 
-    def _bind_lm_head_memory(self, device_id: int) -> dict[str, np.ndarray]:
-        partition = self.plan.device(device_id)
+    def _build_lm_cores(self) -> list[FunctionalCore]:
+        """One LM-head core per run of consecutive equal-shaped WTE shards.
+
+        The shards are never padded to one shape: extra columns would move
+        other columns between BLAS's blocked and tail kernels and change
+        their last bits.
+        """
         base_rows = self.config.vocab_size // self.num_devices
-        start = device_id * base_rows
-        stop = start + partition.vocab_rows
-        return self._bound_memory({
-            "wte_part": self.weights.wte[start:stop, :],
-            "ln_f_gamma": self.weights.ln_f_gamma,
-            "ln_f_beta": self.weights.ln_f_beta,
-        })
+        layer_norm = {
+            name: np.asarray(getattr(self.weights, name), dtype=self._staged_dtype)
+            for name in ("ln_f_gamma", "ln_f_beta")
+        }
+        cores = []
+        runs = itertools.groupby(
+            range(self.num_devices), key=lambda device: self.plan.device(device).vocab_rows
+        )
+        for rows, run in runs:
+            devices = list(run)
+            memory = dict(layer_norm)
+            for index, device_id in enumerate(devices):
+                start = device_id * base_rows
+                self._stack(
+                    memory, "wte_part", index, len(devices),
+                    self.weights.wte[start : start + rows],
+                )
+            cores.append(
+                FunctionalCore(numerics=self.numerics, registers={}, memory=memory)
+            )
+        return cores
 
     # ------------------------------------------------------------------- syncing
     def _run_lockstep(
-        self,
-        program: Program,
-        cores: list[FunctionalCore],
-        shared_inputs: frozenset[str] = frozenset(),
-        replicated_memory: frozenset[str] = frozenset(),
-    ) -> list[FunctionalCore]:
-        """Run ``program`` on every device core, resolving syncs by all-gather.
+        self, linked: LinkedProgram, cores: Sequence[FunctionalCore]
+    ) -> None:
+        """Run ``linked`` on every core, resolving syncs by all-gather.
 
-        ``shared_inputs`` must name registers staged with identical values in
-        every core's register file; together with ``replicated_memory`` it
-        lets the linker hoist device-identical instruction runs (LayerNorms,
-        residuals) to execute once on core 0.
+        Each sync concatenates every core's per-device slices of the source
+        register along the last axis, in device order, and hands the one
+        gathered array to every core.
         """
-        linked = (
-            program
-            if isinstance(program, LinkedProgram)
-            else link_program(program, self.numerics, shared_inputs, replicated_memory)
-        )
-        primary = cores[0]
-        others = cores[1:]
         dtype = self.numerics.dtype
-        for prefix, shared_out, body, sync in linked.segments:
-            if prefix is not None:
-                prefix(primary)
-                if others and shared_out:
-                    primary_registers = primary.registers
-                    for core in others:
-                        registers = core.registers
-                        for name in shared_out:
-                            registers[name] = primary_registers[name]
+        for body, sync in linked.segments:
             if body is not None:
                 for core in cores:
                     body(core)
             if sync is None:
                 continue
             src = sync.src
-            slices = [core._read_register(src) for core in cores]
-            # The concatenation is fresh and the slices already carry the
+            parts = [part for core in cores for part in core._read_register(src)]
+            # The concatenation is fresh and the parts already carry the
             # register dtype, so the cast can skip its defensive copy.
-            gathered = np.concatenate(slices, axis=-1).astype(dtype, copy=False)
+            gathered = np.concatenate(parts, axis=-1).astype(dtype, copy=False)
             for core in cores:
                 core.registers[sync.dst] = gathered
-        return cores
 
     # ------------------------------------------------------------------- forward
     def _forward_cohort(
@@ -1223,15 +1064,9 @@ class DFXFunctionalSimulator:
         """One lockstep forward over the cohort in arena slots ``[lo, hi)``.
 
         ``token_ids`` is ``(batch, rows)``: each stream's token rows for this
-        step, all streams at the same ``past``.  A cohort of one runs without
-        the batch axis: its tokens become ``(rows,)``, its registers stay 2-D
-        and its arena slot reads as ``data[lo, :length]``, so it runs the same
-        linked code one rank lower, bit-identical to a lone stream.  Returns
-        the FP32 logits of every stream's last position, ``(batch, vocab)``,
-        or ``(vocab,)`` for a cohort of one.
+        step, all streams at the same ``past``.  Returns the FP32 logits of
+        every stream's last position, ``(batch, vocab)``.
         """
-        if hi - lo == 1:
-            token_ids = token_ids.reshape(-1)
         rows = token_ids.shape[-1]
         positions = np.arange(past, past + rows)
 
@@ -1242,28 +1077,21 @@ class DFXFunctionalSimulator:
         embedding_core.execute(self.compiler.compile_embedding(rows))
         hidden = embedding_core.registers["hidden"]
 
-        # Decoder layers in lockstep across devices.  A single-row step uses
-        # the cached past-length-independent decode-step program.
+        # Decoder layers, every device at once.  A single-row step uses the
+        # cached past-length-independent decode-step program.
         if rows == 1:
             layer_program = self.compiler.compile_decoder_step()
         else:
             layer_program = self.compiler.compile_decoder_layer(rows, past)
-        linked_layer = link_program(
-            layer_program,
-            self.numerics,
-            self._layer_shared_inputs,
-            self._replicated_layer_names,
-        )
-        for cores in self._layer_cores:
-            # Every device starts from the same hidden state; no handler
-            # mutates a register array in place, so the staged array is
-            # shared by reference rather than copied per device.
-            for core in cores:
-                core.registers["hidden"] = hidden
-                core.slot_lo = lo
-                core.slot_hi = hi
-            self._run_lockstep(linked_layer, cores)
-            hidden = cores[0].registers["hidden_out"]
+        linked_layer = link_program(layer_program, self.numerics)
+        for core in self._layer_cores:
+            # No handler mutates a register array in place, so the hidden
+            # state is shared by reference rather than copied.
+            core.registers["hidden"] = hidden
+            core.slot_lo = lo
+            core.slot_hi = hi
+            self._run_lockstep(linked_layer, (core,))
+            hidden = core.registers["hidden_out"]
 
         # LM head on the last position only.
         cores = self._lm_cores
@@ -1271,10 +1099,7 @@ class DFXFunctionalSimulator:
         for core in cores:
             core.registers["hidden_last"] = last_hidden
         self._run_lockstep(
-            self.compiler.compile_lm_head(),
-            cores,
-            self._lm_shared_inputs,
-            self._replicated_lm_names,
+            link_program(self.compiler.compile_lm_head(), self.numerics), cores
         )
         return np.asarray(cores[0].registers["logits"], dtype=np.float32)[..., 0, :]
 
@@ -1288,6 +1113,7 @@ class DFXFunctionalSimulator:
             raise ExecutionError(f"token_ids must be 1-D, got shape {token_ids.shape}")
         if token_ids.size == 0:
             raise ExecutionError("token_ids must contain at least one token")
+        check_integer_tokens(token_ids)
         # Python min/max: a decode step checks one id, where NumPy's
         # reductions cost more than the list round trip.
         ids = token_ids.tolist()
@@ -1305,9 +1131,10 @@ class DFXFunctionalSimulator:
         Rejects what :meth:`repro.model.TextGenerator.generate_tokens`
         rejects, for a request that starts ``past`` cached positions in.
         """
+        check_budget(max_new_tokens)
         if max_new_tokens <= 0:
             raise ExecutionError("max_new_tokens must be positive")
-        tokens = np.asarray(prompt, dtype=np.int64)
+        tokens = np.asarray(prompt)
         self._check_tokens(tokens, past)
         total = past + tokens.size + max_new_tokens
         if total > self.config.n_positions:
@@ -1316,26 +1143,38 @@ class DFXFunctionalSimulator:
                 f"context window of {self.config.n_positions}"
             )
 
+    def _check_no_session(self) -> None:
+        """Refuse to touch slot 0 while an open session still needs it."""
+        session = self._session() if self._session is not None else None
+        if session is not None and session.busy:
+            raise ExecutionError(
+                "a batched session still has streams in flight; "
+                "run it to completion before forward() or generate()"
+            )
+
     def forward(self, token_ids: np.ndarray) -> tuple[np.ndarray, int]:
         """Run one forward pass (summarization or one generation iteration).
 
         Returns the full-vocabulary logits of the last position and the greedy
         next-token id.  The KV cache persists across calls: the pass runs as
         the cohort of one in arena slot 0, whose capacity grows geometrically
-        when a call outgrows it.
+        when a call outgrows it.  Raises :class:`ExecutionError` while a
+        session opened on this simulator still has pending or in-flight
+        streams, since slot 0 may hold one of them.
         """
-        token_ids = np.asarray(token_ids, dtype=np.int64)
+        self._check_no_session()
+        token_ids = np.asarray(token_ids)
         past = self._past_length
         self._check_tokens(token_ids, past)
         end = past + token_ids.size
         pool = self._pool
         pool.ensure(slots=1, capacity=end)
         if past == 0:
-            # A session may have left its own stream in slot 0.
+            # A finished session may have left its own stream in slot 0.
             pool.clear_slots(0, 1)
-        logits = self._forward_cohort(token_ids, past, 0, 1)
+        logits = self._forward_cohort(token_ids.reshape(1, -1), past, 0, 1)
         self._past_length = end
-        return logits, int(np.argmax(logits))
+        return logits.reshape(-1), int(np.argmax(logits))
 
     def generate(self, input_token_ids: list[int], max_new_tokens: int) -> list[int]:
         """Greedy generation mirroring :class:`repro.model.TextGenerator`.
@@ -1379,7 +1218,8 @@ class DFXFunctionalSimulator:
         """Open a continuous-batching generation session on this simulator.
 
         The session shares the KV arenas with :meth:`forward`, so opening
-        it resets the :meth:`forward` cache.
+        it resets the :meth:`forward` cache, and :meth:`forward` raises
+        until the session has no streams left.
         """
         return BatchedGenerationSession(self)
 
@@ -1400,13 +1240,17 @@ class DFXFunctionalSimulator:
             return []
         budgets = (
             [max_new_tokens] * len(prompts)
-            if isinstance(max_new_tokens, int)
+            if isinstance(max_new_tokens, numbers.Number)
             else list(max_new_tokens)
         )
         if len(budgets) != len(prompts):
             raise ExecutionError(
                 "max_new_tokens must be an int or match the number of prompts"
             )
+        # Check every request before the session opens, so a rejected batch
+        # leaves neither queued streams nor a reset forward() cache behind.
+        for prompt, budget in zip(prompts, budgets):
+            self._check_request(prompt, budget, 0)
         session = self.batched_session()
         stream_ids = [
             session.admit(prompt, budget)
@@ -1476,12 +1320,13 @@ class BatchedGenerationSession:
     sessions on the simulator's arena pool; a new session only resets the
     logical lengths.  The pool is the one the simulator's :meth:`forward`
     uses, so opening a session resets the simulator's :meth:`forward`
-    cache, and a session must finish before :meth:`forward` runs again.
+    cache, and :meth:`forward` raises while the session is :attr:`busy`.
     """
 
     def __init__(self, simulator: DFXFunctionalSimulator) -> None:
         self._sim = simulator
         simulator.reset_cache()
+        simulator._session = weakref.ref(self)
         self._pool = simulator._pool
         self._pool.clear_all()
         self._slots = self._pool.slots
@@ -1539,6 +1384,11 @@ class BatchedGenerationSession:
         return stream.stream_id
 
     @property
+    def busy(self) -> bool:
+        """Whether any admitted stream is still pending or in flight."""
+        return bool(self._pending or self._cohorts)
+
+    @property
     def active_streams(self) -> int:
         """Streams currently decoding (pending admissions excluded)."""
         return sum(cohort.size for cohort in self._cohorts)
@@ -1564,7 +1414,7 @@ class BatchedGenerationSession:
         for cohort in decoding:
             self._decode_cohort(cohort)
         self._merge_cohorts()
-        return bool(self._pending or self._cohorts)
+        return self.busy
 
     def run(self) -> None:
         """Step until every admitted stream has exhausted its budget."""
@@ -1609,7 +1459,7 @@ class BatchedGenerationSession:
 
     def _record_tokens(self, cohort: _Cohort, logits: np.ndarray) -> None:
         """Record each stream's greedy token, then process departures."""
-        tokens = np.argmax(logits.reshape(cohort.size, -1), axis=-1)
+        tokens = np.argmax(logits, axis=-1)
         for stream, token in zip(cohort.streams, tokens):
             stream.outputs.append(int(token))
             stream.next_token = int(token)

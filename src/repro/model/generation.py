@@ -9,6 +9,7 @@ been produced (or an end-of-text token is emitted).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,6 +18,14 @@ from repro.errors import ExecutionError
 from repro.model.gpt2 import GPT2Model
 from repro.model.kv_cache import KVCache
 from repro.model.tokenizer import END_OF_TEXT_TOKEN_ID, SyntheticTokenizer
+
+
+def check_budget(max_new_tokens: int) -> None:
+    """Reject a ``max_new_tokens`` that is not an integer (NumPy ints pass)."""
+    if not isinstance(max_new_tokens, numbers.Integral):
+        raise ExecutionError(
+            f"max_new_tokens must be an integer, got {max_new_tokens!r}"
+        )
 
 
 @dataclass
@@ -71,6 +80,7 @@ class TextGenerator:
         """
         if not input_token_ids:
             raise ExecutionError("input_token_ids must not be empty")
+        check_budget(max_new_tokens)
         if max_new_tokens < 0:
             raise ExecutionError("max_new_tokens must be non-negative")
         total = len(input_token_ids) + max_new_tokens

@@ -25,6 +25,17 @@ from repro.model.numerics import FP32_EXACT, Numerics
 from repro.model.weights import GPT2Weights, generate_weights
 
 
+def check_integer_tokens(token_ids: np.ndarray) -> None:
+    """Reject token ids of a non-integer dtype instead of truncating them.
+
+    A cast to ``int64`` would run ``1.9`` as ``1`` and ``True`` as ``1``.  The
+    reference model and the functional engine share this check and its
+    message.
+    """
+    if token_ids.dtype.kind not in "iu":
+        raise ExecutionError(f"token ids must be integers, got dtype {token_ids.dtype}")
+
+
 @dataclass
 class ForwardResult:
     """Output of a single model forward pass.
@@ -72,11 +83,12 @@ class GPT2Model:
     # ------------------------------------------------------------------ pieces
     def embed(self, token_ids: np.ndarray, position_offset: int = 0) -> np.ndarray:
         """Token embedding: WTE[token] + WPE[position] (paper Sec. II-A)."""
-        token_ids = np.asarray(token_ids, dtype=np.int64)
+        token_ids = np.asarray(token_ids)
         if token_ids.ndim != 1:
             raise ExecutionError(f"token_ids must be 1-D, got shape {token_ids.shape}")
         if token_ids.size == 0:
             raise ExecutionError("token_ids must contain at least one token")
+        check_integer_tokens(token_ids)
         if np.any(token_ids < 0) or np.any(token_ids >= self.config.vocab_size):
             raise ExecutionError("token id out of vocabulary range")
         positions = np.arange(position_offset, position_offset + token_ids.size)

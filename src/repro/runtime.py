@@ -16,6 +16,7 @@ exposes ``generate`` / ``generate_text`` / ``generate_batch``.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +26,7 @@ from repro.core.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.core.functional import DFXFunctionalSimulator
 from repro.errors import ConfigurationError, ExecutionError
 from repro.model.config import GPT2Config
+from repro.model.generation import check_budget
 from repro.model.numerics import FP16_DFX, Numerics
 from repro.model.tokenizer import SyntheticTokenizer
 from repro.model.weights import GPT2Weights, generate_weights
@@ -148,6 +150,7 @@ class DFXRuntime:
         """Generate tokens functionally and attach the simulated timing."""
         if not input_token_ids:
             raise ExecutionError("input_token_ids must not be empty")
+        check_budget(max_new_tokens)
         if max_new_tokens <= 0:
             raise ExecutionError("max_new_tokens must be positive")
         workload = Workload(
@@ -187,13 +190,15 @@ class DFXRuntime:
             raise ExecutionError("input_token_ids must not be empty")
         budgets = (
             [max_new_tokens] * len(prompts)
-            if isinstance(max_new_tokens, int)
+            if isinstance(max_new_tokens, numbers.Number)
             else list(max_new_tokens)
         )
         if len(budgets) != len(prompts):
             raise ExecutionError(
                 f"{len(budgets)} budgets for {len(prompts)} prompts"
             )
+        for budget in budgets:
+            check_budget(budget)
         if any(budget <= 0 for budget in budgets):
             raise ExecutionError("max_new_tokens must be positive")
         outputs = self._reset_engine().generate_batch(

@@ -140,6 +140,30 @@ class TestBoundaryValidation:
         assert str(raised.value) == str(expected.value)
         assert simulator.kv_cache_length == 0
 
+    NON_INTEGER_ENTRY_POINTS = {
+        "engine-forward": lambda sim, ref, ids: sim.forward(np.asarray(ids)),
+        "engine-generate": lambda sim, ref, ids: sim.generate(ids, 2),
+        "engine-generate_batch": lambda sim, ref, ids: sim.generate_batch([ids], 2),
+        "engine-admit": lambda sim, ref, ids: sim.batched_session().admit(ids, 2),
+        "reference-forward": lambda sim, ref, ids: ref.forward(np.asarray(ids)),
+        "reference-generate_tokens": (
+            lambda sim, ref, ids: TextGenerator(ref).generate_tokens(ids, 2)
+        ),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(NON_INTEGER_ENTRY_POINTS))
+    @pytest.mark.parametrize(
+        "tokens",
+        [[1.5, 2.7], [np.float16(1.9), np.float16(2.2)], [True, False]],
+        ids=["float64", "float16", "bool"],
+    )
+    def test_non_integer_token_ids_rejected(self, simulator, reference, entry, tokens):
+        # A cast to int64 would silently run ids [1, 2] (or 1, 0 for bools).
+        call = self.NON_INTEGER_ENTRY_POINTS[entry]
+        with pytest.raises(ExecutionError, match="token ids must be integers"):
+            call(simulator, reference, tokens)
+        assert simulator.kv_cache_length == 0
+
     def test_chunk_past_context_leaves_cache_untouched(self, simulator):
         simulator.forward(np.ones(self.CONTEXT - 2, dtype=np.int64))
         with pytest.raises(ExecutionError, match="exceeds maximum context"):

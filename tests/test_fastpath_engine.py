@@ -2,10 +2,15 @@
 
 Covers the compiled-program cache (each distinct shape compiles at most once
 per ``generate()``), immutability of cached programs under execution, the
-bit-exactness contract between the linked fast path and the per-instruction
-slow path (single streams and batched cohorts), KV arena growth inside the
+bit-exactness contract between the device-stacked linked fast path and the
+per-instruction slow path (per device slice and per stream, and a whole
+slow-path lockstep cluster as the oracle), KV arena growth inside the
 functional cores, and warm-cache reuse via ``reset_cache``.
 """
+
+import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -18,12 +23,89 @@ from repro.core.functional import (
     FunctionalCore,
     link_program,
 )
+from repro.errors import ExecutionError
 from repro.isa.compiler import DFXCompiler
 from repro.isa.instructions import MatrixInstruction
 from repro.isa.opcodes import MatrixOpcode
 from repro.model.config import GPT2_TEST_TINY
-from repro.model.numerics import FP16_DFX
-from repro.parallel.partitioner import build_partition_plan
+from repro.model.numerics import FP16_DFX, FP32_EXACT
+from repro.model.weights import generate_weights
+from repro.parallel.partitioner import build_partition_plan, partition_model_weights
+
+#: A tiny config whose vocabulary does not split evenly on 2 or 4 devices
+#: (the last device takes the remainder, as with GPT-2's 50257).
+UNEVEN_VOCAB_TINY = dataclasses.replace(
+    GPT2_TEST_TINY, name="gpt2-test-tiny-vocab515", vocab_size=515
+)
+
+
+@pytest.fixture(scope="module")
+def uneven_weights():
+    return generate_weights(UNEVEN_VOCAB_TINY, seed=7)
+
+
+def device_memory(memory, device):
+    """One device's unstacked weights from a device-stacked layer memory."""
+    unstacked = {}
+    for name, array in memory.items():
+        if type(array) is BatchedKV:
+            continue
+        if array.ndim == 4:  # (devices, 1, rows, cols); biases have one row
+            array = array[device, 0]
+            if name.startswith("b_"):
+                array = array[0]
+        unstacked[name] = array
+    return unstacked
+
+
+def device_stream(stacked, slow_ndim, device, stream):
+    """The slice of a stacked-core register that one device's stream owns.
+
+    Per-device registers lead with ``(devices, batch)``, shared ones with
+    ``(batch,)``, and loaded LayerNorm parameters carry neither.
+    """
+    extra = stacked.ndim - slow_ndim
+    if extra == 2:
+        return stacked[device, stream]
+    if extra == 1:
+        return stacked[stream]
+    return stacked
+
+
+def gather_devices(sync, local):
+    """Sync handler for a stacked core: concatenate its device slices."""
+    return FP16_DFX.cast(np.concatenate(list(local), axis=-1))
+
+
+def run_slow_lockstep(program, cores):
+    """Run ``program`` on one plain core per device through the slow path.
+
+    Every instruction goes through ``execute_instruction``; at each sync the
+    cores' local slices are gathered in device order and handed to each core.
+    """
+    for segment in program.segments():
+        for core in cores:
+            for instruction in segment.instructions:
+                core.execute_instruction(instruction)
+        sync = segment.sync
+        if sync is not None:
+            gathered = cores[0].numerics.cast(
+                np.concatenate([core.registers[sync.src] for core in cores], axis=-1)
+            )
+            for core in cores:
+                core.execute_instruction(sync, lambda _sync, _local: gathered)
+
+
+def assert_matches_slow(stacked_registers, slow_cores, stream, label):
+    """Every slow-path register equals its stacked slice, bit for bit."""
+    for device, slow in enumerate(slow_cores):
+        assert set(slow.registers) <= set(stacked_registers)
+        for name, value in slow.registers.items():
+            fast = device_stream(stacked_registers[name], value.ndim, device, stream)
+            assert fast.dtype == value.dtype, name
+            assert np.array_equal(fast, value), (
+                f"{label} device {device} register {name}"
+            )
 
 
 @pytest.fixture()
@@ -97,104 +179,219 @@ class TestProgramCache:
 
 
 class TestFastSlowBitExactness:
-    """The linked fast path must match per-instruction execution bit for bit."""
+    """The stacked fast path must match per-instruction execution bit for bit."""
 
-    def _stage(self, simulator, hidden):
-        registers = {"hidden": hidden.copy()}
-        memory = dict(simulator._layer_memory[0][0])
-        return FunctionalCore(numerics=FP16_DFX, registers=registers, memory=memory)
+    DEVICES = 2
+
+    def _slow_cores(self, simulator, hidden):
+        memory = simulator._layer_memory[0]
+        return [
+            FunctionalCore(
+                numerics=FP16_DFX,
+                registers={"hidden": hidden.copy()},
+                memory=device_memory(memory, device),
+            )
+            for device in range(self.DEVICES)
+        ]
 
     def test_segment_execution_matches_instruction_execution(self, tiny_weights, rng):
-        # One device, so the identity sync handler preserves program widths.
-        simulator = DFXFunctionalSimulator(tiny_weights, num_devices=1, numerics=FP16_DFX)
+        simulator = DFXFunctionalSimulator(
+            tiny_weights, num_devices=self.DEVICES, numerics=FP16_DFX
+        )
         program = simulator.compiler.compile_decoder_layer(4, 0)
-        hidden = rng.normal(size=(4, GPT2_TEST_TINY.n_embd)).astype(np.float16)
+        hidden = rng.normal(size=(1, 4, GPT2_TEST_TINY.n_embd)).astype(np.float16)
 
-        fast = self._stage(simulator, hidden)
-        slow = self._stage(simulator, hidden)
+        fast = FunctionalCore(
+            numerics=FP16_DFX,
+            registers={"hidden": hidden},
+            memory=dict(simulator._layer_memory[0]),
+        )
+        fast.execute(program, gather_devices)
+        slow = self._slow_cores(simulator, hidden[0])
+        run_slow_lockstep(program, slow)
 
-        def sync_handler(sync, local):
-            # Single-device stand-in: the gather is the identity.
-            return FP16_DFX.cast(np.concatenate([local], axis=-1))
-
-        fast.execute(program, sync_handler)
-        for instruction in program.instructions:
-            slow.execute_instruction(instruction, sync_handler)
-
-        assert set(slow.registers) <= set(fast.registers)
-        for name, value in slow.registers.items():
-            np.testing.assert_array_equal(
-                fast.registers[name], value, err_msg=f"register {name}"
-            )
-        for name, value in slow.memory.items():
-            np.testing.assert_array_equal(
-                fast.memory[name], value, err_msg=f"memory {name}"
-            )
+        assert_matches_slow(fast.registers, slow, 0, "fast")
+        for device, core in enumerate(slow):
+            kv_names = [name for name in core.memory if name.startswith("kv.")]
+            assert kv_names
+            for name in kv_names:
+                assert np.array_equal(
+                    fast.memory[name][device, 0], core.memory[name]
+                ), f"device {device} KV {name}"
 
     @pytest.mark.parametrize("batch", [1, 2])
     def test_cohort_matches_slow_path_per_stream(self, tiny_weights, rng, batch):
-        # A cohort on arena KV runs the linked code once for all its streams;
-        # each stream's registers and KV slice must equal the slow path run
-        # on that stream alone.  A cohort of one runs without the batch axis.
-        simulator = DFXFunctionalSimulator(tiny_weights, num_devices=1, numerics=FP16_DFX)
+        # A cohort on arena KV runs the linked code once for all its devices
+        # and streams; each device's slice of each stream's registers and KV
+        # must equal the slow path run on that stream alone.
+        simulator = DFXFunctionalSimulator(
+            tiny_weights, num_devices=self.DEVICES, numerics=FP16_DFX
+        )
         program = simulator.compiler.compile_decoder_layer(4, 0)
         streams = rng.normal(size=(batch, 4, GPT2_TEST_TINY.n_embd)).astype(np.float16)
-
-        def sync_handler(sync, local):
-            return FP16_DFX.cast(np.concatenate([local], axis=-1))
 
         pool = BatchedKVPool(np.float32)
         pool.ensure(slots=batch, capacity=4)
         cohort = BatchedFunctionalCore(
             numerics=FP16_DFX,
-            registers={"hidden": streams[0] if batch == 1 else streams},
-            memory=dict(simulator._layer_memory[0][0]),
+            registers={"hidden": streams},
+            memory=dict(simulator._layer_memory[0]),
             slot_lo=0,
             slot_hi=batch,
             kv_pool=pool,
         )
-        cohort.execute(program, sync_handler)
+        cohort.execute(program, gather_devices)
 
         for stream in range(batch):
-            slow = self._stage(simulator, streams[stream])
-            for instruction in program.instructions:
-                slow.execute_instruction(instruction, sync_handler)
-            assert set(slow.registers) <= set(cohort.registers)
-            for name, value in slow.registers.items():
-                fast = cohort.registers[name]
-                if fast.ndim == value.ndim + 1:
-                    fast = fast[stream]
-                assert fast.dtype == value.dtype, name
-                assert np.array_equal(fast, value), f"stream {stream} register {name}"
-            kv_names = [name for name in slow.memory if name.startswith("kv.")]
-            assert kv_names
-            for name in kv_names:
-                arena = cohort.memory[name]
-                assert type(arena) is BatchedKV
-                assert np.array_equal(
-                    arena.view(stream, stream + 1), slow.memory[name]
-                ), f"stream {stream} KV {name}"
+            slow = self._slow_cores(simulator, streams[stream])
+            run_slow_lockstep(program, slow)
+            assert_matches_slow(cohort.registers, slow, stream, f"stream {stream}")
+            for device, core in enumerate(slow):
+                kv_names = [name for name in core.memory if name.startswith("kv.")]
+                assert kv_names
+                for name in kv_names:
+                    arena = cohort.memory[name]
+                    assert type(arena) is BatchedKV
+                    assert np.array_equal(
+                        arena.view(stream, stream + 1)[device, 0], core.memory[name]
+                    ), f"stream {stream} device {device} KV {name}"
 
-    def test_program_outputs_visible_on_every_core(self, simulator):
-        simulator.forward(np.array([1, 2, 3]))
-        for layer_cores in simulator._layer_cores:
-            outputs = [core.registers["hidden_out"] for core in layer_cores]
-            for other in outputs[1:]:
-                np.testing.assert_array_equal(outputs[0], other)
+    def test_program_outputs_visible_on_every_core(self, uneven_weights):
+        # 515 = 3 x 128 + 131: the three equal shards stack into one LM-head
+        # core and the remainder shard gets its own; both must see the one
+        # gathered logits vector.
+        simulator = DFXFunctionalSimulator(uneven_weights, num_devices=4)
+        shards = [core.memory["wte_part"].shape[:3] for core in simulator._lm_cores]
+        assert shards == [(3, 1, 128), (1, 1, 131)]
+        logits, _ = simulator.forward(np.array([1, 2, 3]))
+        first, second = (core.registers["logits"] for core in simulator._lm_cores)
+        assert first is second
+        assert first.shape == (1, 1, UNEVEN_VOCAB_TINY.vocab_size)
+        assert np.array_equal(np.asarray(first, dtype=np.float32)[0, 0], logits)
+
+
+class TestSlowPathLockstepOracle:
+    """The stacked engine against a slow-path cluster, logits compared with ==.
+
+    The oracle builds one plain :class:`FunctionalCore` per device on that
+    device's own unstacked memory (straight from the partitioner), runs every
+    instruction through ``execute_instruction``, and gathers each sync across
+    the cores in device order.
+    """
+
+    PROMPT = [5, 111, 42, 7, 300]
+    DECODE_STEPS = 3
+
+    class Cluster:
+        def __init__(self, weights, num_devices, numerics):
+            config = weights.config
+            self.numerics = numerics
+            self.weights = weights.astype(numerics.dtype)
+            plan = build_partition_plan(config, num_devices)
+            self.compiler = DFXCompiler(config, plan, device_id=0)
+            shards = [
+                partition_model_weights(self.weights, plan, device)
+                for device in range(num_devices)
+            ]
+            self.layers = []
+            for index in range(config.n_layer):
+                cores = []
+                for device in range(num_devices):
+                    layer = shards[device][index]
+                    qkv = layer.w_qkv.shape[1] // 3
+                    memory = {
+                        "w_query": layer.w_qkv[:, :qkv],
+                        "w_key": layer.w_qkv[:, qkv : 2 * qkv],
+                        "w_value": layer.w_qkv[:, 2 * qkv :],
+                        "b_query": layer.b_qkv[:qkv],
+                        "b_key": layer.b_qkv[qkv : 2 * qkv],
+                        "b_value": layer.b_qkv[2 * qkv :],
+                    }
+                    for name in (
+                        "w_attn_proj", "b_attn_proj", "w_ffn1", "b_ffn1",
+                        "w_ffn2", "b_ffn2", "ln1_gamma", "ln1_beta",
+                        "ln2_gamma", "ln2_beta",
+                    ):
+                        memory[name] = getattr(layer, name)
+                    cores.append(FunctionalCore(numerics=numerics, memory=memory))
+                self.layers.append(cores)
+            base = config.vocab_size // num_devices
+            self.lm_cores = [
+                FunctionalCore(
+                    numerics=numerics,
+                    memory={
+                        "wte_part": self.weights.wte[
+                            device * base : device * base
+                            + plan.device(device).vocab_rows
+                        ],
+                        "ln_f_gamma": self.weights.ln_f_gamma,
+                        "ln_f_beta": self.weights.ln_f_beta,
+                    },
+                )
+                for device in range(num_devices)
+            ]
+            self.past = 0
+
+        def forward(self, tokens):
+            rows = len(tokens)
+            embedding = FunctionalCore(
+                numerics=self.numerics,
+                memory={
+                    "wte_rows": self.weights.wte[np.asarray(tokens)],
+                    "wpe_rows": self.weights.wpe[self.past : self.past + rows],
+                },
+            )
+            for instruction in self.compiler.compile_embedding(rows).instructions:
+                embedding.execute_instruction(instruction)
+            hidden = embedding.registers["hidden"]
+            if rows == 1:
+                program = self.compiler.compile_decoder_step()
+            else:
+                program = self.compiler.compile_decoder_layer(rows, self.past)
+            for cores in self.layers:
+                for core in cores:
+                    core.registers["hidden"] = hidden
+                run_slow_lockstep(program, cores)
+                hidden = cores[0].registers["hidden_out"]
+            for core in self.lm_cores:
+                core.registers["hidden_last"] = hidden[-1:, :]
+            run_slow_lockstep(self.compiler.compile_lm_head(), self.lm_cores)
+            self.past += rows
+            return np.asarray(self.lm_cores[0].registers["logits"], dtype=np.float32)[0]
+
+    @pytest.mark.parametrize("devices", [1, 2, 4])
+    @pytest.mark.parametrize("config", ["tiny", "vocab515"])
+    def test_logits_match_stacked_engine(
+        self, tiny_weights, uneven_weights, config, devices
+    ):
+        weights = tiny_weights if config == "tiny" else uneven_weights
+        engine = DFXFunctionalSimulator(weights, num_devices=devices, numerics=FP16_DFX)
+        oracle = self.Cluster(weights, devices, FP16_DFX)
+        tokens = list(self.PROMPT)
+        for step in range(1 + self.DECODE_STEPS):
+            logits, token = engine.forward(np.asarray(tokens))
+            expected = oracle.forward(tokens)
+            assert logits.shape == (weights.config.vocab_size,)
+            assert np.array_equal(logits, expected), f"step {step}"
+            assert token == int(np.argmax(expected))
+            tokens = [token]
+        assert engine.kv_cache_length == oracle.past
 
 
 class TestKVGrowthInCores:
     def test_store_kv_uses_arena_buffers(self, simulator):
         simulator.forward(np.array([7, 8]))
-        memory = simulator._layer_memory[0][0]
+        memory = simulator._layer_memory[0]
         kv_buffers = [v for k, v in memory.items() if k.startswith("kv.")]
         assert kv_buffers, "expected KV buffers after a forward pass"
         assert all(type(buffer) is BatchedKV for buffer in kv_buffers)
+        # One arena per (layer, local head) holds every device's shard.
+        assert all(buffer.data.shape[0] == 2 for buffer in kv_buffers)
         assert all(buffer.lengths[0] == 2 for buffer in kv_buffers)
 
     def test_generate_reserves_full_capacity_up_front(self, simulator):
         simulator.generate([1, 2, 3], max_new_tokens=8)
-        memory = simulator._layer_memory[0][0]
+        memory = simulator._layer_memory[0]
         buffer = next(v for k, v in memory.items() if k.startswith("kv."))
         assert buffer.capacity >= 3 + 8
         assert buffer.lengths[0] == 3 + 8 - 1  # last token is never fed back
@@ -215,7 +412,7 @@ class TestKVGrowthInCores:
         simulator.generate([1, 2], max_new_tokens=2)
         simulator.reset_cache()
         simulator.generate([1, 2, 3], max_new_tokens=20)
-        memory = simulator._layer_memory[0][0]
+        memory = simulator._layer_memory[0]
         buffer = next(v for k, v in memory.items() if k.startswith("kv."))
         assert buffer.capacity >= 23
 
@@ -233,7 +430,7 @@ class TestKVGrowthInCores:
         grown = sorted(set(capacities))
         assert len(grown) <= 3
         assert all(later >= 2 * earlier for earlier, later in zip(grown, grown[1:]))
-        memory = simulator._layer_memory[0][0]
+        memory = simulator._layer_memory[0]
         buffer = next(v for k, v in memory.items() if k.startswith("kv."))
         assert buffer.capacity == capacities[-1]
         assert buffer.lengths[0] == 3 + 29
@@ -384,6 +581,45 @@ class TestBatchedEngine:
         assert simulator.batched_kv_memory_bytes == 0
         assert simulator.generate_batch(self.PROMPTS, self.BUDGETS) == first
 
+    def test_forward_refuses_to_run_over_an_open_session(self, tiny_weights):
+        # forward() at past 0 prefills into slot 0, where the session's first
+        # stream lives: it must raise instead of overwriting that stream.
+        simulator = DFXFunctionalSimulator(
+            tiny_weights, num_devices=2, numerics=FP16_DFX
+        )
+        session = simulator.batched_session()
+        first = session.admit([1, 2, 3], 6)
+        second = session.admit([7, 8, 9], 6)
+        session.step()
+        session.step()
+        with pytest.raises(ExecutionError, match="batched session"):
+            simulator.forward(np.arange(20) + 30)
+        with pytest.raises(ExecutionError, match="batched session"):
+            simulator.generate([4, 5], 3)
+        session.run()
+        assert not session.busy
+        expected = self._sequential(
+            tiny_weights, [[1, 2, 3], [7, 8, 9]], [6, 6]
+        )
+        assert [session.outputs(first), session.outputs(second)] == expected
+        # A finished session leaves forward() usable.
+        fresh = DFXFunctionalSimulator(tiny_weights, num_devices=2, numerics=FP16_DFX)
+        assert simulator.generate([4, 5], 3) == fresh.generate([4, 5], 3)
+
+    def test_finished_session_does_not_keep_simulator_alive(self, tiny_weights):
+        # The simulator holds its session weakly: a reference cycle would
+        # keep a dropped simulator's weights and arenas until the cyclic
+        # collector runs, which raises a serving loop's peak memory.
+        simulator = DFXFunctionalSimulator(tiny_weights, num_devices=2)
+        simulator.generate_batch([[1, 2], [3, 4, 5]], 2)
+        dropped = weakref.ref(simulator)
+        gc.disable()
+        try:
+            del simulator
+            assert dropped() is None
+        finally:
+            gc.enable()
+
     def test_session_resets_forward_cache(self, tiny_weights):
         # forward() and sessions share one KV store, so opening a session
         # resets the forward() cache, and the next generate starts clean.
@@ -401,28 +637,27 @@ class TestBatchedEngine:
 
 
 class TestLinkedProgramStructure:
-    def test_link_is_memoized_per_numerics_and_sharing_key(self, simulator):
+    def test_link_is_memoized_per_numerics(self, simulator):
         program = simulator.compiler.compile_decoder_step()
-        plain = link_program(program, FP16_DFX)
-        assert link_program(program, FP16_DFX) is plain
-        shared = link_program(
-            program, FP16_DFX,
-            frozenset(("hidden",)), simulator._replicated_layer_names,
-        )
-        assert shared is not plain
-        assert link_program(
-            program, FP16_DFX,
-            frozenset(("hidden",)), simulator._replicated_layer_names,
-        ) is shared
+        fp16 = link_program(program, FP16_DFX)
+        assert link_program(program, FP16_DFX) is fp16
+        fp32 = link_program(program, FP32_EXACT)
+        assert fp32 is not fp16
+        assert link_program(program, FP32_EXACT) is fp32
+        assert link_program(program, FP16_DFX) is fp16
 
-    def test_shared_prefix_covers_layernorm(self, simulator):
-        program = simulator.compiler.compile_decoder_step()
-        linked = link_program(
-            program, FP16_DFX,
-            frozenset(("hidden",)), simulator._replicated_layer_names,
-        )
-        # Segment 0 starts with LayerNorm 1 — replicated across devices, so
-        # it must be hoisted into the shared prefix.
-        first = linked.segments[0]
-        assert first.prefix is not None
-        assert "lnorm1" in first.shared_out
+    def test_shared_values_carry_no_device_axis(self, simulator):
+        # Each LayerNorm, residual and sync output is computed once per layer
+        # for all devices (no device axis); the sharded projections and the
+        # attention outputs carry the leading device axis.
+        simulator.forward(np.array([1, 2, 3]))
+        emb = GPT2_TEST_TINY.n_embd
+        assert len(simulator._layer_cores) == GPT2_TEST_TINY.n_layer
+        for core in simulator._layer_cores:
+            registers = core.registers
+            for name in ("lnorm1", "lnorm2", "hidden_out"):
+                assert registers[name].shape == (1, 3, emb), name
+            for name in ("query_local", "attn_local"):
+                assert registers[name].shape == (2, 1, 3, emb // 2), name
+            assert core.memory["ln1_gamma"].shape == (emb,)
+            assert core.memory["w_query"].shape == (2, 1, emb, emb // 2)

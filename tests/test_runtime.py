@@ -5,6 +5,8 @@ import pytest
 
 from repro.errors import ConfigurationError, ExecutionError
 from repro.model.config import GPT2_TEST_SMALL, GPT2_TEST_TINY
+from repro.core.functional import DFXFunctionalSimulator
+from repro.model.generation import TextGenerator
 from repro.model.gpt2 import GPT2Model
 from repro.model.numerics import FP16_DFX
 from repro.model.weights import generate_weights
@@ -83,3 +85,45 @@ class TestValidation:
         assert runtime.generate([5, 6, 7], 3).output_token_ids == (
             runtime.generate_batch([[5, 6, 7]], 3).output_token_ids[0]
         )
+
+
+class TestBudgetValidation:
+    """``max_new_tokens`` must be an integer: NumPy integers work everywhere,
+    and a non-integral budget fails with an error naming the field."""
+
+    @pytest.fixture(scope="class")
+    def engine(self):
+        weights = generate_weights(GPT2_TEST_TINY, seed=5)
+        return DFXFunctionalSimulator(weights, num_devices=2)
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        weights = generate_weights(GPT2_TEST_TINY, seed=5)
+        return TextGenerator(GPT2Model(weights, numerics=FP16_DFX))
+
+    PROMPTS = [[1, 2, 3], [4, 5]]
+
+    def test_numpy_integer_budget_is_one_budget_per_prompt(self, runtime, engine):
+        expected = engine.generate_batch(self.PROMPTS, 2)
+        assert engine.generate_batch(self.PROMPTS, np.int64(2)) == expected
+        batch = runtime.generate_batch(self.PROMPTS, np.int64(2))
+        assert batch.output_token_ids == runtime.generate_batch(
+            self.PROMPTS, 2
+        ).output_token_ids
+        assert all(len(tokens) == 2 for tokens in batch.output_token_ids)
+
+    ENTRY_POINTS = {
+        "engine-generate": lambda rt, eng, ref, b: eng.generate([1, 2], b),
+        "engine-generate_batch": lambda rt, eng, ref, b: eng.generate_batch([[1, 2]], b),
+        "engine-admit": lambda rt, eng, ref, b: eng.batched_session().admit([1, 2], b),
+        "runtime-generate": lambda rt, eng, ref, b: rt.generate([1, 2], b),
+        "runtime-generate_batch": lambda rt, eng, ref, b: rt.generate_batch([[1, 2]], b),
+        "reference-generate_tokens": lambda rt, eng, ref, b: ref.generate_tokens([1, 2], b),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("budget", [2.5, np.float64(2.0)], ids=["2.5", "float-2"])
+    def test_non_integral_budget_rejected(self, runtime, engine, reference, entry, budget):
+        call = self.ENTRY_POINTS[entry]
+        with pytest.raises(ExecutionError, match="max_new_tokens"):
+            call(runtime, engine, reference, budget)
