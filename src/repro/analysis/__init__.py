@@ -8,7 +8,6 @@ from repro.analysis.metrics import (
     average_speedup,
     average_throughput_ratio,
     average_throughput_tokens_per_second,
-    geometric_mean_speedup,
     pair_results,
     stage_gflops,
 )
@@ -24,7 +23,7 @@ from repro.analysis.energy import (
     energy_efficiency_rows,
 )
 from repro.analysis.cost import CostAnalysisRow, CostComparison, cost_comparison
-from repro.analysis.reports import format_fractions, format_speedup_series, format_table
+from repro.analysis.reports import format_fractions, format_table
 from repro.analysis.workload_presets import (
     EvaluationSetup,
     PAPER_EVALUATION_SETUPS,
@@ -50,7 +49,6 @@ __all__ = [
     "average_speedup",
     "average_throughput_ratio",
     "average_throughput_tokens_per_second",
-    "geometric_mean_speedup",
     "pair_results",
     "stage_gflops",
     "BreakdownReport",
@@ -64,7 +62,6 @@ __all__ = [
     "CostComparison",
     "cost_comparison",
     "format_fractions",
-    "format_speedup_series",
     "format_table",
     "EvaluationSetup",
     "PAPER_EVALUATION_SETUPS",

@@ -8,7 +8,6 @@ from repro.results import (
     DFX_BREAKDOWN_PHASES,
     GPU_BREAKDOWN_PHASES,
     InferenceResult,
-    PHASE_OTHER,
 )
 
 
@@ -22,12 +21,6 @@ class BreakdownReport:
     def fraction(self, phase: str) -> float:
         """Share of the given phase (0 when absent)."""
         return self.fractions.get(phase, 0.0)
-
-    def dominant_phase(self) -> str:
-        """Phase with the largest share."""
-        if not self.fractions:
-            return PHASE_OTHER
-        return max(self.fractions, key=self.fractions.get)
 
 
 def aggregate_breakdown(

@@ -5,25 +5,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis.metrics import ComparisonRow
-from repro.results import InferenceResult
 
 
 @dataclass(frozen=True)
 class EnergyEfficiencyRow:
     """Energy efficiency of both platforms on one workload.
 
-    The paper normalizes energy efficiency to the GPU appliance, so the GPU
-    column is 1.0 by construction and the DFX column is the improvement
-    factor.
+    The paper normalizes energy efficiency to the GPU appliance (1.0 by
+    construction), so :attr:`normalized_dfx` is the improvement factor.
     """
 
     workload_label: str
     gpu_tokens_per_joule: float
     dfx_tokens_per_joule: float
-
-    @property
-    def normalized_gpu(self) -> float:
-        return 1.0
 
     @property
     def normalized_dfx(self) -> float:
@@ -59,7 +53,3 @@ def average_energy_efficiency_gain(rows: list[ComparisonRow]) -> float:
         return float("inf")
     return dfx_average / gpu_average
 
-
-def request_energy_joules(result: InferenceResult) -> float:
-    """Accelerator energy of one request (power x latency)."""
-    return result.energy_joules

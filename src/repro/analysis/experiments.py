@@ -17,7 +17,6 @@ class.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 from repro.analysis.breakdown import BreakdownReport, dfx_breakdown, gpu_breakdown
@@ -348,40 +347,6 @@ class SchedulerComparisonResult:
 
     reports: dict[str, ServingReport]  # policy name -> report
 
-    @staticmethod
-    def _offered_p95(report: ServingReport) -> float:
-        """p95 response time over *offered* requests, abandoned = infinity.
-
-        Ranking by the percentile over completed requests alone would reward
-        load shedding: a policy that abandons most of the trace shows a great
-        tail over its few survivors.  Counting every abandoned request as an
-        infinite response time removes that survivorship bias (a policy that
-        abandons more than 5% of the offered load has an infinite p95).
-        Needs every completed record, which streaming reports do not keep.
-        """
-        if len(report.completed) != report.num_requests:
-            raise ConfigurationError(
-                "the p95 over offered requests needs every completed record; "
-                "run the comparison with streaming=False (retain_records=True)"
-            )
-        if report.num_offered == 0:
-            return 0.0
-        rank = math.ceil(0.95 * report.num_offered)  # 1-based order statistic
-        responses = sorted(c.response_time_s for c in report.completed)
-        if rank > len(responses):
-            return float("inf")
-        return responses[rank - 1]
-
-    def best_policy_by_p95(self) -> str:
-        """Policy with the lowest p95 over offered requests on this trace."""
-        return min(
-            self.reports,
-            key=lambda name: (
-                self._offered_p95(self.reports[name]),
-                self.reports[name].abandonment_rate,
-            ),
-        )
-
 
 def run_scheduler_comparison(
     scenario: ServingScenario,
@@ -643,16 +608,6 @@ class BatchingComparisonResult:
             label: report.output_tokens_per_second
             for label, report in self.high_load.items()
         }
-
-    @property
-    def dfx_wins_low_load_latency(self) -> bool:
-        """Unbatched DFX beats every batched GPU config on low-load tail latency."""
-        tails = self.low_load_tail_latency_s()
-        return all(
-            tails["dfx-unbatched"] < tail
-            for label, tail in tails.items()
-            if label.startswith("gpu")
-        )
 
     @property
     def gpu_batching_throughput_gain(self) -> float:

@@ -12,9 +12,7 @@ import json
 from pathlib import Path
 from typing import Any
 
-from repro.analysis.metrics import ComparisonRow
 from repro.dse.objectives import EvaluatedCandidate, Objective, ObjectiveVector
-from repro.dse.pareto import FrontMember, ParetoFront
 from repro.dse.space import Candidate, SearchSpace
 from repro.errors import ConfigurationError
 from repro.results import InferenceResult, StageLatency
@@ -58,29 +56,6 @@ def result_to_dict(result: InferenceResult) -> dict[str, Any]:
         "tokens_per_joule": result.tokens_per_joule,
         "flops": result.flops,
         "gflops": result.gflops,
-    }
-
-
-def comparison_to_dict(row: ComparisonRow) -> dict[str, Any]:
-    """Serialize one baseline-vs-DFX comparison row."""
-    return {
-        "workload": workload_to_dict(row.workload),
-        "baseline": result_to_dict(row.baseline),
-        "dfx": result_to_dict(row.dfx),
-        "speedup": row.speedup,
-        "throughput_ratio": row.throughput_ratio,
-        "energy_efficiency_ratio": row.energy_efficiency_ratio,
-    }
-
-
-def comparison_grid_to_dict(rows: list[ComparisonRow]) -> dict[str, Any]:
-    """Serialize a whole comparison grid plus its aggregate ratios."""
-    from repro.analysis.metrics import average_speedup, average_throughput_ratio
-
-    return {
-        "rows": [comparison_to_dict(row) for row in rows],
-        "average_speedup": average_speedup(rows),
-        "average_throughput_ratio": average_throughput_ratio(rows),
     }
 
 
@@ -195,53 +170,6 @@ def dse_evaluation_from_dict(
     )
 
 
-def dse_front_to_dict(front: ParetoFront) -> dict[str, Any]:
-    """Serialize a Pareto front with crowding distances.
-
-    Infinite crowding distances (boundary members) persist as the string
-    ``"inf"`` — JSON has no infinity literal.
-    """
-    return {
-        "schema_version": DSE_SCHEMA_VERSION,
-        "objectives": [dse_objective_to_dict(o) for o in front.objectives],
-        "members": [
-            {
-                "evaluation": dse_evaluation_to_dict(member.evaluated),
-                "crowding_distance": (
-                    "inf"
-                    if member.crowding_distance == float("inf")
-                    else member.crowding_distance
-                ),
-            }
-            for member in front.members
-        ],
-    }
-
-
-def dse_front_from_dict(
-    payload: dict[str, Any], space: SearchSpace
-) -> ParetoFront:
-    """Deserialize a Pareto front through the live space."""
-    _check_dse_schema(payload, "DSE Pareto front")
-    members = []
-    for entry in payload["members"]:
-        distance = entry["crowding_distance"]
-        members.append(
-            FrontMember(
-                evaluated=dse_evaluation_from_dict(entry["evaluation"], space),
-                crowding_distance=(
-                    float("inf") if distance == "inf" else float(distance)
-                ),
-            )
-        )
-    return ParetoFront(
-        objectives=tuple(
-            dse_objective_from_dict(entry) for entry in payload["objectives"]
-        ),
-        members=tuple(members),
-    )
-
-
 def write_json(payload: dict[str, Any], path: str | Path) -> Path:
     """Write a serialized payload to ``path`` (creating parent directories)."""
     destination = Path(path)
@@ -249,7 +177,3 @@ def write_json(payload: dict[str, Any], path: str | Path) -> Path:
     destination.write_text(json.dumps(payload, indent=2, sort_keys=True))
     return destination
 
-
-def read_json(path: str | Path) -> dict[str, Any]:
-    """Read a payload previously written with :func:`write_json`."""
-    return json.loads(Path(path).read_text())

@@ -32,20 +32,6 @@ class ComparisonRow:
             return math.inf
         return self.baseline.latency_ms / self.dfx.latency_ms
 
-    @property
-    def throughput_ratio(self) -> float:
-        """DFX tokens/s divided by baseline tokens/s."""
-        if self.baseline.tokens_per_second == 0:
-            return math.inf
-        return self.dfx.tokens_per_second / self.baseline.tokens_per_second
-
-    @property
-    def energy_efficiency_ratio(self) -> float:
-        """DFX tokens/J divided by baseline tokens/J."""
-        if self.baseline.tokens_per_joule == 0:
-            return math.inf
-        return self.dfx.tokens_per_joule / self.baseline.tokens_per_joule
-
 
 def pair_results(
     baseline_results: list[InferenceResult], dfx_results: list[InferenceResult]
@@ -84,14 +70,6 @@ def average_speedup(rows: list[ComparisonRow]) -> float:
     if dfx_avg == 0:
         return math.inf
     return baseline_avg / dfx_avg
-
-
-def geometric_mean_speedup(rows: list[ComparisonRow]) -> float:
-    """Geometric mean of per-workload speedups (robustness check)."""
-    if not rows:
-        return 0.0
-    log_sum = sum(math.log(row.speedup) for row in rows if row.speedup > 0)
-    return math.exp(log_sum / len(rows))
 
 
 def average_throughput_tokens_per_second(results: list[InferenceResult]) -> float:

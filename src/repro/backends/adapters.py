@@ -147,7 +147,7 @@ class DFXRuntimeBackend:
     """Functional-sim-in-the-loop: the :class:`~repro.runtime.DFXRuntime`.
 
     Estimates come from the same analytic appliance model as
-    :class:`DFXClusterBackend` (``estimate_only``); :meth:`generate`
+    :class:`DFXClusterBackend`; :meth:`generate`
     additionally produces the actual output tokens through the bit-faithful
     functional cluster simulator.  Functional execution is quadratic-ish in
     model size, so the default config is the tiny test model — use the

@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 from typing import Callable
 
@@ -66,6 +67,7 @@ from repro.analysis.reports import format_fractions, format_table
 from repro.backends import available_backends, make_backend
 from repro.baselines.gpu import GPUAppliance
 from repro.core.appliance import DFXAppliance
+from repro.errors import ConfigurationError
 from repro.model.config import available_presets, from_preset
 from repro.serving import (
     ARTICLE_MIX,
@@ -366,6 +368,11 @@ def _command_serve(args: argparse.Namespace) -> int:
                   f"(e.g. 2x2), got {args.topology!r}", file=sys.stderr)
             return 2
         members = tuple(FleetMember(f"host{host}", backend) for host in range(per_rack))
+    # Only exactly 0 means a free link; NaN fails both comparisons.
+    if not (args.link_gbps == 0 or 0 < args.link_gbps < math.inf):
+        raise ConfigurationError(
+            f"link_gbps must be finite and positive (0 = free), got {args.link_gbps}"
+        )
     bandwidth = args.link_gbps * 1e9 / 8.0 if args.link_gbps > 0 else None
     scenario = ServingScenario(
         members=members,
@@ -471,7 +478,7 @@ def _command_dse(args: argparse.Namespace) -> int:
         seed=args.seed,
         jobs=args.jobs,
         results_dir=args.results_dir,
-        serving_duration_s=args.duration if args.duration > 0 else None,
+        serving_duration_s=None if args.duration == 0 else args.duration,
         arrival_rate_per_s=args.rate,
     )
     print(f"{result.mode} search over {result.space}: "

@@ -178,9 +178,8 @@ class BatchedKVPool:
     devices on its leading axis) registered here; the pool keeps them
     dimensioned identically so one slot index means "this stream" in every
     arena.  Slot storage persists across requests and generation sessions
-    (departing streams just free their slot range), and :meth:`shrink`
-    releases the high-water-mark allocation when a long serving run wants
-    its memory back.
+    (departing streams just free their slot range), so the pool holds the
+    high-water-mark allocation of the largest cohort ever admitted.
     """
 
     def __init__(self, dtype: np.dtype) -> None:
@@ -220,15 +219,6 @@ class BatchedKVPool:
     def copy_slots(self, dst: int, src: int, count: int) -> None:
         for arena in self.arenas:
             arena.copy_slots(dst, src, count)
-
-    def shrink(self) -> None:
-        """Drop slot storage back to the empty baseline (explicit reclaim)."""
-        self.slots = 0
-        self.capacity = _KV_MIN_CAPACITY
-        for arena in self.arenas:
-            devices, _, _, cols = arena.data.shape
-            arena.data = np.empty((devices, 0, self.capacity, cols), dtype=self.dtype)
-            arena.lengths = []
 
     def memory_bytes(self) -> int:
         return sum(arena.data.nbytes for arena in self.arenas)
@@ -1258,18 +1248,6 @@ class DFXFunctionalSimulator:
         ]
         session.run()
         return [session.outputs(stream_id) for stream_id in stream_ids]
-
-    def reclaim_batched_kv(self) -> None:
-        """Release the KV arenas' slot storage (explicit reclaim).
-
-        Long serving runs otherwise hold the high-water-mark allocation of
-        the largest cohort ever admitted; after this, the next forward or
-        session grows the arenas back on demand.  The :meth:`forward` cache
-        is dropped with them.  Weights, cores, compiled programs, and linked
-        segments all stay warm.
-        """
-        self._pool.shrink()
-        self._past_length = 0
 
     @property
     def batched_kv_memory_bytes(self) -> int:

@@ -32,11 +32,6 @@ class MatrixTiming:
     compute_cycles: float
     stream_cycles: float
 
-    @property
-    def is_memory_bound(self) -> bool:
-        """True when HBM streaming, not the MACs, limits the instruction."""
-        return self.stream_cycles > self.compute_cycles
-
 
 @dataclass(frozen=True)
 class MPUModel:
@@ -56,16 +51,6 @@ class MPUModel:
             + adder_tree_depth * FP16_ADDER_LATENCY
             + self.calibration.pipeline_fill_cycles_mpu
         )
-
-    @property
-    def dsp_count(self) -> int:
-        """DSP slices used by the MFU (Sec. V-C): 3 * d * l."""
-        return 3 * self.tiling.d * self.tiling.l
-
-    @property
-    def peak_gflops(self) -> float:
-        """Peak throughput: 2 FLOPs per MAC per cycle."""
-        return 2.0 * self.tiling.macs_per_cycle * self.spec.kernel_frequency_hz / 1e9
 
     def streaming_bytes_per_cycle(self) -> float:
         """Effective weight bytes the DMA can deliver per kernel cycle."""
@@ -119,11 +104,3 @@ class MPUModel:
             compute_cycles=instruction.rows * compute_per_row,
             stream_cycles=instruction.rows * stream_per_row,
         )
-
-    def effective_gflops(self, instruction: MatrixInstruction) -> float:
-        """Achieved GFLOP/s for one instruction (used in DSE reporting)."""
-        timing = self.instruction_timing(instruction)
-        seconds = timing.occupancy_cycles / self.spec.kernel_frequency_hz
-        if seconds <= 0:
-            return 0.0
-        return instruction.flops() / seconds / 1e9

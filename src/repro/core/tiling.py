@@ -1,4 +1,4 @@
-"""Weight tiling scheme (paper Sec. V-B, Fig. 8/9).
+"""Weight tiling scheme (paper Sec. V-B, Fig. 8).
 
 Weights are stored in HBM as ``d x l`` tiles: ``d`` is the tile (row) depth fed
 to each tree MAC and ``l`` is the number of lanes (columns computed in
@@ -23,10 +23,6 @@ from repro.errors import ConfigurationError
 from repro.fpga.resources import TILE_DESIGN_POINTS
 from repro.model.config import GPT2Config
 
-#: The tile shape DFX standardizes on.
-DEFAULT_TILE = (64, 16)
-
-
 @dataclass(frozen=True)
 class TilingConfig:
     """A (d, l) tile shape with FP16 data."""
@@ -47,29 +43,11 @@ class TilingConfig:
         """Multiply-accumulates performed per cycle (d * l)."""
         return self.d * self.l
 
-    @property
-    def tile_elements(self) -> int:
-        """Weight elements per tile."""
-        return self.d * self.l
-
-    @property
-    def tile_bytes(self) -> int:
-        """Bytes per tile."""
-        return self.tile_elements * self.data_bits // 8
-
     def tiles_for(self, in_dim: int, out_dim: int) -> int:
         """Tiles needed to cover an ``in_dim x out_dim`` weight matrix."""
         if in_dim <= 0 or out_dim <= 0:
             raise ConfigurationError("matrix dims must be positive")
         return math.ceil(in_dim / self.d) * math.ceil(out_dim / self.l)
-
-    def effective_rows(self, in_dim: int) -> int:
-        """MAC rows actually used when the contraction dim is ``in_dim``."""
-        return min(self.d, in_dim)
-
-    def effective_lanes(self, out_dim: int) -> int:
-        """Lanes actually used when the output dim is ``out_dim``."""
-        return min(self.l, out_dim)
 
     def utilization(self, in_dim: int, out_dim: int) -> float:
         """Fraction of the d*l MACs doing useful work for this matrix shape."""
@@ -119,40 +97,3 @@ def design_space_mha_sweep(
         for d, l in TILE_DESIGN_POINTS
     }
 
-
-@dataclass(frozen=True)
-class LoadingDirection:
-    """Weight loading direction trade-off (paper Fig. 9).
-
-    The horizontal direction maximizes input reuse but needs one partial-sum
-    buffer per output column; the vertical direction needs a single buffer but
-    no input reuse; DFX's zigzag over ``d x d`` blocks balances both.
-    """
-
-    name: str
-    partial_sum_buffers: int
-    input_reuse_factor: float
-
-
-def loading_direction_tradeoffs(
-    tiling: TilingConfig, config: GPT2Config
-) -> tuple[LoadingDirection, ...]:
-    """Buffer-count / reuse comparison of the three loading directions."""
-    emb = config.n_embd
-    return (
-        LoadingDirection(
-            name="horizontal",
-            partial_sum_buffers=math.ceil(emb / tiling.l),
-            input_reuse_factor=emb / tiling.d,
-        ),
-        LoadingDirection(
-            name="vertical",
-            partial_sum_buffers=1,
-            input_reuse_factor=1.0,
-        ),
-        LoadingDirection(
-            name="zigzag",
-            partial_sum_buffers=math.ceil(tiling.d / tiling.l),
-            input_reuse_factor=tiling.d / tiling.l,
-        ),
-    )

@@ -67,7 +67,3 @@ class VPUModel:
         occupancy = instruction.rows * chunks_per_row + issue + op_latency
         latency = occupancy + self.calibration.pipeline_fill_cycles_vpu
         return VectorTiming(occupancy_cycles=occupancy, latency_cycles=latency)
-
-    def throughput_elements_per_second(self) -> float:
-        """Peak elementwise throughput of the VFU."""
-        return self.vector_width * self.spec.kernel_frequency_hz

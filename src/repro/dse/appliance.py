@@ -46,6 +46,7 @@ recovers).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -115,10 +116,21 @@ class ApplianceEvaluator:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.serving_duration_s is not None and self.serving_duration_s <= 0:
-            raise ConfigurationError("serving_duration_s must be positive (or None)")
-        if self.arrival_rate_per_s <= 0:
-            raise ConfigurationError("arrival_rate_per_s must be positive")
+        # Written so that NaN fails each check (NaN compares false with
+        # everything); otherwise every candidate's serving run fails and the
+        # pool records the whole space as infeasible.
+        if self.serving_duration_s is not None and not (
+            0 < self.serving_duration_s < math.inf
+        ):
+            raise ConfigurationError(
+                "serving_duration_s must be finite and positive (or None), "
+                f"got {self.serving_duration_s}"
+            )
+        if not 0 < self.arrival_rate_per_s < math.inf:
+            raise ConfigurationError(
+                "arrival_rate_per_s must be finite and positive, "
+                f"got {self.arrival_rate_per_s}"
+            )
         if not 0 < self.tail_percentile <= 100:
             raise ConfigurationError("tail_percentile must be in (0, 100]")
 
@@ -305,8 +317,19 @@ def appliance_search_space(
     Axes passed as ``None`` (or a single level for schedulers/batches) are
     left out of the space entirely, keeping candidate keys short and grids
     small.  ``fleets`` replaces the ``backend`` dimension with a ``fleet``
-    dimension whose labels join member names with ``+``.
+    dimension whose labels join member names with ``+``.  A count level
+    below 1 raises here: evaluated, it would only read as an infeasible
+    candidate.
     """
+    for name, levels in (
+        ("devices", devices),
+        ("clusters", clusters),
+        ("batch", batch_sizes),
+        ("racks", racks),
+    ):
+        for level in levels or ():
+            if level < 1:
+                raise ConfigurationError(f"{name} levels must be >= 1, got {level}")
     dimensions: list[Dimension] = []
     if fleets is not None:
         dimensions.append(

@@ -6,7 +6,6 @@ from repro.fpga.u280 import DEFAULT_U280, ResourceBudget, U280Spec
 from repro.fpga.memory import kv_cache_bytes
 from repro.fpga.aurora import AURORA_ENCODING_EFFICIENCY, AuroraLinkModel
 from repro.fpga.resources import (
-    CORE_COMPONENTS,
     CoreResourceReport,
     ResourceUsage,
     TILE_DESIGN_POINTS,
@@ -24,7 +23,6 @@ __all__ = [
     "kv_cache_bytes",
     "AURORA_ENCODING_EFFICIENCY",
     "AuroraLinkModel",
-    "CORE_COMPONENTS",
     "CoreResourceReport",
     "ResourceUsage",
     "TILE_DESIGN_POINTS",

@@ -61,10 +61,3 @@ class AuroraLinkModel:
             return 0.0
         slice_bytes = total_payload_bytes / num_devices
         return (num_devices - 1) * self.hop_seconds(int(round(slice_bytes)))
-
-    def ring_all_gather_cycles(
-        self, total_payload_bytes: int, num_devices: int
-    ) -> float:
-        """Same as :meth:`ring_all_gather_seconds`, in kernel-clock cycles."""
-        seconds = self.ring_all_gather_seconds(total_payload_bytes, num_devices)
-        return seconds * self.spec.kernel_frequency_hz

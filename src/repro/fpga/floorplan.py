@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from repro.errors import ResourceExhaustedError
 from repro.fpga.resources import (
     ResourceUsage,
     estimate_core_resources,
@@ -61,14 +60,6 @@ class FloorplanResult:
     def lanes_in_slr0(self) -> int:
         """MPU lanes co-located with the HBM controller."""
         return self.assignments[0].mpu_lanes
-
-    def check_feasible(self) -> None:
-        """Raise :class:`ResourceExhaustedError` when routing is infeasible."""
-        if not self.feasible:
-            raise ResourceExhaustedError(
-                f"floorplan needs {self.crossing_signals} die-crossing signals "
-                f"but only {self.sll_budget} SLLs are available"
-            )
 
 
 def plan_floorplan(d: int = 64, l: int = 16, spec: U280Spec = DEFAULT_U280) -> FloorplanResult:

@@ -139,12 +139,6 @@ def estimate_control_misc() -> ResourceUsage:
     return ResourceUsage(lut=87_000.0, ff=148_000.0, bram_36k=0.0, uram=0.0, dsp=0.0)
 
 
-#: Component labels in the order used by Fig. 13.
-CORE_COMPONENTS: tuple[str, ...] = (
-    "register_file", "mpu", "vpu", "dma", "router", "interconnect", "control",
-)
-
-
 @dataclass(frozen=True)
 class CoreResourceReport:
     """Per-component and total resource usage of one DFX core on one FPGA."""

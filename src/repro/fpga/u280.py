@@ -92,11 +92,6 @@ class U280Spec:
         return self.hbm_channels * self.hbm_channel_bits // 8
 
     @property
-    def hbm_streaming_bandwidth(self) -> float:
-        """Bandwidth achievable by streaming 32x512 bits per kernel cycle (B/s)."""
-        return self.hbm_bytes_per_kernel_cycle * self.kernel_frequency_hz
-
-    @property
     def slr_resources(self) -> ResourceBudget:
         """Approximate per-SLR resource budget (even split across dies)."""
         return self.resources.scaled(1.0 / self.num_slr)

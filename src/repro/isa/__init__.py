@@ -20,9 +20,6 @@ from repro.isa.program import Program
 from repro.isa.compiler import (
     CompiledToken,
     DFXCompiler,
-    EMBEDDING_BUFFERS,
-    LAYER_WEIGHT_BUFFERS,
-    LM_HEAD_WEIGHT_BUFFERS,
     kv_key_buffer,
     kv_value_buffer,
 )
@@ -47,9 +44,6 @@ __all__ = [
     "Program",
     "CompiledToken",
     "DFXCompiler",
-    "EMBEDDING_BUFFERS",
-    "LAYER_WEIGHT_BUFFERS",
-    "LM_HEAD_WEIGHT_BUFFERS",
     "kv_key_buffer",
     "kv_value_buffer",
     "ValidationReport",

@@ -71,27 +71,6 @@ from repro.results import (
 #: Bytes per FP16 element; the whole datapath is half precision.
 FP16_BYTES = 2
 
-#: Buffer names used for the per-layer weight bindings.
-LAYER_WEIGHT_BUFFERS: tuple[str, ...] = (
-    "w_query", "b_query",
-    "w_key", "b_key",
-    "w_value", "b_value",
-    "w_attn_proj", "b_attn_proj",
-    "w_ffn1", "b_ffn1",
-    "w_ffn2", "b_ffn2",
-    "ln1_gamma", "ln1_beta",
-    "ln2_gamma", "ln2_beta",
-)
-
-#: Buffer names used by the LM-head program.
-LM_HEAD_WEIGHT_BUFFERS: tuple[str, ...] = (
-    "wte_part", "ln_f_gamma", "ln_f_beta",
-)
-
-#: Buffer names staged by the host/DMA for the embedding program.
-EMBEDDING_BUFFERS: tuple[str, ...] = ("wte_rows", "wpe_rows")
-
-
 def kv_key_buffer(local_head: int) -> str:
     """Name of the HBM-resident Key cache for a device-local head index."""
     return f"kv.key.h{local_head}"

@@ -15,11 +15,9 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple
 
 from repro.isa.instructions import (
-    DMAInstruction,
     Instruction,
     MatrixInstruction,
     RouterInstruction,
-    VectorInstruction,
 )
 from repro.isa.opcodes import InstructionClass
 
@@ -108,21 +106,9 @@ class Program:
         """All matrix-unit instructions, in order."""
         return [i for i in self.instructions if isinstance(i, MatrixInstruction)]
 
-    def vector_instructions(self) -> list[VectorInstruction]:
-        """All vector-unit instructions, in order."""
-        return [i for i in self.instructions if isinstance(i, VectorInstruction)]
-
-    def dma_instructions(self) -> list[DMAInstruction]:
-        """All DMA instructions, in order."""
-        return [i for i in self.instructions if isinstance(i, DMAInstruction)]
-
     def router_instructions(self) -> list[RouterInstruction]:
         """All router (synchronization) instructions, in order."""
         return [i for i in self.instructions if isinstance(i, RouterInstruction)]
-
-    def by_tag(self, tag: str) -> list[Instruction]:
-        """All instructions labeled with ``tag``."""
-        return [i for i in self.instructions if i.tag == tag]
 
     # ------------------------------------------------------------------ stats
     def instruction_class_counts(self) -> dict[InstructionClass, int]:
@@ -144,13 +130,6 @@ class Program:
     def sync_count(self) -> int:
         """Number of ring synchronizations in the program."""
         return len(self.router_instructions())
-
-    def defined_buffers(self) -> set[str]:
-        """Every buffer name written by some instruction."""
-        names: set[str] = set()
-        for instruction in self.instructions:
-            names.update(instruction.destination_operands())
-        return names
 
     def summary(self) -> str:
         """One-line summary used in logs and example output."""

@@ -104,10 +104,6 @@ class GPT2Config:
             + final_layer_norm
         )
 
-    def layer_weight_bytes(self, bytes_per_element: int = 2) -> int:
-        """Bytes of weights in one decoder layer at the given precision."""
-        return self.layer_parameter_count() * bytes_per_element
-
     def total_weight_bytes(self, bytes_per_element: int = 2) -> int:
         """Bytes of all model weights at the given precision (FP16 default)."""
         return self.total_parameter_count() * bytes_per_element

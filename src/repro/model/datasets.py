@@ -42,11 +42,6 @@ class ClozeExample:
                 f"{len(self.candidate_token_ids)} candidates"
             )
 
-    @property
-    def answer_token_id(self) -> int:
-        """Token ID of the correct candidate."""
-        return self.candidate_token_ids[self.answer_index]
-
 
 @dataclass(frozen=True)
 class ClozeDataset:

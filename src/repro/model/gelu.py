@@ -70,24 +70,6 @@ class GeluLookupTable:
         result = np.where(x32 < low, np.float32(0.0), result)
         return result.astype(np.float32)
 
-    def max_error(self, reference=gelu_tanh, grid_points: int = 20001) -> float:
-        """Maximum absolute error against ``reference`` over the table range."""
-        low, high = self.input_range
-        grid = np.linspace(low, high, grid_points, dtype=np.float32)
-        return float(np.max(np.abs(self(grid) - reference(grid))))
-
-    def mean_squared_error_fp16(self, grid_points: int = 20001) -> float:
-        """MSE vs. the tanh GELU after rounding both to FP16.
-
-        The paper reports that 2048 samples achieve a mean squared error of 0
-        in half precision; this method lets tests verify that claim.
-        """
-        low, high = self.input_range
-        grid = np.linspace(low, high, grid_points, dtype=np.float32)
-        approx = self(grid).astype(np.float16).astype(np.float64)
-        exact = gelu_tanh(grid).astype(np.float16).astype(np.float64)
-        return float(np.mean((approx - exact) ** 2))
-
 
 #: Module-level default table shared by the functional DFX pipeline.
 DEFAULT_GELU_LUT = GeluLookupTable()

@@ -20,7 +20,7 @@ from repro.errors import ExecutionError
 from repro.model.config import GPT2Config
 from repro.model.decoder import decoder_layer_forward
 from repro.model.kv_cache import KVCache
-from repro.model.layers import layer_norm, softmax
+from repro.model.layers import layer_norm
 from repro.model.numerics import FP32_EXACT, Numerics
 from repro.model.weights import GPT2Weights, generate_weights
 
@@ -49,11 +49,6 @@ class ForwardResult:
     logits: np.ndarray
     next_token_id: int
     hidden_states: np.ndarray
-
-    @property
-    def next_token_probabilities(self) -> np.ndarray:
-        """Softmax over the last position's logits."""
-        return softmax(self.logits[-1:, :])[0]
 
 
 class GPT2Model:

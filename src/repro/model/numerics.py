@@ -74,13 +74,3 @@ FP16_GPU = Numerics(
 FP16_DFX = Numerics(
     name="fp16-dfx", dtype=np.dtype(np.float16), gelu=gelu_module.gelu_lut
 )
-
-_MODES = {mode.name: mode for mode in (FP32_EXACT, FP16_GPU, FP16_DFX)}
-
-
-def from_name(name: str) -> Numerics:
-    """Look up a numerics mode by name (``fp32-exact``, ``fp16-gpu``, ``fp16-dfx``)."""
-    key = name.strip().lower()
-    if key not in _MODES:
-        raise ValueError(f"unknown numerics mode {name!r}; available: {sorted(_MODES)}")
-    return _MODES[key]

@@ -99,19 +99,6 @@ class PartitionPlan:
         ) * self.config.n_embd * bytes_per_element
         return self.config.n_layer * layer_bytes + lm_head
 
-    def sync_payload_elements_per_layer(self) -> tuple[int, ...]:
-        """Vector lengths all-gathered per decoder layer (four syncs).
-
-        Algorithm 1: attention-head outputs (emb), attention projection output
-        (emb), FFN1 output (ffn_dim), FFN2 output (emb).
-        """
-        emb = self.config.n_embd
-        return (emb, emb, self.config.ffn_dim, emb)
-
-    def sync_events_per_layer(self) -> int:
-        """Number of ring synchronizations per decoder layer (paper: four)."""
-        return len(self.sync_payload_elements_per_layer())
-
 
 def build_partition_plan(config: GPT2Config, num_devices: int) -> PartitionPlan:
     """Split ``config`` across ``num_devices`` homogeneous devices.

@@ -34,13 +34,6 @@ class PipelinePlan:
     num_devices: int
     stages: tuple[PipelineStage, ...]
 
-    def stage_for_layer(self, layer_index: int) -> PipelineStage:
-        """Return the stage that owns ``layer_index``."""
-        for stage in self.stages:
-            if stage.first_layer <= layer_index < stage.first_layer + stage.num_layers:
-                return stage
-        raise PartitioningError(f"layer {layer_index} not covered by any stage")
-
 
 def build_pipeline_plan(config: GPT2Config, num_devices: int) -> PipelinePlan:
     """Split the decoder layers into ``num_devices`` contiguous stages."""
@@ -84,20 +77,3 @@ def pipelined_token_latency_ms(
         + transfers * inter_stage_transfer_ms
     )
 
-
-def intra_layer_token_latency_ms(
-    single_device_layer_latency_ms: float,
-    config: GPT2Config,
-    num_devices: int,
-    sync_latency_ms: float,
-    syncs_per_layer: int = 4,
-) -> float:
-    """Per-token latency under intra-layer parallelism (idealized).
-
-    Matrix work divides by the device count; each layer pays the four ring
-    synchronizations.  Used only for the parallelism-scheme ablation; the real
-    DFX latency comes from the instruction-level simulator.
-    """
-    parallel_layer = single_device_layer_latency_ms / num_devices
-    sync_overhead = syncs_per_layer * sync_latency_ms if num_devices > 1 else 0.0
-    return config.n_layer * (parallel_layer + sync_overhead)

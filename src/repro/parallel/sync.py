@@ -31,12 +31,6 @@ class SyncPoint:
         """Full (gathered) payload size in bytes."""
         return self.payload_elements * bytes_per_element
 
-    def per_device_bytes(
-        self, num_devices: int, bytes_per_element: int = FP16_BYTES
-    ) -> int:
-        """Bytes contributed by each device (its slice of the vector)."""
-        return self.payload_bytes(bytes_per_element) // num_devices
-
 
 def layer_sync_schedule(plan: PartitionPlan) -> tuple[SyncPoint, ...]:
     """The four synchronization points of one decoder layer, in order."""

@@ -39,17 +39,6 @@ GPU_BREAKDOWN_PHASES: tuple[str, ...] = (
     PHASE_FFN,
 )
 
-ALL_PHASES: tuple[str, ...] = (
-    PHASE_SELF_ATTENTION,
-    PHASE_FFN,
-    PHASE_LAYERNORM,
-    PHASE_RESIDUAL,
-    PHASE_SYNC,
-    PHASE_EMBEDDING,
-    PHASE_LM_HEAD,
-    PHASE_OTHER,
-)
-
 
 @dataclass
 class StageLatency:

@@ -216,7 +216,3 @@ class DFXRuntime:
             workload=workload,
             latency_s=latency_s,
         )
-
-    def estimate_only(self, workload: Workload) -> InferenceResult:
-        """Timing estimate without functional execution (any model size)."""
-        return self.appliance.run(workload)

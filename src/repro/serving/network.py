@@ -199,10 +199,6 @@ class NetworkModel:
             )
         return rack
 
-    def is_cross_rack(self, member: str) -> bool:
-        """Whether dispatching to ``member`` crosses a rack boundary."""
-        return self.rack_of(member) != self.ingress
-
     def cross_rack_members(self) -> frozenset[str]:
         """Members that serve off the ingress rack (pay transfer cost)."""
         return frozenset(
@@ -226,12 +222,6 @@ class NetworkModel:
         ``None`` on the ingress rack."""
         rack = self.rack_of(member)
         return None if rack == self.ingress else rack
-
-    def link_names(self) -> tuple[str, ...]:
-        """Every fault-targetable link name (one per non-ingress rack)."""
-        return tuple(
-            sorted(rack for rack in self.racks if rack != self.ingress)
-        )
 
     # -------------------------------------------------------------- pricing
     def transfer_time_s(self, member: str, workload: Workload) -> float:

@@ -135,15 +135,6 @@ class WorkloadMix:
         index = int(rng.choice(len(self.workloads), p=self._probabilities))
         return self.workloads[index]
 
-    def mean_output_tokens(self) -> float:
-        """Expected output tokens per request (for offered-load estimates)."""
-        return float(
-            sum(
-                p * w.output_tokens
-                for p, w in zip(self._probabilities, self.workloads)
-            )
-        )
-
 
 #: A chatbot-dominated service: mostly 50:50 requests with some short replies.
 CHATBOT_MIX = WorkloadMix(

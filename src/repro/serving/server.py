@@ -151,11 +151,6 @@ class AbandonedRequest:
     # ABANDON_TIMEOUT, ABANDON_INFEASIBLE, or the simulator's ABANDON_UNSERVED.
     reason: str
 
-    @property
-    def waited_s(self) -> float:
-        """How long the request sat in the queue before giving up."""
-        return self.abandoned_time_s - self.request.arrival_time_s
-
 
 @dataclass(frozen=True)
 class FailedRequest:

@@ -388,9 +388,6 @@ class _SimulationState:
     #: Kill time of retried requests not yet re-dispatched (failover latency).
     pending_failover: dict[int, float] = field(default_factory=dict)
 
-    def idle_units(self) -> list[ServerUnit]:
-        return [unit for unit in self.units if unit.available]
-
     def enqueue(self, request: ServiceRequest) -> None:
         """Add one arriving (or retried) request to the dispatch queue."""
         self.queue.append(request)

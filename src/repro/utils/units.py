@@ -1,66 +1,13 @@
-"""Unit conversions used throughout the simulator.
+"""Decimal and binary unit multipliers.
 
 The DFX paper mixes decimal units (memory bandwidth in GB/s, link speed in
-Gb/s) and binary units (HBM/DDR capacity in GiB).  Keeping the conversions in
+Gb/s) and binary units (HBM/DDR capacity in GiB).  Keeping the multipliers in
 one place avoids the classic 1000-vs-1024 mistakes when computing bandwidth
 bound latencies.
 """
 
 from __future__ import annotations
 
-KILO = 1_000
-MEGA = 1_000_000
 GIGA = 1_000_000_000
 
-KIBI = 1024
-MEBI = 1024**2
 GIBI = 1024**3
-
-
-def bytes_to_gib(num_bytes: float) -> float:
-    """Convert a byte count to binary gibibytes."""
-    return num_bytes / GIBI
-
-
-def bytes_to_mib(num_bytes: float) -> float:
-    """Convert a byte count to binary mebibytes."""
-    return num_bytes / MEBI
-
-
-def gbps_to_bytes_per_second(gigabits_per_second: float) -> float:
-    """Convert a link speed in Gb/s (decimal) to bytes per second."""
-    return gigabits_per_second * GIGA / 8.0
-
-
-def bytes_per_second_to_gbps(bytes_per_second: float) -> float:
-    """Convert bytes per second to a link speed in Gb/s (decimal)."""
-    return bytes_per_second * 8.0 / GIGA
-
-
-def cycles_to_seconds(cycles: float, frequency_hz: float) -> float:
-    """Convert a cycle count at ``frequency_hz`` to seconds."""
-    if frequency_hz <= 0:
-        raise ValueError(f"frequency_hz must be positive, got {frequency_hz}")
-    return cycles / frequency_hz
-
-
-def seconds_to_cycles(seconds: float, frequency_hz: float) -> float:
-    """Convert seconds to a cycle count at ``frequency_hz``."""
-    if frequency_hz <= 0:
-        raise ValueError(f"frequency_hz must be positive, got {frequency_hz}")
-    return seconds * frequency_hz
-
-
-def seconds_to_ms(seconds: float) -> float:
-    """Convert seconds to milliseconds."""
-    return seconds * 1_000.0
-
-
-def ms_to_seconds(milliseconds: float) -> float:
-    """Convert milliseconds to seconds."""
-    return milliseconds / 1_000.0
-
-
-def seconds_to_us(seconds: float) -> float:
-    """Convert seconds to microseconds."""
-    return seconds * 1_000_000.0

@@ -79,9 +79,6 @@ CHATBOT_WORKLOAD = Workload(input_tokens=50, output_tokens=50)
 #: Article-writing preset: up to 50 input tokens, up to 150 output tokens.
 ARTICLE_WRITING_WORKLOAD = Workload(input_tokens=50, output_tokens=150)
 
-#: Question answering: long context, short answer (Sec. II-A).
-QUESTION_ANSWER_WORKLOAD = Workload(input_tokens=256, output_tokens=8)
-
 #: Workload used for the scalability and GFLOPS studies (Fig. 17/18, Table II).
 BALANCED_64_64_WORKLOAD = Workload(input_tokens=64, output_tokens=64)
 
@@ -96,14 +93,3 @@ FIGURE3_WORKLOADS: tuple[Workload, ...] = (
     Workload(32, 4),
 )
 
-
-def workload_grid(
-    input_lengths: tuple[int, ...] = PAPER_INPUT_LENGTHS,
-    output_lengths: tuple[int, ...] = PAPER_OUTPUT_LENGTHS,
-) -> list[Workload]:
-    """Build an arbitrary [input:output] grid in row-major (input-major) order."""
-    return [
-        Workload(input_tokens, output_tokens)
-        for input_tokens in input_lengths
-        for output_tokens in output_lengths
-    ]

@@ -130,9 +130,9 @@ class TestBatchingComparison:
 
     def test_dfx_wins_unbatched_tail_latency_at_low_load(self, result):
         tails = result.low_load_tail_latency_s()
-        assert result.dfx_wins_low_load_latency
         assert tails["dfx-unbatched"] < tails["gpu-unbatched"]
         assert tails["dfx-unbatched"] < tails["gpu-dynamic"]
+        assert tails["dfx-unbatched"] < tails["gpu-continuous"]
 
     def test_dynamic_batching_raises_gpu_throughput_under_bursty_load(self, result):
         rates = result.high_load_tokens_per_second()

@@ -1,11 +1,10 @@
-"""Tests for the scoreboard, register-file accounting, and the timing scheduler."""
+"""Tests for the scoreboard and the timing scheduler."""
 
 import pytest
 
 from repro.core.calibration import DEFAULT_CALIBRATION
 from repro.core.dma import DMAModel
 from repro.core.mpu import MPUModel
-from repro.core.register_file import estimate_register_usage
 from repro.core.router import RouterModel
 from repro.core.scheduler import TimingScheduler
 from repro.core.scoreboard import Scoreboard
@@ -116,22 +115,3 @@ class TestSchedulerBehaviour:
         timing = _scheduler(2).time_program(program)
         assert timing.seconds(200e6) == pytest.approx(timing.total_cycles / 200e6)
 
-
-class TestRegisterUsage:
-    def test_generation_step_fits_register_file(self):
-        plan = build_partition_plan(GPT2_1_5B, 4)
-        program = DFXCompiler(GPT2_1_5B, plan, 0).compile_decoder_layer(1, 64)
-        usage = estimate_register_usage(program)
-        assert usage.peak_vector_words > 0
-        assert usage.fits()
-
-    def test_long_context_prompt_exceeds_single_token_budget(self):
-        # Summarization over a long prompt holds far more live state; the
-        # hardware streams it via the DMA, so the single-token register budget
-        # is expected to be exceeded by the conservative estimate.
-        plan = build_partition_plan(GPT2_1_5B, 4)
-        program = DFXCompiler(GPT2_1_5B, plan, 0).compile_decoder_layer(128, 0)
-        usage = estimate_register_usage(program)
-        assert usage.peak_vector_words > estimate_register_usage(
-            DFXCompiler(GPT2_1_5B, plan, 0).compile_decoder_layer(1, 0)
-        ).peak_vector_words

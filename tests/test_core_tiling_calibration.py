@@ -1,26 +1,27 @@
-"""Tests for the tiling scheme (Fig. 8/9) and calibration constants."""
+"""Tests for the tiling scheme (Fig. 8) and calibration constants."""
 
 import pytest
 
 from repro.core.calibration import Calibration, DEFAULT_CALIBRATION, IDEAL_CALIBRATION
 from repro.core.tiling import (
-    DEFAULT_TILE,
     TILE_DESIGN_POINTS,
     TilingConfig,
     design_space_mha_sweep,
-    loading_direction_tradeoffs,
     multi_head_attention_gflops,
 )
 from repro.errors import CalibrationError, ConfigurationError
+from repro.fpga.u280 import DEFAULT_U280
 from repro.model.config import GPT2_1_5B
 
 
 class TestTilingConfig:
     def test_default_tile_is_64_by_16(self):
         tiling = TilingConfig()
-        assert (tiling.d, tiling.l) == DEFAULT_TILE == (64, 16)
+        assert (tiling.d, tiling.l) == (64, 16)
         assert tiling.macs_per_cycle == 1024
-        assert tiling.tile_bytes == 2048  # exactly one 32x512-bit HBM beat
+        # One tile is exactly one 32x512-bit HBM beat.
+        tile_bytes = tiling.d * tiling.l * tiling.data_bits // 8
+        assert tile_bytes == DEFAULT_U280.hbm_bytes_per_kernel_cycle == 2048
 
     def test_all_design_points_have_1024_macs(self):
         for d, l in TILE_DESIGN_POINTS:
@@ -66,19 +67,6 @@ class TestFigure8aSweep:
         fast = multi_head_attention_gflops(TilingConfig(), GPT2_1_5B,
                                            kernel_frequency_hz=200e6)
         assert fast == pytest.approx(2 * slow)
-
-
-class TestLoadingDirections:
-    def test_three_directions_reported(self):
-        directions = {d.name for d in loading_direction_tradeoffs(TilingConfig(), GPT2_1_5B)}
-        assert directions == {"horizontal", "vertical", "zigzag"}
-
-    def test_zigzag_balances_buffers_and_reuse(self):
-        horizontal, vertical, zigzag = loading_direction_tradeoffs(TilingConfig(), GPT2_1_5B)
-        assert horizontal.partial_sum_buffers > zigzag.partial_sum_buffers
-        assert vertical.partial_sum_buffers == 1
-        assert vertical.input_reuse_factor < zigzag.input_reuse_factor
-        assert zigzag.input_reuse_factor < horizontal.input_reuse_factor
 
 
 class TestCalibration:

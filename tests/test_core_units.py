@@ -27,7 +27,6 @@ class TestMPUTiming:
     def test_large_conv1d_is_memory_bound(self):
         mpu = MPUModel()
         timing = mpu.instruction_timing(_conv())
-        assert timing.is_memory_bound
         assert timing.stream_cycles > timing.compute_cycles
 
     def test_ideal_calibration_balances_compute_and_streaming(self):
@@ -52,10 +51,14 @@ class TestMPUTiming:
         )
 
     def test_peak_gflops(self):
-        assert MPUModel().peak_gflops == pytest.approx(2 * 1024 * 200e6 / 1e9)
-
-    def test_dsp_count(self):
-        assert MPUModel().dsp_count == 3 * 64 * 16
+        # One d x l tile per cycle: 1024 MACs = 2048 FLOPs per cycle, i.e.
+        # 409.6 GFLOPS at 200 MHz when the MPU is compute bound.
+        mpu = MPUModel()
+        conv = _conv()
+        timing = mpu.instruction_timing(conv)
+        assert timing.compute_cycles == (1536 // 64) * (384 // 16)
+        peak_gflops = 2 * conv.rows * conv.in_dim * conv.out_dim / timing.compute_cycles * 200e6 / 1e9
+        assert peak_gflops == pytest.approx(2 * 1024 * 200e6 / 1e9)
 
     def test_small_attention_matrices_pay_pipeline_drain(self):
         mpu = MPUModel()
@@ -65,8 +68,12 @@ class TestMPUTiming:
         assert timing.occupancy_cycles > mpu.calibration.matrix_issue_cycles + 4
 
     def test_effective_gflops_below_peak(self):
+        # Streaming-bound Conv1D: the achieved rate is below the array peak.
         mpu = MPUModel()
-        assert mpu.effective_gflops(_conv()) < mpu.peak_gflops
+        conv = _conv()
+        seconds = mpu.instruction_timing(conv).occupancy_cycles / 200e6
+        effective_gflops = conv.flops() / seconds / 1e9
+        assert 0 < effective_gflops < 2 * 1024 * 200e6 / 1e9
 
 
 class TestVPUTiming:
@@ -97,7 +104,17 @@ class TestVPUTiming:
         assert vpu.instruction_timing(many).occupancy_cycles > 4 * vpu.instruction_timing(one).occupancy_cycles
 
     def test_throughput(self):
-        assert VPUModel().throughput_elements_per_second() == pytest.approx(64 * 200e6)
+        # One 64-wide chunk per cycle: each extra 64 elements per row costs
+        # exactly one cycle, i.e. 64 * 200e6 elements per second.
+        vpu = VPUModel()
+        short = VectorInstruction(VectorOpcode.ADD, dst="y", src1="a", src2="b", length=64)
+        long = VectorInstruction(VectorOpcode.ADD, dst="y", src1="a", src2="b", length=64 * 97)
+        extra_cycles = (
+            vpu.instruction_timing(long).occupancy_cycles
+            - vpu.instruction_timing(short).occupancy_cycles
+        )
+        assert extra_cycles == 96
+        assert 64 * 96 / (extra_cycles / 200e6) == pytest.approx(64 * 200e6)
 
 
 class TestDMATiming:

@@ -235,6 +235,22 @@ class TestAcceptanceCornerPoints:
 
 
 class TestApplianceEvaluator:
+    @pytest.mark.parametrize("field", ["serving_duration_s", "arrival_rate_per_s"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_serving_settings_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            ApplianceEvaluator(**{field: value})
+
+    @pytest.mark.parametrize("argument, dimension", [
+        ("devices", "devices"),
+        ("clusters", "clusters"),
+        ("batch_sizes", "batch"),
+        ("racks", "racks"),
+    ])
+    def test_count_levels_below_one_rejected(self, argument, dimension):
+        with pytest.raises(ConfigurationError, match=dimension):
+            appliance_search_space(**{argument: (1, 0)})
+
     def test_unknown_dimension_rejected(self):
         space = SearchSpace([
             Dimension("backend", ["dfx"]), Dimension("mystery", [1]),

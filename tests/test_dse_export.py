@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import pytest
@@ -14,6 +15,7 @@ from repro.dse import (
     ObjectiveVector,
     SearchSpace,
     factorial_search,
+    pareto_front,
 )
 from repro.errors import ConfigurationError
 
@@ -105,29 +107,41 @@ class TestEvaluationRoundTrip:
 
 
 class TestFrontRoundTrip:
+    """A front rebuilt from persisted evaluations equals the live front.
+
+    The evaluation pool persists one evaluation per candidate and resumes
+    from them, so the front must survive that round trip unchanged.
+    """
+
     def test_front_round_trips_with_infinite_crowding(self):
         space = make_space()
         result = factorial_search(space, ToyEvaluator())
-        front = result.front
         assert any(
-            math.isinf(member.crowding_distance) for member in front.members
+            math.isinf(member.crowding_distance) for member in result.front.members
         )
-        payload = export.dse_front_to_dict(front)
-        rebuilt = export.dse_front_from_dict(payload, space)
-        assert rebuilt == front
+        rebuilt = [
+            export.dse_evaluation_from_dict(export.dse_evaluation_to_dict(entry), space)
+            for entry in result.evaluated
+        ]
+        assert pareto_front(rebuilt) == result.front
 
     def test_front_payload_is_json_serializable(self, tmp_path):
         space = make_space()
-        front = factorial_search(space, ToyEvaluator()).front
-        path = export.write_json(export.dse_front_to_dict(front), tmp_path / "f.json")
-        rebuilt = export.dse_front_from_dict(export.read_json(path), space)
-        assert rebuilt == front
+        result = factorial_search(space, ToyEvaluator())
+        payload = {
+            "evaluations": [
+                export.dse_evaluation_to_dict(entry) for entry in result.evaluated
+            ]
+        }
+        path = export.write_json(payload, tmp_path / "f.json")
+        loaded = json.loads(path.read_text())["evaluations"]
+        rebuilt = [export.dse_evaluation_from_dict(entry, space) for entry in loaded]
+        assert pareto_front(rebuilt) == result.front
 
     def test_unknown_schema_rejected(self):
         space = make_space()
-        payload = export.dse_front_to_dict(
-            factorial_search(space, ToyEvaluator()).front
-        )
+        entry = factorial_search(space, ToyEvaluator()).evaluated[0]
+        payload = export.dse_evaluation_to_dict(entry)
         payload["schema_version"] = "v2"
         with pytest.raises(ConfigurationError, match="schema_version"):
-            export.dse_front_from_dict(payload, space)
+            export.dse_evaluation_from_dict(payload, space)

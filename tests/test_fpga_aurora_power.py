@@ -2,8 +2,12 @@
 
 import pytest
 
+from repro.core.calibration import IDEAL_CALIBRATION
+from repro.core.router import RouterModel
 from repro.errors import ConfigurationError
 from repro.fpga.aurora import AURORA_ENCODING_EFFICIENCY, AuroraLinkModel
+from repro.isa.instructions import RouterInstruction
+from repro.isa.opcodes import RouterOpcode
 
 
 class TestAuroraLink:
@@ -31,9 +35,15 @@ class TestAuroraLink:
         assert four > two
 
     def test_all_gather_cycles_conversion(self):
-        link = AuroraLinkModel()
+        # The router charges a sync the ring all-gather time in 200 MHz
+        # kernel cycles (no setup overhead under the ideal calibration).
+        router = RouterModel(num_devices=4, calibration=IDEAL_CALIBRATION)
+        link = AuroraLinkModel(per_hop_latency_s=IDEAL_CALIBRATION.aurora_hop_latency_s)
+        sync = RouterInstruction(RouterOpcode.SYNC, dst="full", src="part",
+                                 payload_elements=1536)
         seconds = link.ring_all_gather_seconds(3072, 4)
-        cycles = link.ring_all_gather_cycles(3072, 4)
+        cycles = router.instruction_timing(sync).occupancy_cycles
+        assert seconds > 0
         assert cycles == pytest.approx(seconds * 200e6)
 
     def test_negative_payload_rejected(self):

@@ -5,7 +5,6 @@ import pytest
 from repro.errors import ResourceExhaustedError
 from repro.fpga.floorplan import plan_floorplan
 from repro.fpga.resources import (
-    CORE_COMPONENTS,
     ResourceUsage,
     TILE_DESIGN_POINTS,
     design_space_resource_sweep,
@@ -46,7 +45,9 @@ class TestMPUEstimates:
 class TestCoreReport:
     def test_all_components_present(self):
         report = estimate_core_resources()
-        assert set(report.components) == set(CORE_COMPONENTS)
+        assert set(report.components) == {
+            "register_file", "mpu", "vpu", "dma", "router", "interconnect", "control",
+        }
 
     def test_totals_match_fig13_within_tolerance(self):
         report = estimate_core_resources()
@@ -81,7 +82,6 @@ class TestFloorplan:
     def test_default_design_is_routable(self):
         result = plan_floorplan(d=64, l=16)
         assert result.feasible
-        result.check_feasible()
 
     def test_dma_and_some_lanes_live_in_slr0(self):
         result = plan_floorplan()

@@ -23,8 +23,9 @@ class TestU280Spec:
         spec = DEFAULT_U280
         assert spec.hbm_bytes_per_kernel_cycle == 32 * 512 // 8 == 2048
         # 2 KiB per cycle at 200 MHz = 409.6 GB/s, below the 460 GB/s peak.
-        assert spec.hbm_streaming_bandwidth == pytest.approx(409.6e9)
-        assert spec.hbm_streaming_bandwidth < spec.hbm_peak_bandwidth
+        streaming_bandwidth = spec.hbm_bytes_per_kernel_cycle * spec.kernel_frequency_hz
+        assert streaming_bandwidth == pytest.approx(409.6e9)
+        assert streaming_bandwidth < spec.hbm_peak_bandwidth
 
     def test_resource_totals_match_fig13_percentages(self):
         # Fig. 13 reports 520K LUT = 39.93%, 3533 DSP = 39.15%, etc.

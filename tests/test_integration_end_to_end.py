@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.cost import cost_comparison
+from repro.analysis.energy import energy_efficiency_rows
 from repro.analysis.metrics import average_speedup, pair_results
 from repro.baselines.gpu import GPUAppliance
 from repro.core.appliance import DFXAppliance
@@ -58,8 +59,8 @@ class TestHeadlineClaims:
         assert 3.0 < average_speedup(grid_results) < 12.0
 
     def test_energy_efficiency_gain(self, grid_results):
-        for row in grid_results:
-            assert row.energy_efficiency_ratio > 1.5
+        for row in energy_efficiency_rows(grid_results):
+            assert row.normalized_dfx > 1.5
 
     def test_speedup_attenuates_with_input_size(self):
         gpu = GPUAppliance(GPT2_1_5B, num_devices=4)

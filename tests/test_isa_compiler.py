@@ -61,7 +61,7 @@ class TestDecoderLayerProgram:
         plan = build_partition_plan(GPT2_1_5B, 4)
         local_heads = plan.device(0).num_heads
         program = compiler_1_5b.compile_decoder_layer(rows=1, past_length=0)
-        stores = [i for i in program.dma_instructions() if i.opcode is DMAOpcode.STORE_KV]
+        stores = [i for i in program.instructions if i.opcode is DMAOpcode.STORE_KV]
         assert len(stores) == 2 * local_heads  # keys and values
         destinations = {store.dst for store in stores}
         assert kv_key_buffer(0) in destinations

@@ -14,6 +14,7 @@ from repro.isa.opcodes import (
     VectorOpcode,
 )
 from repro.isa.program import Program
+from repro.isa.validation import validate_program
 
 
 def _sample_program() -> Program:
@@ -41,14 +42,14 @@ class TestProgramViews:
     def test_typed_views(self):
         program = _sample_program()
         assert len(program.matrix_instructions()) == 1
-        assert len(program.vector_instructions()) == 1
-        assert len(program.dma_instructions()) == 1
         assert len(program.router_instructions()) == 1
 
     def test_by_tag(self):
         program = _sample_program()
-        assert len(program.by_tag("feed_forward_network")) == 2
-        assert len(program.by_tag("nonexistent")) == 0
+        assert program.tag_counts() == {
+            "feed_forward_network": 2, "residual": 1, "synchronization": 1,
+        }
+        assert "nonexistent" not in program.tag_counts()
 
     def test_class_and_tag_counts(self):
         program = _sample_program()
@@ -71,8 +72,13 @@ class TestProgramStats:
         assert _sample_program().sync_count() == 1
 
     def test_defined_buffers(self):
-        defined = _sample_program().defined_buffers()
-        assert {"dma.w", "h", "y", "y_full"} <= defined
+        # Every buffer the program reads is defined before use and its
+        # declared output is produced, given the residual input as live-in.
+        program = _sample_program()
+        assert validate_program(program, live_in={"x", "x_slice"}).is_valid
+        report = validate_program(program, live_in={"x"})
+        assert not report.is_valid
+        assert any("'x_slice'" in error for error in report.errors)
 
     def test_summary_mentions_name_and_counts(self):
         summary = _sample_program().summary()

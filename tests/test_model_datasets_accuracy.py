@@ -8,6 +8,7 @@ from repro.model.accuracy import compare_pipelines, evaluate_cloze, score_candid
 from repro.model.config import GPT2_TEST_TINY
 from repro.model.datasets import (
     CBT_CN_LIKE,
+    ClozeDataset,
     ClozeDatasetSpec,
     ClozeExample,
     PAPER_DATASET_SPECS,
@@ -20,9 +21,16 @@ from repro.model.numerics import FP16_DFX, FP16_GPU
 
 
 class TestClozeExamples:
-    def test_answer_token_lookup(self):
-        example = ClozeExample((1, 2, 3), (10, 20, 30), answer_index=1)
-        assert example.answer_token_id == 20
+    def test_answer_token_lookup(self, tiny_model_fp16_dfx):
+        # Evaluation grades the candidate at answer_index: an example whose
+        # answer is the model's top-scoring candidate counts as correct.
+        model = tiny_model_fp16_dfx
+        context, candidates = (1, 2, 3), (10, 20, 30)
+        best = int(np.argmax(score_candidates(model, ClozeExample(context, candidates, 0))))
+        right = ClozeExample(context, candidates, answer_index=best)
+        wrong = ClozeExample(context, candidates, answer_index=(best + 1) % 3)
+        assert evaluate_cloze(model, ClozeDataset("right", (right,))).num_correct == 1
+        assert evaluate_cloze(model, ClozeDataset("wrong", (wrong,))).num_correct == 0
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):

@@ -7,6 +7,7 @@ from repro.errors import ExecutionError
 from repro.model.config import GPT2_TEST_TINY
 from repro.model.gpt2 import GPT2Model
 from repro.model.kv_cache import KVCache
+from repro.model.layers import softmax
 from repro.model.numerics import FP16_DFX, FP16_GPU, FP32_EXACT
 
 
@@ -22,7 +23,10 @@ class TestForwardShapes:
 
     def test_probabilities_sum_to_one(self, tiny_model):
         result = tiny_model.forward(np.array([5, 6, 7]))
-        assert float(result.next_token_probabilities.sum()) == pytest.approx(1.0, abs=1e-4)
+        assert np.all(np.isfinite(result.logits))
+        probabilities = softmax(result.logits[-1].astype(np.float32))
+        assert float(probabilities.sum()) == pytest.approx(1.0, abs=1e-4)
+        assert int(np.argmax(probabilities)) == result.next_token_id
 
 
 class TestKVCacheEquivalence:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import PartitioningError
+from repro.isa.compiler import DFXCompiler
 from repro.model.config import GPT2_1_5B, GPT2_345M, GPT2_TEST_TINY
 from repro.model.weights import generate_weights
 from repro.parallel.partitioner import (
@@ -11,6 +12,7 @@ from repro.parallel.partitioner import (
     partition_layer_weights,
     partition_model_weights,
 )
+from repro.parallel.sync import layer_sync_schedule
 
 
 class TestPlanStructure:
@@ -51,10 +53,17 @@ class TestPlanStructure:
 
     def test_sync_schedule_counts(self):
         plan = build_partition_plan(GPT2_1_5B, 4)
-        assert plan.sync_events_per_layer() == 4
-        payloads = plan.sync_payload_elements_per_layer()
+        schedule = layer_sync_schedule(plan)
+        assert len(schedule) == 4
+        payloads = tuple(point.payload_elements for point in schedule)
         assert payloads == (GPT2_1_5B.n_embd, GPT2_1_5B.n_embd,
                             GPT2_1_5B.ffn_dim, GPT2_1_5B.n_embd)
+        # Every device's compiled layer all-gathers exactly these payloads.
+        for device_id in range(plan.num_devices):
+            program = DFXCompiler(GPT2_1_5B, plan, device_id).compile_decoder_layer(1, 0)
+            assert program.sync_count() == 4
+            compiled = tuple(i.payload_elements for i in program.router_instructions())
+            assert compiled == payloads
 
 
 class TestMemorySizing:

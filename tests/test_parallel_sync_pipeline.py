@@ -2,16 +2,15 @@
 
 import pytest
 
+from repro.core.appliance import DFXAppliance
+from repro.core.calibration import Calibration
 from repro.errors import PartitioningError
 from repro.model.config import GPT2_1_5B, GPT2_345M
 from repro.parallel.partitioner import build_partition_plan
-from repro.parallel.pipeline import (
-    build_pipeline_plan,
-    intra_layer_token_latency_ms,
-    pipelined_token_latency_ms,
-)
+from repro.parallel.pipeline import build_pipeline_plan, pipelined_token_latency_ms
 from repro.parallel.sync import layer_sync_schedule, sync_bytes_per_token, syncs_per_token
-from repro.results import PHASE_FFN, PHASE_SELF_ATTENTION
+from repro.results import PHASE_FFN, PHASE_SELF_ATTENTION, PHASE_SYNC
+from repro.workloads import Workload
 
 
 class TestSyncSchedule:
@@ -32,7 +31,6 @@ class TestSyncSchedule:
         schedule = layer_sync_schedule(plan)
         assert schedule[0].payload_bytes() == GPT2_1_5B.n_embd * 2
         assert schedule[2].payload_bytes() == GPT2_1_5B.ffn_dim * 2
-        assert schedule[0].per_device_bytes(4) == GPT2_1_5B.n_embd * 2 // 4
 
     def test_single_device_moves_no_bytes(self):
         plan = build_partition_plan(GPT2_1_5B, 1)
@@ -48,8 +46,10 @@ class TestPipelinePlan:
     def test_stages_cover_all_layers(self):
         plan = build_pipeline_plan(GPT2_345M, 4)
         assert sum(stage.num_layers for stage in plan.stages) == GPT2_345M.n_layer
-        assert plan.stage_for_layer(0).device_id == 0
-        assert plan.stage_for_layer(GPT2_345M.n_layer - 1).device_id == 3
+        first, last = plan.stages[0], plan.stages[-1]
+        assert (first.device_id, first.first_layer) == (0, 0)
+        assert last.device_id == 3
+        assert last.first_layer + last.num_layers == GPT2_345M.n_layer
 
     def test_uneven_layer_counts_distributed(self):
         plan = build_pipeline_plan(GPT2_345M.scaled(n_layer=10), 4)
@@ -63,6 +63,8 @@ class TestPipelinePlan:
 class TestParallelismComparison:
     """Reproduces the paper's argument for intra-layer over pipelined parallelism."""
 
+    CONTEXT = 64
+
     def test_pipelining_does_not_reduce_token_latency(self):
         single_layer_ms = 0.1
         pipelined = pipelined_token_latency_ms(single_layer_ms, GPT2_1_5B, 4, 0.01)
@@ -70,18 +72,30 @@ class TestParallelismComparison:
         assert pipelined >= single_device
 
     def test_intra_layer_reduces_token_latency(self):
-        single_layer_ms = 0.1
-        intra = intra_layer_token_latency_ms(single_layer_ms, GPT2_1_5B, 4,
-                                             sync_latency_ms=0.002)
-        single_device = GPT2_1_5B.n_layer * single_layer_ms
-        assert intra < single_device
-        assert intra < pipelined_token_latency_ms(single_layer_ms, GPT2_1_5B, 4, 0.01)
+        single = DFXAppliance(GPT2_1_5B, num_devices=1).per_token_generation_seconds(
+            self.CONTEXT
+        )
+        intra = DFXAppliance(GPT2_1_5B, num_devices=4).per_token_generation_seconds(
+            self.CONTEXT
+        )
+        assert intra < single
+        single_layer_ms = single * 1e3 / GPT2_1_5B.n_layer
+        assert intra * 1e3 < pipelined_token_latency_ms(single_layer_ms, GPT2_1_5B, 4, 0.01)
 
     def test_intra_layer_gain_shrinks_when_sync_is_expensive(self):
-        cheap_sync = intra_layer_token_latency_ms(0.1, GPT2_1_5B, 4, 0.001)
-        pricey_sync = intra_layer_token_latency_ms(0.1, GPT2_1_5B, 4, 0.01)
+        cheap_sync = DFXAppliance(
+            GPT2_1_5B, num_devices=4, calibration=Calibration(aurora_hop_latency_s=1e-6)
+        ).per_token_generation_seconds(self.CONTEXT)
+        pricey_sync = DFXAppliance(
+            GPT2_1_5B, num_devices=4, calibration=Calibration(aurora_hop_latency_s=10e-6)
+        ).per_token_generation_seconds(self.CONTEXT)
         assert pricey_sync > cheap_sync
 
     def test_single_device_has_no_sync_overhead(self):
-        base = intra_layer_token_latency_ms(0.1, GPT2_1_5B, 1, sync_latency_ms=10.0)
-        assert base == pytest.approx(GPT2_1_5B.n_layer * 0.1)
+        workload = Workload(self.CONTEXT, 4)
+        base = DFXAppliance(GPT2_1_5B, num_devices=1).run(workload)
+        pricey_sync = DFXAppliance(
+            GPT2_1_5B, num_devices=1, calibration=Calibration(aurora_hop_latency_s=10e-3)
+        ).run(workload)
+        assert base.breakdown_ms[PHASE_SYNC] == 0.0
+        assert pricey_sync.latency_ms == pytest.approx(base.latency_ms)

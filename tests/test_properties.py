@@ -17,7 +17,7 @@ from repro.isa.instructions import MatrixInstruction, RouterInstruction, VectorI
 from repro.isa.opcodes import MatrixOpcode, RouterOpcode, VectorOpcode
 from repro.model import gelu
 from repro.model.layers import causal_mask, softmax
-from repro.utils.fp16 import to_fp16
+from repro.model.numerics import FP16_DFX
 from repro.workloads import Workload
 
 # Keep hypothesis fast and deterministic inside the suite.
@@ -43,7 +43,7 @@ class TestNumericProperties:
     @DEFAULT_SETTINGS
     @given(st.floats(-60000, 60000))
     def test_fp16_round_trip_error_bounded(self, value):
-        rounded = float(to_fp16(value))
+        rounded = float(FP16_DFX.cast(value))
         # binary16 has ~11 bits of mantissa: relative error < 2^-10.
         assert abs(rounded - value) <= max(abs(value) * 2**-10, 6.2e-5)
 

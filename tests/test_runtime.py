@@ -52,7 +52,10 @@ class TestGeneration:
         assert len(generation.input_token_ids) == 3
 
     def test_estimate_only_accepts_paper_scale_workloads(self, runtime):
-        result = runtime.estimate_only(Workload(64, 64))
+        # Timing alone runs at paper scale: no weights are touched.
+        result = runtime.appliance.run(Workload(64, 64))
+        assert result.workload == Workload(64, 64)
+        assert result.num_devices == 2
         assert result.latency_ms > 0
 
 

@@ -97,8 +97,12 @@ class TestWorkloadMix:
             assert CHATBOT_MIX.sample(rng) in CHATBOT_MIX.workloads
 
     def test_mean_output_tokens(self):
-        mix = WorkloadMix("m", (Workload(1, 10), Workload(1, 30)), (1.0, 1.0))
-        assert mix.mean_output_tokens() == pytest.approx(20.0)
+        mix = WorkloadMix("m", (Workload(1, 10), Workload(1, 30)), (1.0, 3.0))
+        outputs = np.array([w.output_tokens for w in mix.workloads], dtype=float)
+        assert float(mix.probabilities() @ outputs) == pytest.approx(25.0)
+        rng = np.random.default_rng(0)
+        draws = [mix.sample(rng).output_tokens for _ in range(4000)]
+        assert float(np.mean(draws)) == pytest.approx(25.0, abs=1.0)
 
     def test_invalid_mixes_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -104,7 +104,8 @@ class TestNetworkModel:
             {"a": ("m0",), "b": ("m1",), "c": ("m2",)}, link=link
         )
         assert network.ingress == "a"  # first rack by default
-        assert network.link_names() == ("b", "c")
+        linked_racks = {network.rack_of(m) for m in network.cross_rack_members()}
+        assert linked_racks == {"b", "c"}
         assert network.link_for("m1") == link
         assert network.link_for("m0") is None
         assert network.link_name_for("m0") is None
@@ -116,8 +117,8 @@ class TestNetworkModel:
             "rack0-host0", "rack0-host1", "rack1-host0", "rack1-host1"
         )
         assert network.rack_of("rack1-host0") == "rack1"
-        assert not network.is_cross_rack("rack0-host1")
-        assert network.is_cross_rack("rack1-host1")
+        assert network.rack_of("rack0-host1") == network.ingress
+        assert network.rack_of("rack1-host1") != network.ingress
         assert network.cross_rack_members() == frozenset(
             {"rack1-host0", "rack1-host1"}
         )
@@ -213,7 +214,7 @@ class TestFleetNetworkServing:
                 completed.appliance, completed.request.workload
             )
             assert completed.transfer_time_s == expected
-            if network.is_cross_rack(completed.appliance):
+            if network.link_for(completed.appliance) is not None:
                 assert completed.transfer_time_s > 0.0
             else:
                 assert completed.transfer_time_s == 0.0

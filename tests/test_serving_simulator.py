@@ -168,7 +168,8 @@ class TestSchedulerInvariants:
         for abandoned in report.abandoned:
             assert abandoned.reason == ABANDON_TIMEOUT
             assert abandoned.abandoned_time_s == pytest.approx(3.0)
-            assert abandoned.waited_s == pytest.approx(3.0)
+            waited_s = abandoned.abandoned_time_s - abandoned.request.arrival_time_s
+            assert waited_s == pytest.approx(3.0)
         assert report.num_offered == len(trace)
         assert report.abandonment_rate == pytest.approx(3 / 5)
 

@@ -4,14 +4,7 @@ import json
 
 import pytest
 
-from repro.analysis.export import (
-    comparison_grid_to_dict,
-    read_json,
-    result_to_dict,
-    write_json,
-)
-from repro.analysis.metrics import pair_results
-from repro.baselines.gpu import GPUAppliance
+from repro.analysis.export import result_to_dict, write_json
 from repro.cli import EXPERIMENT_RUNNERS, build_parser, main
 from repro.core.appliance import DFXAppliance
 from repro.core.dma import DMAModel
@@ -98,20 +91,11 @@ class TestExport:
         result = DFXAppliance(GPT2_345M, num_devices=1).run(Workload(32, 4))
         payload = result_to_dict(result)
         path = write_json(payload, tmp_path / "result.json")
-        loaded = read_json(path)
+        # The file is valid JSON (no NumPy scalars leaked through).
+        loaded = json.loads(path.read_text())
         assert loaded["platform"] == "dfx"
         assert loaded["workload"]["label"] == "[32:4]"
         assert loaded["latency_ms"] == pytest.approx(result.latency_ms)
-        # The file is valid JSON (no NumPy scalars leaked through).
-        json.loads(path.read_text())
-
-    def test_comparison_grid_export(self):
-        workloads = [Workload(32, 1), Workload(32, 4)]
-        gpu = GPUAppliance(GPT2_345M, 1).run_many(workloads)
-        dfx = DFXAppliance(GPT2_345M, 1).run_many(workloads)
-        payload = comparison_grid_to_dict(pair_results(gpu, dfx))
-        assert len(payload["rows"]) == 2
-        assert payload["average_speedup"] > 0
 
 
 class TestCLI:
@@ -140,7 +124,7 @@ class TestCLI:
         ])
         assert exit_code == 0
         assert destination.exists()
-        assert read_json(destination)["model"] == "gpt2-345m"
+        assert json.loads(destination.read_text())["model"] == "gpt2-345m"
 
     def test_experiment_command_table1(self, capsys):
         exit_code = main(["experiment", "table1"])
@@ -235,3 +219,43 @@ class TestCLIServe:
     def test_serve_rejects_unknown_backend(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve", "--backend", "npu"])
+
+    @pytest.mark.parametrize("gbps", ["nan", "-5", "inf"])
+    def test_serve_rejects_a_link_bandwidth_that_is_not_positive(self, gbps):
+        # Only exactly 0 means a free link; these used to serve one silently.
+        with pytest.raises(ConfigurationError, match="link_gbps"):
+            main([
+                "serve", "--backend", "dfx", "--model", "test-tiny",
+                "--rate", "1", "--duration", "5", "--topology", "2x1",
+                "--link-gbps", gbps,
+            ])
+
+
+class TestCLIDse:
+    ARGS = [
+        "dse", "--mode", "factorial", "--model", "test-tiny",
+        "--backends", "dfx", "--schedulers", "fifo", "--batch-sizes", "1",
+    ]
+
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--duration", "nan", "serving_duration_s"),
+        ("--duration", "-1", "serving_duration_s"),
+        ("--duration", "inf", "serving_duration_s"),
+        ("--rate", "nan", "arrival_rate_per_s"),
+        ("--rate", "inf", "arrival_rate_per_s"),
+    ])
+    def test_rejects_a_rate_or_duration_that_is_not_finite_and_positive(
+        self, flag, value, field
+    ):
+        with pytest.raises(ConfigurationError, match=field):
+            main(self.ARGS + [flag, value])
+
+    @pytest.mark.parametrize("flag, dimension", [
+        ("--batch-sizes", "batch"),
+        ("--devices", "devices"),
+        ("--racks", "racks"),
+    ])
+    def test_rejects_a_count_level_below_one(self, flag, dimension):
+        # Each used to exit 0 with every candidate infeasible.
+        with pytest.raises(ConfigurationError, match=dimension):
+            main(self.ARGS + [flag, "0"])

@@ -12,7 +12,6 @@ from repro.workloads import (
     PAPER_OUTPUT_LENGTHS,
     PAPER_WORKLOAD_GRID,
     Workload,
-    workload_grid,
 )
 
 
@@ -57,10 +56,6 @@ class TestPaperGrid:
         assert PAPER_WORKLOAD_GRID[4] == Workload(32, 256)
         assert PAPER_WORKLOAD_GRID[5] == Workload(64, 1)
         assert PAPER_WORKLOAD_GRID[-1] == Workload(128, 256)
-
-    def test_custom_grid_builder(self):
-        grid = workload_grid((8,), (1, 2))
-        assert grid == [Workload(8, 1), Workload(8, 2)]
 
     def test_figure3_sweep_shape(self):
         assert len(FIGURE3_WORKLOADS) == 7
