@@ -38,7 +38,7 @@ from repro.analysis.workload_presets import (
 )
 from repro.backends import make_backend
 from repro.baselines.gpu import GPUAppliance
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, check_number
 from repro.baselines.tpu import TPUBaseline
 from repro.core.appliance import DFXAppliance
 from repro.core.calibration import Calibration, DEFAULT_CALIBRATION
@@ -752,8 +752,8 @@ def run_batch_capacity_sweep(
     """
     if not batch_sizes:
         raise ConfigurationError("batch_sizes must be non-empty")
-    if any(size < 1 for size in batch_sizes):
-        raise ConfigurationError("batch sizes must be >= 1")
+    for size in batch_sizes:
+        check_number("batch_sizes", size, 1, integer=True)
     plans: dict[int, CapacityPlan] = {}
     for size in batch_sizes:
         sized = replace(

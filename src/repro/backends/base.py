@@ -29,7 +29,7 @@ import sys
 from dataclasses import dataclass
 from typing import Protocol, Sequence, runtime_checkable
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, check_number
 from repro.results import InferenceResult
 from repro.workloads import Workload
 
@@ -88,10 +88,9 @@ class BackendCapabilities:
     generates_tokens: bool = False
 
     def __post_init__(self) -> None:
-        if self.max_batch_size < 1:
-            raise ConfigurationError("max_batch_size must be >= 1")
-        if self.num_devices < 1 or self.num_units < 1:
-            raise ConfigurationError("num_devices and num_units must be >= 1")
+        check_number("max_batch_size", self.max_batch_size, 1, integer=True)
+        check_number("num_devices", self.num_devices, 1, integer=True)
+        check_number("num_units", self.num_units, 1, integer=True)
         if self.supports_batching != (self.max_batch_size > 1):
             raise ConfigurationError(
                 "capabilities must be honest: supports_batching requires "
@@ -116,10 +115,9 @@ class BatchEstimate:
     energy_joules: float
 
     def __post_init__(self) -> None:
-        if self.batch_size < 1:
-            raise ConfigurationError("batch_size must be >= 1")
-        if self.latency_s < 0 or self.energy_joules < 0:
-            raise ConfigurationError("latency and energy must be non-negative")
+        check_number("batch_size", self.batch_size, 1, integer=True)
+        check_number("latency_s", self.latency_s, 0.0)
+        check_number("energy_joules", self.energy_joules, 0.0)
 
 
 @runtime_checkable
@@ -219,8 +217,7 @@ class AnalyticBackend:
     ) -> BatchEstimate:
         shape = dominant_workload(workloads)
         size = len(workloads) if batch_size is None else batch_size
-        if size < 1:
-            raise ConfigurationError("batch_size must be >= 1")
+        check_number("batch_size", size, 1, integer=True)
         if size < len(workloads):
             raise ConfigurationError(
                 f"batch_size {size} cannot hold {len(workloads)} workloads"

@@ -19,10 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.baselines.specs import DEFAULT_V100, GPUSpec
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, check_number
 from repro.model.config import GPT2Config
 from repro.results import (
-    GPU_BREAKDOWN_PHASES,
     InferenceResult,
     PHASE_FFN,
     PHASE_LAYERNORM,
@@ -90,8 +89,7 @@ class GPUAppliance:
         spec: GPUSpec = DEFAULT_V100,
         calibration: GPUCalibration = DEFAULT_GPU_CALIBRATION,
     ) -> None:
-        if num_devices <= 0:
-            raise ConfigurationError("num_devices must be positive")
+        check_number("num_devices", num_devices, 1, integer=True)
         if config.n_head % num_devices != 0:
             raise ConfigurationError(
                 f"{config.name}: {config.n_head} heads cannot be tensor-parallelized "
@@ -134,8 +132,7 @@ class GPUAppliance:
         generation step; each additional prompt token adds only a small
         marginal cost because it rides in the same kernels.
         """
-        if input_tokens <= 0:
-            raise ConfigurationError("input_tokens must be positive")
+        check_number("input_tokens", input_tokens, 1, integer=True)
         cal = self.calibration
         base = self.per_token_generation_ms()
         extra_tokens = input_tokens - 1
@@ -185,8 +182,7 @@ class GPUAppliance:
         small per-token math of GPT-2 the fixed overhead dominates, which is
         why batching helps GPU *throughput* substantially (Sec. III-A).
         """
-        if batch_size <= 0:
-            raise ConfigurationError("batch_size must be positive")
+        check_number("batch_size", batch_size, 1, integer=True)
         fixed = self.config.n_layer * self.per_layer_ms() + self.lm_head_ms()
         # Compute term: the batch's extra rows ride through the same kernels at
         # the marginal-input cost used for the summarization stage.
@@ -204,8 +200,7 @@ class GPUAppliance:
         from independent user requests — the reason the paper says datacenters
         prefer running non-batched despite the throughput gain (Sec. III-A).
         """
-        if batch_gather_ms < 0:
-            raise ConfigurationError("batch_gather_ms must be non-negative")
+        check_number("batch_gather_ms", batch_gather_ms, 0.0)
         per_token = self.batched_per_token_generation_ms(batch_size)
         generation = (workload.output_tokens - 1) * per_token * batch_size
         # All batched requests finish together: the batch's generation time is

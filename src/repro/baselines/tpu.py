@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.baselines.specs import DEFAULT_TPU_V3, TPUSpec
-from repro.errors import ConfigurationError
+from repro.errors import check_number
 from repro.model.config import GPT2Config
 from repro.results import InferenceResult, PHASE_FFN, PHASE_LM_HEAD, PHASE_SELF_ATTENTION, StageLatency
 from repro.workloads import Workload
@@ -65,8 +65,7 @@ class TPUBaseline:
 
     def summarization_ms(self, input_tokens: int) -> float:
         """Latency of the summarization stage."""
-        if input_tokens <= 0:
-            raise ConfigurationError("input_tokens must be positive")
+        check_number("input_tokens", input_tokens, 1, integer=True)
         cal = self.calibration
         flops_per_token = 2.0 * 12 * self.config.n_embd**2 * self.config.n_layer
         marginal_flop_ms = flops_per_token / (cal.marginal_input_tflops * 1e12) * 1e3

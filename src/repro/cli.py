@@ -57,7 +57,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
 import sys
 from typing import Callable
 
@@ -67,7 +66,7 @@ from repro.analysis.reports import format_fractions, format_table
 from repro.backends import available_backends, make_backend
 from repro.baselines.gpu import GPUAppliance
 from repro.core.appliance import DFXAppliance
-from repro.errors import ConfigurationError
+from repro.errors import check_number
 from repro.model.config import available_presets, from_preset
 from repro.serving import (
     ARTICLE_MIX,
@@ -368,11 +367,9 @@ def _command_serve(args: argparse.Namespace) -> int:
                   f"(e.g. 2x2), got {args.topology!r}", file=sys.stderr)
             return 2
         members = tuple(FleetMember(f"host{host}", backend) for host in range(per_rack))
-    # Only exactly 0 means a free link; NaN fails both comparisons.
-    if not (args.link_gbps == 0 or 0 < args.link_gbps < math.inf):
-        raise ConfigurationError(
-            f"link_gbps must be finite and positive (0 = free), got {args.link_gbps}"
-        )
+    # Only exactly 0 means a free link.
+    if args.link_gbps != 0:
+        check_number("link_gbps", args.link_gbps, 0.0, open_low=True)
     bandwidth = args.link_gbps * 1e9 / 8.0 if args.link_gbps > 0 else None
     scenario = ServingScenario(
         members=members,

@@ -10,16 +10,14 @@ energy, and achieved FLOP/s.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterator
-from numbers import Integral
 
 from repro.core.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.core.compute_core import TokenStepTiming
 from repro.core.device import FPGADevice
 from repro.core.scheduler import ProgramTiming
 from repro.core.tiling import TilingConfig
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, check_number
 from repro.fpga.u280 import DEFAULT_U280, U280Spec
 from repro.model.config import GPT2Config
 from repro.parallel.partitioner import build_partition_plan
@@ -53,17 +51,6 @@ def _stage_latency(
         tag: stage_ms * cycles / accounted for tag, cycles in merged.items()
     }
     return StageLatency(latency_ms=stage_ms, breakdown_ms=breakdown)
-
-
-def _check_integer(name: str, value: object, low: int, high: float = math.inf) -> None:
-    """Raise :class:`ConfigurationError` unless ``value`` is an integer in
-    ``[low, high]``."""
-    if isinstance(value, bool) or not isinstance(value, Integral) or not (
-        low <= value <= high
-    ):
-        raise ConfigurationError(
-            f"{name} must be an integer in [{low}, {high}], got {value!r}"
-        )
 
 
 class DFXAppliance:
@@ -155,7 +142,10 @@ class DFXAppliance:
     # ---------------------------------------------------------------- utilities
     def per_token_generation_seconds(self, context_length: int) -> float:
         """Latency of a single generation-stage iteration at a given context."""
-        _check_integer("context_length", context_length, 0, self.config.n_positions)
+        check_number(
+            "context_length", context_length, 0, self.config.n_positions,
+            integer=True,
+        )
         step = self.device.core.token_step(1, context_length)
         return (
             step.seconds(self.spec.kernel_frequency_hz)
@@ -171,7 +161,7 @@ class DFXAppliance:
         cohort step instead of once per stream.  All streams finish together,
         so the cohort's wall clock *is* the per-request latency.
         """
-        _check_integer("batch", batch, 1)
+        check_number("batch", batch, 1, integer=True)
         frequency = self.spec.kernel_frequency_hz
         host_overhead = self.calibration.host_overhead_per_token_s
         seconds = host_overhead

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.errors import CalibrationError
+from repro.errors import CalibrationError, check_number
 
 
 @dataclass(frozen=True)
@@ -58,9 +58,8 @@ class Calibration:
 
     def __post_init__(self) -> None:
         for name in ("hbm_efficiency", "hbm_write_efficiency", "ddr_efficiency"):
-            value = getattr(self, name)
-            if not 0.0 < value <= 1.0:
-                raise CalibrationError(f"{name} must be in (0, 1], got {value}")
+            check_number(name, getattr(self, name), 0.0, 1.0, open_low=True,
+                         error=CalibrationError)
         for name in (
             "matrix_issue_cycles",
             "vector_issue_cycles",
@@ -69,10 +68,10 @@ class Calibration:
             "pipeline_fill_cycles_mpu",
             "pipeline_fill_cycles_vpu",
         ):
-            if getattr(self, name) < 0:
-                raise CalibrationError(f"{name} must be non-negative")
-        if self.aurora_hop_latency_s < 0 or self.host_overhead_per_token_s < 0:
-            raise CalibrationError("latencies must be non-negative")
+            check_number(name, getattr(self, name), 0, integer=True,
+                         error=CalibrationError)
+        for name in ("aurora_hop_latency_s", "host_overhead_per_token_s"):
+            check_number(name, getattr(self, name), 0.0, error=CalibrationError)
 
     def with_overrides(self, **overrides: object) -> "Calibration":
         """Return a copy with selected constants replaced (for sweeps)."""

@@ -58,7 +58,7 @@ class ComputeCore:
         self.compiler = DFXCompiler(config, plan, device_id)
         self.scheduler = TimingScheduler(
             mpu=MPUModel(tiling=self.tiling, spec=spec, calibration=calibration),
-            vpu=VPUModel(spec=spec, calibration=calibration),
+            vpu=VPUModel(calibration=calibration),
             dma=DMAModel(spec=spec, calibration=calibration),
             router=RouterModel(
                 num_devices=plan.num_devices, spec=spec, calibration=calibration

@@ -74,8 +74,8 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from repro.errors import ExecutionError
-from repro.isa.compiler import DFXCompiler, kv_key_buffer, kv_value_buffer
+from repro.errors import ExecutionError, check_number
+from repro.isa.compiler import DFXCompiler
 from repro.isa.instructions import (
     DMAInstruction,
     Instruction,
@@ -86,7 +86,6 @@ from repro.isa.instructions import (
 from repro.isa.opcodes import DMAOpcode, MatrixOpcode, VectorOpcode
 from repro.isa.program import Program
 from repro.model.config import GPT2Config
-from repro.model.generation import check_budget
 from repro.model.gpt2 import check_integer_tokens
 from repro.model.layers import MASK_VALUE
 from repro.model.numerics import FP16_DFX, Numerics
@@ -1121,9 +1120,8 @@ class DFXFunctionalSimulator:
         Rejects what :meth:`repro.model.TextGenerator.generate_tokens`
         rejects, for a request that starts ``past`` cached positions in.
         """
-        check_budget(max_new_tokens)
-        if max_new_tokens <= 0:
-            raise ExecutionError("max_new_tokens must be positive")
+        check_number("max_new_tokens", max_new_tokens, 1, integer=True,
+                     error=ExecutionError)
         tokens = np.asarray(prompt)
         self._check_tokens(tokens, past)
         total = past + tokens.size + max_new_tokens

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.errors import ConfigurationError
+from repro.errors import check_number
 from repro.fpga.resources import TILE_DESIGN_POINTS
 from repro.model.config import GPT2Config
 
@@ -29,13 +29,10 @@ class TilingConfig:
 
     d: int = 64
     l: int = 16
-    data_bits: int = 16
 
     def __post_init__(self) -> None:
-        if self.d <= 0 or self.l <= 0:
-            raise ConfigurationError(f"tile dims must be positive, got ({self.d}, {self.l})")
-        if self.data_bits <= 0:
-            raise ConfigurationError("data_bits must be positive")
+        check_number("d", self.d, 1, integer=True)
+        check_number("l", self.l, 1, integer=True)
 
     # ------------------------------------------------------------------ sizing
     @property
@@ -45,8 +42,8 @@ class TilingConfig:
 
     def tiles_for(self, in_dim: int, out_dim: int) -> int:
         """Tiles needed to cover an ``in_dim x out_dim`` weight matrix."""
-        if in_dim <= 0 or out_dim <= 0:
-            raise ConfigurationError("matrix dims must be positive")
+        check_number("in_dim", in_dim, 1, integer=True)
+        check_number("out_dim", out_dim, 1, integer=True)
         return math.ceil(in_dim / self.d) * math.ceil(out_dim / self.l)
 
     def utilization(self, in_dim: int, out_dim: int) -> float:

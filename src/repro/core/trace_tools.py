@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.scheduler import InstructionTrace, ProgramTiming
-from repro.errors import ConfigurationError
+from repro.core.scheduler import ProgramTiming
+from repro.errors import ConfigurationError, check_number
 
 
 @dataclass(frozen=True)
@@ -82,8 +82,8 @@ def render_gantt(
     """
     if not timing.traces:
         raise ConfigurationError("timing has no traces; re-run with keep_traces=True")
-    if max_instructions <= 0 or width <= 0:
-        raise ConfigurationError("max_instructions and width must be positive")
+    check_number("max_instructions", max_instructions, 1, integer=True)
+    check_number("width", width, 1, integer=True)
     window = timing.traces[:max_instructions]
     horizon = max(trace.finish_cycle for trace in window)
     if horizon <= 0:
@@ -99,8 +99,7 @@ def render_gantt(
 
 def critical_path_phases(timing: ProgramTiming, top: int = 3) -> list[tuple[str, float]]:
     """Phases ranked by their share of occupancy cycles (largest first)."""
-    if top <= 0:
-        raise ConfigurationError("top must be positive")
+    check_number("top", top, 1, integer=True)
     ranked = sorted(timing.cycles_by_tag.items(), key=lambda item: -item[1])
     total = sum(timing.cycles_by_tag.values()) or 1.0
     return [(tag, cycles / total) for tag, cycles in ranked[:top]]

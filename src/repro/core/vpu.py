@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 from repro.core.calibration import Calibration, DEFAULT_CALIBRATION
-from repro.fpga.u280 import DEFAULT_U280, U280Spec
 from repro.isa.instructions import VectorInstruction
 from repro.isa.opcodes import VectorOpcode
 
@@ -46,7 +45,6 @@ class VPUModel:
     """Cycle model of the vector processing unit (VFU + SFU_V)."""
 
     vector_width: int = VPU_VECTOR_WIDTH
-    spec: U280Spec = DEFAULT_U280
     calibration: Calibration = DEFAULT_CALIBRATION
 
     def instruction_timing(self, instruction: VectorInstruction) -> VectorTiming:

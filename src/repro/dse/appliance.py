@@ -46,7 +46,6 @@ recovers).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -56,7 +55,7 @@ from repro.baselines.specs import DFX_APPLIANCE_COST, GPU_APPLIANCE_COST
 from repro.dse.objectives import Objective, ObjectiveVector
 from repro.dse.pool import candidate_seed
 from repro.dse.space import Candidate, Dimension, SearchSpace
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, check_number
 from repro.serving.network import NetworkLink
 from repro.serving.requests import CHATBOT_MIX, WorkloadMix
 from repro.serving.scenario import ServingScenario
@@ -116,23 +115,15 @@ class ApplianceEvaluator:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        # Written so that NaN fails each check (NaN compares false with
-        # everything); otherwise every candidate's serving run fails and the
-        # pool records the whole space as infeasible.
-        if self.serving_duration_s is not None and not (
-            0 < self.serving_duration_s < math.inf
-        ):
-            raise ConfigurationError(
-                "serving_duration_s must be finite and positive (or None), "
-                f"got {self.serving_duration_s}"
-            )
-        if not 0 < self.arrival_rate_per_s < math.inf:
-            raise ConfigurationError(
-                "arrival_rate_per_s must be finite and positive, "
-                f"got {self.arrival_rate_per_s}"
-            )
-        if not 0 < self.tail_percentile <= 100:
-            raise ConfigurationError("tail_percentile must be in (0, 100]")
+        # A bad serving setting would otherwise fail every candidate's
+        # serving run, and the pool would record the whole space infeasible.
+        if self.serving_duration_s is not None:
+            check_number("serving_duration_s", self.serving_duration_s, 0.0,
+                         open_low=True)
+        check_number("arrival_rate_per_s", self.arrival_rate_per_s, 0.0,
+                     open_low=True)
+        check_number("tail_percentile", self.tail_percentile, 0.0, 100.0,
+                     open_low=True)
 
     @property
     def objectives(self) -> tuple[Objective, ...]:
@@ -166,11 +157,8 @@ class ApplianceEvaluator:
         batch_latency_s = 0.0
         for instance in instances:
             latency_s, energy_j, tokens = self._batch_cost(instance.backend, batch)
-            if latency_s <= 0:
-                raise ConfigurationError(
-                    f"backend {instance.backend_name!r} priced a non-positive "
-                    f"latency for {self.workload}"
-                )
+            check_number(f"backend {instance.backend_name!r} latency_s",
+                         latency_s, 0.0, open_low=True)
             token_rate += instance.units * tokens / latency_s
             energy_rate += instance.units * energy_j / latency_s
             batch_latency_s = max(batch_latency_s, latency_s)
@@ -245,13 +233,11 @@ class ApplianceEvaluator:
             return None
         try:
             value = int(value)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ConfigurationError(
                 f"dimension {name!r} must be an integer, got {candidate.get(name)!r}"
             ) from None
-        if value < minimum:
-            raise ConfigurationError(f"dimension {name!r} must be >= {minimum}")
-        return value
+        return check_number(f"dimension {name!r}", value, minimum, integer=True)
 
     # --------------------------------------------------------------- objectives
     def _batch_cost(self, backend: Backend, batch: int) -> tuple[float, float, int]:
@@ -328,8 +314,7 @@ def appliance_search_space(
         ("racks", racks),
     ):
         for level in levels or ():
-            if level < 1:
-                raise ConfigurationError(f"{name} levels must be >= 1, got {level}")
+            check_number(f"{name} levels", level, 1, integer=True)
     dimensions: list[Dimension] = []
     if fleets is not None:
         dimensions.append(

@@ -28,7 +28,7 @@ from typing import Mapping, Protocol, Sequence, runtime_checkable
 from repro.dse.objectives import EvaluatedCandidate
 from repro.dse.pareto import crowding_distances, non_dominated_sort
 from repro.dse.space import Candidate, SearchSpace
-from repro.errors import ConfigurationError
+from repro.errors import check_number
 
 
 @runtime_checkable
@@ -88,14 +88,10 @@ class EvolutionaryGenerator:
         mutation_rate: float = 0.25,
         crossover_rate: float = 0.9,
     ) -> None:
-        if population_size < 2:
-            raise ConfigurationError("population_size must be >= 2")
-        if generations < 1:
-            raise ConfigurationError("generations must be >= 1")
-        if not 0.0 <= mutation_rate <= 1.0:
-            raise ConfigurationError("mutation_rate must be in [0, 1]")
-        if not 0.0 <= crossover_rate <= 1.0:
-            raise ConfigurationError("crossover_rate must be in [0, 1]")
+        check_number("population_size", population_size, 2, integer=True)
+        check_number("generations", generations, 1, integer=True)
+        check_number("mutation_rate", mutation_rate, 0.0, 1.0)
+        check_number("crossover_rate", crossover_rate, 0.0, 1.0)
         self.space = space
         self.population_size = population_size
         self.generations = generations

@@ -31,7 +31,7 @@ from typing import Sequence
 
 from repro.dse.objectives import EvaluatedCandidate, Evaluator, check_vector
 from repro.dse.space import Candidate, SearchSpace
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, check_number
 
 
 def candidate_seed(base_seed: int, key: str) -> int:
@@ -86,8 +86,7 @@ class EvaluationPool:
         results_dir: str | Path | None = None,
         space: SearchSpace | None = None,
     ) -> None:
-        if jobs < 1:
-            raise ConfigurationError("jobs must be >= 1")
+        check_number("jobs", jobs, 1, integer=True)
         self.evaluator = evaluator
         self.jobs = jobs
         self.results_dir = Path(results_dir) if results_dir is not None else None

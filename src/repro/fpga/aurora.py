@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import ConfigurationError
+from repro.errors import check_number
 from repro.fpga.u280 import DEFAULT_U280, U280Spec
 
 #: Aurora 64b/66b encoding efficiency (64 payload bits per 66 line bits).
@@ -33,8 +33,7 @@ class AuroraLinkModel:
     per_hop_latency_s: float = 1.0e-6
 
     def __post_init__(self) -> None:
-        if self.per_hop_latency_s < 0:
-            raise ConfigurationError("per_hop_latency_s must be non-negative")
+        check_number("per_hop_latency_s", self.per_hop_latency_s, 0.0)
 
     @property
     def effective_bandwidth_bytes(self) -> float:
@@ -43,8 +42,7 @@ class AuroraLinkModel:
 
     def hop_seconds(self, payload_bytes: int) -> float:
         """Seconds for one hop carrying ``payload_bytes``."""
-        if payload_bytes < 0:
-            raise ConfigurationError("payload_bytes must be non-negative")
+        check_number("payload_bytes", payload_bytes, 0, integer=True)
         return self.per_hop_latency_s + payload_bytes / self.effective_bandwidth_bytes
 
     def ring_all_gather_seconds(self, total_payload_bytes: int, num_devices: int) -> float:
@@ -55,8 +53,7 @@ class AuroraLinkModel:
         slice it most recently received, so all links are busy concurrently
         and the wall-clock cost is ``(D - 1)`` hops of one slice each.
         """
-        if num_devices <= 0:
-            raise ConfigurationError("num_devices must be positive")
+        check_number("num_devices", num_devices, 1, integer=True)
         if num_devices == 1:
             return 0.0
         slice_bytes = total_payload_bytes / num_devices

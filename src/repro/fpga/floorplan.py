@@ -14,15 +14,9 @@ whether the placement meets the SLL budget.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.fpga.resources import (
-    ResourceUsage,
-    estimate_core_resources,
-    estimate_dma,
-    estimate_mpu,
-)
+from repro.fpga.resources import ResourceUsage, estimate_core_resources
 from repro.fpga.u280 import DEFAULT_U280, U280Spec
 
 #: Fraction of an SLR's resources the placer is willing to fill before

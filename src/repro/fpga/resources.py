@@ -18,7 +18,6 @@ depth log2(d)).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from repro.errors import ResourceExhaustedError

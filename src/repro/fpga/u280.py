@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.errors import ConfigurationError
+from repro.errors import check_number
 from repro.utils.units import GIBI, GIGA
 
 
@@ -24,9 +24,9 @@ class ResourceBudget:
     dsp: int
 
     def __post_init__(self) -> None:
-        for name in ("lut", "ff", "bram_36k", "uram", "dsp"):
-            if getattr(self, name) < 0:
-                raise ConfigurationError(f"{name} must be non-negative")
+        for name in ("lut", "ff", "uram", "dsp"):
+            check_number(name, getattr(self, name), 0, integer=True)
+        check_number("bram_36k", self.bram_36k, 0.0)
 
     def scaled(self, fraction: float) -> "ResourceBudget":
         """Budget scaled by ``fraction`` (used for per-SLR budgets)."""

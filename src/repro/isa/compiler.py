@@ -40,7 +40,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from repro.errors import CompilationError
+from repro.errors import CompilationError, check_number
 from repro.isa.instructions import (
     DMAInstruction,
     Instruction,
@@ -214,8 +214,7 @@ class DFXCompiler:
         current token IDs and positions) in DDR; the DMA brings them in and
         the VPU adds them.  Memoized per ``rows``.
         """
-        if rows <= 0:
-            raise CompilationError(f"rows must be positive, got {rows}")
+        check_number("rows", rows, 1, integer=True, error=CompilationError)
         cached = self._embedding_cache.get(rows)
         if cached is not None:
             return cached
@@ -261,10 +260,9 @@ class DFXCompiler:
             ``hidden_out``, containing exactly four ring synchronizations.
             Memoized per ``(rows, past_length)``.
         """
-        if rows <= 0:
-            raise CompilationError(f"rows must be positive, got {rows}")
-        if past_length < 0:
-            raise CompilationError(f"past_length must be non-negative, got {past_length}")
+        check_number("rows", rows, 1, integer=True, error=CompilationError)
+        check_number("past_length", past_length, 0, integer=True,
+                     error=CompilationError)
         key = (rows, past_length)
         cached = self._decoder_cache.get(key)
         if cached is not None:
@@ -306,10 +304,9 @@ class DFXCompiler:
         these programs; it runs the regular (per-stream-shaped) programs,
         whose linked code carries the cohort's batch axis.
         """
-        if batch <= 0:
-            raise CompilationError(f"batch must be positive, got {batch}")
-        if past_length < 0:
-            raise CompilationError(f"past_length must be non-negative, got {past_length}")
+        check_number("batch", batch, 1, integer=True, error=CompilationError)
+        check_number("past_length", past_length, 0, integer=True,
+                     error=CompilationError)
         if batch == 1:
             # A one-stream cohort is exactly the analytic per-step program.
             return self.compile_decoder_layer(1, past_length)
@@ -560,8 +557,7 @@ class DFXCompiler:
         (``weight_reuse_rows=batch``).  ``batch == 1`` returns the regular
         :meth:`compile_lm_head` program.
         """
-        if batch <= 0:
-            raise CompilationError(f"batch must be positive, got {batch}")
+        check_number("batch", batch, 1, integer=True, error=CompilationError)
         if batch == 1:
             return self.compile_lm_head()
         return self._build_lm_head(batch)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.errors import ProgramValidationError
+from repro.errors import ProgramValidationError, check_number
 from repro.isa.opcodes import (
     DMAOpcode,
     InstructionClass,
@@ -116,17 +116,16 @@ class MatrixInstruction(Instruction):
     weight_reuse_rows: int = 1
 
     def __post_init__(self) -> None:
-        if self.rows <= 0:
-            raise ProgramValidationError(f"rows must be positive, got {self.rows}")
-        if self.weight_reuse_rows < 1 or self.rows % self.weight_reuse_rows != 0:
+        check_number("rows", self.rows, 1, integer=True, error=ProgramValidationError)
+        check_number("weight_reuse_rows", self.weight_reuse_rows, 1, integer=True,
+                     error=ProgramValidationError)
+        if self.rows % self.weight_reuse_rows != 0:
             raise ProgramValidationError(
                 f"weight_reuse_rows must divide rows, got "
                 f"{self.weight_reuse_rows} for {self.rows} rows"
             )
-        if self.in_dim <= 0 or self.out_dim <= 0:
-            raise ProgramValidationError(
-                f"matrix instruction needs positive dims, got {self.in_dim}x{self.out_dim}"
-            )
+        check_number("in_dim", self.in_dim, 1, integer=True, error=ProgramValidationError)
+        check_number("out_dim", self.out_dim, 1, integer=True, error=ProgramValidationError)
         if self.apply_mask and self.opcode is not MatrixOpcode.MASKED_MM:
             raise ProgramValidationError("apply_mask is only valid for MASKED_MM")
         if self.apply_redu_max and not self.redu_max_dst:
@@ -179,10 +178,8 @@ class VectorInstruction(Instruction):
     rows: int = 1
 
     def __post_init__(self) -> None:
-        if self.length <= 0:
-            raise ProgramValidationError(f"length must be positive, got {self.length}")
-        if self.rows <= 0:
-            raise ProgramValidationError(f"rows must be positive, got {self.rows}")
+        check_number("length", self.length, 1, integer=True, error=ProgramValidationError)
+        check_number("rows", self.rows, 1, integer=True, error=ProgramValidationError)
         binary_ops = {VectorOpcode.ADD, VectorOpcode.SUB, VectorOpcode.MUL}
         if self.opcode in binary_ops and self.src2 is None and self.immediate is None:
             raise ProgramValidationError(
@@ -225,8 +222,8 @@ class DMAInstruction(Instruction):
     col_count: int | None = None
 
     def __post_init__(self) -> None:
-        if self.size_bytes < 0:
-            raise ProgramValidationError("size_bytes must be non-negative")
+        check_number("size_bytes", self.size_bytes, 0, integer=True,
+                     error=ProgramValidationError)
         if self.memory is MemorySpace.REGISTER:
             raise ProgramValidationError("DMA transfers target HBM or DDR")
 
@@ -252,10 +249,9 @@ class RouterInstruction(Instruction):
     rows: int = 1
 
     def __post_init__(self) -> None:
-        if self.payload_elements <= 0:
-            raise ProgramValidationError("payload_elements must be positive")
-        if self.rows <= 0:
-            raise ProgramValidationError("rows must be positive")
+        check_number("payload_elements", self.payload_elements, 1, integer=True,
+                     error=ProgramValidationError)
+        check_number("rows", self.rows, 1, integer=True, error=ProgramValidationError)
 
     @property
     def instruction_class(self) -> InstructionClass:

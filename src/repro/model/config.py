@@ -9,9 +9,9 @@ adjusted configuration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, check_number
 
 #: GPT-2 byte-pair-encoding vocabulary size used by all paper models.
 GPT2_VOCAB_SIZE = 50257
@@ -45,26 +45,13 @@ class GPT2Config:
     layer_norm_eps: float = 1e-5
 
     def __post_init__(self) -> None:
-        if self.n_layer <= 0:
-            raise ConfigurationError(f"n_layer must be positive, got {self.n_layer}")
-        if self.n_embd <= 0:
-            raise ConfigurationError(f"n_embd must be positive, got {self.n_embd}")
-        if self.n_head <= 0:
-            raise ConfigurationError(f"n_head must be positive, got {self.n_head}")
+        for name in ("n_layer", "n_embd", "n_head", "vocab_size", "n_positions",
+                     "ffn_mult"):
+            check_number(name, getattr(self, name), 1, integer=True)
         if self.n_embd % self.n_head != 0:
             raise ConfigurationError(
                 f"n_embd ({self.n_embd}) must be divisible by n_head ({self.n_head})"
             )
-        if self.vocab_size <= 0:
-            raise ConfigurationError(
-                f"vocab_size must be positive, got {self.vocab_size}"
-            )
-        if self.n_positions <= 0:
-            raise ConfigurationError(
-                f"n_positions must be positive, got {self.n_positions}"
-            )
-        if self.ffn_mult <= 0:
-            raise ConfigurationError(f"ffn_mult must be positive, got {self.ffn_mult}")
 
     # ------------------------------------------------------------------ sizes
     @property

@@ -16,11 +16,11 @@ fully exercised by synthetic contexts.  See DESIGN.md.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, check_number
 
 
 @dataclass(frozen=True)
@@ -34,8 +34,7 @@ class ClozeExample:
     def __post_init__(self) -> None:
         if not self.context_token_ids:
             raise ConfigurationError("context_token_ids must not be empty")
-        if len(self.candidate_token_ids) < 2:
-            raise ConfigurationError("a cloze example needs at least two candidates")
+        check_number("len(candidate_token_ids)", len(self.candidate_token_ids), 2)
         if not 0 <= self.answer_index < len(self.candidate_token_ids):
             raise ConfigurationError(
                 f"answer_index {self.answer_index} out of range for "
@@ -73,12 +72,9 @@ class ClozeDatasetSpec:
     seed: int
 
     def __post_init__(self) -> None:
-        if self.num_examples <= 0:
-            raise ConfigurationError("num_examples must be positive")
-        if self.context_length <= 0:
-            raise ConfigurationError("context_length must be positive")
-        if self.num_candidates < 2:
-            raise ConfigurationError("num_candidates must be at least 2")
+        check_number("num_examples", self.num_examples, 1, integer=True)
+        check_number("context_length", self.context_length, 1, integer=True)
+        check_number("num_candidates", self.num_candidates, 2, integer=True)
 
 
 #: Synthetic stand-ins matched to the structure of the paper's datasets.

@@ -9,8 +9,11 @@ implement all three variants and expose the LUT parameters.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.special import erf
+
+from repro.errors import check_number
 
 #: Number of samples in the DFX GELU lookup table (Sec. V-C).
 DFX_GELU_LUT_SAMPLES = 2048
@@ -19,10 +22,15 @@ DFX_GELU_LUT_SAMPLES = 2048
 DFX_GELU_LUT_RANGE = (-8.0, 8.0)
 
 
+#: Elementwise ``math.erf``: NumPy has no erf ufunc of its own.
+_erf = np.frompyfunc(math.erf, 1, 1)
+
+
 def gelu_exact(x: np.ndarray) -> np.ndarray:
     """Exact GELU using the Gaussian CDF: ``x * Phi(x)``."""
     x64 = np.asarray(x, dtype=np.float64)
-    return (0.5 * x64 * (1.0 + erf(x64 / np.sqrt(2.0)))).astype(np.float32)
+    erf = np.asarray(_erf(x64 / np.sqrt(2.0)), dtype=np.float64)
+    return (0.5 * x64 * (1.0 + erf)).astype(np.float32)
 
 
 def gelu_tanh(x: np.ndarray) -> np.ndarray:
@@ -49,11 +57,10 @@ class GeluLookupTable:
         samples: int = DFX_GELU_LUT_SAMPLES,
         input_range: tuple[float, float] = DFX_GELU_LUT_RANGE,
     ) -> None:
-        if samples < 2:
-            raise ValueError(f"samples must be >= 2, got {samples}")
+        check_number("samples", samples, 2, integer=True, error=ValueError)
         low, high = input_range
-        if not low < high:
-            raise ValueError(f"invalid input_range {input_range!r}")
+        check_number("input_range[0]", low, error=ValueError)
+        check_number("input_range[1]", high, low, open_low=True, error=ValueError)
         self.samples = samples
         self.input_range = (float(low), float(high))
         self._xs = np.linspace(low, high, samples, dtype=np.float32)

@@ -9,23 +9,14 @@ been produced (or an end-of-text token is emitted).
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.errors import ExecutionError
+from repro.errors import ExecutionError, check_number
 from repro.model.gpt2 import GPT2Model
 from repro.model.kv_cache import KVCache
 from repro.model.tokenizer import END_OF_TEXT_TOKEN_ID, SyntheticTokenizer
-
-
-def check_budget(max_new_tokens: int) -> None:
-    """Reject a ``max_new_tokens`` that is not an integer (NumPy ints pass)."""
-    if not isinstance(max_new_tokens, numbers.Integral):
-        raise ExecutionError(
-            f"max_new_tokens must be an integer, got {max_new_tokens!r}"
-        )
 
 
 @dataclass
@@ -80,9 +71,9 @@ class TextGenerator:
         """
         if not input_token_ids:
             raise ExecutionError("input_token_ids must not be empty")
-        check_budget(max_new_tokens)
-        if max_new_tokens < 0:
-            raise ExecutionError("max_new_tokens must be non-negative")
+        check_number("max_new_tokens", max_new_tokens, 0, integer=True,
+                     error=ExecutionError)
+        check_number("temperature", temperature, 0.0, error=ExecutionError)
         total = len(input_token_ids) + max_new_tokens
         if total > self.model.config.n_positions:
             raise ExecutionError(
@@ -127,8 +118,6 @@ class TextGenerator:
 
     # ---------------------------------------------------------------- internals
     def _select_token(self, logits: np.ndarray, temperature: float) -> int:
-        if temperature < 0:
-            raise ExecutionError("temperature must be non-negative")
         if temperature == 0.0:
             return int(np.argmax(logits))
         scaled = np.asarray(logits, dtype=np.float64) / temperature

@@ -14,6 +14,8 @@ import hashlib
 import re
 from dataclasses import dataclass, field
 
+from repro.errors import check_number
+
 #: Reserved IDs at the start of the vocabulary.
 PAD_TOKEN_ID = 0
 UNKNOWN_TOKEN_ID = 1
@@ -43,10 +45,8 @@ class SyntheticTokenizer:
     _id_to_word: dict[int, str] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
-        if self.vocab_size <= NUM_RESERVED_TOKENS:
-            raise ValueError(
-                f"vocab_size must exceed {NUM_RESERVED_TOKENS}, got {self.vocab_size}"
-            )
+        check_number("vocab_size", self.vocab_size, NUM_RESERVED_TOKENS + 1,
+                     integer=True, error=ValueError)
 
     # ------------------------------------------------------------------ encode
     def token_id(self, word: str) -> int:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import PartitioningError
+from repro.errors import PartitioningError, check_number
 from repro.model.config import GPT2Config
 from repro.model.weights import DecoderLayerWeights, GPT2Weights
 
@@ -108,8 +108,7 @@ def build_partition_plan(config: GPT2Config, num_devices: int) -> PartitionPlan:
             be divided evenly across the requested devices (the paper adjusts
             the 1.5B model from 25 to 24 heads for exactly this reason).
     """
-    if num_devices <= 0:
-        raise PartitioningError(f"num_devices must be positive, got {num_devices}")
+    check_number("num_devices", num_devices, 1, integer=True, error=PartitioningError)
     if config.n_head % num_devices != 0:
         raise PartitioningError(
             f"{config.name}: {config.n_head} attention heads cannot be divided "

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import PartitioningError
+from repro.errors import PartitioningError, check_number
 from repro.model.config import GPT2Config
 
 
@@ -37,8 +37,7 @@ class PipelinePlan:
 
 def build_pipeline_plan(config: GPT2Config, num_devices: int) -> PipelinePlan:
     """Split the decoder layers into ``num_devices`` contiguous stages."""
-    if num_devices <= 0:
-        raise PartitioningError(f"num_devices must be positive, got {num_devices}")
+    check_number("num_devices", num_devices, 1, integer=True, error=PartitioningError)
     if num_devices > config.n_layer:
         raise PartitioningError(
             f"cannot build {num_devices} pipeline stages from {config.n_layer} layers"

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.errors import ConfigurationError
+from repro.errors import check_number
 from repro.workloads import Workload
 
 # Breakdown phase labels (paper Fig. 4 and Fig. 15 categories).
@@ -48,8 +48,7 @@ class StageLatency:
     breakdown_ms: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.latency_ms < 0:
-            raise ConfigurationError("latency_ms must be non-negative")
+        check_number("latency_ms", self.latency_ms, 0.0)
 
     def merge(self, other: "StageLatency") -> "StageLatency":
         """Return a new stage latency combining this one and ``other``."""

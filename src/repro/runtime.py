@@ -17,16 +17,13 @@ exposes ``generate`` / ``generate_text`` / ``generate_batch``.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from repro.core.appliance import DFXAppliance
 from repro.core.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.core.functional import DFXFunctionalSimulator
-from repro.errors import ConfigurationError, ExecutionError
+from repro.errors import ConfigurationError, ExecutionError, check_number
 from repro.model.config import GPT2Config
-from repro.model.generation import check_budget
 from repro.model.numerics import FP16_DFX, Numerics
 from repro.model.tokenizer import SyntheticTokenizer
 from repro.model.weights import GPT2Weights, generate_weights
@@ -150,9 +147,8 @@ class DFXRuntime:
         """Generate tokens functionally and attach the simulated timing."""
         if not input_token_ids:
             raise ExecutionError("input_token_ids must not be empty")
-        check_budget(max_new_tokens)
-        if max_new_tokens <= 0:
-            raise ExecutionError("max_new_tokens must be positive")
+        check_number("max_new_tokens", max_new_tokens, 1, integer=True,
+                     error=ExecutionError)
         workload = Workload(
             input_tokens=len(input_token_ids), output_tokens=max_new_tokens
         )
@@ -198,9 +194,8 @@ class DFXRuntime:
                 f"{len(budgets)} budgets for {len(prompts)} prompts"
             )
         for budget in budgets:
-            check_budget(budget)
-        if any(budget <= 0 for budget in budgets):
-            raise ExecutionError("max_new_tokens must be positive")
+            check_number("max_new_tokens", budget, 1, integer=True,
+                         error=ExecutionError)
         outputs = self._reset_engine().generate_batch(
             [list(prompt) for prompt in prompts], budgets
         )

@@ -36,7 +36,7 @@ from typing import Protocol, Sequence
 
 from repro.backends.base import Backend, BatchEstimate, dominant_workload
 from repro.backends.registry import make_backend
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, check_number
 from repro.workloads import Workload
 
 
@@ -226,10 +226,8 @@ class DynamicBatching(BatchFormationPolicy):
     name = "dynamic"
 
     def __init__(self, max_batch_size: int = 8, timeout_s: float = 0.5) -> None:
-        if max_batch_size < 1:
-            raise ConfigurationError("max_batch_size must be >= 1")
-        if timeout_s < 0:
-            raise ConfigurationError("timeout_s must be non-negative")
+        check_number("max_batch_size", max_batch_size, 1, integer=True)
+        check_number("timeout_s", timeout_s, 0.0)
         self.max_batch_size = max_batch_size
         self.timeout_s = timeout_s
 
@@ -265,8 +263,7 @@ class ContinuousBatching(BatchFormationPolicy):
     continuous = True
 
     def __init__(self, max_batch_size: int = 8) -> None:
-        if max_batch_size < 1:
-            raise ConfigurationError("max_batch_size must be >= 1")
+        check_number("max_batch_size", max_batch_size, 1, integer=True)
         self.max_batch_size = max_batch_size
 
 

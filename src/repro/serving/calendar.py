@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, check_number
 
 #: Calendar sizes stay in this range: at least a handful of buckets so the
 #: wheel is a wheel, and capped so one resize never allocates absurdly.
@@ -47,10 +47,8 @@ class CalendarQueue:
     """A bucketed time-wheel priority queue over ``(time_s, ...)`` tuples."""
 
     def __init__(self, bucket_width: float = 1.0, num_buckets: int = _MIN_BUCKETS):
-        if bucket_width <= 0 or not math.isfinite(bucket_width):
-            raise ConfigurationError("bucket_width must be positive and finite")
-        if num_buckets < 1:
-            raise ConfigurationError("num_buckets must be positive")
+        check_number("bucket_width", bucket_width, 0.0, open_low=True)
+        check_number("num_buckets", num_buckets, 1, integer=True)
         self._width = bucket_width
         self._num = self._round_buckets(num_buckets)
         self._mask = self._num - 1

@@ -52,13 +52,12 @@ change), or add a new event kind plus its handler in
 
 from __future__ import annotations
 
-import math
 import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, check_number
 
 #: Abandonment reason: shed by the degraded-mode policy while capacity was
 #: reduced (recorded through ``ServingReport.abandoned`` like timeouts).
@@ -128,19 +127,11 @@ class Outage:
     link: str | None = None
 
     def __post_init__(self) -> None:
-        # Each check is written so that NaN fails it (NaN compares false
-        # with everything): a NaN or infinite setting would otherwise fail
-        # deep in the event loop, hang it, or serve silently wrong numbers.
-        if not 0.0 <= self.start_s < math.inf:
-            raise ConfigurationError(
-                "outage start_s must be finite and non-negative, "
-                f"got {self.start_s}"
-            )
-        if self.duration_s is not None and not 0.0 < self.duration_s < math.inf:
-            raise ConfigurationError(
-                "outage duration_s must be finite and positive "
-                f"(None = fail-stop), got {self.duration_s}"
-            )
+        # A NaN or infinite setting would otherwise fail deep in the event
+        # loop, hang it, or serve silently wrong numbers.
+        check_number("outage start_s", self.start_s, 0.0)
+        if self.duration_s is not None:
+            check_number("outage duration_s", self.duration_s, 0.0, open_low=True)
         _validate_target("an outage", self.unit_id, self.member, self.link)
 
     @property
@@ -174,21 +165,9 @@ class Degradation:
     link: str | None = None
 
     def __post_init__(self) -> None:
-        # NaN-failing checks, as in Outage.
-        if not 0.0 <= self.start_s < math.inf:
-            raise ConfigurationError(
-                "degradation start_s must be finite and non-negative, "
-                f"got {self.start_s}"
-            )
-        if not 0.0 < self.duration_s < math.inf:
-            raise ConfigurationError(
-                "degradation duration_s must be finite and positive, "
-                f"got {self.duration_s}"
-            )
-        if not 0.0 < self.slowdown < math.inf:
-            raise ConfigurationError(
-                f"slowdown must be finite and positive, got {self.slowdown}"
-            )
+        check_number("degradation start_s", self.start_s, 0.0)
+        check_number("degradation duration_s", self.duration_s, 0.0, open_low=True)
+        check_number("slowdown", self.slowdown, 0.0, open_low=True)
         _validate_target(
             "a degradation", self.unit_id, self.member, self.link
         )
@@ -218,21 +197,12 @@ class FaultProcess:
     members: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        # NaN-failing checks, as in Outage; an infinite horizon would draw
-        # windows forever.
-        if not 0.0 < self.mtbf_s < math.inf:
-            raise ConfigurationError(
-                f"mtbf_s must be finite and positive, got {self.mtbf_s}"
-            )
-        if self.mttr_s is not None and not 0.0 < self.mttr_s < math.inf:
-            raise ConfigurationError(
-                "mttr_s must be finite and positive (None = fail-stop), "
-                f"got {self.mttr_s}"
-            )
-        if not 0.0 < self.horizon_s < math.inf:
-            raise ConfigurationError(
-                f"horizon_s must be finite and positive, got {self.horizon_s}"
-            )
+        # An infinite horizon would draw windows forever.
+        check_number("mtbf_s", self.mtbf_s, 0.0, open_low=True)
+        if self.mttr_s is not None:
+            check_number("mttr_s", self.mttr_s, 0.0, open_low=True)
+        check_number("horizon_s", self.horizon_s, 0.0, open_low=True)
+        check_number("seed", self.seed, 0, integer=True)
 
     def draw_windows(self, stream_key: int) -> list[tuple[float, float]]:
         """Down windows for one target, deterministic in (seed, stream_key)."""
@@ -538,33 +508,18 @@ class RetryPolicy:
     max_backoff_s: float | None = None
 
     def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ConfigurationError("max_attempts must be >= 1")
-        # NaN-failing checks, as in Outage.
-        if not 0.0 <= self.backoff_s < math.inf:
-            raise ConfigurationError(
-                f"backoff_s must be finite and non-negative, got {self.backoff_s}"
-            )
-        if not 0.0 < self.backoff_multiplier < math.inf:
-            raise ConfigurationError(
-                "backoff_multiplier must be finite and positive, "
-                f"got {self.backoff_multiplier}"
-            )
-        if self.retry_budget is not None and self.retry_budget < 0:
-            raise ConfigurationError("retry_budget must be non-negative")
-        if (
-            self.max_backoff_s is not None
-            and not 0.0 <= self.max_backoff_s < math.inf
-        ):
-            raise ConfigurationError(
-                "max_backoff_s must be finite and non-negative "
-                f"(None = uncapped), got {self.max_backoff_s}"
-            )
+        check_number("max_attempts", self.max_attempts, 1, integer=True)
+        check_number("backoff_s", self.backoff_s, 0.0)
+        check_number("backoff_multiplier", self.backoff_multiplier, 0.0,
+                     open_low=True)
+        if self.retry_budget is not None:
+            check_number("retry_budget", self.retry_budget, 0, integer=True)
+        if self.max_backoff_s is not None:
+            check_number("max_backoff_s", self.max_backoff_s, 0.0)
 
     def delay_s(self, failures: int) -> float:
         """Backoff before the retry following the ``failures``-th kill."""
-        if failures < 1:
-            raise ConfigurationError("failures must be >= 1")
+        check_number("failures", failures, 1, integer=True)
         try:
             delay = self.backoff_s * self.backoff_multiplier ** (failures - 1)
         except OverflowError:
@@ -596,10 +551,8 @@ class DegradedModePolicy:
     shed_classes: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.capacity_threshold <= 1.0:
-            raise ConfigurationError(
-                "capacity_threshold must be in (0, 1]"
-            )
+        check_number("capacity_threshold", self.capacity_threshold, 0.0, 1.0,
+                     open_low=True)
         if self.shed_priority_above is None and not self.shed_classes:
             raise ConfigurationError(
                 "a degraded-mode policy needs a shed criterion: "

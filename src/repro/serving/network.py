@@ -34,11 +34,10 @@ equivalence-tested in the property suite.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, check_number
 from repro.workloads import Workload
 
 #: Bytes shipped per token id over the wire (one int32 token id).
@@ -58,22 +57,11 @@ class NetworkLink:
     bandwidth_bytes_per_s: float | None = None
 
     def __post_init__(self) -> None:
-        # Each check is written so that NaN fails it (NaN compares false
-        # with everything); a NaN link would otherwise fail deep in the
-        # event loop instead of here.
-        if not 0.0 <= self.latency_s < math.inf:
-            raise ConfigurationError(
-                "link latency_s must be finite and non-negative, "
-                f"got {self.latency_s}"
-            )
-        if (
-            self.bandwidth_bytes_per_s is not None
-            and not 0.0 < self.bandwidth_bytes_per_s < math.inf
-        ):
-            raise ConfigurationError(
-                "link bandwidth_bytes_per_s must be finite and positive "
-                f"(None = free), got {self.bandwidth_bytes_per_s}"
-            )
+        # A NaN link would otherwise fail deep in the event loop.
+        check_number("link latency_s", self.latency_s, 0.0)
+        if self.bandwidth_bytes_per_s is not None:
+            check_number("link bandwidth_bytes_per_s", self.bandwidth_bytes_per_s,
+                         0.0, open_low=True)
 
     @property
     def is_free(self) -> bool:
@@ -82,8 +70,7 @@ class NetworkLink:
 
     def one_way_s(self, payload_bytes: float) -> float:
         """Seconds to move ``payload_bytes`` one way over this link."""
-        if payload_bytes < 0:
-            raise ConfigurationError("payload_bytes must be non-negative")
+        check_number("payload_bytes", payload_bytes, 0.0)
         seconds = self.latency_s
         if self.bandwidth_bytes_per_s is not None:
             seconds += payload_bytes / self.bandwidth_bytes_per_s
@@ -127,11 +114,7 @@ class NetworkModel:
                 f"ingress rack {self.ingress!r} is not a rack; "
                 f"racks: {sorted(self.racks)}"
             )
-        if not 0.0 <= self.bytes_per_token < math.inf:
-            raise ConfigurationError(
-                "bytes_per_token must be finite and non-negative, "
-                f"got {self.bytes_per_token}"
-            )
+        check_number("bytes_per_token", self.bytes_per_token, 0.0)
         placement: dict[str, str] = {}
         for rack, members in self.racks.items():
             if not rack:

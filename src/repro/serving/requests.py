@@ -41,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, check_number
 from repro.workloads import ARTICLE_WRITING_WORKLOAD, CHATBOT_WORKLOAD, Workload
 
 #: Default service-class label for untagged requests.
@@ -64,22 +64,12 @@ class ServiceRequest:
     retryable: bool = True
 
     def __post_init__(self) -> None:
-        # Each check is written so that NaN fails it (NaN compares false
-        # with everything); a NaN arrival would otherwise fail deep in the
-        # event loop instead of here.
-        if not 0.0 <= self.arrival_time_s < math.inf:
-            raise ConfigurationError(
-                "arrival_time_s must be finite and non-negative, "
-                f"got {self.arrival_time_s}"
-            )
-        if self.slo_s is not None and not self.slo_s > 0:
-            raise ConfigurationError(
-                f"slo_s must be positive when given, got {self.slo_s}"
-            )
-        if self.patience_s is not None and not self.patience_s > 0:
-            raise ConfigurationError(
-                f"patience_s must be positive when given, got {self.patience_s}"
-            )
+        # A NaN arrival would otherwise fail deep in the event loop.
+        check_number("arrival_time_s", self.arrival_time_s, 0.0)
+        if self.slo_s is not None:
+            check_number("slo_s", self.slo_s, 0.0, open_low=True)
+        if self.patience_s is not None:
+            check_number("patience_s", self.patience_s, 0.0, open_low=True)
 
     @property
     def deadline_s(self) -> float:
@@ -119,8 +109,10 @@ class WorkloadMix:
             raise ConfigurationError("workloads and weights must have equal length")
         if not self.workloads:
             raise ConfigurationError("a workload mix needs at least one workload")
-        if any(weight < 0 for weight in self.weights) or sum(self.weights) <= 0:
-            raise ConfigurationError("weights must be non-negative and sum to > 0")
+        for weight in self.weights:
+            check_number("weights", weight, 0.0)
+        if not any(self.weights):
+            raise ConfigurationError("weights must not all be zero")
         weights = np.asarray(self.weights, dtype=np.float64)
         probabilities = weights / weights.sum()
         probabilities.setflags(write=False)
@@ -163,25 +155,9 @@ DATACENTER_MIX = WorkloadMix(
 )
 
 
-def _check_finite(
-    name: str, value: float, low: float = -math.inf, *, inclusive: bool = False
-) -> None:
-    """Raise naming ``name`` unless ``value`` is finite and above ``low``
-    (at or above it when ``inclusive``).
-
-    Written so that NaN fails (NaN compares false with everything); a NaN
-    or infinite trace argument would otherwise hang a builder or return a
-    silently empty trace.
-    """
-    above = low <= value if inclusive else low < value
-    if not (above and value < math.inf):
-        bound = "" if low == -math.inf else f" and {'>=' if inclusive else '>'} {low}"
-        raise ConfigurationError(f"{name} must be finite{bound}, got {value}")
-
-
 def _check_limit(limit: int | None) -> None:
     if limit is not None:
-        _check_finite("limit", limit, 0)
+        check_number("limit", limit, 1, integer=True)
 
 
 def poisson_trace(
@@ -209,8 +185,9 @@ def poisson_trace(
     Returns:
         Requests sorted by arrival time, all arriving within ``duration_s``.
     """
-    _check_finite("arrival_rate_per_s", arrival_rate_per_s, 0)
-    _check_finite("duration_s", duration_s, 0)
+    check_number("arrival_rate_per_s", arrival_rate_per_s, 0.0, open_low=True)
+    check_number("duration_s", duration_s, 0.0, open_low=True)
+    check_number("seed", seed, 0, integer=True)
     _check_limit(limit)
 
     def generate() -> Iterator[ServiceRequest]:
@@ -245,9 +222,9 @@ def constant_trace(
     list (``num_requests`` already bounds the trace, so there is no
     separate ``limit``).
     """
-    _check_finite("interarrival_s", interarrival_s, 0, inclusive=True)
-    _check_finite("num_requests", num_requests, 0)
-    _check_finite("start_time_s", start_time_s, 0, inclusive=True)
+    check_number("interarrival_s", interarrival_s, 0.0)
+    check_number("num_requests", num_requests, 1, integer=True)
+    check_number("start_time_s", start_time_s, 0.0)
     requests = (
         ServiceRequest(
             request_id=i,
@@ -299,15 +276,16 @@ def bursty_trace(
         compatible with :func:`with_service_levels` and :func:`merge_traces`
         like every other trace builder.
     """
-    _check_finite("burst_rate_per_s", burst_rate_per_s, 0)
-    _check_finite("idle_rate_per_s", idle_rate_per_s, 0, inclusive=True)
+    check_number("burst_rate_per_s", burst_rate_per_s, 0.0, open_low=True)
+    check_number("idle_rate_per_s", idle_rate_per_s, 0.0)
     if burst_rate_per_s <= idle_rate_per_s:
         raise ConfigurationError(
             "burst_rate_per_s must exceed idle_rate_per_s (on-off separation)"
         )
-    _check_finite("duration_s", duration_s, 0)
-    _check_finite("mean_burst_s", mean_burst_s, 0)
-    _check_finite("mean_idle_s", mean_idle_s, 0)
+    check_number("duration_s", duration_s, 0.0, open_low=True)
+    check_number("mean_burst_s", mean_burst_s, 0.0, open_low=True)
+    check_number("mean_idle_s", mean_idle_s, 0.0, open_low=True)
+    check_number("seed", seed, 0, integer=True)
     _check_limit(limit)
 
     def generate() -> Iterator[ServiceRequest]:
@@ -382,17 +360,18 @@ def diurnal_trace(
         compatible with :func:`with_service_levels` and :func:`merge_traces`
         like every other trace builder.
     """
-    _check_finite("peak_rate_per_s", peak_rate_per_s, 0)
+    check_number("peak_rate_per_s", peak_rate_per_s, 0.0, open_low=True)
     if trough_rate_per_s is None:
         trough_rate_per_s = peak_rate_per_s / 10.0
-    _check_finite("trough_rate_per_s", trough_rate_per_s, 0, inclusive=True)
+    check_number("trough_rate_per_s", trough_rate_per_s, 0.0)
     if trough_rate_per_s > peak_rate_per_s:
         raise ConfigurationError(
             "trough_rate_per_s must not exceed peak_rate_per_s"
         )
-    _check_finite("duration_s", duration_s, 0)
-    _check_finite("period_s", period_s, 0)
-    _check_finite("phase_s", phase_s)
+    check_number("duration_s", duration_s, 0.0, open_low=True)
+    check_number("period_s", period_s, 0.0, open_low=True)
+    check_number("phase_s", phase_s)
+    check_number("seed", seed, 0, integer=True)
     _check_limit(limit)
 
     def rate_at(time_s: float) -> float:

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, check_number
 from repro.serving.batching import BatchFormationPolicy
 from repro.serving.faults import FaultSchedule, RetryPolicy
 from repro.serving.network import NetworkLink, NetworkModel
@@ -100,10 +100,8 @@ class ServingScenario:
             raise ConfigurationError(
                 f"arrivals must be one of {sorted(_ARRIVALS)}, got {self.arrivals!r}"
             )
-        if self.racks is not None and not self.racks >= 1:
-            raise ConfigurationError(
-                f"racks must be None or a positive rack count, got {self.racks}"
-            )
+        if self.racks is not None:
+            check_number("racks", self.racks, 1, integer=True)
 
     def trace(self):
         """The requests this scenario serves (a generator when streaming)."""

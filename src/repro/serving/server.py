@@ -36,7 +36,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from repro.backends import Backend, make_backend
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, check_number
 from repro.results import InferenceResult
 from repro.serving.batching import (
     BackendBatchCostModel,
@@ -729,10 +729,10 @@ class FleetMember:
     def __post_init__(self) -> None:
         if not self.name:
             raise ConfigurationError("fleet member needs a non-empty name")
-        if self.num_clusters is not None and self.num_clusters <= 0:
-            raise ConfigurationError("num_clusters must be positive")
-        if self.max_batch_size is not None and self.max_batch_size < 1:
-            raise ConfigurationError("max_batch_size must be >= 1")
+        if self.num_clusters is not None:
+            check_number("num_clusters", self.num_clusters, 1, integer=True)
+        if self.max_batch_size is not None:
+            check_number("max_batch_size", self.max_batch_size, 1, integer=True)
 
 
 class ApplianceFleet:
@@ -1007,13 +1007,13 @@ def capacity_search(
     the SLO, and ``rate_bounds[1]`` when the SLO holds all the way to the
     cap.
     """
-    if slo_s <= 0:
-        raise ConfigurationError("slo_s must be positive")
+    check_number("slo_s", slo_s, 0.0, open_low=True)
+    check_number("percentile", percentile, 0.0, 100.0)
     low, high = rate_bounds
-    if low <= 0 or high <= low:
-        raise ConfigurationError("rate_bounds must satisfy 0 < low < high")
-    if relative_tolerance <= 0:
-        raise ConfigurationError("relative_tolerance must be positive")
+    check_number("rate_bounds[0]", low, 0.0, open_low=True)
+    check_number("rate_bounds[1]", high, low, open_low=True)
+    check_number("relative_tolerance", relative_tolerance, 0.0, open_low=True)
+    check_number("max_abandonment_rate", max_abandonment_rate, 0.0, 1.0)
 
     reports: dict[float, ServingReport] = {}
 

@@ -93,7 +93,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, check_number
 from repro.serving.batching import (
     BatchCostModel,
     BatchFormationPolicy,
@@ -931,10 +931,8 @@ def simulate(
         )
     policy = make_batch_policy(batching)
     for unit in units:
-        if unit.max_batch_size < 1:
-            raise ConfigurationError(
-                f"unit {unit.unit_id}: max_batch_size must be >= 1"
-            )
+        check_number(f"unit {unit.unit_id}: max_batch_size", unit.max_batch_size, 1,
+                     integer=True)
         if unit.max_batch_size > 1 and unit.batch_costs is None:
             raise ConfigurationError(
                 f"unit {unit.unit_id}: batch-capable units need a batch_costs model"

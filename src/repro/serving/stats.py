@@ -32,19 +32,11 @@ from math import isfinite
 
 import numpy as np
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, check_number
 
 #: Default rank-error budget: quantile answers are within 0.5% of the
 #: requested rank, i.e. a p99 over 1M samples lands between p98.5 and p99.5.
 DEFAULT_EPS = 0.005
-
-
-def _check_percentile(percentile: float) -> None:
-    """Reject a percentile outside ``[0, 100]`` (both distributions)."""
-    if not 0.0 <= percentile <= 100.0:
-        raise ConfigurationError(
-            f"percentile must be in [0, 100], got {percentile}"
-        )
 
 
 def _not_finite(value: float) -> ConfigurationError:
@@ -91,7 +83,7 @@ class ExactDistribution:
 
     def query(self, percentile: float) -> float:
         """Exact value at ``percentile`` (0..100), numpy's interpolation."""
-        _check_percentile(percentile)
+        check_number("percentile", percentile, 0.0, 100.0)
         if not self._values:
             return 0.0
         if self._sorted.size != len(self._values):
@@ -120,8 +112,7 @@ class QuantileSketch:
                  "total", "_min", "_max")
 
     def __init__(self, eps: float = DEFAULT_EPS) -> None:
-        if not 0.0 < eps < 0.5:
-            raise ConfigurationError(f"eps must be in (0, 0.5), got {eps}")
+        check_number("eps", eps, 0.0, 0.5, open_low=True, open_high=True)
         self.eps = eps
         #: Summary tuples (value, g, delta), sorted by value.
         self._entries: list[list[float]] = []
@@ -210,7 +201,7 @@ class QuantileSketch:
 
     def query(self, percentile: float) -> float:
         """Value at ``percentile`` (0..100), within the rank-error bound."""
-        _check_percentile(percentile)
+        check_number("percentile", percentile, 0.0, 100.0)
         if self.count == 0:
             return 0.0
         self._flush()

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import ConfigurationError
+from repro.errors import check_number
 
 
 @dataclass(frozen=True)
@@ -26,14 +26,8 @@ class Workload:
     output_tokens: int
 
     def __post_init__(self) -> None:
-        if self.input_tokens <= 0:
-            raise ConfigurationError(
-                f"input_tokens must be positive, got {self.input_tokens}"
-            )
-        if self.output_tokens <= 0:
-            raise ConfigurationError(
-                f"output_tokens must be positive, got {self.output_tokens}"
-            )
+        check_number("input_tokens", self.input_tokens, 1, integer=True)
+        check_number("output_tokens", self.output_tokens, 1, integer=True)
 
     @property
     def label(self) -> str:

@@ -19,8 +19,9 @@ class TestTilingConfig:
         tiling = TilingConfig()
         assert (tiling.d, tiling.l) == (64, 16)
         assert tiling.macs_per_cycle == 1024
-        # One tile is exactly one 32x512-bit HBM beat.
-        tile_bytes = tiling.d * tiling.l * tiling.data_bits // 8
+        # One tile of FP16 values (2 bytes each) is exactly one 32x512-bit
+        # HBM beat.
+        tile_bytes = tiling.d * tiling.l * 2
         assert tile_bytes == DEFAULT_U280.hbm_bytes_per_kernel_cycle == 2048
 
     def test_all_design_points_have_1024_macs(self):
