@@ -38,6 +38,10 @@ Three subcommands cover the common entry points without writing any Python:
     ``--results-dir`` persists per-candidate JSON results so interrupted
     runs resume for free.
 
+Run as a program, input the model rejects (a ``ConfigurationError`` or
+``PartitioningError``) prints one ``error: ...`` line and exits with status
+2; :func:`main` itself lets them propagate.
+
 Examples::
 
     python -m repro.cli run --model 1.5b --devices 4 --input 64 --output 64
@@ -66,7 +70,7 @@ from repro.analysis.reports import format_fractions, format_table
 from repro.backends import available_backends, make_backend
 from repro.baselines.gpu import GPUAppliance
 from repro.core.appliance import DFXAppliance
-from repro.errors import check_number
+from repro.errors import ConfigurationError, PartitioningError, check_number
 from repro.model.config import available_presets, from_preset
 from repro.serving import (
     ARTICLE_MIX,
@@ -523,4 +527,9 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    # Bad input ends in one line and exit 2; anything else keeps its traceback.
+    try:
+        sys.exit(main())
+    except (ConfigurationError, PartitioningError) as error:
+        print(f"error: {error}", file=sys.stderr)
+        sys.exit(2)

@@ -42,7 +42,12 @@ code runs every device count and cohort size.
 **Bit-exactness contract:** the fast path must produce bit-identical buffers
 to the slow path.  Every fast-path shortcut is a proven identity: generated
 code fuses the slow path's FP16→FP32 conversion chains into ufunc
-``dtype=float32`` calls that convert elementwise identically; the causal
+``dtype=float32`` calls that convert elementwise identically; in a float16
+mode each unary op (EXP, RECIP, RECIP_SQRT, ADD/SUB/MUL with an immediate,
+the matrix ``scale`` and the fused GELU) is one ``take`` from a table of that
+op's FP32 expression evaluated at all 65,536 FP16 inputs, which is the op
+itself because the op maps each FP16 input to one FP16 output elementwise
+(``tests/test_fp16_tables.py`` checks every input in four layouts); the causal
 mask is elided only when it admits every key (a single query row always
 attends to the whole cache, and FP16→FP32→FP16 round-trips are exact); the
 KV cache appends in place into a preallocated arena slot whose logical view
@@ -88,7 +93,7 @@ from repro.isa.program import Program
 from repro.model.config import GPT2Config
 from repro.model.gpt2 import check_integer_tokens
 from repro.model.layers import MASK_VALUE
-from repro.model.numerics import FP16_DFX, Numerics
+from repro.model.numerics import FP16_DFX, Numerics, fp16_table
 from repro.model.weights import GPT2Weights
 from repro.parallel.partitioner import (
     DeviceLayerWeights,
@@ -492,8 +497,8 @@ class _SegmentCompiler:
     constant operands (dtypes, scales, bound numerics methods) become default
     parameters, and the per-instruction dispatch disappears entirely.  The
     generated code emits exactly the NumPy expressions of the slow path (or a
-    proven-identical fusion of them — see the module docstring), so the fast
-    path stays bit-exact.
+    proven-identical fusion or lookup table of them — see the module
+    docstring), so the fast path stays bit-exact.
 
     Register reads are materialized lazily at their first use site (with the
     slow path's "read before definition" error), and every register written
@@ -518,6 +523,15 @@ class _SegmentCompiler:
         VectorOpcode.MUL: "_np.multiply",
     }
 
+    #: FP32-path text of the operand-only vector ops (see ``unary``).
+    _UNARY_EXPRESSIONS = {
+        VectorOpcode.EXP: "_np.exp({x}, dtype=_f32).astype({out})",
+        VectorOpcode.RECIP: "_np.divide(_one, {x}, dtype=_f32).astype({out})",
+        VectorOpcode.RECIP_SQRT: (
+            "_np.divide(_one, _np.sqrt({x}, dtype=_f32), dtype=_f32).astype({out})"
+        ),
+    }
+
     def __init__(self, numerics: Numerics) -> None:
         self.numerics = numerics
         self.lines: list[str] = []
@@ -533,6 +547,10 @@ class _SegmentCompiler:
         self.out_dtype = self.const(numerics.dtype)
         compute = np.dtype(np.float32) if numerics.accumulate_fp32 else numerics.dtype
         self.compute_dtype = self.const(compute)
+        # In a float16 mode every unary op is one table lookup (see unary()).
+        self.index_dtype = (
+            self.const(np.dtype(np.uint16)) if numerics.dtype == np.float16 else None
+        )
 
     # ---------------------------------------------------------------- plumbing
     def const(self, value: object) -> str:
@@ -607,6 +625,37 @@ class _SegmentCompiler:
         self._cse[register] = out
         return out
 
+    def unary(
+        self,
+        var: str,
+        source: str,
+        expression: str,
+        constant: np.float32 | None = None,
+    ) -> None:
+        """Emit ``var = expression(source)`` for an elementwise unary op.
+
+        ``expression`` is the FP32 path's text, with ``{x}`` for the operand,
+        ``{c}`` for ``constant`` and ``{out}`` for the output dtype.  In a
+        float16 mode the op is instead one lookup in the table of that exact
+        text at every FP16 input (:func:`~repro.model.numerics.fp16_table`),
+        keyed by the text and the constant's bit pattern.  The operand is a
+        register or a matrix result, which a float16 mode holds as float16.
+        """
+        if self.index_dtype is None:
+            c = None if constant is None else self.const(constant)
+            self.emit(f"{var} = {expression.format(x=source, c=c, out=self.out_dtype)}")
+            return
+        text = expression.format(x="_x", c="_c", out="_out")
+        # By bit pattern: -0.0 and 0.0 get their own tables, NaN finds its own.
+        key = (text, None if constant is None else constant.tobytes())
+
+        def evaluate(inputs: np.ndarray) -> np.ndarray:
+            namespace = dict(self._BASE_NAMESPACE, _c=constant, _out=self.numerics.dtype)
+            return eval(text, namespace, {"_x": inputs})  # noqa: S307
+
+        table = self.const(fp16_table(key, evaluate))
+        self.emit(f"{var} = {table}.take({source}.view({self.index_dtype}))")
+
     # ------------------------------------------------------------ instructions
     def add_matrix(self, instruction: MatrixInstruction) -> None:
         operand = self.as_compute(instruction.input_operand)
@@ -645,10 +694,11 @@ class _SegmentCompiler:
                 f".astype({self.out_dtype})"
             )
         if instruction.scale is not None:
-            scale = self.const(np.float32(instruction.scale))
-            self.emit(
-                f"{result} = _np.multiply({result}, {scale}, dtype=_f32)"
-                f".astype({self.out_dtype})"
+            self.unary(
+                result,
+                result,
+                "_np.multiply({x}, {c}, dtype=_f32).astype({out})",
+                np.float32(instruction.scale),
             )
         if instruction.apply_mask:
             # When every key position is admitted (always the case for a
@@ -714,29 +764,23 @@ class _SegmentCompiler:
                 f".sum(axis=-1, keepdims=True).astype({self.out_dtype})"
             )
             return
-        if opcode is VectorOpcode.EXP:
-            self.emit(f"{var} = _np.exp({source}, dtype=_f32).astype({self.out_dtype})")
-            return
-        if opcode is VectorOpcode.RECIP:
-            self.emit(
-                f"{var} = _np.divide(_one, {source}, dtype=_f32)"
-                f".astype({self.out_dtype})"
-            )
-            return
-        if opcode is VectorOpcode.RECIP_SQRT:
-            self.emit(
-                f"{var} = _np.divide(_one, _np.sqrt({source}, dtype=_f32),"
-                f" dtype=_f32).astype({self.out_dtype})"
-            )
+        expression = self._UNARY_EXPRESSIONS.get(opcode)
+        if expression is not None:
+            self.unary(var, source, expression)
             return
         try:
             ufunc = self._BINARY_UFUNCS[opcode]
         except KeyError:  # pragma: no cover - defensive
             raise ExecutionError(f"unsupported vector opcode {opcode.value}") from None
-        if instruction.src2 is not None:
-            right = self.read_register(instruction.src2)
-        else:
-            right = self.const(np.float32(instruction.immediate))
+        if instruction.src2 is None:
+            self.unary(
+                var,
+                source,
+                f"{ufunc}({{x}}, {{c}}, dtype=_f32).astype({{out}})",
+                np.float32(instruction.immediate),
+            )
+            return
+        right = self.read_register(instruction.src2)
         self.emit(
             f"{var} = {ufunc}({source}, {right}, dtype=_f32).astype({self.out_dtype})"
         )

@@ -13,21 +13,52 @@ quantization-error measurements.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Hashable
 
 import numpy as np
 
 from repro.model import gelu as gelu_module
+
+_FLOAT16 = np.dtype(np.float16)
+
+#: Process-wide memo of :func:`fp16_table`: expression key -> read-only table.
+_FP16_TABLES: dict[Hashable, np.ndarray] = {}
+
+
+def fp16_table(
+    key: Hashable, expression: Callable[[np.ndarray], np.ndarray]
+) -> np.ndarray:
+    """``expression`` evaluated once at all 65,536 float16 bit patterns.
+
+    ``expression`` maps a float16 array to a float16 array elementwise, so
+    ``table.take(x.view(np.uint16))`` equals ``expression(x)`` for any
+    float16 array ``x``: every FP16 unary op is one lookup.  ``key`` names
+    the expression and its constants; the table is built on the first
+    request for that key and shared by every later caller.
+    """
+    table = _FP16_TABLES.get(key)
+    if table is None:
+        inputs = np.arange(1 << 16, dtype=np.uint16).view(np.float16)
+        # The NaN and infinity entries raise invalid/overflow warnings.
+        with np.errstate(all="ignore"):
+            table = expression(inputs)
+        table.flags.writeable = False
+        _FP16_TABLES[key] = table
+    return table
 
 
 @dataclass(frozen=True)
 class Numerics:
     """A numeric execution mode: data type plus activation implementation.
 
+    ``gelu`` must be elementwise (all three modes' are): in a float16 mode,
+    :meth:`activation` of a float16 array is one lookup in the table of
+    ``gelu`` at every FP16 input (:func:`fp16_table`).
+
     Attributes:
         name: Human-readable label used in reports.
         dtype: NumPy dtype activations and weights are rounded to.
-        gelu: Callable implementing the GELU activation.
+        gelu: Callable implementing the GELU activation, elementwise.
         accumulate_fp32: Whether matrix products accumulate in float32 before
             rounding back (models wide accumulators; both platforms do this).
     """
@@ -57,6 +88,12 @@ class Numerics:
 
     def activation(self, x: np.ndarray) -> np.ndarray:
         """Apply GELU and round to this mode's data type."""
+        if type(x) is np.ndarray and x.ndim and x.dtype == self.dtype == _FLOAT16:
+            table = fp16_table(("gelu", self.gelu), self._fp32_activation)
+            return table.take(x.view(np.uint16))
+        return self._fp32_activation(x)
+
+    def _fp32_activation(self, x: np.ndarray) -> np.ndarray:
         return self.gelu(np.asarray(x, dtype=np.float32)).astype(self.dtype)
 
 
