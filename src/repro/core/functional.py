@@ -1268,7 +1268,7 @@ class DFXFunctionalSimulator:
         Per-stream outputs are bit-identical to :meth:`generate` run stream
         by stream.  Resets the :meth:`forward` cache.
         """
-        if not prompts:
+        if len(prompts) == 0:
             return []
         budgets = (
             [max_new_tokens] * len(prompts)

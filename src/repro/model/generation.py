@@ -69,7 +69,7 @@ class TextGenerator:
         ``temperature == 0`` selects the argmax token (the LM head's reduce-max
         path on DFX); positive temperatures sample from the softmax.
         """
-        if not input_token_ids:
+        if len(input_token_ids) == 0:
             raise ExecutionError("input_token_ids must not be empty")
         check_number("max_new_tokens", max_new_tokens, 0, integer=True,
                      error=ExecutionError)

@@ -8,6 +8,9 @@ stages the paper describes:
   filling the KV cache and producing the first output token;
 * **generation**: one token at a time, appending one row per layer to the KV
   cache.
+
+The oracle imports nothing from the engine's packages and shares none of
+its weight staging.
 """
 
 from __future__ import annotations
@@ -61,8 +64,12 @@ class GPT2Model:
     ) -> None:
         self.config: GPT2Config = weights.config
         self.numerics = numerics
-        # Cast once so repeated forwards don't re-cast the whole model.
-        self.weights = weights.astype(numerics.dtype)
+        # Round the weights to the mode's dtype once, then hold them, and
+        # every cached K/V row, widened to at least FP32.  Every op upcasts
+        # its operands to FP32 and FP16 -> FP32 is exact, so in the FP16
+        # modes no forward converts a weight or a cached row again.
+        self._storage_dtype = np.promote_types(numerics.dtype, np.float32)
+        self.weights = weights.astype(numerics.dtype).astype(self._storage_dtype)
 
     # ------------------------------------------------------------ constructors
     @classmethod
@@ -113,7 +120,7 @@ class GPT2Model:
         iteration.
         """
         if cache is None:
-            cache = KVCache.empty(self.config, dtype=self.numerics.dtype)
+            cache = self.new_cache()
         if cache.config.n_layer != self.config.n_layer:
             raise ExecutionError("cache was built for a different model configuration")
 
@@ -143,9 +150,9 @@ class GPT2Model:
 
     # -------------------------------------------------------------- convenience
     def new_cache(self, capacity: int = 0) -> KVCache:
-        """Create an empty KV cache with this model's dtype.
+        """Create an empty KV cache that stores rows widened to at least FP32.
 
         ``capacity`` preallocates that many token positions per layer, so
         decoding a request of known total length never regrows the cache.
         """
-        return KVCache.empty(self.config, dtype=self.numerics.dtype, capacity=capacity)
+        return KVCache.empty(self.config, dtype=self._storage_dtype, capacity=capacity)

@@ -15,6 +15,13 @@ to the array the concatenating implementation would have produced — and
 the paper's HBM sizing arguments are about.  Callers that know the final
 sequence length (the text-generation driver does) can reserve it up front via
 ``KVCache.empty(..., capacity=...)`` and never pay a regrowth copy.
+
+**Storage dtype:** a cache stores rows in the dtype it is built with.
+``GPT2Model.new_cache`` builds FP32 caches for the FP16 modes, so
+attention's FP32 upcast of a cached row is a no-op; the rows still hold
+FP16 values, widened exactly.  ``memory_bytes`` counts elements at
+``bytes_per_element`` (default 2), so it reports the FP16 footprint
+whatever the storage dtype.
 """
 
 from __future__ import annotations

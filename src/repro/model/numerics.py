@@ -55,6 +55,11 @@ class Numerics:
     :meth:`activation` of a float16 array is one lookup in the table of
     ``gelu`` at every FP16 input (:func:`fp16_table`).
 
+    :meth:`matmul` (when ``accumulate_fp32``), :meth:`add` and the layers
+    upcast their operands to FP32.  The reference model holds its rounded
+    weights and K/V rows in ``np.promote_types(dtype, np.float32)``, so in
+    the FP16 and FP32 modes those upcasts return them without a copy.
+
     Attributes:
         name: Human-readable label used in reports.
         dtype: NumPy dtype activations and weights are rounded to.

@@ -145,7 +145,7 @@ class DFXRuntime:
         self, input_token_ids: list[int], max_new_tokens: int
     ) -> RuntimeGeneration:
         """Generate tokens functionally and attach the simulated timing."""
-        if not input_token_ids:
+        if len(input_token_ids) == 0:
             raise ExecutionError("input_token_ids must not be empty")
         check_number("max_new_tokens", max_new_tokens, 1, integer=True,
                      error=ExecutionError)
@@ -180,9 +180,9 @@ class DFXRuntime:
         stream by stream; the attached cost is the lockstep cohort's wall
         clock at the dominant request shape.
         """
-        if not prompts:
+        if len(prompts) == 0:
             raise ExecutionError("prompts must not be empty")
-        if any(not prompt for prompt in prompts):
+        if any(len(prompt) == 0 for prompt in prompts):
             raise ExecutionError("input_token_ids must not be empty")
         budgets = (
             [max_new_tokens] * len(prompts)

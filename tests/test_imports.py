@@ -1,10 +1,15 @@
-"""What ``src/`` imports: no unused module-level import, and no SciPy.
+"""What ``src/`` imports: no unused module-level import, no SciPy, and a
+reference model that imports nothing from the engine.
 
-The unused-import check reads each module with the stdlib ``ast`` module,
-so it needs no linter.  A name counts as used when the module reads it
-anywhere (including inside a quoted annotation) or lists it in
-``__all__``.  Package ``__init__`` modules are exempt: their imports are
-the package's re-exports.
+The import checks read each module with the stdlib ``ast`` module, so they
+need no linter.  A name counts as used when the module reads it anywhere
+(including inside a quoted annotation) or lists it in ``__all__``.
+Package ``__init__`` modules are exempt from the unused-import check: their
+imports are the package's re-exports.
+
+The reference model in ``repro.model`` is the oracle the functional engine
+is checked against, so no import anywhere in it, at module level or inside
+a function, may name the engine's packages (``ENGINE_PACKAGES``).
 """
 
 from __future__ import annotations
@@ -21,6 +26,8 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 MODULES = sorted(
     path for path in SRC.rglob("*.py") if path.name != "__init__.py"
 )
+MODEL_MODULES = sorted((SRC / "model").glob("*.py"))
+ENGINE_PACKAGES = ("repro.core", "repro.isa", "repro.parallel", "repro.runtime")
 
 
 def _imported_names(tree: ast.Module) -> dict[str, int]:
@@ -93,6 +100,63 @@ def test_the_check_flags_a_planted_unused_import():
         "        return os.path.sep.count('/')\n"
     )
     assert unused_imports(source) == ["line 2: math", "line 4: field"]
+
+
+def dotted_imports(source: str, package: str) -> list[tuple[int, str]]:
+    """``(line, dotted name)`` of everything any import in ``source`` binds.
+
+    ``from a import b`` names ``a.b``, and a relative import resolves
+    against ``package``, the package the module lives in.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                parts = package.split(".")
+                anchor = ".".join(parts[: len(parts) - node.level + 1])
+                base = f"{anchor}.{base}" if base else anchor
+            found += [(node.lineno, f"{base}.{alias.name}") for alias in node.names]
+    return sorted(found)
+
+
+def engine_imports(source: str, package: str) -> list[str]:
+    """Imports in ``source`` that name a module of ``ENGINE_PACKAGES``."""
+    return [
+        f"line {line}: {name}"
+        for line, name in dotted_imports(source, package)
+        if any(name == engine or name.startswith(engine + ".") for engine in ENGINE_PACKAGES)
+    ]
+
+
+@pytest.mark.parametrize(
+    "module", MODEL_MODULES, ids=lambda path: str(path.relative_to(SRC))
+)
+def test_reference_model_imports_nothing_from_the_engine(module):
+    assert engine_imports(module.read_text(), "repro.model") == []
+
+
+def test_the_check_flags_a_planted_engine_import():
+    source = (
+        "import numpy as np\n"
+        "from repro import errors\n"
+        "from repro.model.layers import linear\n"
+        "import repro.isa.compiler\n"
+        "from repro import runtime, runtime_notes\n"
+        "def stage(weights):\n"
+        "    from repro.core.functional import DFXFunctionalSimulator\n"
+        "    from ..parallel import partitioner\n"
+        "    from . import numerics\n"
+        "    return weights\n"
+    )
+    assert engine_imports(source, "repro.model") == [
+        "line 4: repro.isa.compiler",
+        "line 5: repro.runtime",
+        "line 7: repro.core.functional.DFXFunctionalSimulator",
+        "line 8: repro.parallel.partitioner",
+    ]
 
 
 def test_every_module_imports_without_scipy():

@@ -5,10 +5,13 @@ import pytest
 
 from repro.errors import ExecutionError
 from repro.model.config import GPT2_TEST_TINY
+from repro.model.decoder import decoder_layer_forward
+from repro.model.gelu import gelu_exact, gelu_lut
 from repro.model.gpt2 import GPT2Model
 from repro.model.kv_cache import KVCache
-from repro.model.layers import softmax
-from repro.model.numerics import FP16_DFX, FP16_GPU, FP32_EXACT
+from repro.model.layers import layer_norm, softmax
+from repro.model.numerics import FP16_DFX, FP16_GPU, FP32_EXACT, Numerics
+from repro.model.weights import DecoderLayerWeights, GPT2Weights
 
 
 class TestForwardShapes:
@@ -109,3 +112,108 @@ class TestNumericsModes:
         assert model.config is GPT2_TEST_TINY
         result = model.forward(np.array([1, 2]))
         assert np.all(np.isfinite(result.logits.astype(np.float64)))
+
+
+def _widened(weights: GPT2Weights) -> GPT2Weights:
+    """float64 weights float32 cannot hold: each value times ``1 + 2**-40``."""
+
+    def widen(array: np.ndarray) -> np.ndarray:
+        return array.astype(np.float64) * (1.0 + 2.0**-40)
+
+    return GPT2Weights(
+        config=weights.config,
+        wte=widen(weights.wte),
+        wpe=widen(weights.wpe),
+        layers=[
+            DecoderLayerWeights(
+                **{name: widen(getattr(layer, name)) for name in layer.__dataclass_fields__}
+            )
+            for layer in weights.layers
+        ],
+        ln_f_gamma=widen(weights.ln_f_gamma),
+        ln_f_beta=widen(weights.ln_f_beta),
+    )
+
+
+class TestStagingOracle:
+    """``GPT2Model`` holds its rounded weights and K/V rows widened to at
+    least FP32; its outputs must equal, bit for bit, a forward that stages
+    nothing: the same ops on weights rounded to the mode's dtype and a K/V
+    cache of the mode's dtype."""
+
+    MODES = {
+        "FP16_DFX": FP16_DFX,
+        "FP16_GPU": FP16_GPU,
+        "FP32_EXACT": FP32_EXACT,
+        "fp64": Numerics("fp64", np.dtype(np.float64), gelu_exact, accumulate_fp32=False),
+        "fp16-accumulate": Numerics(
+            "fp16-accumulate", np.dtype(np.float16), gelu_lut, accumulate_fp32=False
+        ),
+    }
+    # A prefill, then single tokens past the unreserved cache's first two
+    # capacities (8 and 16 positions).
+    CHUNKS = [[5, 111, 42, 7]] + [[token] for token in range(30, 44)]
+
+    @staticmethod
+    def unstaged_forward(weights: GPT2Weights, numerics: Numerics) -> list:
+        rounded = weights.astype(numerics.dtype)
+        config = weights.config
+        cache = KVCache.empty(config, dtype=numerics.dtype)
+        outputs = []
+        for chunk in TestStagingOracle.CHUNKS:
+            positions = np.arange(cache.seq_len, cache.seq_len + len(chunk))
+            hidden = numerics.add(rounded.wte[chunk], rounded.wpe[positions])
+            for layer, layer_cache in zip(rounded.layers, cache.layers):
+                hidden = decoder_layer_forward(hidden, layer, layer_cache, config, numerics)
+            hidden = layer_norm(
+                hidden, rounded.ln_f_gamma, rounded.ln_f_beta,
+                config.layer_norm_eps, numerics,
+            )
+            outputs.append((numerics.matmul(hidden, rounded.wte.T), hidden))
+        return outputs
+
+    @staticmethod
+    def model_forward(model: GPT2Model, cache: KVCache) -> list:
+        outputs = []
+        for chunk in TestStagingOracle.CHUNKS:
+            result = model.forward(np.asarray(chunk), cache)
+            outputs.append((result.logits, result.hidden_states))
+        return outputs
+
+    @pytest.fixture(params=sorted(MODES))
+    def case(self, request, tiny_weights):
+        weights = _widened(tiny_weights) if request.param == "fp64" else tiny_weights
+        return weights, self.MODES[request.param]
+
+    def test_widened_weights_are_not_float32(self, tiny_weights):
+        widened = _widened(tiny_weights)
+        assert not np.array_equal(widened.wte.astype(np.float32), widened.wte)
+        assert not np.array_equal(
+            widened.ln_f_gamma.astype(np.float32), widened.ln_f_gamma
+        )
+
+    def test_staged_model_matches_unstaged_forward(self, case):
+        weights, numerics = case
+        expected = self.unstaged_forward(weights, numerics)
+        model = GPT2Model(weights, numerics)
+        own_cache = model.new_cache()
+        # A caller-built cache of the mode's dtype gives the same outputs.
+        caller_cache = KVCache.empty(weights.config, dtype=numerics.dtype)
+        for cache in (own_cache, caller_cache):
+            got = self.model_forward(model, cache)
+            for (logits, hidden), (want_logits, want_hidden) in zip(got, expected):
+                assert logits.dtype == want_logits.dtype == numerics.dtype
+                assert np.array_equal(logits, want_logits)
+                assert np.array_equal(hidden, want_hidden)
+        # The cache reports the FP16 footprint whatever dtype it stores.
+        assert own_cache.memory_bytes() == caller_cache.memory_bytes() == (
+            2 * 2 * weights.config.n_layer * weights.config.n_embd * own_cache.seq_len
+        )
+
+    def test_model_holds_weights_and_rows_widened_to_fp32(self, case):
+        weights, numerics = case
+        model = GPT2Model(weights, numerics)
+        storage = np.promote_types(numerics.dtype, np.float32)
+        assert model.weights.wte.dtype == storage
+        assert model.weights.layers[0].w_qkv.dtype == storage
+        assert model.new_cache(capacity=4).layer(0).keys.dtype == storage

@@ -19,6 +19,18 @@ def runtime():
     return DFXRuntime(GPT2_TEST_TINY, num_devices=2, seed=5)
 
 
+@pytest.fixture(scope="module")
+def engine():
+    weights = generate_weights(GPT2_TEST_TINY, seed=5)
+    return DFXFunctionalSimulator(weights, num_devices=2)
+
+
+@pytest.fixture(scope="module")
+def reference():
+    weights = generate_weights(GPT2_TEST_TINY, seed=5)
+    return TextGenerator(GPT2Model(weights, numerics=FP16_DFX))
+
+
 class TestGeneration:
     def test_generation_matches_reference_model(self, runtime):
         reference = GPT2Model(runtime.weights, numerics=FP16_DFX)
@@ -94,16 +106,6 @@ class TestBudgetValidation:
     """``max_new_tokens`` must be an integer: NumPy integers work everywhere,
     and a non-integral budget fails with an error naming the field."""
 
-    @pytest.fixture(scope="class")
-    def engine(self):
-        weights = generate_weights(GPT2_TEST_TINY, seed=5)
-        return DFXFunctionalSimulator(weights, num_devices=2)
-
-    @pytest.fixture(scope="class")
-    def reference(self):
-        weights = generate_weights(GPT2_TEST_TINY, seed=5)
-        return TextGenerator(GPT2Model(weights, numerics=FP16_DFX))
-
     PROMPTS = [[1, 2, 3], [4, 5]]
 
     def test_numpy_integer_budget_is_one_budget_per_prompt(self, runtime, engine):
@@ -130,3 +132,61 @@ class TestBudgetValidation:
         call = self.ENTRY_POINTS[entry]
         with pytest.raises(ExecutionError, match="max_new_tokens"):
             call(runtime, engine, reference, budget)
+
+
+def _fresh_generate(engine, prompt):
+    """``engine.generate`` from an empty cache; a second call extends the first's."""
+    engine.reset_cache()
+    return engine.generate(prompt, 3)
+
+
+class TestArrayPrompts:
+    """A NumPy-array prompt generates what the same list prompt does at
+    every entry point, and an empty prompt still fails with
+    ``ExecutionError``.  A truthiness test used to reject ``np.array([0])``
+    as empty and raise NumPy's own ``ValueError`` on longer arrays."""
+
+    SINGLE = {
+        "engine-generate": lambda rt, eng, ref, p: _fresh_generate(eng, p),
+        "runtime-generate": lambda rt, eng, ref, p: rt.generate(p, 3).output_token_ids,
+        "reference-generate_tokens":
+            lambda rt, eng, ref, p: ref.generate_tokens(p, 3).output_token_ids,
+    }
+    BATCH = {
+        "engine-generate_batch": lambda rt, eng, ref, ps: eng.generate_batch(ps, 3),
+        "runtime-generate_batch":
+            lambda rt, eng, ref, ps: rt.generate_batch(ps, 3).output_token_ids,
+    }
+    EMPTY = {"list": [], "array": np.array([], dtype=np.int64)}
+
+    @pytest.mark.parametrize("entry", sorted(SINGLE))
+    @pytest.mark.parametrize("prompt", [[0], [3, 4]], ids=["token-0", "two-tokens"])
+    def test_array_prompt_generates_like_list(self, runtime, engine, reference,
+                                              entry, prompt):
+        call = self.SINGLE[entry]
+        expected = call(runtime, engine, reference, prompt)
+        assert call(runtime, engine, reference, np.array(prompt)) == expected
+
+    @pytest.mark.parametrize("entry", sorted(BATCH))
+    def test_array_batch_generates_like_list(self, runtime, engine, reference, entry):
+        call = self.BATCH[entry]
+        prompts = [[3, 4], [0, 7]]
+        expected = call(runtime, engine, reference, prompts)
+        assert call(runtime, engine, reference, np.array(prompts)) == expected
+        ragged = [[0], [3, 4]]
+        assert call(runtime, engine, reference, [np.array(p) for p in ragged]) == (
+            call(runtime, engine, reference, ragged)
+        )
+
+    @pytest.mark.parametrize("entry", sorted(SINGLE))
+    @pytest.mark.parametrize("empty", sorted(EMPTY))
+    def test_empty_prompt_rejected(self, runtime, engine, reference, entry, empty):
+        with pytest.raises(ExecutionError):
+            self.SINGLE[entry](runtime, engine, reference, self.EMPTY[empty])
+
+    @pytest.mark.parametrize("entry", sorted(BATCH))
+    @pytest.mark.parametrize("empty", sorted(EMPTY))
+    def test_empty_prompt_in_batch_rejected(self, runtime, engine, reference,
+                                            entry, empty):
+        with pytest.raises(ExecutionError):
+            self.BATCH[entry](runtime, engine, reference, [[1, 2], self.EMPTY[empty]])
