@@ -65,7 +65,8 @@ def main() -> None:
     run_functional_demo()
     run_performance_demo()
     print("Done. See examples/chatbot_service.py and examples/article_writing.py "
-          "for service-level scenarios, and benchmarks/ for every paper figure.")
+          "for service-level scenarios, and scripts/run_all_experiments.py for "
+          "every paper figure.")
 
 
 if __name__ == "__main__":

@@ -17,11 +17,7 @@ from repro.analysis.breakdown import (
     dfx_breakdown,
     gpu_breakdown,
 )
-from repro.analysis.energy import (
-    EnergyEfficiencyRow,
-    average_energy_efficiency_gain,
-    energy_efficiency_rows,
-)
+from repro.analysis.energy import average_energy_efficiency_gain
 from repro.analysis.cost import CostAnalysisRow, CostComparison, cost_comparison
 from repro.analysis.reports import format_fractions, format_table
 from repro.analysis.workload_presets import (
@@ -55,9 +51,7 @@ __all__ = [
     "aggregate_breakdown",
     "dfx_breakdown",
     "gpu_breakdown",
-    "EnergyEfficiencyRow",
     "average_energy_efficiency_gain",
-    "energy_efficiency_rows",
     "CostAnalysisRow",
     "CostComparison",
     "cost_comparison",

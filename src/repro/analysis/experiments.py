@@ -1,10 +1,10 @@
-"""Experiment drivers: one function per paper table/figure.
+"""Experiment drivers: one function per paper table/figure or study.
 
 Each driver builds the relevant platform models, runs the paper's workloads,
-and returns a structured result object.  The benchmark modules under
-``benchmarks/`` and the examples call these drivers and print the same
-rows/series the paper reports; ``scripts/run_all_experiments.py`` prints the
-paper-vs-measured report for every driver.
+and returns a structured result object.  :mod:`repro.analysis.scorecard`
+reads each paper number out of these results and judges it against the
+paper (``scripts/run_all_experiments.py`` prints that scorecard), and the
+examples print the rows and series the paper reports.
 
 The serving studies (the datacenter case of Sec. III-A and Sec. VI) take a
 :class:`~repro.serving.ServingScenario` — one declared serving run — and
@@ -41,7 +41,7 @@ from repro.baselines.gpu import GPUAppliance
 from repro.errors import ConfigurationError, check_number
 from repro.baselines.tpu import TPUBaseline
 from repro.core.appliance import DFXAppliance
-from repro.core.calibration import Calibration, DEFAULT_CALIBRATION
+from repro.core.calibration import Calibration, DEFAULT_CALIBRATION, IDEAL_CALIBRATION
 from repro.core.tiling import design_space_mha_sweep
 from repro.fpga.resources import CoreResourceReport, design_space_resource_sweep, estimate_core_resources
 from repro.model.accuracy import AccuracyComparison, compare_pipelines
@@ -50,6 +50,9 @@ from repro.model.datasets import paper_datasets
 from repro.model.gpt2 import GPT2Model
 from repro.model.numerics import FP16_DFX, FP16_GPU
 from repro.model.weights import generate_weights
+from repro.parallel.partitioner import build_partition_plan
+from repro.parallel.pipeline import pipelined_token_latency_ms
+from repro.parallel.sync import syncs_per_token
 from repro.serving import (
     CHATBOT_MIX,
     CapacityPlan,
@@ -338,6 +341,55 @@ def run_table2(
     gpu = GPUAppliance(setup.config, num_devices=setup.num_devices)
     dfx = DFXAppliance(setup.config, num_devices=setup.num_devices, calibration=calibration)
     return cost_comparison(gpu.run(workload), dfx.run(workload))
+
+
+# ------------------------------------------------------------------ Ablations
+def run_dataflow_ablation() -> dict[str, object]:
+    """Latency (ms) of 1.5B on 4 FPGAs, [32:32]: ``default``, no issue cycles
+    and ``ideal`` calibrations, and sweeps of HBM efficiency and ring hop (s)."""
+    def latency_ms(calibration: Calibration) -> float:
+        appliance = DFXAppliance(GPT2_1_5B, num_devices=4, calibration=calibration)
+        return appliance.run(Workload(32, 32)).latency_ms
+
+    tweak = DEFAULT_CALIBRATION.with_overrides
+    return {
+        "default": latency_ms(DEFAULT_CALIBRATION),
+        "no_issue_overhead": latency_ms(tweak(matrix_issue_cycles=0, vector_issue_cycles=0)),
+        "ideal": latency_ms(IDEAL_CALIBRATION),
+        "hbm": {e: latency_ms(tweak(hbm_efficiency=e)) for e in (0.30, 0.47, 0.70, 1.00)},
+        "hop": {h: latency_ms(tweak(aurora_hop_latency_s=h)) for h in (0.0, 1e-6, 2.2e-6, 5e-6)},
+    }
+
+
+def run_parallelism_ablation() -> dict[str, float]:
+    """1.5B on [64:64] (Sec. II-B, IV-B): one FPGA, DFX's intra-layer split over
+    four, and a four-stage pipeline of the one-FPGA layers with 10 µs hand-offs.
+
+    Each token feeds the next, so a pipeline cannot cut per-token latency.
+    """
+    workload = Workload(64, 64)
+    single = DFXAppliance(GPT2_1_5B, num_devices=1, check_capacity=False)
+    single_ms = single.run(workload).latency_ms
+    layer_ms = single_ms / workload.total_tokens / GPT2_1_5B.n_layer
+    return {
+        "single_ms": single_ms,
+        "intra_layer_ms": DFXAppliance(GPT2_1_5B, num_devices=4).run(workload).latency_ms,
+        "pipelined_ms": pipelined_token_latency_ms(layer_ms, GPT2_1_5B, 4, 0.01)
+        * workload.total_tokens,
+        "syncs_per_token": syncs_per_token(build_partition_plan(GPT2_1_5B, 4)),
+    }
+
+
+# ------------------------------------------------- Serving (one appliance)
+def run_serving_study() -> dict[str, ServingReport]:
+    """Five minutes of chatbot traffic at 0.8 req/s (1.5B, 4 devices) served by
+    the GPU appliance, one DFX cluster, and both clusters of the 4U host."""
+    dfx = make_backend("dfx", config=GPT2_1_5B, devices=4)
+    gpu = make_backend("gpu", config=GPT2_1_5B, devices=4)
+    scenario = ServingScenario(rate_per_s=0.8, duration_s=300.0, mix=CHATBOT_MIX, seed=11)
+    members = {"gpu-x1": FleetMember("gpu", gpu, 1), "dfx-x1": FleetMember("dfx", dfx, 1),
+               "dfx-x2": FleetMember("dfx-x2", dfx, 2)}
+    return {label: replace(scenario, members=(m,)).run() for label, m in members.items()}
 
 
 # ------------------------------------------------- Serving (datacenter study)

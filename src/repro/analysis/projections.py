@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from repro.core.appliance import DFXAppliance
 from repro.core.calibration import Calibration, DEFAULT_CALIBRATION
-from repro.errors import PartitioningError
+from repro.errors import PartitioningError, check_number
 from repro.fpga.memory import kv_cache_bytes
 from repro.fpga.u280 import DEFAULT_U280, U280Spec
 from repro.model.config import GPT2Config
@@ -30,7 +30,7 @@ GPT3_6_7B = GPT2Config(name="gpt3-6.7b", n_layer=32, n_embd=4096, n_head=32,
 GPT3_13B = GPT2Config(name="gpt3-13b", n_layer=40, n_embd=5120, n_head=40,
                       n_positions=2048)
 
-#: The projection sweep used by the example and benchmark.
+#: The projection sweep used by the example and the scorecard.
 GPT3_FAMILY: tuple[GPT2Config, ...] = (GPT3_1_3B, GPT3_2_7B, GPT3_6_7B, GPT3_13B)
 
 
@@ -42,6 +42,8 @@ class ClusterSizing:
     num_devices: int
     weight_bytes_per_device: int
     kv_cache_bytes_per_device: int
+    #: HBM capacity of the device the model was sized against.
+    hbm_capacity_bytes: int
 
     @property
     def hbm_bytes_per_device(self) -> int:
@@ -49,8 +51,8 @@ class ClusterSizing:
 
     @property
     def hbm_utilization(self) -> float:
-        """Fraction of the 8 GB HBM the partition occupies."""
-        return self.hbm_bytes_per_device / DEFAULT_U280.hbm_capacity_bytes
+        """Fraction of each device's HBM the partition occupies."""
+        return self.hbm_bytes_per_device / self.hbm_capacity_bytes
 
 
 def minimum_cluster_size(
@@ -73,9 +75,16 @@ def minimum_cluster_size(
             left for activations, instruction buffers, and fragmentation).
 
     Raises:
+        ConfigurationError: if an argument is out of range.
         PartitioningError: if no candidate size fits.
     """
-    max_tokens = max_context_tokens or config.n_positions
+    check_number("hbm_headroom", hbm_headroom, 0.0, 1.0, open_low=True)
+    for size in candidate_sizes:
+        check_number("candidate_sizes", size, 1, integer=True)
+    if max_context_tokens is None:
+        max_tokens = config.n_positions
+    else:
+        max_tokens = check_number("max_context_tokens", max_context_tokens, 1, integer=True)
     for size in candidate_sizes:
         if config.n_head % size != 0:
             continue
@@ -93,6 +102,7 @@ def minimum_cluster_size(
                 num_devices=size,
                 weight_bytes_per_device=weights,
                 kv_cache_bytes_per_device=kv,
+                hbm_capacity_bytes=spec.hbm_capacity_bytes,
             )
     raise PartitioningError(
         f"{config.name} does not fit any candidate cluster size {candidate_sizes} "

@@ -1,8 +1,8 @@
-"""Plain-text report formatting for benchmarks and examples.
+"""Plain-text report formatting for the scorecard, the CLI and examples.
 
-The benchmark harness prints the same rows/series the paper's tables and
-figures report; these helpers keep that formatting consistent and dependency
-free (no plotting libraries are available offline).
+The paper scorecard, the CLI and the examples print the same rows and series
+the paper's tables and figures report; these helpers keep that formatting
+consistent and dependency free (no plotting libraries are available offline).
 """
 
 from __future__ import annotations

@@ -2,8 +2,8 @@
 
 The paper pairs each model size with an equal number of accelerators on both
 appliances: 345M on 1 GPU vs 1 FPGA, 774M on 2 vs 2, 1.5B on 4 vs 4
-(Sec. VII-B).  This module records those pairings so benchmarks and examples
-use consistent setups.
+(Sec. VII-B).  This module records those pairings so the experiment drivers
+and examples use consistent setups.
 """
 
 from __future__ import annotations

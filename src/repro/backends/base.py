@@ -11,7 +11,7 @@ the TPU baseline — answers the same three questions:
   (batching, device count, energy reporting, functional token generation)?
 
 The serving subsystem (oracle, front ends, batch cost models), the
-analysis drivers, the CLI, and the benchmarks all consume this protocol —
+analysis drivers, the CLI, and the perf benches all consume this protocol —
 as a backend instance or a registry name, nothing else — so a new platform
 integrates once: implement the three methods, register a factory in
 :mod:`repro.backends.registry`, and every consumer picks it up.
@@ -122,7 +122,7 @@ class BatchEstimate:
 
 @runtime_checkable
 class Backend(Protocol):
-    """One appliance API for serving, analysis, CLI, and benchmarks."""
+    """One appliance API for serving, analysis, the CLI, and the perf benches."""
 
     name: str
 

@@ -1,7 +1,7 @@
 """String-keyed backend registry, mirroring ``SCHEDULERS``/``BATCH_POLICIES``.
 
 ``make_backend("dfx", devices=4)`` is the one-line entry point the serving
-layer, the analysis drivers, the CLI, and the benchmarks share.  Adding a
+layer, the analysis drivers, the CLI, and the perf benches share.  Adding a
 backend: write an adapter implementing the :class:`~repro.backends.base.\
 Backend` protocol, then :func:`register_backend` a factory under a unique
 name — every consumer (including the backend-contract test suite) picks it

@@ -9,7 +9,9 @@ Three subcommands cover the common entry points without writing any Python:
 
 ``experiment``
     Run one of the paper's experiment drivers by name (``figure14``,
-    ``figure15``, ``table2``, ...) and print its summary.
+    ``figure15``, ``table2``, ...) and print its rows of the paper
+    scorecard: the model's value next to the paper's, the error and the
+    bound.
 
 ``serve``
     Replay a request trace — synthetic Poisson / bursty / diurnal arrivals
@@ -62,9 +64,8 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-from typing import Callable
 
-from repro.analysis import experiments
+from repro.analysis import experiments, scorecard
 from repro.analysis.export import result_to_dict, write_json
 from repro.analysis.reports import format_fractions, format_table
 from repro.backends import available_backends, make_backend
@@ -95,22 +96,6 @@ SERVE_MIXES = {
     DATACENTER_MIX.name: DATACENTER_MIX,
 }
 
-#: Experiment names accepted by the ``experiment`` subcommand.
-EXPERIMENT_RUNNERS: dict[str, Callable[[], object]] = {
-    "table1": experiments.run_table1,
-    "figure3": experiments.run_figure3,
-    "figure4": experiments.run_figure4,
-    "figure8": experiments.run_figure8,
-    "figure13": experiments.run_figure13,
-    "figure14": experiments.run_figure14,
-    "figure15": experiments.run_figure15,
-    "figure16": experiments.run_figure16,
-    "figure17": experiments.run_figure17,
-    "figure18": experiments.run_figure18,
-    "table2": experiments.run_table2,
-    "accuracy": experiments.run_accuracy_comparison,
-}
-
 
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser (exposed for tests)."""
@@ -136,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     experiment_parser = subparsers.add_parser(
         "experiment", help="run one of the paper's experiment drivers"
     )
-    experiment_parser.add_argument("name", choices=sorted(EXPERIMENT_RUNNERS),
+    experiment_parser.add_argument("name", choices=sorted(scorecard.DRIVERS),
                                    help="experiment to run")
 
     serve_parser = subparsers.add_parser(
@@ -437,31 +422,9 @@ def _command_serve(args: argparse.Namespace) -> int:
 
 
 def _command_experiment(args: argparse.Namespace) -> int:
-    runner = EXPERIMENT_RUNNERS[args.name]
-    result = runner()
-    print(f"experiment {args.name}: {type(result).__name__}")
-    # Every driver result either has a usable repr or well-known summary fields.
-    if args.name == "figure14":
-        for model, speedup in result.speedups().items():
-            print(f"  {model}: average speedup {speedup:.2f}x")
-    elif args.name == "figure15":
-        print(format_fractions(result.fractions))
-    elif args.name == "figure16":
-        print(f"  throughput gain {result.throughput_gain:.2f}x, "
-              f"energy-efficiency gain {result.energy_efficiency_gain:.2f}x")
-    elif args.name == "figure18":
-        for count, tokens in zip(result.device_counts, result.tokens_per_second):
-            print(f"  {count} FPGA(s): {tokens:.2f} tokens/s")
-    elif args.name == "table2":
-        print(f"  cost-effectiveness gain {result.cost_effectiveness_gain:.2f}x")
-    elif args.name == "table1":
-        for row in result:
-            print(f"  {row['model']}: {row['parameters'] / 1e6:.0f}M parameters")
-    elif args.name == "accuracy":
-        for comparison in result:
-            print(f"  {comparison.dataset_name}: agreement {comparison.agreement:.3f}")
-    else:
-        print(f"  {result}")
+    title, _ = scorecard.DRIVERS[args.name]
+    print(f"experiment {args.name}: {title}")
+    print(scorecard.format_scores(scorecard.score([args.name])))
     return 0
 
 

@@ -6,11 +6,12 @@ constants in this module cover effects the paper does not quantify —
 sustained HBM efficiency, per-instruction issue overhead, host hand-off per
 token — and are the only "fitted" parts of the DFX model.  Their defaults are
 chosen so the simulated per-token latencies land close to the paper's
-measured values (Fig. 14/18); the paper-vs-measured report that
+measured values (Fig. 14/18); the paper scorecard that
 ``scripts/run_all_experiments.py`` prints shows the remaining gaps.
 
 All constants are grouped in one frozen dataclass so experiments can run
-sensitivity sweeps over them (see ``benchmarks/bench_ablation_dataflow.py``).
+sensitivity sweeps over them (see
+:func:`repro.analysis.experiments.run_dataflow_ablation`).
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ class Calibration:
 DEFAULT_CALIBRATION = Calibration()
 
 #: An idealized calibration: no issue overheads, perfect memory efficiency.
-#: Used by ablation benchmarks to show where the real time goes.
+#: Used by the dataflow ablation to show where the real time goes.
 IDEAL_CALIBRATION = Calibration(
     hbm_efficiency=1.0,
     hbm_write_efficiency=1.0,

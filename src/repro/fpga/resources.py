@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.errors import ResourceExhaustedError
 from repro.fpga.u280 import DEFAULT_U280, ResourceBudget, U280Spec
 
 
@@ -161,18 +160,6 @@ class CoreResourceReport:
         }
         report["total"] = self.total.utilization(budget)
         return report
-
-    def check_fits(self) -> None:
-        """Raise :class:`ResourceExhaustedError` if the core over-fills the device."""
-        if not self.total.fits(self.spec.resources):
-            over = {
-                kind: value
-                for kind, value in self.total.utilization(self.spec.resources).items()
-                if value > 1.0
-            }
-            raise ResourceExhaustedError(
-                f"core does not fit {self.spec.name}: over-utilized {over}"
-            )
 
 
 def estimate_core_resources(

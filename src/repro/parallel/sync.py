@@ -4,7 +4,7 @@ Each decoder layer needs four ring all-gathers (paper Sec. IV-B / Algorithm 1):
 after the per-head attention outputs, after the attention output projection,
 after the first FFN matrix, and after the second FFN matrix.  This module
 derives the synchronization schedule (payload sizes and counts) from a
-partition plan, which the router timing model and the ablation benchmarks
+partition plan, which the router timing model and the parallelism ablation
 consume.
 """
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.analysis.breakdown import aggregate_breakdown, dfx_breakdown, gpu_breakdown
 from repro.analysis.cost import cost_comparison
-from repro.analysis.energy import average_energy_efficiency_gain, energy_efficiency_rows
+from repro.analysis.energy import average_energy_efficiency_gain
 from repro.analysis.metrics import (
     ComparisonRow,
     average_latency_ms,
@@ -95,11 +95,9 @@ class TestEnergyAndCost:
     def test_normalized_energy_efficiency(self):
         rows = pair_results([_result("gpu", 1000.0, power=190.0)],
                             [_result("dfx", 250.0, power=180.0)])
-        energy_rows = energy_efficiency_rows(rows)
-        assert energy_rows[0].normalized_dfx > 1.0
-        assert average_energy_efficiency_gain(rows) == pytest.approx(
-            energy_rows[0].normalized_dfx
-        )
+        gain = rows[0].dfx.tokens_per_joule / rows[0].baseline.tokens_per_joule
+        assert gain > 1.0
+        assert average_energy_efficiency_gain(rows) == pytest.approx(gain)
 
     def test_cost_comparison_table2_structure(self):
         comparison = cost_comparison(_result("gpu", 4921.0), _result("dfx", 880.0))

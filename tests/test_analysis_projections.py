@@ -1,5 +1,7 @@
 """Tests for the GPT-3-family projection study."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.analysis.projections import (
@@ -11,6 +13,7 @@ from repro.analysis.projections import (
     project_model,
 )
 from repro.errors import PartitioningError
+from repro.fpga.u280 import DEFAULT_U280
 from repro.model.config import GPT2_1_5B, GPT2_345M, GPT2Config
 from repro.workloads import Workload
 
@@ -32,6 +35,16 @@ class TestClusterSizing:
         for config in GPT3_FAMILY:
             sizing = minimum_cluster_size(config, max_context_tokens=1024)
             assert sizing.hbm_utilization <= 0.9
+
+    def test_utilization_is_against_the_sized_capacity(self):
+        # A 16 GiB device used to be sized against its own capacity but
+        # reported against the default 8 GiB, reading 1.544 here.
+        spec = replace(DEFAULT_U280, hbm_capacity_bytes=16 * 2**30)
+        sizing = minimum_cluster_size(GPT3_13B, max_context_tokens=1024, spec=spec)
+        assert sizing.num_devices == 2
+        assert sizing.hbm_capacity_bytes == spec.hbm_capacity_bytes
+        assert sizing.hbm_utilization == pytest.approx(0.772, abs=1e-3)
+        assert sizing.hbm_utilization == sizing.hbm_bytes_per_device / (16 * 2**30)
 
     def test_unfittable_model_rejected(self):
         absurd = GPT2Config(name="gpt-absurd", n_layer=96, n_embd=12288, n_head=96,

@@ -20,6 +20,7 @@ import pytest
 from serving_doubles import FixedLatencyPlatform
 
 from repro.analysis.experiments import run_batch_capacity_sweep
+from repro.analysis.projections import minimum_cluster_size
 from repro.backends import BackendCapabilities, BatchEstimate, make_backend
 from repro.baselines.gpu import GPUAppliance
 from repro.baselines.tpu import TPUBaseline
@@ -517,6 +518,16 @@ BOUNDARIES = [
     ("run_batch_capacity_sweep",
      lambda v: run_batch_capacity_sweep(ServingScenario(), batch_sizes=(v,)),
      "batch_sizes", integer(0), ConfigurationError),
+    # ------------------------------------------------------------- analysis
+    ("minimum_cluster_size.hbm_headroom",
+     lambda v: minimum_cluster_size(GPT2_TEST_TINY, hbm_headroom=v),
+     "hbm_headroom", real(0.0, 1.5), ConfigurationError),
+    ("minimum_cluster_size.max_context_tokens",
+     lambda v: minimum_cluster_size(GPT2_TEST_TINY, max_context_tokens=v),
+     "max_context_tokens", integer(0), ConfigurationError),
+    ("minimum_cluster_size.candidate_sizes",
+     lambda v: minimum_cluster_size(GPT2_TEST_TINY, candidate_sizes=(1, v)),
+     "candidate_sizes", integer(0), ConfigurationError),
 ]
 
 
@@ -567,6 +578,15 @@ FORMERLY_ACCEPTED = [
      ConfigurationError),
     ("capacity-search-nan-tolerance", lambda: _capacity_search(relative_tolerance=NAN),
      "relative_tolerance", ConfigurationError),
+    ("cluster-size-headroom-over-one",
+     lambda: minimum_cluster_size(GPT2_TEST_TINY, hbm_headroom=5.0), "hbm_headroom",
+     ConfigurationError),
+    ("cluster-size-zero-candidate",
+     lambda: minimum_cluster_size(GPT2_TEST_TINY, candidate_sizes=(0,)), "candidate_sizes",
+     ConfigurationError),
+    ("cluster-size-zero-context",
+     lambda: minimum_cluster_size(GPT2_TEST_TINY, max_context_tokens=0), "max_context_tokens",
+     ConfigurationError),
 ]
 
 

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.errors import ResourceExhaustedError
 from repro.fpga.floorplan import plan_floorplan
 from repro.fpga.resources import (
     ResourceUsage,
@@ -59,15 +58,14 @@ class TestCoreReport:
 
     def test_core_fits_the_device(self):
         report = estimate_core_resources()
-        report.check_fits()
+        assert report.total.fits(report.spec.resources)
         utilization = report.utilization()["total"]
         assert all(value < 1.0 for value in utilization.values())
         assert utilization["lut"] == pytest.approx(0.40, abs=0.05)
 
     def test_oversized_design_rejected(self):
         report = estimate_core_resources(d=64, l=256)
-        with pytest.raises(ResourceExhaustedError):
-            report.check_fits()
+        assert not report.total.fits(report.spec.resources)
 
     def test_design_space_sweep_covers_all_points(self):
         sweep = design_space_resource_sweep()

@@ -5,7 +5,8 @@ import json
 import pytest
 
 from repro.analysis.export import result_to_dict, write_json
-from repro.cli import EXPERIMENT_RUNNERS, build_parser, main
+from repro.analysis.scorecard import DRIVERS
+from repro.cli import build_parser, main
 from repro.core.appliance import DFXAppliance
 from repro.core.dma import DMAModel
 from repro.core.mpu import MPUModel
@@ -133,7 +134,7 @@ class TestCLI:
         assert "gpt2-1.5b" in output
 
     def test_experiment_registry_names(self):
-        assert {"figure14", "figure15", "table2", "accuracy"} <= set(EXPERIMENT_RUNNERS)
+        assert {"figure14", "figure15", "table2", "accuracy"} <= set(DRIVERS)
 
     def test_unknown_experiment_rejected_by_parser(self):
         with pytest.raises(SystemExit):
