@@ -66,8 +66,8 @@ def minimum_cluster_size(
 
     Args:
         config: Model configuration to place.
-        max_context_tokens: KV-cache depth to provision for (defaults to the
-            model's full context window).
+        max_context_tokens: KV-cache depth to provision for, at most the
+            model's context window (the default).
         spec: Device specification.
         candidate_sizes: Cluster sizes to consider, in increasing order; sizes
             that do not divide the head count are skipped.
@@ -84,7 +84,9 @@ def minimum_cluster_size(
     if max_context_tokens is None:
         max_tokens = config.n_positions
     else:
-        max_tokens = check_number("max_context_tokens", max_context_tokens, 1, integer=True)
+        max_tokens = check_number(
+            "max_context_tokens", max_context_tokens, 1, config.n_positions, integer=True
+        )
     for size in candidate_sizes:
         if config.n_head % size != 0:
             continue

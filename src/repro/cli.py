@@ -1,6 +1,6 @@
 """Command-line interface for the DFX reproduction.
 
-Three subcommands cover the common entry points without writing any Python:
+Four subcommands cover the common entry points without writing any Python:
 
 ``run``
     Simulate one text-generation request on the DFX appliance (and optionally

@@ -47,21 +47,26 @@ mode each unary op (EXP, RECIP, RECIP_SQRT, ADD/SUB/MUL with an immediate,
 the matrix ``scale`` and the fused GELU) is one ``take`` from a table of that
 op's FP32 expression evaluated at all 65,536 FP16 inputs, which is the op
 itself because the op maps each FP16 input to one FP16 output elementwise
-(``tests/test_fp16_tables.py`` checks every input in four layouts); the causal
-mask is elided only when it admits every key (a single query row always
-attends to the whole cache, and FP16→FP32→FP16 round-trips are exact); the
-KV cache appends in place into a preallocated arena slot whose logical view
-holds exactly the rows the slow path's ``np.concatenate`` produces;
-persistent weights are staged upcast to the FP32 accumulation dtype (exact,
-since they were already quantized); the output-scatter path writes in place
-only into buffers it exclusively owns; and a stacked matmul over the device
-and batch axes calls the same BLAS kernel for each 2-D slice as the 2-D
-matmul of one device and one stream does (neither axis is ever flattened
-into rows, which would change the kernel).  Elementwise ops and last-axis
-reductions ignore leading axes.  The fast-vs-slow comparisons and the
-slow-path lockstep oracle in ``tests/test_fastpath_engine.py`` and the
-golden pin in ``tests/test_functional_golden.py`` hold the engine to this
-contract.
+(``tests/test_fp16_tables.py`` checks every input in four layouts); a linked
+segment widens a register to FP32 at most once, and every FP32 read of it
+(matmul operands, ``ACCUM``, the row max, and binary ops where it exists)
+shares that *image* (widening is exact, so one image serves every read);
+the row max reduces the FP32 image, as the slow path does, and that FP32
+max is the image of the rounded max; the causal mask selects in FP16
+(FP16→FP32→FP16 round-trips are exact and the mask value is an FP16 value)
+and is elided only when it admits every key (a single query row always
+attends to the whole cache); the KV cache appends in place into a
+preallocated arena slot whose logical view holds exactly the rows the slow
+path's ``np.concatenate`` produces; persistent weights are staged upcast to
+the FP32 accumulation dtype (exact, since they were already quantized); the
+output-scatter path writes in place only into buffers it exclusively owns;
+and a stacked matmul over the device and batch axes calls the same BLAS
+kernel for each 2-D slice as the 2-D matmul of one device and one stream
+does (neither axis is ever flattened into rows, which would change the
+kernel).  Elementwise ops and last-axis reductions ignore leading axes.
+The fast-vs-slow comparisons and the slow-path lockstep oracle in
+``tests/test_fastpath_engine.py`` and the golden pin in
+``tests/test_functional_golden.py`` hold the engine to this contract.
 
 The simulator is verified against the reference :class:`repro.model.GPT2Model`
 in the integration tests: with the same weights and numerics it must produce
@@ -540,10 +545,10 @@ class _SegmentCompiler:
         self.defined: set[str] = set()
         self.loaded: set[str] = set()
         self.temp_count = 0
-        # Common-subexpression cache of register conversions to the compute
-        # dtype, keyed by register name; invalidated when the register is
-        # rewritten.  Conversions are pure, so reuse is bit-exact.
-        self._cse: dict[str, str] = {}
+        # Each register's FP32 image, keyed by register name and invalidated
+        # when the register is rewritten (see image()).  Widening is pure, so
+        # reuse is bit-exact.
+        self._images: dict[str, str] = {}
         self.out_dtype = self.const(numerics.dtype)
         compute = np.dtype(np.float32) if numerics.accumulate_fp32 else numerics.dtype
         self.compute_dtype = self.const(compute)
@@ -571,8 +576,8 @@ class _SegmentCompiler:
         return self.registers_vars[register]
 
     def _invalidate(self, register: str) -> None:
-        """Drop the memoized conversion of ``register``."""
-        self._cse.pop(register, None)
+        """Drop the FP32 image of ``register``."""
+        self._images.pop(register, None)
 
     def read_register(self, register: str) -> str:
         """Variable holding ``register``, loading it on first read."""
@@ -609,20 +614,36 @@ class _SegmentCompiler:
         self._invalidate(register)
         return var
 
-    def as_compute(self, register: str) -> str:
-        """Variable holding ``register`` in the compute dtype (memoized).
+    def widen(self, source: str) -> str:
+        """Emit ``source`` widened to FP32 into a new temp; returns the temp.
 
-        Conversion before column-slicing is elementwise, so converting the
-        full operand once and slicing the converted view is bit-identical to
-        converting each slice — and lets all heads share one conversion.
+        ``asarray`` widens as the slow path does, keeping the input's layout,
+        so reductions and BLAS see the slow path's operands.
         """
-        cached = self._cse.get(register)
-        if cached is not None:
-            return cached
+        out = self.temp()
+        self.emit(f"{out} = _asarray({source}, dtype=_f32)")
+        return out
+
+    def image(self, register: str) -> str:
+        """Variable holding ``register`` widened to FP32, once per segment.
+
+        Every FP32 read of a register shares it: matmul operands, ``ACCUM``,
+        and binary ops where an image exists.  Widening before column
+        slicing is elementwise, so all heads share one widening.
+        """
+        image = self._images.get(register)
+        if image is None:
+            image = self._images[register] = self.widen(self.read_register(register))
+        return image
+
+    def as_compute(self, register: str) -> str:
+        """Variable holding ``register`` in the compute dtype: its image when
+        the compute dtype is FP32, else one ``asarray`` per use."""
+        if self.numerics.accumulate_fp32:
+            return self.image(register)
         base = self.read_register(register)
         out = self.temp()
         self.emit(f"{out} = _asarray({base}, dtype={self.compute_dtype})")
-        self._cse[register] = out
         return out
 
     def unary(
@@ -705,23 +726,35 @@ class _SegmentCompiler:
             # single query row over its own cache) the masked product equals
             # the unmasked one bit for bit, so the where/cast is skipped.
             offset = instruction.mask_offset
-            cast = self.const(self.numerics.cast)
             self.emit(f"_rows, _cols = {result}.shape[-2:]")
             self.emit(f"if {offset} < _cols - 1:")
             self.emit(f"    _query = _np.arange(_rows)[:, None] + {offset}")
             self.emit(f"    _allowed = _np.arange(_cols)[None, :] <= _query")
-            self.emit(
-                f"    {result} = {cast}(_np.where(_allowed,"
-                f" _asarray({result}, dtype=_f32), _MASK_VALUE))"
-            )
+            if self.index_dtype is None:
+                cast = self.const(self.numerics.cast)
+                self.emit(
+                    f"    {result} = {cast}(_np.where(_allowed,"
+                    f" _asarray({result}, dtype=_f32), _MASK_VALUE))"
+                )
+            else:
+                # FP16 -> FP32 -> FP16 round-trips are exact and the mask
+                # value is an FP16 value, so the select runs in FP16.
+                fill = self.const(np.float16(np.float32(MASK_VALUE)))
+                self.emit(f"    {result} = _np.where(_allowed, {result}, {fill})")
         if instruction.apply_gelu:
             activation = self.const(self.numerics.activation)
             self.emit(f"{result} = {activation}({result})")
+        image = None
         if instruction.apply_redu_max and instruction.redu_max_dst:
-            # max only compares (never rounds), so it commutes with the slow
-            # path's FP32 round trip.
+            # The slow path's expression: the max of the FP32 image, rounded.
+            # A max of FP16 values is one of them, so the FP32 max is the
+            # image of the rounded register.
+            image = self.widen(result)
+            row_max = self.temp()
+            self.emit(f"{row_max} = {image}.max(axis=-1, keepdims=True)")
             redu = self.write_register(instruction.redu_max_dst)
-            self.emit(f"{redu} = {result}.max(axis=-1, keepdims=True)")
+            self.emit(f"{redu} = {row_max}.astype({self.out_dtype})")
+            self._images[instruction.redu_max_dst] = row_max
         if instruction.dst_total_cols is not None:
             dst = instruction.dst
             if dst in self.defined or dst in self.loaded:
@@ -735,6 +768,8 @@ class _SegmentCompiler:
             )
         else:
             self.emit(f"{self.write_register(instruction.dst)} = {result}")
+            if image is not None:
+                self._images[instruction.dst] = image
 
     def add_vector(self, instruction: VectorInstruction) -> None:
         opcode = instruction.opcode
@@ -756,17 +791,17 @@ class _SegmentCompiler:
             source = self.read_register(instruction.src1)
             self.emit(f"_memory[{instruction.dst!r}] = {source}.copy()")
             return
-        source = self.read_register(instruction.src1)
-        var = self.write_register(instruction.dst)
         if opcode is VectorOpcode.ACCUM:
+            image = self.image(instruction.src1)
+            var = self.write_register(instruction.dst)
             self.emit(
-                f"{var} = _asarray({source}, dtype=_f32)"
-                f".sum(axis=-1, keepdims=True).astype({self.out_dtype})"
+                f"{var} = {image}.sum(axis=-1, keepdims=True).astype({self.out_dtype})"
             )
             return
+        source = self.read_register(instruction.src1)
         expression = self._UNARY_EXPRESSIONS.get(opcode)
         if expression is not None:
-            self.unary(var, source, expression)
+            self.unary(self.write_register(instruction.dst), source, expression)
             return
         try:
             ufunc = self._BINARY_UFUNCS[opcode]
@@ -774,15 +809,20 @@ class _SegmentCompiler:
             raise ExecutionError(f"unsupported vector opcode {opcode.value}") from None
         if instruction.src2 is None:
             self.unary(
-                var,
+                self.write_register(instruction.dst),
                 source,
                 f"{ufunc}({{x}}, {{c}}, dtype=_f32).astype({{out}})",
                 np.float32(instruction.immediate),
             )
             return
-        right = self.read_register(instruction.src2)
+        # An operand's FP32 image, where one exists, spares the ufunc its
+        # cast; the register itself otherwise (widening a single-read operand
+        # costs more than the ufunc's own cast on decode rows).
+        left = self._images.get(instruction.src1, source)
+        right = self._images.get(instruction.src2, self.read_register(instruction.src2))
+        var = self.write_register(instruction.dst)
         self.emit(
-            f"{var} = {ufunc}({source}, {right}, dtype=_f32).astype({self.out_dtype})"
+            f"{var} = {ufunc}({left}, {right}, dtype=_f32).astype({self.out_dtype})"
         )
 
     def add_dma(self, instruction: DMAInstruction) -> None:

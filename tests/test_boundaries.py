@@ -59,7 +59,7 @@ from repro.isa.instructions import (
     VectorInstruction,
 )
 from repro.isa.opcodes import DMAOpcode, MatrixOpcode, RouterOpcode, VectorOpcode
-from repro.model.config import GPT2Config, GPT2_TEST_SMALL, GPT2_TEST_TINY
+from repro.model.config import GPT2Config, GPT2_345M, GPT2_TEST_SMALL, GPT2_TEST_TINY
 from repro.model.datasets import ClozeDatasetSpec, ClozeExample
 from repro.model.gelu import GeluLookupTable
 from repro.model.generation import TextGenerator
@@ -524,7 +524,8 @@ BOUNDARIES = [
      "hbm_headroom", real(0.0, 1.5), ConfigurationError),
     ("minimum_cluster_size.max_context_tokens",
      lambda v: minimum_cluster_size(GPT2_TEST_TINY, max_context_tokens=v),
-     "max_context_tokens", integer(0), ConfigurationError),
+     "max_context_tokens", integer(0, GPT2_TEST_TINY.n_positions + 1),
+     ConfigurationError),
     ("minimum_cluster_size.candidate_sizes",
      lambda v: minimum_cluster_size(GPT2_TEST_TINY, candidate_sizes=(1, v)),
      "candidate_sizes", integer(0), ConfigurationError),
@@ -586,6 +587,10 @@ FORMERLY_ACCEPTED = [
      ConfigurationError),
     ("cluster-size-zero-context",
      lambda: minimum_cluster_size(GPT2_TEST_TINY, max_context_tokens=0), "max_context_tokens",
+     ConfigurationError),
+    # Provisioned four times the KV cache GPT-2 345M's 1024 positions can fill.
+    ("cluster-size-context-past-window",
+     lambda: minimum_cluster_size(GPT2_345M, max_context_tokens=4096), "max_context_tokens",
      ConfigurationError),
 ]
 

@@ -27,8 +27,9 @@ from repro.errors import ExecutionError
 from repro.isa.compiler import DFXCompiler
 from repro.isa.instructions import MatrixInstruction
 from repro.isa.opcodes import MatrixOpcode
+from repro.isa.program import Program
 from repro.model.config import GPT2_TEST_TINY
-from repro.model.numerics import FP16_DFX, FP32_EXACT
+from repro.model.numerics import FP16_DFX, FP16_GPU, FP32_EXACT
 from repro.model.weights import generate_weights
 from repro.parallel.partitioner import build_partition_plan, partition_model_weights
 
@@ -270,6 +271,125 @@ class TestFastSlowBitExactness:
         assert np.array_equal(np.asarray(first, dtype=np.float32)[0, 0], logits)
 
 
+def planted_head(rows):
+    """``query_local`` and ``kv.key.h0`` whose head-0 scores are ``rows``.
+
+    Key ``j`` is ``e_j + e_{5+j} + 2**-15 e_{10+j}``, so a query row of
+    triples ``(a, b, c)`` scores ``a + b + c * 2**-15`` against each key in
+    FP32, exactly: ``(0, 0, -2**-15)`` lands on ``-2**-30``, which rounds to
+    FP16 ``-0.0``, and ``(65504, 16, 0)`` lands on 65520, which rounds to
+    ``inf``.
+    """
+    query = np.zeros((len(rows), GPT2_TEST_TINY.n_embd), dtype=np.float32)
+    key = np.zeros((5, 16), dtype=np.float32)
+    for j in range(5):
+        key[j, [j, 5 + j, 10 + j]] = 1.0, 1.0, 2.0**-15
+    for i, row in enumerate(rows):
+        for j, (a, b, c) in enumerate(row):
+            query[i, [j, 5 + j, 10 + j]] = a, b, c
+    return query.astype(np.float16), key.astype(np.float16)
+
+
+Z, NEG0, POS0 = (0, 0, 0), (0, 0, -(2.0**-15)), (0, 0, 2.0**-15)
+MAX16, EDGE, BELOW_EDGE = (65504, 0, 0), (65504, 16, 0), (65504, 15, 0)
+INF, NEG_INF, NEG_EDGE = (65504, 65504, 0), (-65504, -65504, 0), (-65504, -16, 0)
+SUBNORMAL = (2.0**-20, 0, 0)
+
+#: Planted head-0 scores of ``compile_decoder_layer(3, 2)``: row ``i`` sees
+#: keys ``0..2+i``.  Ties at the row max (``-0.0`` against ``+0.0`` and equal
+#: finite maxima), the FP16 overflow edge (65504 stays, 65520 and 131008
+#: round to infinity, ``inf - inf`` is NaN in the softmax), a NaN row and
+#: FP16 subnormals.
+ADVERSARIAL_SCORES = {
+    "signed-zero-ties": [
+        [NEG0, POS0, (-1, 0, 0), Z, Z],
+        [POS0, NEG0, NEG0, POS0, Z],
+        [NEG0, NEG0, NEG0, NEG0, NEG0],
+    ],
+    "overflow-edge": [
+        [MAX16, EDGE, (-1, 0, 0), Z, Z],
+        [NEG_EDGE, MAX16, MAX16, (-65504, 0, 0), Z],
+        [INF, NEG_INF, BELOW_EDGE, MAX16, (-65504, 0, 0)],
+    ],
+    "nan-and-subnormals": [
+        [(np.nan, 0, 0), Z, Z, Z, Z],
+        [SUBNORMAL, (-(2.0**-20), 0, 0), (2.0**-18, 0, 0), (2.0**-24, 0, 0), Z],
+        [INF, NEG_INF, Z, NEG0, SUBNORMAL],
+    ],
+}
+
+
+def assert_same_registers(fast, slow, label):
+    """Equal bits wherever the slow path is not NaN, NaN wherever it is."""
+    for name, value in slow.items():
+        assert fast[name].dtype == value.dtype == np.float16, (label, name)
+        nan = np.isnan(value)
+        assert np.array_equal(np.isnan(fast[name]), nan), (label, name)
+        assert np.array_equal(
+            fast[name][~nan].view(np.uint16), value[~nan].view(np.uint16)
+        ), (label, name)
+
+
+class TestAdversarialAttentionHead:
+    """One attention head of ``compile_decoder_layer(3, 2)`` on planted
+    registers: the linked body and ``execute_instruction`` must agree on
+    every register."""
+
+    @staticmethod
+    def head_program(numerics):
+        compiler = DFXCompiler(GPT2_TEST_TINY, build_partition_plan(GPT2_TEST_TINY, 1))
+        instructions = compiler.compile_decoder_layer(3, 2).segments()[0].instructions
+        start = next(
+            index for index, instruction in enumerate(instructions)
+            if instruction.dst == "score.h0"
+        )
+        head = Program("head0", list(instructions[start : start + 7]))
+        assert head.instructions[-1].weight_operand == "kv.value.h0"
+        (segment,) = link_program(head, numerics).segments
+        return head, segment.body
+
+    @pytest.mark.parametrize("numerics", [FP16_DFX, FP16_GPU], ids=lambda n: n.name)
+    def test_linked_head_matches_slow_path(self, numerics, rng):
+        program, body = self.head_program(numerics)
+        cases = {
+            name: planted_head(rows) + (rng.normal(size=(5, 16)).astype(np.float16),)
+            for name, rows in ADVERSARIAL_SCORES.items()
+        }
+        slow = {}
+        for name, (query, key, value) in cases.items():
+            core = FunctionalCore(
+                numerics=numerics,
+                registers={"query_local": query},
+                memory={"kv.key.h0": key, "kv.value.h0": value},
+            )
+            with np.errstate(all="ignore"):
+                for instruction in program.instructions:
+                    core.execute_instruction(instruction)
+            slow[name] = core.registers
+            fast = FunctionalCore(
+                numerics=numerics,
+                registers={"query_local": query},
+                memory={"kv.key.h0": key, "kv.value.h0": value},
+            )
+            with np.errstate(all="ignore"):
+                body(fast)
+            assert_same_registers(fast.registers, core.registers, name)
+
+        # The planted registers hit every edge they name.
+        products = np.concatenate([
+            query[:, :16].astype(np.float32) @ key.T.astype(np.float32)
+            for query, key, _ in cases.values()
+        ])
+        assert (products == 65504).any() and (products == 65520).any()
+        scores = np.concatenate([slow[name]["score.h0"] for name in cases])
+        maxima = np.concatenate([slow[name]["score_max.h0"] for name in cases])
+        assert np.isposinf(scores).any() and np.isneginf(scores).any()
+        assert np.isnan(scores).any()
+        assert ((scores != 0) & (np.abs(scores) < 2.0**-14)).any()
+        assert ((maxima == 0) & np.signbit(maxima)).any()
+        assert ((maxima == 0) & ~np.signbit(maxima)).any()
+
+
 class TestSlowPathLockstepOracle:
     """The stacked engine against a slow-path cluster, logits compared with ==.
 
@@ -359,23 +479,43 @@ class TestSlowPathLockstepOracle:
             self.past += rows
             return np.asarray(self.lm_cores[0].registers["logits"], dtype=np.float32)[0]
 
+    #: A prompt near test-tiny's 128-position window, then a multi-row chunk
+    #: at ``past > 0`` (a masked score with ``mask_offset > 0``); the decode
+    #: steps after them fill the window.
+    WINDOW_CHUNKS = [
+        [int(t) for t in np.random.default_rng(11).integers(0, 512, 119)],
+        [300, 42, 7, 111, 5, 64],
+    ]
+
+    def assert_engine_matches(self, weights, devices, chunks):
+        engine = DFXFunctionalSimulator(weights, num_devices=devices, numerics=FP16_DFX)
+        oracle = self.Cluster(weights, devices, FP16_DFX)
+        steps = [list(chunk) for chunk in chunks] + [None] * self.DECODE_STEPS
+        for step, tokens in enumerate(steps):
+            tokens = tokens or [token]
+            logits, token = engine.forward(np.asarray(tokens))
+            expected = oracle.forward(tokens)
+            assert logits.shape == (weights.config.vocab_size,)
+            assert np.array_equal(logits, expected), f"step {step}"
+            assert token == int(np.argmax(expected))
+        assert engine.kv_cache_length == oracle.past
+
     @pytest.mark.parametrize("devices", [1, 2, 4])
     @pytest.mark.parametrize("config", ["tiny", "vocab515"])
     def test_logits_match_stacked_engine(
         self, tiny_weights, uneven_weights, config, devices
     ):
         weights = tiny_weights if config == "tiny" else uneven_weights
-        engine = DFXFunctionalSimulator(weights, num_devices=devices, numerics=FP16_DFX)
-        oracle = self.Cluster(weights, devices, FP16_DFX)
-        tokens = list(self.PROMPT)
-        for step in range(1 + self.DECODE_STEPS):
-            logits, token = engine.forward(np.asarray(tokens))
-            expected = oracle.forward(tokens)
-            assert logits.shape == (weights.config.vocab_size,)
-            assert np.array_equal(logits, expected), f"step {step}"
-            assert token == int(np.argmax(expected))
-            tokens = [token]
-        assert engine.kv_cache_length == oracle.past
+        self.assert_engine_matches(weights, devices, [self.PROMPT])
+
+    @pytest.mark.parametrize("devices", [1, 2, 4])
+    @pytest.mark.parametrize("config", ["tiny", "vocab515"])
+    def test_window_prompt_and_chunk_match_stacked_engine(
+        self, tiny_weights, uneven_weights, config, devices
+    ):
+        weights = tiny_weights if config == "tiny" else uneven_weights
+        self.assert_engine_matches(weights, devices, self.WINDOW_CHUNKS)
+        assert sum(map(len, self.WINDOW_CHUNKS)) + self.DECODE_STEPS == 128
 
 
 class TestKVGrowthInCores:

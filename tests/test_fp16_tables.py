@@ -13,8 +13,10 @@ element sits (SIMD body or tail, contiguous or strided) would disagree with
 the bulk-built table.  Bit patterns must match on every non-NaN input; NaN
 inputs must give NaN (NaN payloads already vary with array length).
 
-The wiring guard pins which linked instructions look up and that tables are
-built once per process, not per simulator, program or link.
+The wiring guard pins which linked instructions look up, that a linked
+segment widens each register once and reads the FP32 image wherever it
+widened before, and that tables are built once per process, not per
+simulator, program or link.
 """
 
 from __future__ import annotations
@@ -296,6 +298,33 @@ def unary_instruction_count(program):
     return count
 
 
+#: ``image = _asarray(source, dtype=_f32)``: (image, source).
+WIDEN = re.compile(r"^ *(_t\d+) = _asarray\((_\w+), dtype=_f32\)$", re.M)
+ROW_MAX = re.compile(r"^ *(_t\d+) = (_\w+)\.max\(axis=-1, keepdims=True\)$", re.M)
+SLICE = re.compile(r"^ *(_t\d+) = (_t\d+)\[\.\.\., \d+:\d+\]$", re.M)
+MATMUL_OPERAND = re.compile(r"= \((_\w+) @ _\w+\)")
+ACCUM_OPERAND = re.compile(r"= (_\w+)\.sum\(axis=-1, keepdims=True\)")
+BINARY = re.compile(r"^ *(_r\d+) = _np\.(?:add|subtract|multiply)\((_\w+), (_\w+),", re.M)
+
+
+def register_names(source):
+    """Variable -> register name in one linked segment's source."""
+    names = dict(re.findall(r"(_r\d+) = _registers\.get\('([^']+)'\)", source))
+    stored = re.findall(r"_registers\['([^']+)'\] = (_r\d+)", source)
+    names.update((var, name) for name, var in stored)
+    # A register assigned straight from a matrix result names that result.
+    for var, temp in re.findall(r"^ *(_r\d+) = (_t\d+)$", source, re.M):
+        names[temp] = names[var]
+    return names
+
+
+def redu_max_count(program):
+    return sum(
+        isinstance(i, MatrixInstruction) and i.apply_redu_max and bool(i.redu_max_dst)
+        for i in program.instructions
+    )
+
+
 class TestWiring:
     @pytest.mark.parametrize("numerics", [FP16_DFX, FP16_GPU], ids=lambda n: n.name)
     def test_fp16_programs_look_up_every_unary_op(self, numerics):
@@ -304,6 +333,37 @@ class TestWiring:
             for expression in ("_np.exp(", "_np.sqrt(", "_np.divide(_one"):
                 assert expression not in text, (program.name, expression)
             assert lookup_count(text) == unary_instruction_count(program) > 0, program.name
+
+    @pytest.mark.parametrize("numerics", [FP16_DFX, FP16_GPU], ids=lambda n: n.name)
+    def test_fp16_segments_widen_each_register_once(self, numerics):
+        for program in programs(GPT2_TEST_SMALL):
+            row_maxes = 0
+            for index, segment in enumerate(link_program(program, numerics).segments):
+                if segment.body is None:
+                    continue
+                source = segment.body.__source__
+                label = (program.name, index)
+                images = dict(WIDEN.findall(source))
+                names = register_names(source)
+                widened = [names[var] for var in images.values()]
+                assert len(set(widened)) == len(widened), (label, widened)
+                maxima = dict(ROW_MAX.findall(source))
+                assert set(maxima.values()) <= set(images), label
+                row_maxes += len(maxima)
+                slices = dict(SLICE.findall(source))
+                for operand in MATMUL_OPERAND.findall(source):
+                    assert slices.get(operand, operand) in images, (label, operand)
+                for operand in ACCUM_OPERAND.findall(source):
+                    assert operand in images, (label, operand)
+                # Softmax SUB reads the score image and the FP32 max, softmax
+                # MUL the exp image, and LayerNorm SUB its input's image.
+                for dst, left, right in BINARY.findall(source):
+                    name = names[dst]
+                    if name.endswith(".shifted"):
+                        assert left in images and right in maxima, (label, name)
+                    elif name.endswith(".centered") or name.startswith("probs."):
+                        assert left in images, (label, name)
+            assert row_maxes == redu_max_count(program) > 0, program.name
 
     def test_fp32_exact_programs_keep_the_expressions(self):
         for program in programs(GPT2_TEST_SMALL):
