@@ -2,7 +2,7 @@
 """Streaming serving-simulator benchmark and regression gate.
 
 Serves a lazily generated diurnal request trace (1M requests by default)
-through the streaming simulator core — calendar-queue event loop, online
+through the streaming simulator core — heap-ordered event loop, online
 report accounting, no retained records — and writes simulated requests/sec
 plus peak RSS to ``BENCH_serving.json`` at the repo root.  That file is the
 committed baseline: ``--check`` re-measures and fails (exit 1) when

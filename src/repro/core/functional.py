@@ -652,6 +652,7 @@ class _SegmentCompiler:
         source: str,
         expression: str,
         constant: np.float32 | None = None,
+        produced: bool = True,
     ) -> None:
         """Emit ``var = expression(source)`` for an elementwise unary op.
 
@@ -659,8 +660,8 @@ class _SegmentCompiler:
         ``{c}`` for ``constant`` and ``{out}`` for the output dtype.  In a
         float16 mode the op is instead one lookup in the table of that exact
         text at every FP16 input (:func:`~repro.model.numerics.fp16_table`),
-        keyed by the text and the constant's bit pattern.  The operand is a
-        register or a matrix result, which a float16 mode holds as float16.
+        keyed by the text and the constant's bit pattern.  An operand the
+        segment has not ``produced`` may hold any dtype; only float16 indexes.
         """
         if self.index_dtype is None:
             c = None if constant is None else self.const(constant)
@@ -675,7 +676,12 @@ class _SegmentCompiler:
             return eval(text, namespace, {"_x": inputs})  # noqa: S307
 
         table = self.const(fp16_table(key, evaluate))
-        self.emit(f"{var} = {table}.take({source}.view({self.index_dtype}))")
+        lookup = f"{table}.take({source}.view({self.index_dtype}))"
+        if not produced:
+            c = None if constant is None else self.const(constant)
+            fp32 = expression.format(x=source, c=c, out=self.out_dtype)
+            lookup = f"{lookup} if {source}.dtype is {self.out_dtype} else {fp32}"
+        self.emit(f"{var} = {lookup}")
 
     # ------------------------------------------------------------ instructions
     def add_matrix(self, instruction: MatrixInstruction) -> None:
@@ -799,9 +805,11 @@ class _SegmentCompiler:
             )
             return
         source = self.read_register(instruction.src1)
+        produced = instruction.src1 in self.defined
         expression = self._UNARY_EXPRESSIONS.get(opcode)
         if expression is not None:
-            self.unary(self.write_register(instruction.dst), source, expression)
+            var = self.write_register(instruction.dst)
+            self.unary(var, source, expression, produced=produced)
             return
         try:
             ufunc = self._BINARY_UFUNCS[opcode]
@@ -813,6 +821,7 @@ class _SegmentCompiler:
                 source,
                 f"{ufunc}({{x}}, {{c}}, dtype=_f32).astype({{out}})",
                 np.float32(instruction.immediate),
+                produced=produced,
             )
             return
         # An operand's FP32 image, where one exists, spares the ufunc its

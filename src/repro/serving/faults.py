@@ -494,9 +494,9 @@ class RetryPolicy:
 
     Without ``max_backoff_s`` the exponential is unbounded: a long campaign
     of repeated kills pushes the retry instant astronomically far past the
-    trace (the uncapped product overflows toward infinity), so the request
-    silently never retries instead of failing accountably.  Set the cap for
-    any campaign whose failure count can grow large.
+    trace, where the request retries, or past the float range, where it
+    fails (``retries-exhausted``).  Set the cap for any campaign whose
+    failure count can grow large.
     """
 
     max_attempts: int = 3
@@ -524,8 +524,8 @@ class RetryPolicy:
             delay = self.backoff_s * self.backoff_multiplier ** (failures - 1)
         except OverflowError:
             # Python float ** raises rather than returning inf; an exponent
-            # that large is unbounded either way.
-            delay = float("inf")
+            # that large is unbounded, unless there is no backoff to scale.
+            delay = float("inf") if self.backoff_s else 0.0
         if self.max_backoff_s is not None:
             # min() also tames the overflow case: an exponent large enough
             # to overflow still clamps to the finite cap.

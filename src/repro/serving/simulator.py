@@ -10,13 +10,13 @@ appliances with different speeds behind one queue); a single appliance,
 :class:`~repro.serving.server.ApplianceServer`, is the fleet of one whose
 units all share one oracle.
 
-The loop is built for million-request traces: completion and retry events
-live in :class:`~repro.serving.calendar.CalendarQueue` s (O(1) amortized,
-pop order bit-identical to the heaps they replaced), arrivals are pulled
-one ahead from the trace (a generator trace is never materialized), and
-every outcome record flows through the record sink when it seals, into
-the report's :class:`~repro.serving.server.ReportAccumulator` (running
-counters plus latency distributions).  Retained runs also keep every
+The loop is built for million-request traces: only in-flight completions
+and pending retries wait in :class:`~repro.serving.calendar.CalendarQueue`
+heaps, arrivals are pulled one ahead from the trace (a generator trace is
+never materialized), and every outcome record flows through the record
+sink when it seals, into the report's
+:class:`~repro.serving.server.ReportAccumulator` (running counters plus
+latency distributions).  Retained runs also keep every
 record on the report's lists and answer percentiles exactly;
 ``retain_records=False`` keeps no records and sketches the percentiles,
 so memory stays flat in the trace length.
@@ -51,7 +51,7 @@ Continuous batching runs each admission as a decode *stream* on one of the
 unit's slots.  Every occupancy change — admission or departure — re-prices
 the in-flight streams: each stream's completed work fraction is carried
 over and its remaining work re-runs at the new concurrency's rate.
-Superseded completion events stay in the calendar queue and are skipped
+Superseded completion events stay in the completion queue and are skipped
 by an epoch check (lazy deletion); a stream's provisional completion
 record seals with its revised finish time when it really completes, and
 retained runs restore dispatch order at finalize.
@@ -91,6 +91,7 @@ pre-network simulator.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError, check_number
@@ -366,11 +367,11 @@ class _SimulationState:
     # patience carriers has every abandon time at infinity).
     has_patience: bool = False
     queue: list[ServiceRequest] = field(default_factory=list)
-    # Calendar queue of (finish_s, unit_id, stream_id, epoch); stream_id is
-    # -1 for immutable dispatches (epoch slot holds the batch id), >= 0 for
+    # Heap of (finish_s, unit_id, stream_id, epoch); stream_id is -1 for
+    # immutable dispatches (epoch slot holds the batch id), >= 0 for
     # re-priced continuous decode streams (whose superseded events are
-    # skipped by the epoch check).  Pop order is bit-identical to the heap
-    # this replaces.
+    # skipped by the epoch check).  Batch ids and (stream_id, epoch) pairs
+    # are unique, so no two events compare equal and the pop order is total.
     completions: CalendarQueue = field(default_factory=CalendarQueue)
     # Earliest time a held partial batch must be forced out (inf = no hold).
     flush_at_s: float = float("inf")
@@ -381,7 +382,7 @@ class _SimulationState:
     degraded_mode: DegradedModePolicy | None = None
     #: Kills suffered so far, by request id (== dispatches attempted).
     attempts: dict[int, int] = field(default_factory=dict)
-    #: Calendar queue of (retry_time_s, seq, request) awaiting re-enqueue.
+    #: Heap of (retry_time_s, unique seq, request) awaiting re-enqueue.
     retries: CalendarQueue = field(default_factory=CalendarQueue)
     next_retry_seq: int = 0
     retry_budget_left: int | None = None
@@ -842,7 +843,9 @@ class _SimulationState:
         if policy is None or policy.max_attempts == 1 or not request.retryable:
             fail(FAIL_UNIT)
             return
-        if failures >= policy.max_attempts:
+        retry_s = now + policy.delay_s(failures)
+        # A retry instant past the float range never comes due.
+        if failures >= policy.max_attempts or not math.isfinite(retry_s):
             fail(FAIL_RETRIES)
             return
         if self.retry_budget_left is not None:
@@ -850,9 +853,7 @@ class _SimulationState:
                 fail(FAIL_BUDGET)
                 return
             self.retry_budget_left -= 1
-        self.retries.push(
-            (now + policy.delay_s(failures), self.next_retry_seq, request)
-        )
+        self.retries.push((retry_s, self.next_retry_seq, request))
         self.next_retry_seq += 1
         self.report.num_retries += 1
         self.pending_failover[request.request_id] = now

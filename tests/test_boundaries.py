@@ -83,7 +83,6 @@ from repro.serving import (
     diurnal_trace,
     poisson_trace,
 )
-from repro.serving.calendar import CalendarQueue
 from repro.serving.faults import (
     Degradation,
     DegradedModePolicy,
@@ -449,10 +448,6 @@ BOUNDARIES = [
      "timeout_s", real(-1.0), ConfigurationError),
     ("ContinuousBatching.max_batch_size", lambda v: ContinuousBatching(v),
      "max_batch_size", integer(0), ConfigurationError),
-    ("CalendarQueue.bucket_width", lambda v: CalendarQueue(bucket_width=v),
-     "bucket_width", real(0.0), ConfigurationError),
-    ("CalendarQueue.num_buckets", lambda v: CalendarQueue(num_buckets=v),
-     "num_buckets", integer(0), ConfigurationError),
     ("Outage.start_s", lambda v: Outage(start_s=v, unit_id=0),
      "outage start_s", real(-1.0), ConfigurationError),
     ("Outage.duration_s", lambda v: Outage(start_s=1.0, duration_s=v, unit_id=0),

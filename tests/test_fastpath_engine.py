@@ -25,8 +25,8 @@ from repro.core.functional import (
 )
 from repro.errors import ExecutionError
 from repro.isa.compiler import DFXCompiler
-from repro.isa.instructions import MatrixInstruction
-from repro.isa.opcodes import MatrixOpcode
+from repro.isa.instructions import MatrixInstruction, VectorInstruction
+from repro.isa.opcodes import MatrixOpcode, VectorOpcode
 from repro.isa.program import Program
 from repro.model.config import GPT2_TEST_TINY
 from repro.model.numerics import FP16_DFX, FP16_GPU, FP32_EXACT
@@ -269,6 +269,27 @@ class TestFastSlowBitExactness:
         assert first is second
         assert first.shape == (1, 1, UNEVEN_VOCAB_TINY.vocab_size)
         assert np.array_equal(np.asarray(first, dtype=np.float32)[0, 0], logits)
+
+    @pytest.mark.parametrize(
+        "instruction",
+        [
+            VectorInstruction(VectorOpcode.EXP, dst="y", src1="x"),
+            VectorInstruction(VectorOpcode.MUL, dst="y", src1="x", immediate=0.125),
+        ],
+        ids=["exp", "mul-immediate"],
+    )
+    def test_unary_op_on_a_float32_register(self, instruction):
+        # A register the segment reads from the register file may hold any
+        # dtype; only a float16 one may index the FP16 table by its bits.
+        (segment,) = link_program(Program("probe", [instruction]), FP16_DFX).segments
+        x = np.linspace(-2.0, 2.0, 16, dtype=np.float32).reshape(2, 8)
+        fast = FunctionalCore(numerics=FP16_DFX, registers={"x": x})
+        slow = FunctionalCore(numerics=FP16_DFX, registers={"x": x})
+        segment.body(fast)
+        slow.execute_instruction(instruction)
+        assert fast.registers["y"].shape == slow.registers["y"].shape == (2, 8)
+        assert fast.registers["y"].dtype == slow.registers["y"].dtype
+        assert np.array_equal(fast.registers["y"], slow.registers["y"])
 
 
 def planted_head(rows):

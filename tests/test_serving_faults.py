@@ -21,6 +21,7 @@ from repro.serving import (
     ContinuousBatching,
     Degradation,
     DegradedModePolicy,
+    DynamicBatching,
     FAIL_BUDGET,
     FAIL_RETRIES,
     FAIL_UNIT,
@@ -301,6 +302,55 @@ class TestBackoffCap:
         uncapped = RetryPolicy(backoff_s=0.1, backoff_multiplier=10.0)
         assert math.isinf(uncapped.delay_s(5000))
 
+    def test_zero_backoff_retries_at_once_whatever_the_multiplier(self):
+        policy = RetryPolicy(backoff_s=0.0, backoff_multiplier=1e300)
+        assert policy.delay_s(3) == 0.0
+        assert policy.delay_s(5000) == 0.0
+
+    @pytest.mark.parametrize("retry_budget", [None, 2])
+    def test_overflowing_backoff_fails_the_request(self, retry_budget):
+        # The third kill's delay, 1e-300 * 1e300**2, overflows to infinity:
+        # the request fails as retries-exhausted instead of pushing an
+        # infinite retry instant into the event loop, and before the budget
+        # (2, spent by the first two kills) is consulted.
+        server = make_server(
+            latency_s=0.1,
+            faults=FaultSchedule.scripted(
+                Outage(start_s=0.01, duration_s=0.005, unit_id=0),
+                Outage(start_s=0.03, duration_s=0.005, unit_id=0),
+                Outage(start_s=1.04, duration_s=0.005, unit_id=0),
+            ),
+            retry_policy=RetryPolicy(
+                max_attempts=5,
+                backoff_s=1e-300,
+                backoff_multiplier=1e300,
+                retry_budget=retry_budget,
+            ),
+        )
+        report = server.serve([request(0, 0.0)])
+        assert len(report.completed) == 0
+        assert report.num_retries == 2
+        (failure,) = report.failed
+        assert failure.reason == FAIL_RETRIES
+        assert failure.attempts == 3
+        assert failure.failed_time_s == 1.04
+
+    def test_huge_finite_backoff_retries_at_that_instant(self):
+        # Only an instant past the float range fails the request: one far
+        # beyond the trace still comes due, and the retry runs then.
+        server = make_server(
+            latency_s=1.0,
+            faults=FaultSchedule.scripted(
+                Outage(start_s=0.25, duration_s=0.125, unit_id=0)
+            ),
+            retry_policy=RetryPolicy(max_attempts=3, backoff_s=1e300),
+        )
+        report = server.serve([request(0, 0.0)])
+        assert report.num_failed == 0
+        assert report.num_retries == 1
+        (completion,) = report.completed
+        assert completion.start_time_s == 0.25 + 1e300
+
     def test_default_is_uncapped_and_unchanged(self):
         assert RetryPolicy().max_backoff_s is None
         policy = RetryPolicy(backoff_s=0.5, backoff_multiplier=3.0)
@@ -497,6 +547,83 @@ class TestFaultEdgeCases:
         assert first == second
         assert first.availability == second.availability
         assert first.goodput_fraction == second.goodput_fraction
+
+
+# -------------------------------------------------- same-instant event order
+class TestSameInstantOrder:
+    """The loop's order for events at one instant: completions, then faults,
+    then retries, then arrivals; flush deadlines yield to all of them."""
+
+    def test_dispatch_finishing_as_its_unit_goes_down_completes(self):
+        server = make_server(
+            latency_s=1.0,
+            faults=FaultSchedule.scripted(Outage(start_s=1.0, unit_id=0)),
+            retry_policy=RetryPolicy(max_attempts=3),
+        )
+        report = server.serve([request(0, 0.0)])
+        assert len(report.completed) == 1
+        assert report.completed[0].finish_time_s == 1.0
+        assert report.num_failed == 0
+        assert report.num_retries == 0
+
+    def test_arrival_as_a_unit_goes_down_sees_the_reduced_capacity(self):
+        # Both units idle: unit 0 would win the tie if it were still up.
+        server = make_server(
+            latency_s=1.0,
+            num_clusters=2,
+            faults=FaultSchedule.scripted(Outage(start_s=0.5, unit_id=0)),
+        )
+        report = server.serve([request(0, 0.5)])
+        assert [c.cluster_id for c in report.completed] == [1]
+
+    def test_retry_due_as_a_unit_goes_down_sees_the_reduced_capacity(self):
+        # Killed on unit 0 at 0.25, the request is due back at 0.25 + 0.25,
+        # the instant unit 1 goes down for good.  Unit 1 would win the pick
+        # if it were still up (unit 0 keeps its killed dispatch's free-at
+        # time, 1.0): the request restarts on the repaired unit 0 instead
+        # of starting on unit 1 and dying there.
+        server = make_server(
+            latency_s=1.0,
+            num_clusters=2,
+            faults=FaultSchedule.scripted(
+                Outage(start_s=0.25, duration_s=0.125, unit_id=0),
+                Outage(start_s=0.5, unit_id=1),
+            ),
+            retry_policy=RetryPolicy(max_attempts=3, backoff_s=0.25),
+        )
+        report = server.serve([request(0, 0.0)])
+        assert [(c.cluster_id, c.start_time_s) for c in report.completed] == [(0, 0.5)]
+        assert report.num_retries == 1
+        assert report.num_failed == 0
+
+    def test_retry_due_as_a_request_arrives_queues_first(self):
+        # Request 0, killed at 0.25, is due back at 0.5, the instant request
+        # 1 arrives; the one FIFO unit serves them in that order.
+        server = make_server(
+            latency_s=1.0,
+            faults=FaultSchedule.scripted(
+                Outage(start_s=0.25, duration_s=0.125, unit_id=0)
+            ),
+            retry_policy=RetryPolicy(max_attempts=3, backoff_s=0.25),
+        )
+        report = server.serve([request(0, 0.0), request(1, 0.5)])
+        starts = {c.request.request_id: c.start_time_s for c in report.completed}
+        assert starts == {0: 0.5, 1: 1.5}
+        assert report.num_retries == 1
+
+    def test_arrival_at_a_flush_deadline_joins_the_held_batch(self):
+        # Request 0 is held 0.5 s for company; request 1 arrives at that
+        # deadline and leaves with it in one batch of 2.
+        server = ApplianceServer(
+            BatchableTokenPlatform(),
+            num_clusters=1,
+            platform_name="batchy",
+            batch_policy=DynamicBatching(4, timeout_s=0.5),
+            max_batch_size=4,
+        )
+        report = server.serve([request(0, 0.0), request(1, 0.5)])
+        assert report.batch_size_distribution() == {2: 1}
+        assert [c.start_time_s for c in report.completed] == [0.5, 0.5]
 
 
 #: Builders of one setting each, keyed by how its error message names it.

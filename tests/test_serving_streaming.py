@@ -1,10 +1,10 @@
-"""Streaming simulator core: calendar queue, quantile sketches, lazy traces.
+"""Streaming simulator core: event queue, quantile sketches, lazy traces.
 
-Covers the three legs of the streaming rework:
+Covers the three legs of the streaming core:
 
-* :class:`~repro.serving.calendar.CalendarQueue` pops bit-identically to a
-  binary heap over any event set (the event loop's ordering contract rides
-  on this), across resizes and pushes into the past;
+* :class:`~repro.serving.calendar.CalendarQueue`, the event queue, pops in
+  `heapq`'s order over any event set (the event loop's ordering contract
+  rides on this), across thousands of held events and pushes into the past;
 * :class:`~repro.serving.stats.QuantileSketch` answers every percentile
   query within its hard rank-error bound (``eps * n + 1`` ranks), exactly
   for short streams, deterministically for seeded runs;
@@ -77,7 +77,7 @@ class TestCalendarQueue:
         assert not calendar
 
     def test_resize_grow_and_shrink_preserve_order(self):
-        """Thousands of events force growth; draining forces shrink."""
+        """Thousands of held events drain in sorted order."""
         rng = np.random.default_rng(42)
         times = rng.uniform(0.0, 5000.0, size=5000)
         calendar = CalendarQueue()
@@ -109,16 +109,19 @@ class TestCalendarQueue:
             with pytest.raises(ConfigurationError):
                 calendar.push((bad, 0))
 
+    def test_rejected_push_leaves_the_queue_unchanged(self):
+        calendar = CalendarQueue()
+        calendar.push((2.0, 0))
+        with pytest.raises(ConfigurationError, match="finite and non-negative"):
+            calendar.push((-1.0, 1))
+        assert len(calendar) == 1
+        assert calendar.pop() == (2.0, 0)
+        assert not calendar
+
     def test_pop_empty_raises(self):
         with pytest.raises(IndexError):
             CalendarQueue().pop()
         assert CalendarQueue().peek() is None
-
-    def test_constructor_validation(self):
-        with pytest.raises(ConfigurationError):
-            CalendarQueue(bucket_width=0.0)
-        with pytest.raises(ConfigurationError):
-            CalendarQueue(num_buckets=0)
 
 
 # -------------------------------------------------------------- QuantileSketch
