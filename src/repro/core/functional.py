@@ -17,8 +17,8 @@ One set of instruction semantics has two implementations:
   generated Python function with buffer names lowered to locals and constant
   operands pre-bound, so lockstep layer execution pays no per-instruction
   dispatch.  Linked programs are memoized on the :class:`Program` object,
-  and the compiler's own program cache means a whole ``generate()`` call
-  links each program exactly once.
+  and a simulator links its three programs (embedding, decoder layer, LM
+  head) once, when it is built.
 
 Every device of a cluster runs the same instruction stream on an equal
 shard, so the simulator runs all of them on **one device-stacked core** per
@@ -36,8 +36,9 @@ generation streams whose KV caches live in the slot arenas of a
 of one (batch 1) in slot 0, and a :class:`BatchedGenerationSession` runs
 ragged streams as cohorts of any size.  The linked code only ever addresses
 the *last* axes of a buffer (``[..., a:b]`` column slices,
-``swapaxes(-1, -2)`` transposes, ``shape[-2:]`` mask extents), so the same
-code runs every device count and cohort size.
+``swapaxes(-1, -2)`` transposes, ``shape[-2:]`` mask extents) and reads
+every extent from its operands, so the same code runs every device count,
+cohort size, prompt length and past.
 
 **Bit-exactness contract:** the fast path must produce bit-identical buffers
 to the slow path.  Every fast-path shortcut is a proven identity: generated
@@ -54,7 +55,7 @@ shares that *image* (widening is exact, so one image serves every read);
 the row max reduces the FP32 image, as the slow path does, and that FP32
 max is the image of the rounded max; the causal mask selects in FP16
 (FP16→FP32→FP16 round-trips are exact and the mask value is an FP16 value)
-and is elided only when it admits every key (a single query row always
+and is skipped only when it admits every key (a single query row always
 attends to the whole cache); the KV cache appends in place into a
 preallocated arena slot whose logical view holds exactly the rows the slow
 path's ``np.concatenate`` produces; persistent weights are staged upcast to
@@ -97,7 +98,7 @@ from repro.isa.opcodes import DMAOpcode, MatrixOpcode, VectorOpcode
 from repro.isa.program import Program
 from repro.model.config import GPT2Config
 from repro.model.gpt2 import check_integer_tokens
-from repro.model.layers import MASK_VALUE
+from repro.model.layers import MASK_VALUE, causal_mask
 from repro.model.numerics import FP16_DFX, Numerics, fp16_table
 from repro.model.weights import GPT2Weights
 from repro.parallel.partitioner import (
@@ -288,8 +289,10 @@ class FunctionalCore:
         the ``(..., rows, total_cols)`` buffer on first touch and then writes
         in place for every further head: copying is only needed when the
         register holds an array this core did not allocate itself (and might
-        therefore alias another buffer).  Returns the buffer to store back in
-        ``dst``.  Leading device and batch axes of ``result`` ride through.
+        therefore alias another buffer).  Either way the buffer holds the
+        mode's dtype, as every register an instruction writes does.  Returns
+        the buffer to store back in ``dst``.  Leading device and batch axes of
+        ``result`` ride through.
         """
         shape = result.shape[:-1] + (total_cols,)
         if current is None or current.shape != shape:
@@ -298,7 +301,7 @@ class FunctionalCore:
         elif self._scatter_buffers.get(dst) is current:
             buffer = current
         else:
-            buffer = current.copy()
+            buffer = current.astype(self.numerics.dtype)
             self._scatter_buffers[dst] = buffer
         buffer[..., col_offset : col_offset + result.shape[-1]] = result
         return buffer
@@ -336,11 +339,10 @@ class FunctionalCore:
             result = self.numerics.cast(
                 np.asarray(result, dtype=np.float32) * instruction.scale
             )
-        if instruction.apply_mask:
-            rows, columns = result.shape
-            query_positions = np.arange(rows)[:, None] + instruction.mask_offset
-            key_positions = np.arange(columns)[None, :]
-            allowed = key_positions <= query_positions
+        if instruction.opcode is MatrixOpcode.MASKED_MM:
+            # Both extents come from the score: its rows are the newest
+            # queries of a context as long as its columns.
+            allowed = causal_mask(*result.shape[-2:])
             result = self.numerics.cast(
                 np.where(allowed, np.asarray(result, dtype=np.float32), MASK_VALUE)
             )
@@ -518,6 +520,7 @@ class _SegmentCompiler:
         "_f32": np.dtype(np.float32),
         "_one": np.float32(1.0),
         "_MASK_VALUE": MASK_VALUE,
+        "_causal_mask": causal_mask,
         "ExecutionError": ExecutionError,
         "BatchedKV": BatchedKV,
     }
@@ -727,15 +730,13 @@ class _SegmentCompiler:
                 "_np.multiply({x}, {c}, dtype=_f32).astype({out})",
                 np.float32(instruction.scale),
             )
-        if instruction.apply_mask:
-            # When every key position is admitted (always the case for a
-            # single query row over its own cache) the masked product equals
-            # the unmasked one bit for bit, so the where/cast is skipped.
-            offset = instruction.mask_offset
+        if instruction.opcode is MatrixOpcode.MASKED_MM:
+            # The slow path's mask, from the score's extents.  A single query
+            # row attends every key, so the masked product equals the
+            # unmasked one bit for bit and the select is skipped.
             self.emit(f"_rows, _cols = {result}.shape[-2:]")
-            self.emit(f"if {offset} < _cols - 1:")
-            self.emit(f"    _query = _np.arange(_rows)[:, None] + {offset}")
-            self.emit(f"    _allowed = _np.arange(_cols)[None, :] <= _query")
+            self.emit("if _rows > 1:")
+            self.emit("    _allowed = _causal_mask(_rows, _cols)")
             if self.index_dtype is None:
                 cast = self.const(self.numerics.cast)
                 self.emit(
@@ -973,9 +974,10 @@ class DFXFunctionalSimulator:
 
     Produces logits (and greedy tokens) that can be compared against the
     reference GPT-2 model built from the same weights.  Token steps run on the
-    fast path: compiled programs come from the compiler's program cache (one
-    past-length-independent decode-step program covers the whole generation
-    stage), and each program is linked to bound handlers once.
+    fast path: the simulator links the three programs of
+    ``compile_token_step(1, 0)`` once, when it is built, and they serve
+    every prefill and decode step, since every extent they use comes from
+    their operands.
 
     Each decoder layer runs on one :class:`BatchedFunctionalCore` holding
     every device's shard stacked on a leading device axis.  The LM head runs
@@ -1037,6 +1039,12 @@ class DFXFunctionalSimulator:
         self._embedding_core = FunctionalCore(
             numerics=numerics, registers={}, memory={}
         )
+        # Every program reads its extents from its operands, so one step's
+        # programs serve every prompt length, past and cohort size.
+        step = self.compiler.compile_token_step(1, 0)
+        self._embedding = link_program(step.embedding, numerics)
+        self._layer = link_program(step.decoder_layer, numerics)
+        self._lm_head = link_program(step.lm_head, numerics)
 
     # ------------------------------------------------------------------ binding
     def _stack(
@@ -1149,30 +1157,23 @@ class DFXFunctionalSimulator:
         step, all streams at the same ``past``.  Returns the FP32 logits of
         every stream's last position, ``(batch, vocab)``.
         """
-        rows = token_ids.shape[-1]
-        positions = np.arange(past, past + rows)
+        positions = np.arange(past, past + token_ids.shape[-1])
 
         # Token embedding (identical on every device; computed via the program).
         embedding_core = self._embedding_core
         embedding_core.memory["wte_rows"] = self.weights.wte[token_ids]
         embedding_core.memory["wpe_rows"] = self.weights.wpe[positions]
-        embedding_core.execute(self.compiler.compile_embedding(rows))
+        self._run_lockstep(self._embedding, (embedding_core,))
         hidden = embedding_core.registers["hidden"]
 
-        # Decoder layers, every device at once.  A single-row step uses the
-        # cached past-length-independent decode-step program.
-        if rows == 1:
-            layer_program = self.compiler.compile_decoder_step()
-        else:
-            layer_program = self.compiler.compile_decoder_layer(rows, past)
-        linked_layer = link_program(layer_program, self.numerics)
+        # Decoder layers, every device at once.
         for core in self._layer_cores:
             # No handler mutates a register array in place, so the hidden
             # state is shared by reference rather than copied.
             core.registers["hidden"] = hidden
             core.slot_lo = lo
             core.slot_hi = hi
-            self._run_lockstep(linked_layer, (core,))
+            self._run_lockstep(self._layer, (core,))
             hidden = core.registers["hidden_out"]
 
         # LM head on the last position only.
@@ -1180,9 +1181,7 @@ class DFXFunctionalSimulator:
         last_hidden = hidden[..., -1:, :]
         for core in cores:
             core.registers["hidden_last"] = last_hidden
-        self._run_lockstep(
-            link_program(self.compiler.compile_lm_head(), self.numerics), cores
-        )
+        self._run_lockstep(self._lm_head, cores)
         return np.asarray(cores[0].registers["logits"], dtype=np.float32)[..., 0, :]
 
     def _check_tokens(self, token_ids: np.ndarray, past: int) -> None:

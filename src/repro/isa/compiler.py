@@ -20,18 +20,21 @@ The compiler also reproduces the paper's **Value-first reordering**
 and Query so the DMA can hide the Value transpose behind the Key/Query
 matrix-vector products.
 
-Compiled programs are **memoized**: ``compile_decoder_layer`` caches on
-``(rows, past_length)``, ``compile_embedding`` on ``rows``, the LM head on
-its cohort batch (one builder serves ``compile_lm_head`` and
-``compile_batched_lm_head``), and the decode-step program is compiled once
-per compiler.  Callers must treat
-returned programs as immutable (the functional and timing engines only read
-them); mutate a copy via :meth:`Program.concatenate` instead.  For the
-generation stage, :meth:`DFXCompiler.compile_decoder_step` emits a single
-past-length-*independent* program: with one query row the causal mask can
-never exclude a key, so the step program is shared by every token of a
-``generate()`` call instead of recompiling per token (the hardware analogue:
-the controller only changes the HBM base address between tokens, Sec. V-A).
+Compiled programs are **memoized** in one dict keyed by ``(kind, batch,
+rows, past_length)``: the embedding, decoder-layer or LM-head program of
+``batch`` lockstep streams, each with ``rows`` new token rows after
+``past_length`` cached positions.  Every public ``compile_*`` method is one
+lookup in it.  Callers must treat returned programs as immutable (the
+functional and timing engines only read them).
+
+A program's extents live only in its instructions, and the functional
+engine reads every extent from its operands: a ``MASKED_MM`` takes its
+causal past from the score's shape (``kv_len - rows``).  So one linked
+decoder-layer program serves prefill and decode at every past, and the
+engine runs the three programs of ``compile_token_step(1, 0)`` (the
+hardware analogue: the controller only changes the HBM base address between
+tokens, Sec. V-A).  The timing model prices exact shapes, one program per
+step ``(batch, past_length)``.
 """
 
 from __future__ import annotations
@@ -100,16 +103,31 @@ class DFXCompiler:
         self.plan = plan
         self.device_id = device_id
         self.partition = plan.device(device_id)
-        # Program caches (see module docstring): compiled programs are shared
-        # across calls and must not be mutated by callers.
-        self._decoder_cache: dict[tuple[int, int], Program] = {}
-        self._embedding_cache: dict[int, Program] = {}
-        self._lm_head_cache: dict[int, Program] = {}
-        self._decoder_step_cache: Program | None = None
-        self._batched_step_cache: dict[tuple[int, int], Program] = {}
-        #: Number of *uncached* compilations per program key; tests assert the
-        #: hot path compiles each distinct shape at most once.
+        # The one program memo (see module docstring): compiled programs are
+        # shared across calls and must not be mutated by callers.
+        self._programs: dict[tuple[str, int, int, int], Program] = {}
+        #: Number of *uncached* compilations per program name; tests assert
+        #: each program is compiled at most once.
         self.compile_counts: Counter[str] = Counter()
+
+    def _program(self, kind: str, batch: int, rows: int, past_length: int) -> Program:
+        """The ``kind`` program of one step, built on the first request.
+
+        ``kind`` is ``"embedding"``, ``"decoder-layer"`` or ``"lm-head"``;
+        the step runs ``batch`` lockstep streams of ``rows`` new token rows
+        each, after ``past_length`` cached positions.
+        """
+        check_number("batch", batch, 1, integer=True, error=CompilationError)
+        check_number("rows", rows, 1, integer=True, error=CompilationError)
+        check_number("past_length", past_length, 0, integer=True,
+                     error=CompilationError)
+        key = (kind, batch, rows, past_length)
+        program = self._programs.get(key)
+        if program is None:
+            build = self._KINDS[kind]
+            program = self._programs[key] = build(self, batch, rows, past_length)
+            self.compile_counts[program.name] += 1
+        return program
 
     # ------------------------------------------------------------------ helpers
     def _layer_norm(
@@ -208,27 +226,20 @@ class DFXCompiler:
 
     # --------------------------------------------------------------- embedding
     def compile_embedding(self, rows: int) -> Program:
+        """Token embedding of ``rows`` rows (see :meth:`_build_embedding`)."""
+        return self._program("embedding", 1, rows, 0)
+
+    def _build_embedding(self, batch: int, rows: int, past_length: int) -> Program:
         """Token embedding: add the staged WTE and WPE rows (paper Sec. II-A).
 
         The host stages ``wte_rows`` and ``wpe_rows`` (the rows selected by the
         current token IDs and positions) in DDR; the DMA brings them in and
-        the VPU adds them.  Memoized per ``rows``.
+        the VPU adds them.
         """
-        check_number("rows", rows, 1, integer=True, error=CompilationError)
-        cached = self._embedding_cache.get(rows)
-        if cached is not None:
-            return cached
-        program = self._build_embedding(rows)
-        self._embedding_cache[rows] = program
-        return program
-
-    def _build_embedding(self, rows: int) -> Program:
-        """Uncached embedding-program construction."""
-        self.compile_counts[f"embedding[rows={rows}]"] += 1
+        rows *= batch
         emb = self.config.n_embd
         program = Program(
             name=f"embedding[rows={rows}]",
-            rows=rows,
             inputs=(),
             outputs=("hidden",),
         )
@@ -248,82 +259,28 @@ class DFXCompiler:
 
     # ------------------------------------------------------------ decoder layer
     def compile_decoder_layer(self, rows: int, past_length: int) -> Program:
-        """Compile one decoder layer for this device (Algorithm 1).
-
-        Args:
-            rows: Number of token rows entering the layer (the context length
-                in the summarization stage, 1 in the generation stage).
-            past_length: KV-cache length before this step.
-
-        Returns:
-            A :class:`Program` whose input is ``hidden`` and output is
-            ``hidden_out``, containing exactly four ring synchronizations.
-            Memoized per ``(rows, past_length)``.
-        """
-        check_number("rows", rows, 1, integer=True, error=CompilationError)
-        check_number("past_length", past_length, 0, integer=True,
-                     error=CompilationError)
-        key = (rows, past_length)
-        cached = self._decoder_cache.get(key)
-        if cached is not None:
-            return cached
-        program = self._build_decoder_layer(rows, past_length, generation_step=False)
-        self._decoder_cache[key] = program
-        return program
+        """One stream's decoder layer: ``rows`` new token rows after
+        ``past_length`` cached positions (see :meth:`_build_decoder_layer`)."""
+        return self._program("decoder-layer", 1, rows, past_length)
 
     def compile_decoder_step(self) -> Program:
-        """Compile the past-length-independent single-token decoder layer.
-
-        In the generation stage every step processes exactly one query row, so
-        the causal mask ``key <= query + past`` admits *all* cached keys: the
-        masked matrix product is bit-identical with the mask elided.  All
-        other instruction semantics are shape-polymorphic in the functional
-        engine (matrix/vector operands take their true extents from the bound
-        buffers), so one cached program serves every token of a generation
-        run.  The static shape metadata (``out_dim``, vector ``length``,
-        ``past_length``) is nominal (compiled at past 0) — use
-        :meth:`compile_decoder_layer` for the timing model, which needs exact
-        per-step shapes.
-        """
-        if self._decoder_step_cache is None:
-            self._decoder_step_cache = self._build_decoder_layer(
-                rows=1, past_length=0, generation_step=True
-            )
-        return self._decoder_step_cache
+        """The single-stream decode step at past 0: ``compile_decoder_layer(1, 0)``."""
+        return self._program("decoder-layer", 1, 1, 0)
 
     def compile_batched_decoder_step(self, batch: int, past_length: int) -> Program:
-        """Decoder layer for one lockstep cohort decode step (timing model).
+        """One decode step of a ``batch``-stream lockstep cohort (timing model)."""
+        return self._program("decoder-layer", batch, 1, past_length)
 
-        Prices ``batch`` concurrent single-row generation steps executed as
-        one cohort: every matrix/vector instruction carries ``batch`` rows,
-        the shared layer weights are streamed once and multicast to all rows
+    def _build_decoder_layer(self, batch: int, rows: int, past_length: int) -> Program:
+        """Compile one decoder layer for this device (Algorithm 1).
+
+        The program reads ``hidden`` and writes ``hidden_out``, its matrix
+        and vector instructions carry ``batch * rows`` rows, and it holds
+        exactly four ring synchronizations.  A ``batch``-stream cohort
+        streams the shared layer weights once and multicasts them to all rows
         (``weight_reuse_rows=batch``), while the per-stream KV operands keep
-        per-row streaming (each stream reads its own cache).  Shapes are exact
-        per step, so — like :meth:`compile_decoder_layer` — this is keyed on
-        ``(batch, past_length)``.  The functional engine does not execute
-        these programs; it runs the regular (per-stream-shaped) programs,
-        whose linked code carries the cohort's batch axis.
+        per-row streaming (each stream reads its own cache).
         """
-        check_number("batch", batch, 1, integer=True, error=CompilationError)
-        check_number("past_length", past_length, 0, integer=True,
-                     error=CompilationError)
-        if batch == 1:
-            # A one-stream cohort is exactly the analytic per-step program.
-            return self.compile_decoder_layer(1, past_length)
-        key = (batch, past_length)
-        cached = self._batched_step_cache.get(key)
-        if cached is not None:
-            return cached
-        program = self._build_decoder_layer(
-            rows=1, past_length=past_length, generation_step=True, batch=batch
-        )
-        self._batched_step_cache[key] = program
-        return program
-
-    def _build_decoder_layer(
-        self, rows: int, past_length: int, generation_step: bool, batch: int = 1
-    ) -> Program:
-        """Uncached decoder-layer construction (see the public wrappers)."""
         config = self.config
         partition = self.partition
         emb = config.n_embd
@@ -339,15 +296,10 @@ class DFXCompiler:
                 f"batched-step[device={self.device_id},batch={batch},"
                 f"past={past_length}]"
             )
-        elif generation_step:
-            name = f"decoder-step[device={self.device_id}]"
         else:
             name = f"decoder-layer[device={self.device_id},rows={rows},past={past_length}]"
-        self.compile_counts[name] += 1
         program = Program(
             name=name,
-            rows=total_rows,
-            past_length=past_length,
             inputs=("hidden",),
             outputs=("hidden_out",),
         )
@@ -415,10 +367,6 @@ class DFXCompiler:
                     rows=total_rows,
                     in_dim=head_dim,
                     out_dim=kv_len,
-                    # A single query row attends to every cached key, so the
-                    # decode-step program elides the (no-op) mask entirely.
-                    apply_mask=not generation_step,
-                    mask_offset=past_length,
                     apply_redu_max=True,
                     redu_max_dst=score_max,
                     scale=scale,
@@ -540,47 +488,33 @@ class DFXCompiler:
 
     # ------------------------------------------------------------------ LM head
     def compile_lm_head(self) -> Program:
-        """Final LayerNorm and LM head for the last token position.
+        """The single-stream LM head (see :meth:`_build_lm_head`)."""
+        return self._program("lm-head", 1, 1, 0)
+
+    def compile_batched_lm_head(self, batch: int) -> Program:
+        """The LM head of a ``batch``-stream lockstep cohort (timing model)."""
+        return self._program("lm-head", batch, 1, 0)
+
+    def _build_lm_head(self, batch: int, rows: int, past_length: int) -> Program:
+        """Final LayerNorm and LM head for each stream's last token position.
 
         Only the last row of the decoder output feeds the LM head (paper
         Sec. II-A); each device scores its slice of the vocabulary against the
-        transposed WTE and the logits are gathered for the argmax.  Compiled
-        once per compiler (the program has no shape parameters).
+        transposed WTE and the logits are gathered for the argmax.  A cohort
+        streams the WTE slice once and multicasts it across its ``batch``
+        rows (``weight_reuse_rows=batch``).
         """
-        return self._build_lm_head(1)
-
-    def compile_batched_lm_head(self, batch: int) -> Program:
-        """LM head for a lockstep cohort: one WTE stream scores ``batch`` rows.
-
-        Each stream contributes its last hidden row; the device streams its
-        WTE slice once and multicasts it across the cohort
-        (``weight_reuse_rows=batch``).  ``batch == 1`` returns the regular
-        :meth:`compile_lm_head` program.
-        """
-        check_number("batch", batch, 1, integer=True, error=CompilationError)
-        if batch == 1:
-            return self.compile_lm_head()
-        return self._build_lm_head(batch)
-
-    def _build_lm_head(self, batch: int) -> Program:
-        """LM-head program for ``batch`` rows (cached; see the public wrappers)."""
-        cached = self._lm_head_cache.get(batch)
-        if cached is not None:
-            return cached
-        # The batch-1 program keeps its own name, counter key and comments.
+        # The batch-1 program keeps its own name and comments.
         if batch == 1:
             name = f"lm-head[device={self.device_id}]"
-            self.compile_counts["lm-head"] += 1
             rows_scored, token_ids = "", "token id"
         else:
             name = f"batched-lm-head[device={self.device_id},batch={batch}]"
-            self.compile_counts[name] += 1
             rows_scored, token_ids = ", all streams", "token ids"
         emb = self.config.n_embd
         vocab = self.config.vocab_size
         program = Program(
             name=name,
-            rows=batch,
             inputs=("hidden_last",),
             outputs=("logits",),
         )
@@ -621,14 +555,20 @@ class DFXCompiler:
                 comment=f"write the selected {token_ids} back to DDR",
             )
         )
-        self._lm_head_cache[batch] = program
         return program
+
+    #: Each program kind's build method (see :meth:`_program`).
+    _KINDS = {
+        "embedding": _build_embedding,
+        "decoder-layer": _build_decoder_layer,
+        "lm-head": _build_lm_head,
+    }
 
     # ------------------------------------------------------------- full token
     def compile_token_step(self, rows: int, past_length: int) -> CompiledToken:
-        """Compile the embedding, decoder-layer, and LM-head programs for one step."""
+        """The embedding, decoder-layer and LM-head programs of one stream's step."""
         return CompiledToken(
-            embedding=self.compile_embedding(rows),
-            decoder_layer=self.compile_decoder_layer(rows, past_length),
-            lm_head=self.compile_lm_head(),
+            embedding=self._program("embedding", 1, rows, 0),
+            decoder_layer=self._program("decoder-layer", 1, rows, past_length),
+            lm_head=self._program("lm-head", 1, 1, 0),
         )

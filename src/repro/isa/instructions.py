@@ -61,6 +61,12 @@ class Instruction:
 class MatrixInstruction(Instruction):
     """A matrix-function-unit instruction (Conv1D, MaskedMM, MM).
 
+    A ``MASKED_MM`` always applies the causal mask, and reads both of its
+    extents from the score's shape: row ``i`` of its ``rows`` queries
+    attends keys ``0 .. kv_len - rows + i``, where ``kv_len`` is the
+    score's column count (the past plus the new rows).  With one query row
+    the mask admits every cached key.
+
     Attributes:
         opcode: Which matrix operation to perform.
         dst: Output buffer (register file).
@@ -72,9 +78,6 @@ class MatrixInstruction(Instruction):
         in_dim: Inner (contraction) dimension.
         out_dim: Output columns produced.
         transpose_weight: Multiply by the weight's transpose (LM head).
-        apply_mask: Apply the causal mask (MaskedMM only).
-        mask_offset: Number of already-cached positions (so row ``i`` of the
-            query may attend to keys ``0 .. mask_offset + i``).
         apply_gelu: Run the SFU's GELU on the output (FFN first layer).
         apply_redu_max: Emit the per-row maximum into ``redu_max_dst``.
         redu_max_dst: Scalar register receiving the per-row maximum.
@@ -102,8 +105,6 @@ class MatrixInstruction(Instruction):
     in_dim: int = 0
     out_dim: int = 0
     transpose_weight: bool = False
-    apply_mask: bool = False
-    mask_offset: int = 0
     apply_gelu: bool = False
     apply_redu_max: bool = False
     redu_max_dst: str | None = None
@@ -126,8 +127,6 @@ class MatrixInstruction(Instruction):
             )
         check_number("in_dim", self.in_dim, 1, integer=True, error=ProgramValidationError)
         check_number("out_dim", self.out_dim, 1, integer=True, error=ProgramValidationError)
-        if self.apply_mask and self.opcode is not MatrixOpcode.MASKED_MM:
-            raise ProgramValidationError("apply_mask is only valid for MASKED_MM")
         if self.apply_redu_max and not self.redu_max_dst:
             raise ProgramValidationError("apply_redu_max requires redu_max_dst")
 

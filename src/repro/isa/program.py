@@ -40,16 +40,12 @@ class Program:
     Attributes:
         name: Human-readable label, e.g. ``"decoder-layer[rows=1,past=64]"``.
         instructions: The instruction list, in program order.
-        rows: Token rows processed by this program (1 in the generation stage).
-        past_length: KV-cache length before this program runs.
         inputs: Buffer names expected to be live before execution.
         outputs: Buffer names holding the program's results.
     """
 
     name: str
     instructions: list[Instruction] = field(default_factory=list)
-    rows: int = 1
-    past_length: int = 0
     inputs: tuple[str, ...] = ()
     outputs: tuple[str, ...] = ()
     # Memoized derived views, keyed on len(instructions) so that the compiler's
@@ -140,15 +136,4 @@ class Program:
         return (
             f"{self.name}: {len(self.instructions)} instructions "
             f"({parts}), {self.total_flops() / 1e6:.2f} MFLOP"
-        )
-
-    def concatenate(self, other: "Program", name: str | None = None) -> "Program":
-        """Return a new program running ``self`` then ``other``."""
-        return Program(
-            name=name or f"{self.name}+{other.name}",
-            instructions=list(self.instructions) + list(other.instructions),
-            rows=self.rows,
-            past_length=self.past_length,
-            inputs=self.inputs,
-            outputs=other.outputs,
         )

@@ -12,12 +12,13 @@ import pytest
 from repro.core.functional import DFXFunctionalSimulator, FunctionalCore
 from repro.errors import ExecutionError
 from repro.isa.compiler import DFXCompiler
-from repro.isa.instructions import RouterInstruction, VectorInstruction
-from repro.isa.opcodes import RouterOpcode, VectorOpcode
+from repro.isa.instructions import MatrixInstruction, RouterInstruction, VectorInstruction
+from repro.isa.opcodes import MatrixOpcode, RouterOpcode, VectorOpcode
 from repro.isa.program import Program
 from repro.model.config import GPT2_TEST_TINY
 from repro.model.gpt2 import GPT2Model
 from repro.model.generation import TextGenerator
+from repro.model.layers import MASK_VALUE, causal_mask
 from repro.model.numerics import FP16_DFX, FP32_EXACT
 from repro.parallel.partitioner import build_partition_plan
 
@@ -56,6 +57,26 @@ class TestFunctionalCorePrimitives:
                 RouterInstruction(RouterOpcode.SYNC, dst="full", src="part",
                                   payload_elements=8)
             )
+
+    @pytest.mark.parametrize("rows", [3, 1])
+    def test_masked_mm_reads_its_causal_past_from_the_score(self, rng, rows):
+        # Row i of 3 query rows over 7 keys attends keys 0 .. 4 + i; a single
+        # query row attends every key, so its mask excludes nothing.
+        core = FunctionalCore(numerics=FP16_DFX)
+        core.registers["q"] = rng.normal(size=(rows, 4)).astype(np.float16)
+        core.memory["keys"] = rng.normal(size=(7, 4)).astype(np.float16)
+        for opcode, dst in ((MatrixOpcode.MM, "scores"), (MatrixOpcode.MASKED_MM, "masked")):
+            core.execute_instruction(
+                MatrixInstruction(opcode, dst=dst, input_operand="q",
+                                  weight_operand="keys", rows=rows, in_dim=4,
+                                  out_dim=7, transpose_weight=True)
+            )
+        scores = core.registers["scores"]
+        expected = np.where(causal_mask(rows, 7), scores, MASK_VALUE)
+        assert core.registers["masked"].dtype == np.float16
+        assert np.array_equal(core.registers["masked"], expected)
+        if rows == 1:
+            assert np.array_equal(core.registers["masked"], scores)
 
     def test_split_at_syncs(self):
         plan = build_partition_plan(GPT2_TEST_TINY, 2)

@@ -15,6 +15,7 @@ import weakref
 import numpy as np
 import pytest
 
+from repro.core import functional
 from repro.core.functional import (
     BatchedFunctionalCore,
     BatchedKV,
@@ -121,8 +122,32 @@ class TestProgramCache:
         assert counts, "expected the compiler to record compilations"
         over_compiled = {name: n for name, n in counts.items() if n > 1}
         assert not over_compiled, f"recompiled program shapes: {over_compiled}"
-        # The whole generation stage rides on one decode-step program.
-        assert counts["decoder-step[device=0]"] == 1
+        # Prefill and the whole generation stage ride on one layer program.
+        assert counts[simulator.compiler.compile_decoder_layer(1, 0).name] == 1
+
+    def test_one_program_per_kind_compiled_and_linked_once(
+        self, tiny_weights, monkeypatch
+    ):
+        linked = []
+
+        def counting_link(program, numerics):
+            linked.append(program)
+            return link_program(program, numerics)
+
+        monkeypatch.setattr(functional, "link_program", counting_link)
+        simulator = DFXFunctionalSimulator(
+            tiny_weights, num_devices=2, numerics=FP16_DFX
+        )
+        simulator.generate_batch([[1, 2, 3], [4, 5, 6, 7, 8], [9] * 7], 4)
+        simulator.reset_cache()
+        simulator.forward(np.array([4, 8, 15]))
+        simulator.forward(np.array([16, 23]))
+        counts = simulator.compiler.compile_counts
+        assert sorted(name.split("[")[0] for name in counts) == [
+            "decoder-layer", "embedding", "lm-head"
+        ]
+        assert set(counts.values()) == {1}
+        assert len(linked) == len({id(program) for program in linked}) == 3
 
     def test_cache_returns_identical_objects(self, simulator):
         compiler = simulator.compiler
@@ -154,16 +179,17 @@ class TestProgramCache:
         }
         assert before == after
 
-    def test_decode_step_has_no_mask_and_four_syncs(self, simulator):
-        program = simulator.compiler.compile_decoder_step()
+    def test_decode_step_is_the_past_zero_layer_with_four_syncs(self, simulator):
+        compiler = simulator.compiler
+        program = compiler.compile_decoder_step()
+        assert program is compiler.compile_decoder_layer(1, 0)
         assert program.sync_count() == 4
         masked = [
             instruction
             for instruction in program.matrix_instructions()
             if instruction.opcode is MatrixOpcode.MASKED_MM
         ]
-        assert masked, "decode step still uses the MaskedMM datapath"
-        assert all(not instruction.apply_mask for instruction in masked)
+        assert len(masked) == simulator.plan.device(0).num_heads
 
     def test_segments_are_memoized_until_append(self):
         plan = build_partition_plan(GPT2_TEST_TINY, 2)
@@ -501,8 +527,8 @@ class TestSlowPathLockstepOracle:
             return np.asarray(self.lm_cores[0].registers["logits"], dtype=np.float32)[0]
 
     #: A prompt near test-tiny's 128-position window, then a multi-row chunk
-    #: at ``past > 0`` (a masked score with ``mask_offset > 0``); the decode
-    #: steps after them fill the window.
+    #: at ``past > 0`` (a masked score with more keys than query rows); the
+    #: decode steps after them fill the window.
     WINDOW_CHUNKS = [
         [int(t) for t in np.random.default_rng(11).integers(0, 512, 119)],
         [300, 42, 7, 111, 5, 64],
@@ -638,6 +664,36 @@ class TestScatterOwnership:
         # The foreign array must not be mutated in place.
         np.testing.assert_array_equal(foreign, np.zeros((1, 8), dtype=np.float16))
         assert core.registers["attn"] is not foreign
+
+    def test_scatter_into_a_float32_register_then_unary_op(self):
+        # The copy of a caller's float32 register holds the mode's dtype, so
+        # the linked EXP after the scatter reads FP16, as the slow path does.
+        rng = np.random.default_rng(5)
+        program = Program(name="scatter-then-exp")
+        program.extend([
+            MatrixInstruction(
+                MatrixOpcode.MM, dst="y", input_operand="x", weight_operand="w",
+                rows=2, in_dim=8, out_dim=4, dst_col_offset=0, dst_total_cols=8,
+            ),
+            VectorInstruction(VectorOpcode.EXP, dst="z", src1="y", length=8, rows=2),
+        ])
+        x = (0.5 * rng.normal(size=(2, 8))).astype(np.float16)
+        w = (0.5 * rng.normal(size=(8, 4))).astype(np.float16)
+        slow, fast = (
+            FunctionalCore(
+                numerics=FP16_DFX,
+                registers={"x": x, "y": np.zeros((2, 8), dtype=np.float32)},
+                memory={"w": w},
+            )
+            for _ in range(2)
+        )
+        for instruction in program:
+            slow.execute_instruction(instruction)
+        fast.execute(program)
+        for name in ("y", "z"):
+            assert fast.registers[name].shape == slow.registers[name].shape == (2, 8)
+            assert fast.registers[name].dtype == slow.registers[name].dtype == np.float16
+            assert np.array_equal(fast.registers[name], slow.registers[name]), name
 
 
 class TestBatchedEngine:

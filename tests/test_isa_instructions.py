@@ -47,15 +47,6 @@ class TestMatrixInstruction:
     def test_weight_bytes(self):
         assert self._conv1d().weight_bytes() == 64 * 32 * 2
 
-    def test_mask_only_on_masked_mm(self):
-        with pytest.raises(ProgramValidationError):
-            self._conv1d(apply_mask=True)
-        masked = MatrixInstruction(
-            opcode=MatrixOpcode.MASKED_MM, dst="s", input_operand="q",
-            weight_operand="k", rows=1, in_dim=64, out_dim=10, apply_mask=True,
-        )
-        assert masked.apply_mask
-
     def test_redu_max_requires_destination(self):
         with pytest.raises(ProgramValidationError):
             self._conv1d(apply_redu_max=True)

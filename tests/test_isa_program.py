@@ -18,7 +18,7 @@ from repro.isa.validation import validate_program
 
 
 def _sample_program() -> Program:
-    program = Program(name="sample", rows=1, inputs=("x",), outputs=("y",))
+    program = Program(name="sample", inputs=("x",), outputs=("y",))
     program.extend([
         DMAInstruction(DMAOpcode.LOAD_WEIGHT, dst="dma.w", src="w", size_bytes=64,
                        tag="feed_forward_network"),
@@ -85,10 +85,3 @@ class TestProgramStats:
         assert "sample" in summary
         assert "4 instructions" in summary
 
-    def test_concatenate(self):
-        first = _sample_program()
-        second = _sample_program()
-        combined = first.concatenate(second, name="both")
-        assert len(combined) == 8
-        assert combined.name == "both"
-        assert combined.outputs == second.outputs
