@@ -47,6 +47,10 @@ class BatchCostModel(Protocol):
     batch start and finish together); ``continuous_*`` methods serve the
     continuous policy (each request occupies one decode slot at a
     concurrency-dependent per-token rate).
+
+    ``continuous_latency_s`` must be a pure function of its arguments: the
+    simulator stores the total each decode stream was last priced at and
+    banks the stream's progress from that total, without asking again.
     """
 
     def batch_latency_s(self, workloads: Sequence[Workload]) -> float:
@@ -110,24 +114,29 @@ class BackendBatchCostModel:
         # Memoized per (shape, size): batch pricing is hammered once per
         # dispatch by the sweeps, and the estimate depends only on the
         # dominant shape and the batch size.  Power is memoized per shape —
-        # the protocol doesn't promise a constant draw across shapes.
-        self._estimates: dict[tuple[Workload, int], BatchEstimate] = {}
-        self._power_watts: dict[Workload, float] = {}
+        # the protocol doesn't promise a constant draw across shapes.  Keys
+        # are the shape's ints, which hash in C (a Workload key runs its
+        # dataclass __hash__ and __eq__).
+        self._estimates: dict[tuple[int, int, int], BatchEstimate] = {}
+        self._power_watts: dict[tuple[int, int], float] = {}
 
     def _estimate(self, shape: Workload, size: int) -> BatchEstimate:
-        key = (shape, size)
-        if key not in self._estimates:
-            self._estimates[key] = self.backend.batched_estimate(
+        key = (shape.input_tokens, shape.output_tokens, size)
+        estimate = self._estimates.get(key)
+        if estimate is None:
+            estimate = self._estimates[key] = self.backend.batched_estimate(
                 [shape], batch_size=size
             )
-        return self._estimates[key]
+        return estimate
 
     def _power(self, workload: Workload) -> float:
-        if workload not in self._power_watts:
-            self._power_watts[workload] = float(
+        key = (workload.input_tokens, workload.output_tokens)
+        power = self._power_watts.get(key)
+        if power is None:
+            power = self._power_watts[key] = float(
                 self.backend.estimate(workload).total_power_watts
             )
-        return self._power_watts[workload]
+        return power
 
     def batch_latency_s(self, workloads: Sequence[Workload]) -> float:
         shape = dominant_workload(workloads)

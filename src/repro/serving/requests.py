@@ -398,12 +398,23 @@ def diurnal_trace(
     return generate() if lazy else list(generate())
 
 
-#: Request-log fields ``replay_trace`` understands (besides the required
-#: arrival_time_s / input_tokens / output_tokens).
-_REPLAY_OPTIONAL_FIELDS = (
-    "request_id", "priority", "slo_s", "patience_s", "service_class",
-    "retryable",
-)
+def _parse_float(value) -> float:
+    """Parse a log field as a float.  A JSON bool is an error, never 1.0."""
+    if type(value) is bool:
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _parse_int(value) -> int:
+    """Parse a log field as an integer: a JSON int or integral float, or a
+    CSV string.  A bool or a fraction is an error, never truncated."""
+    if type(value) is int:
+        return value
+    if type(value) is float and value.is_integer():
+        return int(value)
+    if type(value) is str:
+        return int(value)
+    raise ValueError(f"expected an integer, got {value!r}")
 
 
 def _parse_bool(value) -> bool:
@@ -418,39 +429,47 @@ def _parse_bool(value) -> bool:
     raise ValueError(f"expected a boolean, got {value!r}")
 
 
+#: Request-log fields ``replay_trace`` understands, with their parsers.
+_REPLAY_FIELDS = {
+    "arrival_time_s": _parse_float,
+    "input_tokens": _parse_int,
+    "output_tokens": _parse_int,
+    "request_id": _parse_int,
+    "priority": _parse_int,
+    "slo_s": _parse_float,
+    "patience_s": _parse_float,
+    "service_class": str,
+    "retryable": _parse_bool,
+}
+_REPLAY_REQUIRED_FIELDS = ("arrival_time_s", "input_tokens", "output_tokens")
+
+
 def _replay_record(record: dict, line_number: int, source: str) -> dict:
     """Validate and convert one raw log record into ServiceRequest kwargs."""
-    try:
-        kwargs = {
-            "arrival_time_s": float(record["arrival_time_s"]),
-            "workload": Workload(
-                input_tokens=int(record["input_tokens"]),
-                output_tokens=int(record["output_tokens"]),
-            ),
-        }
-    except KeyError as error:
-        raise ConfigurationError(
-            f"{source}, record {line_number}: missing required field {error}"
-        ) from error
-    except (TypeError, ValueError) as error:
-        raise ConfigurationError(
-            f"{source}, record {line_number}: {error}"
-        ) from error
-    converters = {
-        "request_id": int, "priority": int,
-        "slo_s": float, "patience_s": float, "service_class": str,
-        "retryable": _parse_bool,
-    }
-    for name in _REPLAY_OPTIONAL_FIELDS:
+    kwargs = {}
+    for name, parse in _REPLAY_FIELDS.items():
         value = record.get(name)
         if value is None or value == "":
+            if name in _REPLAY_REQUIRED_FIELDS:
+                raise ConfigurationError(
+                    f"{source}, record {line_number}: missing required "
+                    f"field {name!r}"
+                )
             continue
         try:
-            kwargs[name] = converters[name](value)
+            kwargs[name] = parse(value)
         except (TypeError, ValueError) as error:
             raise ConfigurationError(
                 f"{source}, record {line_number}: bad {name}: {error}"
             ) from error
+    try:
+        kwargs["workload"] = Workload(
+            kwargs.pop("input_tokens"), kwargs.pop("output_tokens")
+        )
+    except ConfigurationError as error:
+        raise ConfigurationError(
+            f"{source}, record {line_number}: {error}"
+        ) from error
     return kwargs
 
 

@@ -81,13 +81,17 @@ class LatencyOracle:
 
     def __init__(self, platform: Backend | str) -> None:
         self.backend = make_backend(platform)
-        self._cache: dict[Workload, InferenceResult] = {}
+        # Keyed on the shape's two ints: a tuple of ints hashes in C, where
+        # a Workload key would run its dataclass __hash__ and __eq__.
+        self._cache: dict[tuple[int, int], InferenceResult] = {}
 
     def result_for(self, workload: Workload) -> InferenceResult:
         """Backend estimate for ``workload`` (memoized)."""
-        if workload not in self._cache:
-            self._cache[workload] = self.backend.estimate(workload)
-        return self._cache[workload]
+        key = (workload.input_tokens, workload.output_tokens)
+        result = self._cache.get(key)
+        if result is None:
+            result = self._cache[key] = self.backend.estimate(workload)
+        return result
 
     def service_time_s(self, workload: Workload) -> float:
         """End-to-end service time for one request of this shape."""

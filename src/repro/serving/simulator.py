@@ -50,11 +50,12 @@ Dispatch rules:
 Continuous batching runs each admission as a decode *stream* on one of the
 unit's slots.  Every occupancy change — admission or departure — re-prices
 the in-flight streams: each stream's completed work fraction is carried
-over and its remaining work re-runs at the new concurrency's rate.
-Superseded completion events stay in the completion queue and are skipped
-by an epoch check (lazy deletion); a stream's provisional completion
-record seals with its revised finish time when it really completes, and
-retained runs restore dispatch order at finalize.
+over and its remaining work re-runs at the new concurrency's rate.  A
+unit keeps one live completion event, for its earliest stream; every
+change to its streams bumps the unit's ``stream_epoch`` and pushes the new
+earliest, and the loop skips events of an older epoch.  A stream's
+provisional completion record seals with its revised finish time when it
+really completes, and retained runs restore dispatch order at finalize.
 
 Fault injection (``repro.serving.faults``) adds a fourth event source: a
 compiled :class:`~repro.serving.faults.FaultSchedule` feeds a timeline of
@@ -197,13 +198,11 @@ class _DecodeStream:
     """One in-flight continuous-batching admission under re-pricing.
 
     ``fraction_done`` is the share of the request's work already decoded;
-    it advances at rate ``1 / T(concurrency)`` where ``T`` is the stream's
-    total service time at a given decode concurrency, so an occupancy
-    change carries completed work over and re-runs only the remainder at
-    the new rate.  ``epoch`` invalidates superseded completion events in
-    the queue (lazy deletion).  ``record`` is the provisional completion
-    record built at admission; its finish time is revised when the stream
-    really completes and only then does the record seal into the report.
+    it advances at rate ``1 / total_s``, so an occupancy change carries
+    completed work over and re-runs only the remainder at the new rate.
+    ``record`` is the provisional completion record built at admission; its
+    finish time is revised when the stream really completes and only then
+    does the record seal into the report.
     """
 
     record: CompletedRequest
@@ -211,10 +210,10 @@ class _DecodeStream:
     fraction_done: float
     last_change_s: float
     finish_s: float
-    epoch: int = 0
+    #: Total service time the current segment was priced at (compute at
+    #: ``concurrency`` and the unit's slowdown, plus ``transfer_s``).
+    total_s: float
     energy_joules: float = 0.0
-    #: Slowdown factor in effect for the current segment (link degradation).
-    slowdown: float = 1.0
     #: Network transfer priced into this stream at admission (a fixed
     #: additive term carried through every re-price; 0.0 with no network).
     transfer_s: float = 0.0
@@ -263,6 +262,9 @@ class ServerUnit:
     active: int = 0
     slots: int = 1
     streams: dict[int, _DecodeStream] = field(default_factory=dict)
+    # Bumped on every change to ``streams``; only the completion event
+    # pushed at the current epoch is live.
+    stream_epoch: int = 0
     # Fault state: a down unit takes no dispatches; ``slowdown`` is the
     # product of the active degradation factors (exactly 1.0 when none
     # are active, so fault-free pricing is bit-identical).
@@ -367,11 +369,12 @@ class _SimulationState:
     # patience carriers has every abandon time at infinity).
     has_patience: bool = False
     queue: list[ServiceRequest] = field(default_factory=list)
-    # Heap of (finish_s, unit_id, stream_id, epoch); stream_id is -1 for
-    # immutable dispatches (epoch slot holds the batch id), >= 0 for
-    # re-priced continuous decode streams (whose superseded events are
-    # skipped by the epoch check).  Batch ids and (stream_id, epoch) pairs
-    # are unique, so no two events compare equal and the pop order is total.
+    # Heap of (finish_s, unit_id, stream_id, epoch).  Immutable dispatches
+    # have stream_id -1 and their batch id in the epoch slot.  A continuous
+    # unit has one live event, for its earliest (finish_s, stream_id)
+    # stream, at its current ``stream_epoch``; older epochs are skipped.
+    # Batch ids and (unit_id, epoch) pairs are unique, so no two events
+    # compare equal and the pop order is total.
     completions: CalendarQueue = field(default_factory=CalendarQueue)
     # Earliest time a held partial batch must be forced out (inf = no hold).
     flush_at_s: float = float("inf")
@@ -637,26 +640,27 @@ class _SimulationState:
             fraction_done=0.0,
             last_change_s=now,
             finish_s=finish,
-            slowdown=unit.slowdown,
+            total_s=latency_s + transfer_s,
             transfer_s=transfer_s,
         )
-        self.completions.push((finish, unit.unit_id, stream_id, 0))
         # The new admission crowds everyone already decoding on the unit.
         self.reprice_streams(unit, now, exclude=stream_id)
 
     def reprice_streams(
         self, unit: ServerUnit, now: float, exclude: int | None = None
     ) -> None:
-        """Re-price a unit's in-flight streams after an occupancy change.
+        """Re-price a unit's in-flight streams after a change to them, and
+        push the unit's one live completion event.
 
         Each stream first banks the segment that just ended (work fraction
-        and energy at the concurrency — and slowdown factor — that held),
+        at its stored ``total_s``, and energy at the concurrency that held),
         then its remaining work is re-run at the unit's new occupancy and
-        current slowdown.  A superseded completion event stays in the heap;
-        bumping the stream's epoch makes the event loop skip it.  Callers
-        either change the occupancy by exactly one (admission/departure) or
-        keep it and change the slowdown (a degradation boundary), so each
-        surviving stream's rate really is stale here.
+        current slowdown.  Callers either change the occupancy by exactly
+        one (admission/departure) or keep it and change the slowdown (a
+        degradation boundary), so each surviving stream's rate really is
+        stale here.  The unit then bumps its ``stream_epoch`` and pushes one
+        event for its earliest ``(finish_s, stream_id)`` stream, so the
+        loop skips every event pushed before.
 
         Network transfer (``stream.transfer_s``, priced at admission) is a
         fixed additive slice of each total: the wire does not speed up or
@@ -664,40 +668,43 @@ class _SimulationState:
         ``0.0`` and both totals are bit-identical to the transfer-free
         arithmetic.
         """
+        earliest_id = -1
+        earliest_s = 0.0
+        # Streams iterate in admission order, which is stream id order, so
+        # a strict ``<`` keeps the lowest id among equal finish times.
         for stream_id, stream in unit.streams.items():
-            if stream_id == exclude:
-                continue
-            workload = stream.request.workload
-            elapsed = now - stream.last_change_s
-            if elapsed > 0:
-                old_total = (
+            if stream_id != exclude:
+                workload = stream.request.workload
+                elapsed = now - stream.last_change_s
+                if elapsed > 0:
+                    if stream.total_s > 0:
+                        stream.fraction_done = min(
+                            1.0, stream.fraction_done + elapsed / stream.total_s
+                        )
+                    stream.energy_joules += (
+                        unit.batch_costs.continuous_energy_joules(
+                            workload, stream.concurrency, elapsed
+                        )
+                    )
+                stream.last_change_s = now
+                stream.concurrency = unit.active
+                stream.total_s = (
                     unit.batch_costs.continuous_latency_s(
                         workload, stream.concurrency
                     )
-                    * stream.slowdown
+                    * unit.slowdown
                     + stream.transfer_s
                 )
-                if old_total > 0:
-                    stream.fraction_done = min(
-                        1.0, stream.fraction_done + elapsed / old_total
-                    )
-                stream.energy_joules += unit.batch_costs.continuous_energy_joules(
-                    workload, stream.concurrency, elapsed
-                )
-            stream.last_change_s = now
-            stream.concurrency = unit.active
-            stream.slowdown = unit.slowdown
-            new_total = (
-                unit.batch_costs.continuous_latency_s(workload, stream.concurrency)
-                * unit.slowdown
-                + stream.transfer_s
-            )
-            remaining = max(0.0, 1.0 - stream.fraction_done) * new_total
-            stream.finish_s = now + remaining
-            stream.epoch += 1
-            unit.free_at_s = max(unit.free_at_s, stream.finish_s)
+                remaining = max(0.0, 1.0 - stream.fraction_done) * stream.total_s
+                stream.finish_s = now + remaining
+                unit.free_at_s = max(unit.free_at_s, stream.finish_s)
+            if earliest_id < 0 or stream.finish_s < earliest_s:
+                earliest_id = stream_id
+                earliest_s = stream.finish_s
+        unit.stream_epoch += 1
+        if earliest_id >= 0:
             self.completions.push(
-                (stream.finish_s, unit.unit_id, stream_id, stream.epoch)
+                (earliest_s, unit.unit_id, earliest_id, unit.stream_epoch)
             )
 
     def finish_stream(self, unit: ServerUnit, stream_id: int, now: float) -> None:
@@ -820,6 +827,8 @@ class _SimulationState:
             victims.append((stream.record.batch_id, 0, stream.request))
             unit.active -= 1
         unit.streams.clear()
+        # The killed streams' completion event goes stale.
+        unit.stream_epoch += 1
         victims.sort(key=lambda victim: (victim[0], victim[1]))
         for _, _, request in victims:
             self.requeue_or_fail(request, now)
@@ -1047,11 +1056,10 @@ def simulate(
             )
             unit = units_by_id[unit_id]
             if stream_id >= 0:
-                stream = unit.streams.get(stream_id)
-                if stream is None or stream.epoch != dispatch_id:
-                    # Superseded by a re-price, or killed by a failure:
-                    # nothing happened at this instant, so the clock and
-                    # the queue stay untouched.
+                if dispatch_id != unit.stream_epoch:
+                    # The unit's streams changed since this event was
+                    # pushed: nothing happened at this instant, so the
+                    # clock and the queue stay untouched.
                     continue
                 now = completion_s
                 state.finish_stream(unit, stream_id, now)

@@ -21,6 +21,7 @@ from repro.serving import (
     poisson_trace,
     simulate,
 )
+from repro.serving.calendar import CalendarQueue
 from repro.serving.schedulers import (
     FIFOScheduler,
     SchedulingPolicy,
@@ -297,6 +298,29 @@ class TestContinuousRepricing:
         ).serve(constant_trace(0.0, 2, Workload(1, 1)))
         assert report.makespan_s == pytest.approx(1.1)
         assert report.total_energy_joules == pytest.approx(50.0 * 1.1)
+
+    def test_one_live_completion_event_per_unit(self, monkeypatch):
+        # A unit pushes one completion event per change to its streams (for
+        # its earliest stream), not one per in-flight stream: at most one
+        # push for each admission and one for each departure.
+        pushes = []
+        push = CalendarQueue.push
+
+        def counting_push(queue, event):
+            pushes.append(event)
+            push(queue, event)
+
+        monkeypatch.setattr(CalendarQueue, "push", counting_push)
+        trace = [
+            ServiceRequest(i, 0.25 * i, Workload(1, 1 + i % 5)) for i in range(200)
+        ]
+        report = _batched_server(
+            max_batch_size=4, policy=ContinuousBatching(4)
+        ).serve(trace)
+        assert report.num_requests == 200
+        # Saturated: nearly every admission fills the fourth slot.
+        assert report.batch_size_distribution()[4] == 197
+        assert len(pushes) <= 2 * 200
 
 
 class TestHoldWithoutTimer:

@@ -474,6 +474,28 @@ class TestLinkDegradation:
         completed = report.completed[0]
         assert completed.finish_time_s - completed.start_time_s == pytest.approx(6.0)
 
+    def test_continuous_streams_rerun_their_remainder_across_a_window(self):
+        # Two 10-token streams share one unit: 0.6 s per token each at
+        # concurrency 2, so 6.0 s undisturbed.  A 2x window over [1, 3)
+        # decodes 1 s of work in its 2 s, so both finish at 7.0 s, and the
+        # unit's 50 W draw over 7 s bills 350 J.
+        server = ApplianceServer(
+            BatchableTokenPlatform(fixed_ms_per_token=500.0,
+                                   marginal_ms_per_token=100.0),
+            num_clusters=1,
+            platform_name="batchable",
+            batch_policy=ContinuousBatching(4),
+            max_batch_size=4,
+            faults=FaultSchedule.scripted(
+                Degradation(start_s=1.0, duration_s=2.0, slowdown=2.0, unit_id=0)
+            ),
+        )
+        report = server.serve(
+            [request(0, 0.0, output_tokens=10), request(1, 0.0, output_tokens=10)]
+        )
+        assert [c.finish_time_s for c in report.completed] == [7.0, 7.0]
+        assert report.total_energy_joules == 350.0
+
 
 # ----------------------------------------------------------------- edges
 class TestFaultEdgeCases:

@@ -83,6 +83,23 @@ class TestReplayCSV:
         with pytest.raises(ConfigurationError):
             replay_trace(path)
 
+    @pytest.mark.parametrize(
+        "header, row, field",
+        [
+            ("input_tokens,output_tokens", "3.7,4", "input_tokens"),
+            ("input_tokens,output_tokens", "4,true", "output_tokens"),
+            ("input_tokens,output_tokens,priority", "4,4,1.9", "priority"),
+            ("input_tokens,output_tokens,request_id", "4,4,0.5", "request_id"),
+        ],
+    )
+    def test_non_integer_field_reported_with_location(
+        self, tmp_path, header, row, field
+    ):
+        path = tmp_path / "requests.csv"
+        path.write_text(f"arrival_time_s,{header}\n0.0,{row}\n")
+        with pytest.raises(ConfigurationError, match=f"record 2: bad {field}"):
+            replay_trace(path)
+
     @pytest.mark.parametrize("arrival", ["nan", "inf"])
     def test_non_finite_arrival_reported_with_location(self, tmp_path, arrival):
         # Regression: a NaN arrival used to load, then crash both accounting
@@ -151,6 +168,41 @@ class TestReplayJSONL:
         )
         with pytest.raises(ConfigurationError, match="record 3: arrival_time_s"):
             replay_trace(path)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("input_tokens", 3.7),
+            ("input_tokens", True),
+            ("output_tokens", False),
+            ("priority", 1.9),
+            ("priority", True),
+            ("request_id", 2.5),
+            ("arrival_time_s", True),
+            ("slo_s", True),
+        ],
+    )
+    def test_bool_or_fraction_reported_with_location(
+        self, tmp_path, field, value
+    ):
+        # Regression: these used to replay truncated or coerced (3.7 tokens
+        # as 3, priority 1.9 as 1, ``true`` as 1 token or as 1.0 s).
+        record = {"arrival_time_s": 0.0, "input_tokens": 4, "output_tokens": 4}
+        record[field] = value
+        path = tmp_path / "requests.jsonl"
+        path.write_text("\n" + json.dumps(record) + "\n")
+        with pytest.raises(ConfigurationError, match=f"record 2: bad {field}"):
+            replay_trace(path)
+
+    def test_integral_values_replay_exactly(self, tmp_path):
+        path = tmp_path / "requests.jsonl"
+        path.write_text(json.dumps({
+            "arrival_time_s": 0.0, "input_tokens": 32.0, "output_tokens": "8",
+            "priority": 2, "request_id": 7,
+        }) + "\n")
+        (replayed,) = replay_trace(path)
+        assert replayed.workload == Workload(32, 8)
+        assert (replayed.priority, replayed.request_id) == (2, 7)
 
     def test_non_object_line_rejected(self, tmp_path):
         path = tmp_path / "requests.jsonl"
