@@ -436,8 +436,8 @@ def run_serving_capacity(
 
     The search reads only each probed report's tail percentile and
     abandonment rate, so ``streaming=True`` keeps every probe's memory
-    flat (percentiles then come from quantile sketches, within their
-    rank-error bound of the exact search).
+    flat (percentiles then come from quantile sketches, within relative
+    error ``stats.DEFAULT_ALPHA`` of the exact search's).
     """
     dfx = make_backend("dfx", config=config, devices=num_devices)
     gpu = make_backend("gpu", config=config, devices=num_devices)

@@ -64,7 +64,12 @@ class ServiceRequest:
     retryable: bool = True
 
     def __post_init__(self) -> None:
-        # A NaN arrival would otherwise fail deep in the event loop.
+        # A NaN arrival fails deep in the event loop, and a NaN priority
+        # ranks by queue position; a plain int costs one type test.
+        if type(self.request_id) is not int:
+            check_number("request_id", self.request_id, integer=True)
+        if type(self.priority) is not int:
+            check_number("priority", self.priority, integer=True)
         check_number("arrival_time_s", self.arrival_time_s, 0.0)
         if self.slo_s is not None:
             check_number("slo_s", self.slo_s, 0.0, open_low=True)

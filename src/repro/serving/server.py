@@ -46,7 +46,7 @@ from repro.serving.batching import (
 from repro.serving.requests import ServiceRequest
 from repro.serving.schedulers import SchedulingPolicy, make_scheduler
 from repro.serving.stats import (
-    DEFAULT_EPS,
+    DEFAULT_ALPHA,
     ExactDistribution,
     QuantileSketch,
     merge_distribution,
@@ -181,20 +181,20 @@ class ReportAccumulator:
     conservation, utilization, SLO attainment, goodput, and the
     per-class/per-appliance breakdowns; distribution slots answer the
     response/queueing/gather/transfer/failover percentile and mean queries.
-    ``eps`` picks the slot type (see :mod:`repro.serving.stats`):
+    ``alpha`` picks the slot type (see :mod:`repro.serving.stats`):
 
     * ``None`` — retained runs: an :class:`ExactDistribution` per slot,
       answering exactly as numpy does over the sealed values;
-    * a float — streaming runs: a :class:`QuantileSketch` per slot, within
-      ``eps * count`` ranks of exact (0.5% by default), so memory stays
-      flat in the trace length.
+    * a float — streaming runs: a :class:`QuantileSketch` per slot, whose
+      percentiles lie within relative error ``alpha`` of exact (0.05% by
+      default), so memory stays flat in the trace length.
 
     Everything here is deterministic, so seeded runs reproduce their
     reports exactly.  :class:`ServingReport` reads every statistic from
     its ``stats`` accumulator.
     """
 
-    eps: float | None = DEFAULT_EPS
+    alpha: float | None = DEFAULT_ALPHA
     num_completed: int = 0
     num_abandoned: int = 0
     num_failed: int = 0
@@ -245,9 +245,9 @@ class ReportAccumulator:
         self.cross_rack_response = self._distribution()
 
     def _distribution(self) -> Distribution:
-        if self.eps is None:
+        if self.alpha is None:
             return ExactDistribution()
-        return QuantileSketch(self.eps)
+        return QuantileSketch(self.alpha)
 
     # ------------------------------------------------------- sealing interface
     def seal_dispatch(self, records: list[CompletedRequest]) -> None:
@@ -362,7 +362,7 @@ class ServingReport:
     #: The run's accounting: exact distributions in retained runs,
     #: quantile sketches in streaming runs (``retain_records=False``).
     stats: ReportAccumulator = field(
-        default_factory=lambda: ReportAccumulator(eps=None)
+        default_factory=lambda: ReportAccumulator(alpha=None)
     )
 
     # ------------------------------------------------------------------ stats
@@ -390,7 +390,7 @@ class ServingReport:
 
         With ``service_class`` the percentile is computed over that class's
         completed requests only.  Streaming reports answer from the quantile
-        sketch, within ``stats.response.rank_error_bound()`` ranks of exact.
+        sketch, within relative error ``stats.alpha`` of exact.
         """
         if service_class is None:
             return self.stats.response.query(percentile)

@@ -102,7 +102,7 @@ from repro.serving.batching import (
     make_batch_policy,
 )
 from repro.serving.calendar import CalendarQueue
-from repro.serving.stats import DEFAULT_EPS
+from repro.serving.stats import DEFAULT_ALPHA
 from repro.serving.faults import (
     ABANDON_SHED,
     EVENT_DOWN,
@@ -898,7 +898,6 @@ def simulate(
     degraded_mode: DegradedModePolicy | None = None,
     network: NetworkModel | None = None,
     retain_records: bool = True,
-    quantile_eps: float = DEFAULT_EPS,
 ) -> ServingReport:
     """Replay ``trace`` against ``units`` under ``scheduler`` and ``batching``.
 
@@ -918,8 +917,9 @@ def simulate(
     :class:`~repro.serving.server.ReportAccumulator` on ``report.stats``.
     ``retain_records=True`` (default) also keeps every record on the
     report and answers percentiles exactly.  ``retain_records=False`` keeps
-    no records and answers percentiles from ``quantile_eps``-rank-error
-    quantile sketches, so report memory is O(1) in the trace length.
+    no records and answers percentiles from quantile sketches, within
+    relative error ``stats.DEFAULT_ALPHA`` of exact, so report memory is
+    O(1) in the trace length.
 
     ``faults`` is an optional :class:`~repro.serving.faults.FaultSchedule`,
     compiled here against the concrete units; ``retry_policy`` routes
@@ -982,7 +982,7 @@ def simulate(
         batch_policy=policy.name,
         cross_rack_members=cross_rack_members,
         stats=ReportAccumulator(
-            eps=None if retain_records else quantile_eps,
+            alpha=None if retain_records else DEFAULT_ALPHA,
             cross_rack_members=cross_rack_members,
         ),
     )

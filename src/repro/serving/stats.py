@@ -2,8 +2,9 @@
 
 Every report accounts its latency populations (response, queueing, gather,
 transfer, failover, ...) in distribution slots with one surface:
-``add(value)``, ``query(percentile)``, ``mean`` and ``count``.  Two
-implementations exist, and the run's ``retain_records`` picks one:
+``add(value)``, ``query(percentile)``, ``mean`` and ``count``.  Every slot
+holds durations, so both implementations reject NaN, infinite and negative
+values.  The run's ``retain_records`` picks one:
 
 * :class:`ExactDistribution` keeps every value and answers with
   ``np.percentile`` / ``np.mean`` over the values in insertion order —
@@ -11,37 +12,39 @@ implementations exist, and the run's ``retain_records`` picks one:
 * :class:`QuantileSketch` keeps a bounded summary — streaming runs, where
   million-request traces rule out storing every response time.
 
-The sketch is the Greenwald–Khanna (SIGMOD 2001) summary: a sorted list
-of ``(value, g, delta)`` tuples maintaining, for every observed value,
-bounds on its rank that are at most ``2 * eps * n`` apart.  Any quantile
-query is then answered by an *observed* value whose true rank is within
-``eps * n`` of the requested rank — a hard, deterministic guarantee (no
-RNG, no distribution assumptions), which is what the accuracy-contract
-tests assert against the exact retained-mode statistics.
-
-Space is O((1/eps) * log(eps * n)); inserts are buffered and merged in
-bulk so the amortized insert cost is O(1) list work plus an occasional
-O(size) compression.  The sketch is fully deterministic: the same value
-sequence always yields the same summary, so seeded simulations reproduce
+The sketch follows DDSketch (Masson, Rim and Lee, PVLDB 12(12), 2019): it
+counts values in buckets whose bounds grow by ``gamma = (1 + alpha) / (1 -
+alpha)``, so each bucket's representative is within relative error
+``alpha`` of every value in it, and a percentile is within ``alpha`` of
+the exact answer (:data:`DEFAULT_ALPHA`, 0.05%) — a bound on the value an
+SLO check compares, whatever the distribution.  Memory grows with the
+values' range (about 700 buckets per octave), not their count.  Bucket
+keys come from the exact ``np.frexp`` and fixed per-octave tables, so
+they do not depend on NumPy's SIMD dispatch, and seeded runs reproduce
 their reports bit for bit.
 """
 
 from __future__ import annotations
 
-from math import isfinite
+from functools import cache
+from math import floor, inf, ldexp
 
 import numpy as np
 
 from repro.errors import ConfigurationError, check_number
 
-#: Default rank-error budget: quantile answers are within 0.5% of the
-#: requested rank, i.e. a p99 over 1M samples lands between p98.5 and p99.5.
-DEFAULT_EPS = 0.005
+#: Relative accuracy of streaming percentiles: every answer is within
+#: 0.05% of the exact answer a retained run gives.
+DEFAULT_ALPHA = 0.0005
+_BLOCK = 1024  # values a sketch buffers before one NumPy pass buckets them
+#: Equal cells per octave of mantissas: each is narrower than the narrowest
+#: bucket at the smallest alpha allowed, 1e-4, so it holds at most one bound.
+_CELLS = 1 << 13
 
 
-def _not_finite(value: float) -> ConfigurationError:
-    """The error both distributions raise for a NaN or infinite observation."""
-    return ConfigurationError(f"observation must be finite, got {value}")
+def _rejected(value: float) -> ConfigurationError:
+    """The error both distributions raise for a value that is no duration."""
+    return ConfigurationError(f"observation must be >= 0 and finite, got {value}")
 
 
 class ExactDistribution:
@@ -61,9 +64,9 @@ class ExactDistribution:
         self._sorted = np.empty(0)
 
     def add(self, value: float) -> None:
-        """Insert one finite observation."""
-        if not isfinite(value):
-            raise _not_finite(value)
+        """Insert one duration (finite and non-negative)."""
+        if not 0.0 <= value < inf:
+            raise _rejected(value)
         self._values.append(value)
 
     @property
@@ -96,147 +99,176 @@ class ExactDistribution:
         return self._values == other._values
 
 
-class QuantileSketch:
-    """Greenwald–Khanna streaming quantile summary with rank error ``eps``.
+@cache
+def _octave(alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Bucket bounds over the mantissas [0.5, 1] — ``0.5 * gamma**j``, then
+    1.0, multiplied out in Python floats so that no SIMD kernel makes them —
+    and the bucket holding the low end of each of the ``_CELLS`` cells."""
+    gamma = (1.0 + alpha) / (1.0 - alpha)
+    bounds = [0.5]
+    while bounds[-1] * gamma < 1.0:
+        bounds.append(bounds[-1] * gamma)
+    bounds = np.array([*bounds, 1.0])
+    cell_lows = 0.5 + np.arange(_CELLS) / (2 * _CELLS)
+    return bounds, np.searchsorted(bounds, cell_lows, side="right") - 1
 
-    ``add`` accepts values in any order; ``query(percentile)`` returns an
-    observed value whose rank in the full stream is within
-    ``eps * count + 1`` of the requested rank — ``eps * count`` from the
-    summary's uncertainty (``rank_error_bound``) plus one rank because the
-    answer is a discrete observation where numpy would interpolate.  For
-    streams shorter than ``1 / eps`` no compression has happened and
-    the answer is the exact order statistic.
+
+class QuantileSketch:
+    """Log-bucket sketch: ``query(p)`` is within relative error ``alpha`` of
+    ``np.percentile`` over the same values.
+
+    ``add`` buffers values; each ``_BLOCK`` of them is bucketed in one NumPy
+    pass.  ``count``, ``min``, ``max`` and ``total`` (summed in insertion
+    order) are exact.  Answers depend only on the multiset of values, so
+    no query or flush point changes a later one, and :meth:`merge` adds
+    another sketch's counts.
     """
 
-    __slots__ = ("eps", "_entries", "_buffer", "_buffer_cap", "count",
-                 "total", "_min", "_max")
+    __slots__ = ("alpha", "_bounds", "_cells", "_buffer", "_count", "_total",
+                 "_min", "_max", "_zeros", "_offset", "_counts")
 
-    def __init__(self, eps: float = DEFAULT_EPS) -> None:
-        check_number("eps", eps, 0.0, 0.5, open_low=True, open_high=True)
-        self.eps = eps
-        #: Summary tuples (value, g, delta), sorted by value.
-        self._entries: list[list[float]] = []
+    def __init__(self, alpha: float = DEFAULT_ALPHA) -> None:
+        check_number("alpha", alpha, 1e-4, 0.5, open_high=True)
+        self.alpha = alpha
+        self._bounds, self._cells = _octave(alpha)
         self._buffer: list[float] = []
-        #: Batching granularity: one merge+compress per 1/eps inserts.
-        #: Buffer size does not touch the error budget — each insert's
-        #: delta is capped at the flush-time threshold ``2 * eps * count``
-        #: either way — it only amortizes the O(size) compress pass.
-        self._buffer_cap = max(1, int(1.0 / eps))
-        self.count = 0
-        self.total = 0.0
-        self._min = float("inf")
-        self._max = float("-inf")
+        #: Flushed values: their count, sum, extremes and zeros, and the
+        #: count of each key ``exponent * buckets_per_octave + bucket`` from
+        #: ``_offset`` on (the span always reaches key 0).
+        self._count = self._zeros = self._offset = 0
+        self._total = 0.0
+        self._min, self._max = inf, -inf
+        self._counts = np.zeros(0, dtype=np.int64)
 
     def add(self, value: float) -> None:
-        """Insert one finite observation."""
-        if not isfinite(value):
-            raise _not_finite(value)
-        self._buffer.append(value)
-        self.count += 1
-        self.total += value
-        if value < self._min:
-            self._min = value
-        if value > self._max:
-            self._max = value
-        if len(self._buffer) >= self._buffer_cap:
+        """Insert one duration (finite and non-negative)."""
+        if not 0.0 <= value < inf:
+            raise _rejected(value)
+        buffer = self._buffer
+        buffer.append(value)
+        if len(buffer) >= _BLOCK:
             self._flush()
+
+    @property
+    def count(self) -> int:
+        return self._count + len(self._buffer)
+
+    @property
+    def total(self) -> float:
+        self._flush()
+        return self._total
 
     @property
     def mean(self) -> float:
         """Running mean (exact, not sketched)."""
-        return self.total / self.count if self.count else 0.0
+        total = self.total
+        return total / self._count if self._count else 0.0
 
     @property
     def min(self) -> float:
-        return self._min if self.count else 0.0
+        return self.query(0.0)
 
     @property
     def max(self) -> float:
-        return self._max if self.count else 0.0
-
-    def rank_error_bound(self) -> float:
-        """Absolute rank slack of any query answer: ``eps * count``."""
-        return self.eps * self.count
+        return self.query(100.0)
 
     def _flush(self) -> None:
-        """Merge the insert buffer into the summary, then compress."""
-        if not self._buffer:
+        buffer = self._buffer
+        if not buffer:
             return
-        self._buffer.sort()
-        entries = self._entries
-        threshold = 2.0 * self.eps * self.count
-        merged: list[list[float]] = []
-        index = 0
-        for value in self._buffer:
-            while index < len(entries) and entries[index][0] <= value:
-                merged.append(entries[index])
-                index += 1
-            if not merged or index >= len(entries):
-                # New minimum or maximum: its rank is known exactly.
-                delta = 0.0
-            else:
-                # Standard GK insertion slack: g_i + delta_i - 1 of the
-                # successor tuple, floored at the running threshold.
-                successor = entries[index]
-                delta = min(successor[1] + successor[2] - 1.0, threshold - 1.0)
-                if delta < 0.0:
-                    delta = 0.0
-            merged.append([value, 1.0, delta])
-        merged.extend(entries[index:])
-        self._buffer.clear()
-        # Compress: merge a tuple into its successor when the combined
-        # uncertainty still fits the 2*eps*n band.
-        compressed: list[list[float]] = []
-        for entry in merged:
-            while (
-                compressed
-                and compressed[-1][1] + entry[1] + entry[2] <= threshold
-                # The global minimum tuple anchors rank 1 and is never
-                # merged away, mirroring the reference algorithm.
-                and len(compressed) > 1
-            ):
-                entry[1] += compressed.pop()[1]
-            compressed.append(entry)
-        self._entries = compressed
+        # accumulate adds one value at a time in insertion order, where
+        # np.sum adds pairwise and sum() compensates from CPython 3.12.
+        values = np.array([self._total, *buffer], dtype=np.float64)
+        buffer.clear()
+        self._total = float(np.add.accumulate(values)[-1])
+        values = values[1:]
+        self._count += values.size
+        self._min = min(self._min, float(values.min()))
+        self._max = max(self._max, float(values.max()))
+        positive = values[values > 0.0]
+        self._zeros += values.size - positive.size
+        if positive.size:
+            keys = self._keys(positive)
+            low = int(keys.min())
+            self._add_counts(low, np.bincount(keys - low))
+
+    def _keys(self, values: np.ndarray) -> np.ndarray:
+        """Key ``exponent * buckets_per_octave + bucket`` of each value > 0."""
+        mantissas, exponents = np.frexp(values)
+        # Exact: the cell index scales ``mantissa - 0.5`` by a power of two,
+        # and a cell's mantissas lie in its low end's bucket or the next.
+        cells = ((mantissas - 0.5) * (2 * _CELLS)).astype(np.intp)
+        buckets = self._cells[cells]
+        buckets += mantissas >= self._bounds[buckets + 1]
+        return exponents * (self._bounds.size - 1) + buckets
+
+    def _add_counts(self, low: int, counts: np.ndarray) -> None:
+        """Add ``counts`` of the keys from ``low`` on, widening the store."""
+        below = max(self._offset - low, 0)
+        above = max(low + counts.size - self._offset - self._counts.size, 0)
+        if below or above:
+            self._counts = np.pad(self._counts, (below, above))
+            self._offset -= below
+        start = low - self._offset
+        self._counts[start:start + counts.size] += counts
+
+    def merge(self, other: QuantileSketch) -> None:
+        """Add ``other``'s values, as if fed after this sketch's own (but
+        ``total`` adds ``other.total`` whole)."""
+        if other.alpha != self.alpha:
+            raise ConfigurationError(f"cannot merge alpha {other.alpha} into {self.alpha}")
+        other._flush()
+        self._flush()
+        self._count += other._count
+        self._total += other._total
+        self._min = min(self._min, other._min)
+        self._max = max(self._max, other._max)
+        self._zeros += other._zeros
+        self._add_counts(other._offset, other._counts)
 
     def query(self, percentile: float) -> float:
-        """Value at ``percentile`` (0..100), within the rank-error bound."""
+        """Value at ``percentile`` (0..100), within ``alpha`` of exact."""
         check_number("percentile", percentile, 0.0, 100.0)
-        if self.count == 0:
-            return 0.0
         self._flush()
-        # numpy's linear-interpolation rank convention: p maps to 1-based
-        # rank 1 + p/100 * (n - 1), so an uncompressed sketch answers with
-        # the same order statistic np.percentile would select.
-        target = 1.0 + percentile / 100.0 * (self.count - 1)
-        slack = self.eps * self.count
-        rank_min = 0.0
-        previous = self._entries[0][0]
-        for value, g, delta in self._entries:
-            rank_min += g
-            if rank_min + delta > target + slack:
-                return previous
-            previous = value
-        return self._entries[-1][0]
+        if not self._count:
+            return 0.0
+        # np.percentile's rank and interpolation (numpy's ``_lerp``).
+        rank = percentile / 100.0 * (self._count - 1)
+        below = floor(rank)
+        fraction = rank - below
+        low = self._value_at(below)
+        if not fraction:
+            return low
+        high = self._value_at(below + 1)
+        if fraction >= 0.5:
+            return high - (high - low) * (1.0 - fraction)
+        return low + (high - low) * fraction
+
+    def _value_at(self, rank: int) -> float:
+        """The exact min or max at the ends, 0.0 among the zeros, else the
+        rank's bucket [low, high) answers ``2 * low * high / (low + high)``,
+        within ``alpha`` of its values, clamped to [min, max]."""
+        if rank == 0 or rank == self._count - 1:
+            return self._min if rank == 0 else self._max
+        if rank < self._zeros:
+            return 0.0
+        cumulative = np.cumsum(self._counts)
+        index = int(np.searchsorted(cumulative, rank - self._zeros, side="right"))
+        exponent, bucket = divmod(self._offset + index, self._bounds.size - 1)
+        low, high = self._bounds[bucket:bucket + 2]
+        value = ldexp(2.0 * low * high / (low + high), exponent)
+        return min(max(value, self._min), self._max)
 
     def __eq__(self, other) -> bool:
-        """Sketches are equal when their visible statistics agree.
-
-        Summary internals depend only on the value sequence (the sketch is
-        deterministic), so comparing entries and counters makes two
-        identically-fed sketches compare equal — which is what report
-        equality needs.
-        """
+        """Sketches are equal when fed the same values in the same order."""
         if not isinstance(other, QuantileSketch):
             return NotImplemented
+        return self._state() == other._state()
+
+    def _state(self) -> tuple:
         self._flush()
-        other._flush()
-        return (
-            self.eps == other.eps
-            and self.count == other.count
-            and self.total == other.total
-            and self._entries == other._entries
-        )
+        return (self.alpha, self._count, self._total, self._min, self._max,
+                self._zeros, self._offset, self._counts.tobytes())
 
 
 def merge_distribution(into: dict[int, int], key: int, count: int = 1) -> None:
@@ -245,7 +277,7 @@ def merge_distribution(into: dict[int, int], key: int, count: int = 1) -> None:
 
 
 __all__ = [
-    "DEFAULT_EPS",
+    "DEFAULT_ALPHA",
     "ExactDistribution",
     "QuantileSketch",
     "merge_distribution",

@@ -11,6 +11,7 @@ whose own contract is tested at the end.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 
@@ -91,6 +92,7 @@ from repro.serving.faults import (
     RetryPolicy,
 )
 from repro.serving.network import NetworkLink, NetworkModel
+from repro.serving.schedulers import PriorityScheduler
 from repro.serving.server import ApplianceServer
 from repro.serving.stats import ExactDistribution, QuantileSketch
 from repro.workloads import Workload
@@ -397,6 +399,11 @@ BOUNDARIES = [
     # -------------------------------------------------------------- serving
     ("ServiceRequest.arrival_time_s", lambda v: ServiceRequest(0, v, Workload(1, 1)),
      "arrival_time_s", real(-1.0), ConfigurationError),
+    ("ServiceRequest.request_id", lambda v: ServiceRequest(v, 1.0, Workload(1, 1)),
+     "request_id", (*integer(), "x"), ConfigurationError),
+    ("ServiceRequest.priority",
+     lambda v: ServiceRequest(0, 1.0, Workload(1, 1), priority=v),
+     "priority", integer(), ConfigurationError),
     *[
         (f"ServiceRequest.{name}",
          lambda v, name=name: ServiceRequest(0, 1.0, Workload(1, 1), **{name: v}),
@@ -440,8 +447,8 @@ BOUNDARIES = [
          "percentile", real(-1.0, 100.5), ConfigurationError)
         for slot in (ExactDistribution, QuantileSketch)
     ],
-    ("QuantileSketch.eps", lambda v: QuantileSketch(v), "eps",
-     real(0.0, 0.5), ConfigurationError),
+    ("QuantileSketch.alpha", lambda v: QuantileSketch(v), "alpha",
+     real(0.0, 5e-5, 0.5), ConfigurationError),
     ("DynamicBatching.max_batch_size", lambda v: DynamicBatching(max_batch_size=v),
      "max_batch_size", integer(0), ConfigurationError),
     ("DynamicBatching.timeout_s", lambda v: DynamicBatching(timeout_s=v),
@@ -587,6 +594,14 @@ FORMERLY_ACCEPTED = [
     ("cluster-size-context-past-window",
      lambda: minimum_cluster_size(GPT2_345M, max_context_tokens=4096), "max_context_tokens",
      ConfigurationError),
+    ("service-request-nan-priority",
+     lambda: ServiceRequest(0, 0.0, Workload(8, 8), priority=NAN), "priority",
+     ConfigurationError),
+    ("service-request-replaced-nan-priority",
+     lambda: dataclasses.replace(ServiceRequest(0, 0.0, Workload(8, 8)), priority=NAN),
+     "priority", ConfigurationError),
+    ("service-request-string-id", lambda: ServiceRequest("x", 0.0, Workload(8, 8)),
+     "request_id", ConfigurationError),
 ]
 
 
@@ -599,6 +614,30 @@ def test_formerly_accepted_input_fails_at_the_boundary(call, field, error):
         call()
     assert type(raised.value) is error
     assert field in str(raised.value)
+
+
+def test_nan_priority_never_reaches_a_scheduler():
+    """``PriorityScheduler.select`` ranked a NaN priority by queue position:
+    index 2 (priority 0) of ``[1, NaN, 0]`` but index 0 (the NaN) of
+    ``[NaN, 1, 0]``.  A lazy trace now stops at the NaN request, after
+    the scheduler has ranked the valid ones."""
+    seen: list[float] = []
+
+    class Recording(PriorityScheduler):
+        def select(self, now, queue, estimate):
+            seen.extend(request.priority for request in queue)
+            return super().select(now, queue, estimate)
+
+    def trace():
+        arrivals = ((0.0, 1), (0.0, 2), (0.0, 0), (2.0, 3), (3.0, NAN))
+        for index, (arrival_s, priority) in enumerate(arrivals):
+            request = ServiceRequest(index, arrival_s, Workload(8, 8))
+            yield dataclasses.replace(request, priority=priority)
+
+    server = ApplianceServer(FixedLatencyPlatform(0.5), scheduler=Recording())
+    with pytest.raises(ConfigurationError, match="priority"):
+        server.serve(trace())
+    assert seen and not any(math.isnan(priority) for priority in seen)
 
 
 @pytest.mark.parametrize(

@@ -6,13 +6,14 @@ Covers the three legs of the streaming core:
   `heapq`'s order over any event set (the event loop's ordering contract
   rides on this), across thousands of held events and pushes into the past;
 * :class:`~repro.serving.stats.QuantileSketch` answers every percentile
-  query within its hard rank-error bound (``eps * n + 1`` ranks), exactly
-  for short streams, deterministically for seeded runs;
+  query within relative error ``alpha`` of ``np.percentile`` over the same
+  values, merges exactly, and answers the same whenever it is queried —
+  checked on hypothesis-generated streams;
 * streaming-mode reports (``retain_records=False``) agree with retained-
   mode reports on every counter statistic exactly and on every percentile
-  within the sketch bound, across the randomized property-suite scenarios
-  (including fault campaigns), while lazy traces serve identically to
-  their eager twins.
+  of every slot within ``alpha``, across the randomized property-suite
+  scenarios (including fault campaigns) and a datacenter-scale diurnal
+  hour, while lazy traces serve identically to their eager twins.
 """
 
 import heapq
@@ -20,9 +21,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.serving import (
+    DATACENTER_MIX,
     ApplianceServer,
     bursty_trace,
     constant_trace,
@@ -33,7 +37,12 @@ from repro.serving import (
 )
 from repro.serving.calendar import CalendarQueue
 from repro.serving.requests import ServiceRequest
-from repro.serving.stats import DEFAULT_EPS, ExactDistribution, QuantileSketch
+from repro.serving.stats import (
+    DEFAULT_ALPHA,
+    ExactDistribution,
+    QuantileSketch,
+    _octave,
+)
 from serving_doubles import FixedLatencyPlatform as _FixedLatencyPlatform
 from test_serving_properties import (
     SEEDS,
@@ -126,49 +135,123 @@ class TestCalendarQueue:
 
 # -------------------------------------------------------------- QuantileSketch
 
+#: Percentiles every value-contract check queries.
+PERCENTILES = (0.0, 0.1, 1.0, 10.0, 25.0, 50.0, 75.0, 90.0, 95.0, 99.0, 99.9, 100.0)
+#: Derandomized, so the suite draws the same streams on every run.
+SKETCH_SETTINGS = settings(
+    max_examples=60, deadline=None, derandomize=True, database=None
+)
 
-def rank_distance(value: float, sorted_exact: np.ndarray, percentile: float) -> float:
-    """How many ranks ``value`` sits from the percentile's target rank.
 
-    ``value`` must be an observed value; duplicates occupy a rank *range*
-    and the distance is measured to the nearest end of it.
-    """
-    n = len(sorted_exact)
-    target = 1.0 + percentile / 100.0 * (n - 1)
-    low = float(np.searchsorted(sorted_exact, value, side="left")) + 1.0
-    high = float(np.searchsorted(sorted_exact, value, side="right"))
-    assert low <= high, f"{value} is not an observed value"
-    return max(low - target, target - high, 0.0)
+def assert_within_alpha(answer: float, exact: float, alpha: float = DEFAULT_ALPHA):
+    """The sketch's value contract: relative error ``alpha`` of a
+    non-negative exact answer, plus a 1e-12 relative slack for rounding."""
+    assert abs(answer - exact) <= (alpha + 1e-12) * exact, (answer, exact)
+
+
+def filled(values, alpha: float = DEFAULT_ALPHA) -> QuantileSketch:
+    sketch = QuantileSketch(alpha)
+    for value in values:
+        sketch.add(value)
+    return sketch
+
+
+@st.composite
+def durations(draw) -> list[float]:
+    """A non-negative stream: zeros, duplicates, constant streams, a single
+    value, values from 1e-9 to 1e5 s, lengths across the 1024-value flush."""
+    pool = draw(st.lists(
+        st.one_of(st.just(0.0), st.floats(1e-9, 1e5)), min_size=1, max_size=30
+    ))
+    length = draw(st.one_of(st.integers(1, 40), st.integers(1000, 2600)))
+    fresh_share = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    picked = np.array(pool)[rng.integers(0, len(pool), size=length)]
+    fresh = 10.0 ** rng.uniform(-9.0, 5.0, size=length)
+    return np.where(rng.random(length) < fresh_share, fresh, picked).tolist()
 
 
 class TestQuantileSketch:
-    def test_short_stream_is_exact(self):
-        """Below the compression threshold every answer is the exact order
-        statistic (and matches numpy at whole-rank percentiles)."""
+    def test_min_and_max_are_exact(self):
         rng = np.random.default_rng(0)
         data = rng.lognormal(0.0, 1.0, size=149)
-        sketch = QuantileSketch()
-        for value in data:
-            sketch.add(float(value))
+        sketch = filled(data.tolist())
         assert sketch.query(0) == float(np.min(data))
         assert sketch.query(100) == float(np.max(data))
-        # n = 149 makes p50's target rank integral (rank 75).
-        assert sketch.query(50) == float(np.percentile(data, 50))
+        assert_within_alpha(sketch.query(50), float(np.percentile(data, 50)))
 
     @pytest.mark.parametrize("size", [1_000, 20_000])
-    @pytest.mark.parametrize("eps", [0.005, 0.02])
-    def test_rank_error_bound(self, size, eps):
+    @pytest.mark.parametrize("alpha", [DEFAULT_ALPHA, 0.02])
+    def test_value_error_bound(self, size, alpha):
         rng = np.random.default_rng(7)
         data = rng.lognormal(0.0, 1.5, size=size)
-        sketch = QuantileSketch(eps)
-        for value in data:
-            sketch.add(float(value))
-        sorted_exact = np.sort(data)
-        for percentile in (1.0, 5.0, 25.0, 50.0, 75.0, 95.0, 99.0):
-            answer = sketch.query(percentile)
-            assert rank_distance(answer, sorted_exact, percentile) <= (
-                sketch.rank_error_bound() + 1.0
+        sketch = filled(data.tolist(), alpha)
+        for percentile in PERCENTILES:
+            assert_within_alpha(
+                sketch.query(percentile), float(np.percentile(data, percentile)),
+                alpha,
             )
+
+    @SKETCH_SETTINGS
+    @given(durations(), st.floats(0.0, 100.0))
+    def test_every_query_is_within_alpha(self, values, percentile):
+        sketch = filled(values)
+        for p in (*PERCENTILES, percentile):
+            assert_within_alpha(sketch.query(p), float(np.percentile(values, p)))
+        assert sketch.count == len(values)
+        assert sketch.min == min(values) and sketch.max == max(values)
+
+    @SKETCH_SETTINGS
+    @given(durations(), durations())
+    def test_merge_equals_one_sketch_fed_both(self, first, second):
+        merged = filled(first)
+        merged.merge(filled(second))
+        whole = filled(first + second)
+        for percentile in PERCENTILES:
+            assert merged.query(percentile) == whole.query(percentile)
+        assert (merged.count, merged.min, merged.max) == (
+            whole.count, whole.min, whole.max
+        )
+        assert merged.mean == pytest.approx(whole.mean, rel=1e-12)
+
+    @SKETCH_SETTINGS
+    @given(durations(), st.lists(st.integers(0, 2600), max_size=4))
+    def test_a_query_between_adds_changes_no_later_answer(self, values, stops):
+        queried = QuantileSketch()
+        for index, value in enumerate(values):
+            if index in stops:
+                queried.query(50.0)
+            queried.add(value)
+        plain = filled(values)
+        assert queried == plain
+        for percentile in PERCENTILES:
+            assert queried.query(percentile) == plain.query(percentile)
+        assert queried.mean == plain.mean
+
+    @pytest.mark.parametrize("alpha", [1e-4, DEFAULT_ALPHA, 0.02, 0.4999])
+    def test_bucket_keys_match_a_search_over_the_bounds(self, alpha):
+        """The cell table finds the bucket a binary search over the octave's
+        bounds finds, on every bound, its neighbours, subnormals and values
+        from 1e-300 to 1e300."""
+        bounds, _ = _octave(alpha)
+        rng = np.random.default_rng(11)
+        values = np.concatenate([
+            bounds[:-1], np.nextafter(bounds[1:], 0.0),
+            np.nextafter(bounds[:-1], 1.0), rng.uniform(0.5, 1.0, 50_000),
+            10.0 ** rng.uniform(-300.0, 300.0, 50_000),
+            np.nextafter(0.0, 1.0) * np.arange(1.0, 101.0),
+        ])
+        mantissas, exponents = np.frexp(values)
+        searched = np.searchsorted(bounds, mantissas, side="right") - 1
+        expected = exponents * (bounds.size - 1) + searched
+        assert np.array_equal(QuantileSketch(alpha)._keys(values), expected)
+
+    def test_total_is_summed_in_insertion_order(self):
+        values = [1.0, 1e-16, 1e-16] * 700
+        total = 0.0
+        for value in values:
+            total += value
+        assert filled(values).total == total
 
     def test_deterministic_and_comparable(self):
         rng = np.random.default_rng(3)
@@ -203,10 +286,12 @@ class TestQuantileSketch:
             QuantileSketch(0.5)
         with pytest.raises(ConfigurationError):
             QuantileSketch().query(101)
+        with pytest.raises(ConfigurationError, match="alpha"):
+            QuantileSketch().merge(QuantileSketch(0.01))
 
 
 @pytest.mark.parametrize("slot", [QuantileSketch, ExactDistribution])
-@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
 def test_distribution_slots_reject_non_finite_observations(slot, bad):
     distribution = slot()
     distribution.add(1.0)
@@ -218,6 +303,7 @@ def test_distribution_slots_reject_non_finite_observations(slot, bad):
     clean = slot()
     for value in (1.0, 2.0, 3.0):
         clean.add(value)
+    assert distribution == clean
     assert distribution.count == clean.count == 3
     assert distribution.mean == clean.mean == 2.0
     assert distribution.query(99) == clean.query(99)
@@ -270,16 +356,31 @@ def _assert_counters_match(retained, streaming):
     )
 
 
-def _assert_percentiles_within_rank_bound(retained, streaming):
-    if not retained.completed:
-        return
-    sorted_exact = np.sort(
-        [record.response_time_s for record in retained.completed]
-    )
-    bound = streaming.stats.response.rank_error_bound() + 1.0
-    for percentile in (50.0, 95.0, 99.0):
-        answer = streaming.response_time_percentile_s(percentile)
-        assert rank_distance(answer, sorted_exact, percentile) <= bound
+#: Every percentile accessor of a report, one per distribution slot.
+SLOT_QUERIES = (
+    "response_time_percentile_s",
+    "queueing_delay_percentile_s",
+    "batch_gather_delay_percentile_s",
+    "transfer_time_percentile_s",
+    "cross_rack_response_percentile_s",
+    "failover_delay_percentile_s",
+)
+
+
+def _assert_percentiles_within_alpha(retained, streaming):
+    """Every percentile of every slot, per-class response included."""
+    for name in SLOT_QUERIES:
+        for percentile in PERCENTILES:
+            assert_within_alpha(
+                getattr(streaming, name)(percentile),
+                getattr(retained, name)(percentile),
+            )
+    for label in retained.service_classes():
+        for percentile in PERCENTILES:
+            assert_within_alpha(
+                streaming.response_time_percentile_s(percentile, label),
+                retained.response_time_percentile_s(percentile, label),
+            )
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -288,19 +389,14 @@ class TestStreamingEquivalence:
         _, retained, streaming = _streaming_twin(random_scenario, seed)
         _assert_counters_match(retained, streaming)
 
-    def test_percentiles_within_rank_bound(self, seed):
+    def test_percentiles_within_alpha(self, seed):
         _, retained, streaming = _streaming_twin(random_scenario, seed)
-        _assert_percentiles_within_rank_bound(retained, streaming)
+        _assert_percentiles_within_alpha(retained, streaming)
 
     def test_fault_campaign_counters_match(self, seed):
         _, retained, streaming = _streaming_twin(random_fault_scenario, seed)
         _assert_counters_match(retained, streaming)
-        _assert_percentiles_within_rank_bound(retained, streaming)
-        if retained.failover_delays_s:
-            sorted_failover = np.sort(retained.failover_delays_s)
-            bound = streaming.stats.failover.rank_error_bound() + 1.0
-            answer = streaming.failover_delay_percentile_s(95.0)
-            assert rank_distance(answer, sorted_failover, 95.0) <= bound
+        _assert_percentiles_within_alpha(retained, streaming)
 
     def test_streaming_reports_are_reproducible(self, seed):
         """Seeded streaming runs reproduce their whole report, sketches
@@ -318,6 +414,34 @@ class TestStreamingEquivalence:
         explicit_server = random_scenario(seed)[1]
         assert explicit_server.retain_records is True
         assert default_server.serve(trace) == explicit_server.serve(trace)
+
+
+def test_percentiles_within_alpha_at_datacenter_scale():
+    """One diurnal hour at peak 9 requests/s on 8 DFX clusters (17,766
+    requests): every p50/p90/p99 of response, queueing and per-class
+    response lies within alpha of the retained report's."""
+    trace = diurnal_trace(
+        9.0, 3600.0, period_s=3600.0, mix=DATACENTER_MIX, seed=7
+    )
+    retained = ApplianceServer("dfx", num_clusters=8).serve(trace)
+    streaming = ApplianceServer(
+        "dfx", num_clusters=8, retain_records=False
+    ).serve(trace)
+    assert streaming.num_offered == retained.num_offered == 17_766
+    for percentile in (50.0, 90.0, 99.0):
+        assert_within_alpha(
+            streaming.response_time_percentile_s(percentile),
+            retained.response_time_percentile_s(percentile),
+        )
+        assert_within_alpha(
+            streaming.queueing_delay_percentile_s(percentile),
+            retained.queueing_delay_percentile_s(percentile),
+        )
+        for label in retained.service_classes():
+            assert_within_alpha(
+                streaming.response_time_percentile_s(percentile, label),
+                retained.response_time_percentile_s(percentile, label),
+            )
 
 
 class TestStreamingReportSurface:
