@@ -20,9 +20,9 @@ catches regressions of the functional-sim hot path relative to the
 reference model even on runners much slower than the baseline machine.
 
 Methodology: each measurement reports the best of ``--repeats`` runs on a
-freshly constructed engine, after one warm-up generation that populates the
-program/link caches (steady-state throughput is the quantity the paper's
-generation-stage analysis is about; the caches are per-process one-time cost).
+freshly constructed engine, after one warm-up generation that grows its KV
+cache (steady-state throughput is the quantity the paper's generation-stage
+analysis is about; the cache grows once per engine).
 
 Examples::
 
@@ -88,7 +88,7 @@ def _time_best(factory, new_tokens: int, repeats: int) -> float:
     best = float("inf")
     for _ in range(repeats):
         generate, reset = factory()
-        generate(2)  # warm program / link / weight-staging caches
+        generate(2)  # warm-up: grow the KV cache
         reset()
         start = time.perf_counter()
         generate(new_tokens)
@@ -207,9 +207,9 @@ def run_batched_benchmark(config_name: str, batches: list[int], new_tokens: int,
 
     Every batch size runs ``batch`` identical prompts as one lockstep cohort
     through ``generate_batch`` on a fresh simulator (best of ``repeats``,
-    after a warm-up that populates the program/link caches and the KV slot
-    arenas).  All streams finish together, so the cohort's wall clock *is*
-    each stream's latency; aggregate tokens/sec is what batching buys.
+    after a warm-up that grows the KV slot arenas).  All streams finish
+    together, so the cohort's wall clock *is* each stream's latency;
+    aggregate tokens/sec is what batching buys.
     """
     config = CONFIGS[config_name]
     weights = generate_weights(config, seed=7)
@@ -226,7 +226,7 @@ def run_batched_benchmark(config_name: str, batches: list[int], new_tokens: int,
             simulator = DFXFunctionalSimulator(
                 weights, num_devices=num_devices, numerics=FP16_DFX
             )
-            simulator.generate_batch(prompts, 2)  # warm caches + arenas
+            simulator.generate_batch(prompts, 2)  # warm-up: grow the arenas
             start = time.perf_counter()
             simulator.generate_batch(prompts, new_tokens)
             best = min(best, time.perf_counter() - start)

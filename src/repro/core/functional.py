@@ -16,9 +16,8 @@ One set of instruction semantics has two implementations:
   program once: each sync-free instruction run is compiled into a single
   generated Python function with buffer names lowered to locals and constant
   operands pre-bound, so lockstep layer execution pays no per-instruction
-  dispatch.  Linked programs are memoized on the :class:`Program` object,
-  and a simulator links its three programs (embedding, decoder layer, LM
-  head) once, when it is built.
+  dispatch.  A simulator links its three programs (embedding, decoder
+  layer, LM head) once, when it is built.
 
 Every device of a cluster runs the same instruction stream on an equal
 shard, so the simulator runs all of them on **one device-stacked core** per
@@ -33,9 +32,9 @@ when shared and ``(devices, batch, rows, cols)`` per device.
 The simulator has one engine.  Every forward runs a lockstep *cohort* of
 generation streams whose KV caches live in the slot arenas of a
 :class:`BatchedKVPool`: :meth:`DFXFunctionalSimulator.forward` is the cohort
-of one (batch 1) in slot 0, and a :class:`BatchedGenerationSession` runs
-ragged streams as cohorts of any size.  The linked code only ever addresses
-the *last* axes of a buffer (``[..., a:b]`` column slices,
+of one (batch 1) in slot 0, and :meth:`DFXFunctionalSimulator.generate_batch`
+runs the streams of each prompt length as one cohort.  The linked code only
+ever addresses the *last* axes of a buffer (``[..., a:b]`` column slices,
 ``swapaxes(-1, -2)`` transposes, ``shape[-2:]`` mask extents) and reads
 every extent from its operands, so the same code runs every device count,
 cohort size, prompt length and past.
@@ -79,7 +78,6 @@ from __future__ import annotations
 
 import itertools
 import numbers
-import weakref
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
@@ -173,12 +171,10 @@ class BatchedKV:
         self.data = grown
         self.lengths += [0] * (grown.shape[1] - old_slots)
 
-    def copy_slots(self, dst: int, src: int, count: int) -> None:
-        """Move ``count`` slots' contents from ``src`` to ``dst`` (compaction)."""
-        if dst == src:
-            return
-        self.data[:, dst : dst + count] = self.data[:, src : src + count]
-        self.lengths[dst : dst + count] = self.lengths[src : src + count]
+    def move_slot(self, dst: int, src: int) -> None:
+        """Move slot ``src``'s rows and length to slot ``dst`` (compaction)."""
+        length = self.lengths[dst] = self.lengths[src]
+        self.data[:, dst, :length] = self.data[:, src, :length]
 
 
 class BatchedKVPool:
@@ -187,9 +183,10 @@ class BatchedKVPool:
     Every ``(layer, head)`` cache buffer is one :class:`BatchedKV` (all
     devices on its leading axis) registered here; the pool keeps them
     dimensioned identically so one slot index means "this stream" in every
-    arena.  Slot storage persists across requests and generation sessions
-    (departing streams just free their slot range), so the pool holds the
-    high-water-mark allocation of the largest cohort ever admitted.
+    arena.  Slot storage persists across calls, so the pool holds the
+    high-water mark of the largest batch and the longest stream it served:
+    a batch sizes it once, before its first forward, and :meth:`forward`
+    grows it as a decode outgrows it.
     """
 
     def __init__(self, dtype: np.dtype) -> None:
@@ -226,9 +223,9 @@ class BatchedKVPool:
         for arena in self.arenas:
             arena.lengths = [0] * len(arena.lengths)
 
-    def copy_slots(self, dst: int, src: int, count: int) -> None:
+    def move_slot(self, dst: int, src: int) -> None:
         for arena in self.arenas:
-            arena.copy_slots(dst, src, count)
+            arena.move_slot(dst, src)
 
     def memory_bytes(self) -> int:
         return sum(arena.data.nbytes for arena in self.arenas)
@@ -944,17 +941,11 @@ class LinkedProgram:
 
 
 def link_program(program: Program, numerics: Numerics) -> LinkedProgram:
-    """Lower ``program`` to a :class:`LinkedProgram` (memoized).
+    """Lower ``program`` to a :class:`LinkedProgram` for ``numerics``.
 
-    The result is cached on the program object, keyed on the numerics
-    instance (whose bound methods the generated code captures) and the
-    instruction count (programs are built append-only, so a length match
-    means the instruction stream is unchanged).
+    The generated code captures the numerics' bound methods and tables, so
+    a linked program serves only the numerics it was linked for.
     """
-    count = len(program.instructions)
-    cached = program._link_cache.get(numerics)
-    if cached is not None and cached[0] == count:
-        return cached[1]
     segments = tuple(
         LinkedSegment(
             _compile_segment(segment.instructions, numerics, f"{program.name}#{index}")
@@ -964,9 +955,7 @@ def link_program(program: Program, numerics: Numerics) -> LinkedProgram:
         )
         for index, segment in enumerate(program.segments())
     )
-    linked = LinkedProgram(name=program.name, segments=segments)
-    program._link_cache[numerics] = (count, linked)
-    return linked
+    return LinkedProgram(name=program.name, segments=segments)
 
 
 class DFXFunctionalSimulator:
@@ -985,9 +974,8 @@ class DFXFunctionalSimulator:
     one core when the vocabulary divides evenly, two when the last device
     takes a remainder.  One :class:`BatchedKVPool` serves every call:
     :meth:`forward` and :meth:`generate` run the cohort of one in arena slot
-    0, and :meth:`batched_session` runs many streams as lockstep cohorts.
-    Opening a session therefore resets the :meth:`forward` cache, and
-    :meth:`forward` refuses to run while that session has streams left.
+    0, and :meth:`generate_batch` runs many streams as lockstep cohorts, so
+    it resets the :meth:`forward` cache.
     """
 
     def __init__(
@@ -1011,10 +999,6 @@ class DFXFunctionalSimulator:
             np.float32 if numerics.accumulate_fp32 else numerics.dtype
         )
         self._past_length = 0
-        # The open session, held weakly: a strong reference would make a
-        # cycle (the session holds the simulator) that keeps a dropped
-        # simulator's buffers alive until the cyclic collector runs.
-        self._session: weakref.ref[BatchedGenerationSession] | None = None
         self._pool = BatchedKVPool(self._staged_dtype)
 
         # One device-stacked memory per decoder layer.
@@ -1223,26 +1207,14 @@ class DFXFunctionalSimulator:
                 f"context window of {self.config.n_positions}"
             )
 
-    def _check_no_session(self) -> None:
-        """Refuse to touch slot 0 while an open session still needs it."""
-        session = self._session() if self._session is not None else None
-        if session is not None and session.busy:
-            raise ExecutionError(
-                "a batched session still has streams in flight; "
-                "run it to completion before forward() or generate()"
-            )
-
     def forward(self, token_ids: np.ndarray) -> tuple[np.ndarray, int]:
         """Run one forward pass (summarization or one generation iteration).
 
         Returns the full-vocabulary logits of the last position and the greedy
         next-token id.  The KV cache persists across calls: the pass runs as
         the cohort of one in arena slot 0, whose capacity grows geometrically
-        when a call outgrows it.  Raises :class:`ExecutionError` while a
-        session opened on this simulator still has pending or in-flight
-        streams, since slot 0 may hold one of them.
+        when a call outgrows it.
         """
-        self._check_no_session()
         token_ids = np.asarray(token_ids)
         past = self._past_length
         self._check_tokens(token_ids, past)
@@ -1250,7 +1222,7 @@ class DFXFunctionalSimulator:
         pool = self._pool
         pool.ensure(slots=1, capacity=end)
         if past == 0:
-            # A finished session may have left its own stream in slot 0.
+            # A batch may have left one of its streams in slot 0.
             pool.clear_slots(0, 1)
         logits = self._forward_cohort(token_ids.reshape(1, -1), past, 0, 1)
         self._past_length = end
@@ -1294,15 +1266,6 @@ class DFXFunctionalSimulator:
         return self._past_length
 
     # ------------------------------------------------------------------ batched
-    def batched_session(self) -> "BatchedGenerationSession":
-        """Open a continuous-batching generation session on this simulator.
-
-        The session shares the KV arenas with :meth:`forward`, so opening
-        it resets the :meth:`forward` cache, and :meth:`forward` raises
-        until the session has no streams left.
-        """
-        return BatchedGenerationSession(self)
-
     def generate_batch(
         self,
         prompts: list[list[int]],
@@ -1311,10 +1274,11 @@ class DFXFunctionalSimulator:
         """Greedy generation of many streams as lockstep cohorts.
 
         Streams with equal prompt lengths prefill together and decode as
-        lockstep cohorts; cohorts whose past lengths align merge, and
-        finished streams leave their cohort (their arena slots are recycled).
-        Per-stream outputs are bit-identical to :meth:`generate` run stream
-        by stream.  Resets the :meth:`forward` cache.
+        one lockstep cohort, and finished streams leave their cohort (see
+        :class:`BatchedGenerationSession`).  Per-stream outputs are
+        bit-identical to :meth:`generate` run stream by stream.  Every
+        request is checked before the first forward, so a rejected batch
+        leaves the :meth:`forward` cache as it was; an accepted one resets it.
         """
         if len(prompts) == 0:
             return []
@@ -1327,17 +1291,12 @@ class DFXFunctionalSimulator:
             raise ExecutionError(
                 "max_new_tokens must be an int or match the number of prompts"
             )
-        # Check every request before the session opens, so a rejected batch
-        # leaves neither queued streams nor a reset forward() cache behind.
         for prompt, budget in zip(prompts, budgets):
             self._check_request(prompt, budget, 0)
-        session = self.batched_session()
-        stream_ids = [
-            session.admit(prompt, budget)
-            for prompt, budget in zip(prompts, budgets)
-        ]
-        session.run()
-        return [session.outputs(stream_id) for stream_id in stream_ids]
+        session = BatchedGenerationSession(self, prompts, budgets)
+        while session.step():
+            pass
+        return [stream.outputs for stream in session.streams]
 
     @property
     def batched_kv_memory_bytes(self) -> int:
@@ -1346,231 +1305,108 @@ class DFXFunctionalSimulator:
 
 
 class _Stream:
-    """One generation stream inside a batched session."""
+    """One generation stream of a batch."""
 
-    __slots__ = ("stream_id", "prompt", "remaining", "outputs", "next_token", "slot")
+    __slots__ = ("prompt", "remaining", "outputs")
 
-    def __init__(self, stream_id: int, prompt: list[int], budget: int) -> None:
-        self.stream_id = stream_id
+    def __init__(self, prompt: list[int], budget: int) -> None:
         self.prompt = prompt
         self.remaining = budget
         self.outputs: list[int] = []
-        self.next_token = -1
-        self.slot = -1
 
 
 class _Cohort:
-    """A contiguous arena slot range of streams decoding in lockstep."""
+    """Streams decoding in lockstep in arena slots ``[lo, lo + len(streams))``."""
 
-    __slots__ = ("lo", "hi", "past", "streams")
+    __slots__ = ("lo", "past", "streams")
 
-    def __init__(self, lo: int, hi: int, past: int, streams: list[_Stream]) -> None:
+    def __init__(self, lo: int, streams: list[_Stream]) -> None:
         self.lo = lo
-        self.hi = hi
-        self.past = past
+        self.past = 0  # cached positions: 0 until the cohort prefills
         self.streams = streams  # in slot order
-
-    @property
-    def size(self) -> int:
-        return self.hi - self.lo
 
 
 class BatchedGenerationSession:
-    """Continuous-batching generation over the functional engine.
+    """The state of one :meth:`DFXFunctionalSimulator.generate_batch` call.
 
-    Mirrors a serving scheduler's decode slots: :meth:`admit` queues a
-    stream, each :meth:`step` prefills pending admissions (grouped by prompt
-    length so ragged prompts execute in lockstep sub-batches) and advances
-    every decode cohort by one token.  Streams whose budget is exhausted
-    leave their cohort (survivors are packed left, freed slots recycle), and
-    cohorts whose past lengths align merge into one — so a late admission
-    can join an in-flight batch mid-decode.  Slot storage persists across
-    sessions on the simulator's arena pool; a new session only resets the
-    logical lengths.  The pool is the one the simulator's :meth:`forward`
-    uses, so opening a session resets the simulator's :meth:`forward`
-    cache, and :meth:`forward` raises while the session is :attr:`busy`.
+    It is built with every prompt and budget.  Streams with equal prompt
+    lengths form one cohort in their own contiguous slot range, and the
+    simulator's arena pool is sized once for the whole batch, so no forward
+    regrows it.  The first :meth:`step` prefills every cohort and each later
+    one decodes every cohort by one token; a stream whose budget is spent
+    leaves its cohort (survivors are packed left).  Cohorts start at
+    distinct prompt lengths and all advance one position per step, so they
+    never meet.  Building a session resets the simulator's :meth:`forward`
+    cache, which shares the pool.
     """
 
-    def __init__(self, simulator: DFXFunctionalSimulator) -> None:
+    def __init__(
+        self,
+        simulator: DFXFunctionalSimulator,
+        prompts: Sequence[list[int]],
+        budgets: Sequence[int],
+    ) -> None:
         self._sim = simulator
+        self.streams = [
+            _Stream(list(prompt), budget) for prompt, budget in zip(prompts, budgets)
+        ]
+        by_length: dict[int, list[_Stream]] = {}
+        for stream in self.streams:
+            by_length.setdefault(len(stream.prompt), []).append(stream)
+        self._cohorts: list[_Cohort] = []  # in slot order
+        lo = 0
+        for prompt_length in sorted(by_length):
+            group = by_length[prompt_length]
+            self._cohorts.append(_Cohort(lo, group))
+            lo += len(group)
         simulator.reset_cache()
-        simulator._session = weakref.ref(self)
         self._pool = simulator._pool
         self._pool.clear_all()
-        self._slots = self._pool.slots
-        self._free: list[tuple[int, int]] = [(0, self._slots)] if self._slots else []
-        self._streams: dict[int, _Stream] = {}
-        self._pending: list[_Stream] = []
-        self._cohorts: list[_Cohort] = []
-        self._next_id = 0
-
-    # ------------------------------------------------------------------- slots
-    def _alloc(self, count: int) -> int:
-        """First-fit allocation of a contiguous slot range (grows the pool)."""
-        for index, (lo, hi) in enumerate(self._free):
-            if hi - lo >= count:
-                if hi - lo == count:
-                    del self._free[index]
-                else:
-                    self._free[index] = (lo + count, hi)
-                return lo
-        lo = self._slots
-        # Grow geometrically so a long run of admissions does not reallocate
-        # the arenas per admission (the recycled-slot fast path stays hot).
-        self._slots = max(lo + count, 2 * self._slots, 4)
-        self._pool.ensure(slots=self._slots)
-        if self._slots > lo + count:
-            self._free.append((lo + count, self._slots))
-        return lo
-
-    def _release(self, lo: int, hi: int) -> None:
-        """Return a slot range to the free list, coalescing neighbours."""
-        if hi <= lo:
-            return
-        self._free.append((lo, hi))
-        self._free.sort()
-        merged: list[tuple[int, int]] = []
-        for range_lo, range_hi in self._free:
-            if merged and merged[-1][1] == range_lo:
-                merged[-1] = (merged[-1][0], range_hi)
-            else:
-                merged.append((range_lo, range_hi))
-        self._free = merged
-
-    # --------------------------------------------------------------- interface
-    def admit(self, prompt: list[int], max_new_tokens: int) -> int:
-        """Queue a stream; it prefills on the next :meth:`step`.
-
-        A request the model cannot serve (bad token ids, no room in the
-        context window) is rejected here, before any forward runs.
-        """
-        self._sim._check_request(prompt, max_new_tokens, 0)
-        stream = _Stream(self._next_id, list(prompt), max_new_tokens)
-        self._next_id += 1
-        self._streams[stream.stream_id] = stream
-        self._pending.append(stream)
-        return stream.stream_id
-
-    @property
-    def busy(self) -> bool:
-        """Whether any admitted stream is still pending or in flight."""
-        return bool(self._pending or self._cohorts)
-
-    @property
-    def active_streams(self) -> int:
-        """Streams currently decoding (pending admissions excluded)."""
-        return sum(cohort.size for cohort in self._cohorts)
+        self._pool.ensure(
+            slots=len(self.streams),
+            capacity=max(
+                len(stream.prompt) + stream.remaining for stream in self.streams
+            ) - 1,
+        )
 
     @property
     def cohort_sizes(self) -> list[int]:
         """Sizes of the in-flight cohorts (slot order); for tests/metrics."""
-        return [
-            cohort.size for cohort in sorted(self._cohorts, key=lambda c: c.lo)
-        ]
-
-    def outputs(self, stream_id: int) -> list[int]:
-        """Tokens generated so far by ``stream_id``."""
-        return list(self._streams[stream_id].outputs)
+        return [len(cohort.streams) for cohort in self._cohorts]
 
     def step(self) -> bool:
-        """Prefill pending admissions and advance every cohort by one token.
+        """Prefill every cohort on the first call, then decode each by one token.
 
-        Returns ``True`` while any stream remains pending or in flight.
+        Returns ``True`` while any stream has tokens left to generate.
         """
-        decoding = sorted(self._cohorts, key=lambda cohort: cohort.lo)
-        self._admit_pending()
-        for cohort in decoding:
-            self._decode_cohort(cohort)
-        self._merge_cohorts()
-        return self.busy
-
-    def run(self) -> None:
-        """Step until every admitted stream has exhausted its budget."""
-        while self.step():
-            pass
-
-    # ---------------------------------------------------------------- internals
-    def _admit_pending(self) -> None:
-        if not self._pending:
-            return
-        pending, self._pending = self._pending, []
-        by_length: dict[int, list[_Stream]] = {}
-        for stream in pending:
-            by_length.setdefault(len(stream.prompt), []).append(stream)
-        for prompt_length in sorted(by_length):
-            group = by_length[prompt_length]
-            needed = prompt_length + max(stream.remaining for stream in group) - 1
-            self._pool.ensure(capacity=needed)
-            lo = self._alloc(len(group))
-            hi = lo + len(group)
-            self._pool.clear_slots(lo, hi)
-            for offset, stream in enumerate(group):
-                stream.slot = lo + offset
-            token_matrix = np.asarray(
-                [stream.prompt for stream in group], dtype=np.int64
+        for cohort in list(self._cohorts):
+            if cohort.past == 0:
+                rows = [stream.prompt for stream in cohort.streams]
+            else:
+                rows = [[stream.outputs[-1]] for stream in cohort.streams]
+            token_matrix = np.asarray(rows, dtype=np.int64)
+            logits = self._sim._forward_cohort(
+                token_matrix, cohort.past, cohort.lo, cohort.lo + len(rows)
             )
-            logits = self._sim._forward_cohort(token_matrix, 0, lo, hi)
-            cohort = _Cohort(lo, hi, prompt_length, group)
+            cohort.past += token_matrix.shape[1]
             self._record_tokens(cohort, logits)
-
-    def _decode_cohort(self, cohort: _Cohort) -> None:
-        if cohort not in self._cohorts:
-            return  # merged away earlier this step
-        step_tokens = np.asarray(
-            [[stream.next_token] for stream in cohort.streams], dtype=np.int64
-        )
-        logits = self._sim._forward_cohort(
-            step_tokens, cohort.past, cohort.lo, cohort.hi
-        )
-        cohort.past += 1
-        self._record_tokens(cohort, logits)
+        return bool(self._cohorts)
 
     def _record_tokens(self, cohort: _Cohort, logits: np.ndarray) -> None:
         """Record each stream's greedy token, then process departures."""
-        tokens = np.argmax(logits, axis=-1)
-        for stream, token in zip(cohort.streams, tokens):
-            stream.outputs.append(int(token))
-            stream.next_token = int(token)
+        for stream, token in zip(cohort.streams, np.argmax(logits, axis=-1).tolist()):
+            stream.outputs.append(token)
             stream.remaining -= 1
         survivors = [stream for stream in cohort.streams if stream.remaining > 0]
-        if len(survivors) < cohort.size:
-            # Pack survivors left within the cohort's range (slot order is
-            # increasing, so each copy moves a slot to a lower, already
-            # vacated index) and recycle the tail.
-            write = cohort.lo
-            for stream in survivors:
-                if stream.slot != write:
-                    self._pool.copy_slots(write, stream.slot, 1)
-                    stream.slot = write
-                write += 1
-            self._release(write, cohort.hi)
-            cohort.hi = write
-            cohort.streams = survivors
-        if cohort.streams:
-            if cohort not in self._cohorts:
-                self._cohorts.append(cohort)
-        elif cohort in self._cohorts:
+        if not survivors:
             self._cohorts.remove(cohort)
-
-    def _merge_cohorts(self) -> None:
-        """Merge cohorts whose past lengths have aligned (streams join)."""
-        by_past: dict[int, list[_Cohort]] = {}
-        for cohort in self._cohorts:
-            by_past.setdefault(cohort.past, []).append(cohort)
-        for past in sorted(by_past):
-            group = sorted(by_past[past], key=lambda cohort: cohort.lo)
-            if len(group) < 2:
-                continue
-            total = sum(cohort.size for cohort in group)
-            lo = self._alloc(total)
-            write = lo
-            streams: list[_Stream] = []
-            for cohort in group:
-                self._pool.copy_slots(write, cohort.lo, cohort.size)
-                for offset, stream in enumerate(cohort.streams):
-                    stream.slot = write + offset
-                streams.extend(cohort.streams)
-                write += cohort.size
-                self._release(cohort.lo, cohort.hi)
-                self._cohorts.remove(cohort)
-            self._cohorts.append(_Cohort(lo, lo + total, past, streams))
+        elif len(survivors) < len(cohort.streams):
+            # Pack survivors left within the cohort's range: each copy moves
+            # a slot to a lower, already vacated index.
+            write = cohort.lo
+            for slot, stream in enumerate(cohort.streams, start=cohort.lo):
+                if stream.remaining > 0:
+                    if slot != write:
+                        self._pool.move_slot(write, slot)
+                    write += 1
+            cohort.streams = survivors

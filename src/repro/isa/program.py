@@ -1,11 +1,8 @@
 """Program container: an ordered list of DFX instructions plus metadata.
 
-Besides the raw instruction list, a :class:`Program` exposes a memoized
-*segmented* view (:meth:`Program.segments`): the instruction stream split at
-each router synchronization.  Lockstep executors consume this view once per
-program instead of re-scanning the instruction list on every layer of every
-token step.  The cache is keyed on the instruction count, so the append-only
-construction idiom used by the compiler invalidates it naturally.
+Besides the raw instruction list, a :class:`Program` exposes a *segmented*
+view (:meth:`Program.segments`): the instruction stream split at each router
+synchronization, which the linker lowers one segment at a time.
 """
 
 from __future__ import annotations
@@ -48,14 +45,6 @@ class Program:
     instructions: list[Instruction] = field(default_factory=list)
     inputs: tuple[str, ...] = ()
     outputs: tuple[str, ...] = ()
-    # Memoized derived views, keyed on len(instructions) so that the compiler's
-    # append-only construction invalidates them.  Excluded from ==/repr.
-    _segment_cache: tuple[int, tuple[ProgramSegment, ...]] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _link_cache: dict = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     # ----------------------------------------------------------------- basics
     def __len__(self) -> int:
@@ -74,18 +63,12 @@ class Program:
 
     # ------------------------------------------------------------------ views
     def segments(self) -> tuple[ProgramSegment, ...]:
-        """The program split at router syncs, memoized.
+        """The program split at router syncs.
 
         Each :class:`ProgramSegment` holds the instructions preceding one
         synchronization plus that sync; the final segment's ``sync`` is
         ``None`` when the program does not end with a router instruction.
-        The result is cached and recomputed only when the instruction count
-        changes (programs are built append-only), so hot loops may call this
-        once per execution at no cost.
         """
-        count = len(self.instructions)
-        if self._segment_cache is not None and self._segment_cache[0] == count:
-            return self._segment_cache[1]
         segments: list[ProgramSegment] = []
         current: list[Instruction] = []
         for instruction in self.instructions:
@@ -95,8 +78,7 @@ class Program:
             else:
                 current.append(instruction)
         segments.append(ProgramSegment(tuple(current), None))
-        self._segment_cache = (count, tuple(segments))
-        return self._segment_cache[1]
+        return tuple(segments)
 
     def matrix_instructions(self) -> list[MatrixInstruction]:
         """All matrix-unit instructions, in order."""

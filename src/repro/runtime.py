@@ -16,13 +16,12 @@ exposes ``generate`` / ``generate_text`` / ``generate_batch``.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 from repro.core.appliance import DFXAppliance
 from repro.core.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.core.functional import DFXFunctionalSimulator
-from repro.errors import ConfigurationError, ExecutionError, check_number
+from repro.errors import ConfigurationError, ExecutionError
 from repro.model.config import GPT2Config
 from repro.model.numerics import FP16_DFX, Numerics
 from repro.model.tokenizer import SyntheticTokenizer
@@ -144,22 +143,20 @@ class DFXRuntime:
     def generate(
         self, input_token_ids: list[int], max_new_tokens: int
     ) -> RuntimeGeneration:
-        """Generate tokens functionally and attach the simulated timing."""
-        if len(input_token_ids) == 0:
-            raise ExecutionError("input_token_ids must not be empty")
-        check_number("max_new_tokens", max_new_tokens, 1, integer=True,
-                     error=ExecutionError)
-        workload = Workload(
-            input_tokens=len(input_token_ids), output_tokens=max_new_tokens
-        )
+        """Generate tokens functionally and attach the simulated timing.
+
+        The engine checks the request before it runs anything.
+        """
         output_tokens = self._reset_engine().generate(
             list(input_token_ids), max_new_tokens
         )
-        timing = self.appliance.run(workload)
+        workload = Workload(
+            input_tokens=len(input_token_ids), output_tokens=max_new_tokens
+        )
         return RuntimeGeneration(
             input_token_ids=list(input_token_ids),
             output_token_ids=output_tokens,
-            timing=timing,
+            timing=self.appliance.run(workload),
         )
 
     def generate_text(self, prompt: str, max_new_tokens: int) -> RuntimeGeneration:
@@ -178,34 +175,21 @@ class DFXRuntime:
 
         Per-stream outputs are bit-identical to calling :meth:`generate`
         stream by stream; the attached cost is the lockstep cohort's wall
-        clock at the dominant request shape.
+        clock at the dominant request shape.  The engine checks every
+        request before it runs anything.
         """
         if len(prompts) == 0:
             raise ExecutionError("prompts must not be empty")
-        if any(len(prompt) == 0 for prompt in prompts):
-            raise ExecutionError("input_token_ids must not be empty")
-        budgets = (
-            [max_new_tokens] * len(prompts)
-            if isinstance(max_new_tokens, numbers.Number)
-            else list(max_new_tokens)
-        )
-        if len(budgets) != len(prompts):
-            raise ExecutionError(
-                f"{len(budgets)} budgets for {len(prompts)} prompts"
-            )
-        for budget in budgets:
-            check_number("max_new_tokens", budget, 1, integer=True,
-                         error=ExecutionError)
-        outputs = self._reset_engine().generate_batch(
-            [list(prompt) for prompt in prompts], budgets
-        )
+        inputs = [list(prompt) for prompt in prompts]
+        outputs = self._reset_engine().generate_batch(inputs, max_new_tokens)
+        # Each stream decodes exactly its budget.
         workload = Workload(
-            input_tokens=max(len(prompt) for prompt in prompts),
-            output_tokens=max(budgets),
+            input_tokens=max(len(prompt) for prompt in inputs),
+            output_tokens=max(len(tokens) for tokens in outputs),
         )
         latency_s = self.appliance.batched_request_seconds(workload, len(prompts))
         return RuntimeBatchGeneration(
-            input_token_ids=[list(prompt) for prompt in prompts],
+            input_token_ids=inputs,
             output_token_ids=outputs,
             batch_size=len(prompts),
             workload=workload,

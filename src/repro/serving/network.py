@@ -34,6 +34,7 @@ equivalence-tested in the property suite.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -103,11 +104,15 @@ class NetworkModel:
             raise ConfigurationError("a network model needs at least one rack")
         # Freeze the mappings so the model is safely shareable and hashable
         # member lists normalize to tuples.
-        object.__setattr__(
-            self,
-            "racks",
-            {rack: tuple(members) for rack, members in self.racks.items()},
-        )
+        racks: dict[str, tuple[str, ...]] = {}
+        for rack, members in self.racks.items():
+            if isinstance(members, str) or not isinstance(members, Iterable):
+                raise ConfigurationError(
+                    f"racks[{rack!r}] must be a sequence of member names, "
+                    f"got {type(members).__name__}"
+                )
+            racks[rack] = tuple(members)
+        object.__setattr__(self, "racks", racks)
         object.__setattr__(self, "links", dict(self.links))
         if self.ingress not in self.racks:
             raise ConfigurationError(
@@ -132,15 +137,15 @@ class NetworkModel:
                 raise ConfigurationError(
                     f"link for unknown rack {rack!r}; racks: {sorted(self.racks)}"
                 )
-            if rack == self.ingress and not link.is_free:
-                raise ConfigurationError(
-                    "the ingress rack serves locally and cannot carry a "
-                    "priced link"
-                )
             if not isinstance(link, NetworkLink):
                 raise ConfigurationError(
                     f"links[{rack!r}] must be a NetworkLink, "
                     f"got {type(link).__name__}"
+                )
+            if rack == self.ingress and not link.is_free:
+                raise ConfigurationError(
+                    "the ingress rack serves locally and cannot carry a "
+                    "priced link"
                 )
 
     @classmethod
@@ -154,13 +159,12 @@ class NetworkModel:
     ) -> "NetworkModel":
         """A uniform star: every non-ingress rack hangs off ``ingress`` by
         the same ``link``.  ``ingress=None`` takes the first rack."""
-        rack_names = list(racks)
         if ingress is None:
-            ingress = rack_names[0]
+            ingress = next(iter(racks), "")  # no racks: __post_init__ rejects
         return cls(
-            racks={rack: tuple(members) for rack, members in racks.items()},
+            racks=racks,
             ingress=ingress,
-            links={rack: link for rack in rack_names if rack != ingress},
+            links={rack: link for rack in racks if rack != ingress},
             bytes_per_token=bytes_per_token,
         )
 

@@ -602,6 +602,26 @@ FORMERLY_ACCEPTED = [
      "priority", ConfigurationError),
     ("service-request-string-id", lambda: ServiceRequest("x", 0.0, Workload(8, 8)),
      "request_id", ConfigurationError),
+    # An ingress link was read as a NetworkLink before its type was checked.
+    *(
+        (f"network-ingress-link-{name}",
+         lambda link=link: NetworkModel(
+             racks={"rack0": ("a",), "rack1": ("b",)}, ingress="rack0",
+             links={"rack0": link},
+         ),
+         "links['rack0']", ConfigurationError)
+        for name, link in (("int", 5), ("none", None), ("dict", {}))
+    ),
+    # A string was split into one-letter members; None raised TypeError.
+    ("network-string-members",
+     lambda: NetworkModel(racks={"rack0": "ab"}, ingress="rack0"),
+     "racks['rack0']", ConfigurationError),
+    ("network-none-members",
+     lambda: NetworkModel(racks={"rack0": None}, ingress="rack0"),
+     "racks['rack0']", ConfigurationError),
+    # A star without racks indexed an empty list for its ingress.
+    ("network-star-without-racks", lambda: NetworkModel.star({}), "rack",
+     ConfigurationError),
 ]
 
 

@@ -165,7 +165,6 @@ class TestBoundaryValidation:
         "engine-forward": lambda sim, ref, ids: sim.forward(np.asarray(ids)),
         "engine-generate": lambda sim, ref, ids: sim.generate(ids, 2),
         "engine-generate_batch": lambda sim, ref, ids: sim.generate_batch([ids], 2),
-        "engine-admit": lambda sim, ref, ids: sim.batched_session().admit(ids, 2),
         "reference-forward": lambda sim, ref, ids: ref.forward(np.asarray(ids)),
         "reference-generate_tokens": (
             lambda sim, ref, ids: TextGenerator(ref).generate_tokens(ids, 2)
@@ -221,10 +220,8 @@ class TestBoundaryValidation:
     def test_generate_batch_rejects_before_any_step(
         self, simulator, prompt, budget
     ):
+        simulator.forward(np.array([1, 2, 3]))
         with pytest.raises(ExecutionError):
             simulator.generate_batch([[1, 2, 3], prompt], [4, budget])
-        session = simulator.batched_session()
-        with pytest.raises(ExecutionError):
-            session.admit(prompt, budget)
-        assert session.active_streams == 0
-        assert not session.step()
+        # A rejected batch leaves the earlier forward's cache as it was.
+        assert simulator.kv_cache_length == 3

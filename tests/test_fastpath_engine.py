@@ -24,13 +24,12 @@ from repro.core.functional import (
     FunctionalCore,
     link_program,
 )
-from repro.errors import ExecutionError
 from repro.isa.compiler import DFXCompiler
 from repro.isa.instructions import MatrixInstruction, VectorInstruction
 from repro.isa.opcodes import MatrixOpcode, VectorOpcode
 from repro.isa.program import Program
 from repro.model.config import GPT2_TEST_TINY
-from repro.model.numerics import FP16_DFX, FP16_GPU, FP32_EXACT
+from repro.model.numerics import FP16_DFX, FP16_GPU
 from repro.model.weights import generate_weights
 from repro.parallel.partitioner import build_partition_plan, partition_model_weights
 
@@ -190,19 +189,6 @@ class TestProgramCache:
             if instruction.opcode is MatrixOpcode.MASKED_MM
         ]
         assert len(masked) == simulator.plan.device(0).num_heads
-
-    def test_segments_are_memoized_until_append(self):
-        plan = build_partition_plan(GPT2_TEST_TINY, 2)
-        program = DFXCompiler(GPT2_TEST_TINY, plan, 0).compile_decoder_layer(1, 0)
-        first = program.segments()
-        assert program.segments() is first
-        program.append(
-            MatrixInstruction(
-                MatrixOpcode.MM, dst="x", input_operand="hidden_out",
-                weight_operand="w_ffn2", rows=1, in_dim=2, out_dim=2,
-            )
-        )
-        assert program.segments() is not first
 
 
 class TestFastSlowBitExactness:
@@ -624,6 +610,34 @@ class TestKVGrowthInCores:
         fresh = DFXFunctionalSimulator(tiny_weights, num_devices=2, numerics=FP16_DFX)
         assert tokens == fresh.generate([1, 2, 3], max_new_tokens=30)
 
+    def test_generate_batch_sizes_the_arenas_once(self, tiny_weights, monkeypatch):
+        # A batch knows every prompt and budget before its first forward, so
+        # it sizes the pool once, one slot per stream, and no arena is
+        # reallocated while it runs.
+        simulator = DFXFunctionalSimulator(tiny_weights, num_devices=2, numerics=FP16_DFX)
+        pool = simulator._pool
+        forward_cohort = simulator._forward_cohort
+        held = {}  # arena -> its buffer after the previous forward
+        reallocations = 0
+
+        def watched(*args):
+            nonlocal reallocations
+            logits = forward_cohort(*args)
+            for arena in pool.arenas:
+                if arena in held and held[arena] is not arena.data:
+                    reallocations += 1
+                held[arena] = arena.data
+            return logits
+
+        monkeypatch.setattr(simulator, "_forward_cohort", watched)
+        prompts = [list(range(1, length + 1)) for length in range(1, 11)]
+        simulator.generate_batch(prompts, 3)
+        assert len(held) == len(pool.arenas) > 0
+        assert reallocations == 0
+        assert pool.slots == 10
+        assert all(arena.slots == 10 for arena in pool.arenas)
+        assert pool.capacity >= 10 + 3 - 1
+
 
 class TestScatterOwnership:
     def test_scatter_allocates_once_then_writes_in_place(self):
@@ -728,36 +742,6 @@ class TestBatchedEngine:
         ]
         assert not batched_names, batched_names
 
-    def test_cohort_join_mid_decode(self, simulator, tiny_weights):
-        session = simulator.batched_session()
-        first = session.admit([1, 2, 3], 6)
-        second = session.admit([7, 8, 9], 6)
-        session.step()  # prefill both as one cohort
-        session.step()
-        late = session.admit([4, 5, 6], 4)
-        session.step()  # late stream prefills while the cohort decodes
-        # Equal prompt lengths mean equal pasts two steps later: one cohort.
-        while session.step():
-            if len(session.cohort_sizes) == 1 and session.active_streams == 3:
-                break
-        session.run()
-        expected = self._sequential(
-            tiny_weights, [[1, 2, 3], [7, 8, 9], [4, 5, 6]], [6, 6, 4]
-        )
-        assert [session.outputs(s) for s in (first, second, late)] == expected
-
-    def test_cohorts_merge_when_pasts_equalize(self, simulator):
-        session = simulator.batched_session()
-        session.admit([1, 2], 8)
-        session.admit([3, 4], 8)
-        session.step()  # cohort of 2 prefills at past 2
-        # A 3-token prompt prefills at past 3 — exactly where the existing
-        # cohort lands after this step's decode, so the two must merge.
-        session.admit([5, 6, 7], 6)
-        session.step()
-        assert session.active_streams == 3
-        assert session.cohort_sizes == [3]
-
     def test_randomized_sweep_bit_identical(self, tiny_weights, rng):
         simulator = DFXFunctionalSimulator(
             tiny_weights, num_devices=2, numerics=FP16_DFX
@@ -789,31 +773,6 @@ class TestBatchedEngine:
         assert [id(arena.data) for arena in pool.arenas] == arenas_before
         assert simulator.batched_kv_memory_bytes == bytes_before
 
-    def test_forward_refuses_to_run_over_an_open_session(self, tiny_weights):
-        # forward() at past 0 prefills into slot 0, where the session's first
-        # stream lives: it must raise instead of overwriting that stream.
-        simulator = DFXFunctionalSimulator(
-            tiny_weights, num_devices=2, numerics=FP16_DFX
-        )
-        session = simulator.batched_session()
-        first = session.admit([1, 2, 3], 6)
-        second = session.admit([7, 8, 9], 6)
-        session.step()
-        session.step()
-        with pytest.raises(ExecutionError, match="batched session"):
-            simulator.forward(np.arange(20) + 30)
-        with pytest.raises(ExecutionError, match="batched session"):
-            simulator.generate([4, 5], 3)
-        session.run()
-        assert not session.busy
-        expected = self._sequential(
-            tiny_weights, [[1, 2, 3], [7, 8, 9]], [6, 6]
-        )
-        assert [session.outputs(first), session.outputs(second)] == expected
-        # A finished session leaves forward() usable.
-        fresh = DFXFunctionalSimulator(tiny_weights, num_devices=2, numerics=FP16_DFX)
-        assert simulator.generate([4, 5], 3) == fresh.generate([4, 5], 3)
-
     def test_finished_session_does_not_keep_simulator_alive(self, tiny_weights):
         # The simulator holds its session weakly: a reference cycle would
         # keep a dropped simulator's weights and arenas until the cyclic
@@ -828,32 +787,28 @@ class TestBatchedEngine:
         finally:
             gc.enable()
 
-    def test_session_resets_forward_cache(self, tiny_weights):
-        # forward() and sessions share one KV store, so opening a session
-        # resets the forward() cache, and the next generate starts clean.
+    def test_generate_batch_resets_forward_cache(self, tiny_weights):
+        # forward() and generate_batch share one KV store, so a batch resets
+        # the forward() cache, and a later generate starts clean although
+        # the batch left one of its streams in slot 0.
         simulator = DFXFunctionalSimulator(
             tiny_weights, num_devices=2, numerics=FP16_DFX
         )
         simulator.generate([5, 6, 7], 4)
         assert simulator.kv_cache_length > 0
-        session = simulator.batched_session()
+        batched = simulator.generate_batch([[1, 2, 3], [7, 8, 9]], 6)
         assert simulator.kv_cache_length == 0
-        session.admit([1, 2, 3], 5)
-        session.run()
+        assert batched == self._sequential(
+            tiny_weights, [[1, 2, 3], [7, 8, 9]], [6, 6]
+        )
         fresh = DFXFunctionalSimulator(tiny_weights, num_devices=2, numerics=FP16_DFX)
         assert simulator.generate([5, 6, 7], 4) == fresh.generate([5, 6, 7], 4)
+        simulator.generate_batch([[1, 2, 3], [7, 8, 9]], 6)
+        fresh.reset_cache()
+        assert simulator.generate([4, 5], 3) == fresh.generate([4, 5], 3)
 
 
 class TestLinkedProgramStructure:
-    def test_link_is_memoized_per_numerics(self, simulator):
-        program = simulator.compiler.compile_decoder_step()
-        fp16 = link_program(program, FP16_DFX)
-        assert link_program(program, FP16_DFX) is fp16
-        fp32 = link_program(program, FP32_EXACT)
-        assert fp32 is not fp16
-        assert link_program(program, FP32_EXACT) is fp32
-        assert link_program(program, FP16_DFX) is fp16
-
     def test_shared_values_carry_no_device_axis(self, simulator):
         # Each LayerNorm, residual and sync output is computed once per layer
         # for all devices (no device axis); the sharded projections and the

@@ -120,7 +120,6 @@ class TestBudgetValidation:
     ENTRY_POINTS = {
         "engine-generate": lambda rt, eng, ref, b: eng.generate([1, 2], b),
         "engine-generate_batch": lambda rt, eng, ref, b: eng.generate_batch([[1, 2]], b),
-        "engine-admit": lambda rt, eng, ref, b: eng.batched_session().admit([1, 2], b),
         "runtime-generate": lambda rt, eng, ref, b: rt.generate([1, 2], b),
         "runtime-generate_batch": lambda rt, eng, ref, b: rt.generate_batch([[1, 2]], b),
         "reference-generate_tokens": lambda rt, eng, ref, b: ref.generate_tokens([1, 2], b),
