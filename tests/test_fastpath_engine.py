@@ -18,6 +18,7 @@ import pytest
 from repro.core import functional
 from repro.core.functional import (
     BatchedFunctionalCore,
+    BatchedGenerationSession,
     BatchedKV,
     BatchedKVPool,
     DFXFunctionalSimulator,
@@ -772,6 +773,56 @@ class TestBatchedEngine:
         # Same-shaped rerun fits the warm arenas: no reallocation at all.
         assert [id(arena.data) for arena in pool.arenas] == arenas_before
         assert simulator.batched_kv_memory_bytes == bytes_before
+
+    def test_one_cohort_per_prompt_length(self, simulator, tiny_weights):
+        # Streams of one prompt length prefill and decode as one cohort.
+        # Cohorts start at distinct lengths and all advance one position per
+        # step, so they never merge; a cohort ends with its last stream.
+        prompts = [[1, 2, 3], [4], [5, 6, 7], [8, 9], [10]]
+        budgets = [2, 4, 5, 1, 3]
+        lengths = sorted({len(prompt) for prompt in prompts})
+
+        def live_cohorts(steps):
+            sizes = [
+                sum(1 for prompt, budget in zip(prompts, budgets)
+                    if len(prompt) == length and budget > steps)
+                for length in lengths
+            ]
+            return [size for size in sizes if size]
+
+        session = BatchedGenerationSession(simulator, prompts, budgets)
+        assert session.cohort_sizes == live_cohorts(0) == [2, 1, 2]
+        steps = 0
+        while True:
+            more = session.step()
+            steps += 1
+            assert session.cohort_sizes == live_cohorts(steps)
+            assert more == bool(session.cohort_sizes)
+            if not more:
+                break
+        assert steps == max(budgets)
+        assert [stream.outputs for stream in session.streams] == self._sequential(
+            tiny_weights, prompts, budgets
+        )
+
+    def test_departures_pack_survivors_left(self, simulator, tiny_weights, monkeypatch):
+        # Equal-length prompts share one cohort.  The streams that finish
+        # first sit in its low slots, so each departure moves the survivors
+        # above it down into the vacated slots without disturbing their caches.
+        prompts = [[1, 2], [3, 4], [5, 6], [7, 8]]
+        budgets = [1, 5, 2, 4]
+        pool = simulator._pool
+        move_slot = pool.move_slot
+        moves = []
+
+        def watched(dst, src):
+            moves.append((dst, src))
+            move_slot(dst, src)
+
+        monkeypatch.setattr(pool, "move_slot", watched)
+        batched = simulator.generate_batch(prompts, budgets)
+        assert moves == [(0, 1), (1, 2), (2, 3), (1, 2)]
+        assert batched == self._sequential(tiny_weights, prompts, budgets)
 
     def test_finished_session_does_not_keep_simulator_alive(self, tiny_weights):
         # The simulator holds its session weakly: a reference cycle would

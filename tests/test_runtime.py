@@ -57,6 +57,17 @@ class TestGeneration:
         second = runtime.generate([5, 6, 7], max_new_tokens=3)
         assert first.output_token_ids == second.output_token_ids
 
+    def test_batch_cost_spans_the_longest_prompt_and_budget(self, runtime):
+        # Each stream decodes exactly its budget; the lockstep batch is
+        # priced at its longest prompt and budget, at the full batch size.
+        batch = runtime.generate_batch([[1, 2, 3], [4, 5]], [2, 5])
+        assert [len(tokens) for tokens in batch.output_token_ids] == [2, 5]
+        assert batch.workload == Workload(3, 5)
+        assert batch.batch_size == 2
+        assert batch.latency_s == runtime.appliance.batched_request_seconds(
+            Workload(3, 5), 2
+        )
+
     def test_generate_text_round_trip(self, runtime):
         generation = runtime.generate_text("hello dfx appliance", max_new_tokens=3)
         assert generation.text is not None
@@ -131,6 +142,14 @@ class TestBudgetValidation:
         call = self.ENTRY_POINTS[entry]
         with pytest.raises(ExecutionError, match="max_new_tokens"):
             call(runtime, engine, reference, budget)
+
+    @pytest.mark.parametrize("entry", ["engine-generate_batch", "runtime-generate_batch"])
+    def test_budget_list_must_match_prompts(self, runtime, engine, reference, entry):
+        # Each entry point batches the one prompt [1, 2].
+        call = self.ENTRY_POINTS[entry]
+        for budgets in ([2, 3], []):
+            with pytest.raises(ExecutionError, match="max_new_tokens"):
+                call(runtime, engine, reference, budgets)
 
 
 def _fresh_generate(engine, prompt):
