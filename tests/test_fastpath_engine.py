@@ -30,7 +30,7 @@ from repro.isa.instructions import MatrixInstruction, VectorInstruction
 from repro.isa.opcodes import MatrixOpcode, VectorOpcode
 from repro.isa.program import Program
 from repro.model.config import GPT2_TEST_TINY
-from repro.model.numerics import FP16_DFX, FP16_GPU
+from repro.model.numerics import FP16_DFX, FP16_GPU, FP32_EXACT
 from repro.model.weights import generate_weights
 from repro.parallel.partitioner import build_partition_plan, partition_model_weights
 
@@ -857,6 +857,97 @@ class TestBatchedEngine:
         simulator.generate_batch([[1, 2, 3], [7, 8, 9]], 6)
         fresh.reset_cache()
         assert simulator.generate([4, 5], 3) == fresh.generate([4, 5], 3)
+
+
+class TestRaggedBatchLogitOracle:
+    """Every logit of a ragged ``generate_batch`` against sequential ``forward``.
+
+    Token comparisons miss a wrong logit that leaves every argmax alone, so
+    the oracle wraps ``_record_tokens`` to capture each stream's logits at
+    every step of a batch and holds them, byte for byte, to the logits that
+    ``forward`` gives for that stream alone.  Besides
+    ``TestBatchedEngine.PROMPTS``, each case runs seeded random batches whose
+    middle prompt-length group finishes first, so later steps decode groups
+    on both sides of the emptied one.
+    """
+
+    NUMERICS = {"FP16_DFX": FP16_DFX, "FP16_GPU": FP16_GPU, "FP32_EXACT": FP32_EXACT}
+
+    @staticmethod
+    def random_batches(seed, count=2):
+        """Ragged batches, shuffled, whose middle prompt length ends first."""
+        rng = np.random.default_rng(seed)
+        batches = []
+        for _ in range(count):
+            lengths = sorted(
+                rng.choice(np.arange(1, 13), size=int(rng.integers(3, 6)), replace=False)
+                .tolist()
+            )
+            middle = lengths[len(lengths) // 2]
+            prompts, budgets = [], []
+            for length in lengths:
+                for _ in range(int(rng.integers(1, 4))):
+                    prompts.append(
+                        rng.integers(0, GPT2_TEST_TINY.vocab_size, size=length).tolist()
+                    )
+                    low, high = (1, 3) if length == middle else (3, 8)
+                    budgets.append(int(rng.integers(low, high)))
+            order = rng.permutation(len(prompts)).tolist()
+            batches.append(([prompts[i] for i in order], [budgets[i] for i in order]))
+        return batches
+
+    @staticmethod
+    def batch_logits(simulator, prompts, budgets, monkeypatch):
+        """Each stream's tokens and per-step logit bytes from one batch."""
+        steps = [[] for _ in prompts]
+        record = BatchedGenerationSession._record_tokens
+
+        def watched(session, cohort, logits):
+            for stream, row in zip(cohort.streams, logits):
+                steps[session.streams.index(stream)].append(row.tobytes())
+            record(session, cohort, logits)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(BatchedGenerationSession, "_record_tokens", watched)
+            outputs = simulator.generate_batch(prompts, budgets)
+        return outputs, steps
+
+    @staticmethod
+    def sequential_logits(simulator, prompt, budget):
+        """One stream's tokens and per-step logit bytes from ``forward``."""
+        simulator.reset_cache()
+        logits, token = simulator.forward(np.asarray(prompt))
+        tokens, steps = [token], [logits.tobytes()]
+        for _ in range(budget - 1):
+            logits, token = simulator.forward(np.asarray([token]))
+            tokens.append(token)
+            steps.append(logits.tobytes())
+        return tokens, steps
+
+    @pytest.mark.parametrize("devices", [1, 2, 4])
+    @pytest.mark.parametrize("mode", list(NUMERICS))
+    def test_every_logit_matches_sequential_forward(
+        self, tiny_weights, mode, devices, monkeypatch
+    ):
+        numerics = self.NUMERICS[mode]
+        batched, sequential = (
+            DFXFunctionalSimulator(tiny_weights, num_devices=devices, numerics=numerics)
+            for _ in range(2)
+        )
+        batches = [(TestBatchedEngine.PROMPTS, TestBatchedEngine.BUDGETS)]
+        batches += self.random_batches(seed=100 + devices)
+        for batch, (prompts, budgets) in enumerate(batches):
+            outputs, steps = self.batch_logits(batched, prompts, budgets, monkeypatch)
+            for stream, (prompt, budget) in enumerate(zip(prompts, budgets)):
+                tokens, expected = self.sequential_logits(sequential, prompt, budget)
+                label = f"{mode}/{devices} batch {batch} stream {stream}"
+                assert outputs[stream] == tokens, label
+                assert len(steps[stream]) == budget, label
+                differ = [
+                    step for step, (ours, theirs) in enumerate(zip(steps[stream], expected))
+                    if ours != theirs
+                ]
+                assert not differ, f"{label}: logits differ at steps {differ}"
 
 
 class TestLinkedProgramStructure:
