@@ -29,15 +29,18 @@ thus runs once per step for all devices, and a ring sync is one
 concatenation over the device axis.  Registers are ``(batch, rows, cols)``
 when shared and ``(devices, batch, rows, cols)`` per device.
 
-The simulator has one engine.  Every forward runs a lockstep *cohort* of
-generation streams whose KV caches live in the slot arenas of a
-:class:`BatchedKVPool`: :meth:`DFXFunctionalSimulator.forward` is the cohort
-of one (batch 1) in slot 0, and :meth:`DFXFunctionalSimulator.generate_batch`
-runs the streams of each prompt length as one cohort.  The linked code only
-ever addresses the *last* axes of a buffer (``[..., a:b]`` column slices,
-``swapaxes(-1, -2)`` transposes, ``shape[-2:]`` mask extents) and reads
-every extent from its operands, so the same code runs every device count,
-cohort size, prompt length and past.
+The simulator has one engine.  Every forward runs a *decode set* of
+streams whose KV caches live in the slot arenas of a :class:`BatchedKVPool`,
+grouped by past length, each group in a contiguous slot range (Orca's
+selective batching): everything but attention runs once at the full batch,
+and the attention region (KV appends, scores, softmax, ``.V``) once per
+group.  :meth:`DFXFunctionalSimulator.forward` is a set of one stream in
+slot 0, and :meth:`DFXFunctionalSimulator.generate_batch` decodes all its
+streams as one set per step.  The linked code only ever addresses the
+*last* axes of a buffer (``[..., a:b]`` column slices, ``swapaxes(-1, -2)``
+transposes, ``shape[-2:]`` mask extents) and reads every extent from its
+operands, so the same code runs every device count, batch size, prompt
+length and past.
 
 **Bit-exactness contract:** the fast path must produce bit-identical buffers
 to the slow path.  Every fast-path shortcut is a proven identity: generated
@@ -57,13 +60,15 @@ max is the image of the rounded max; the causal mask selects in FP16
 and is skipped only when it admits every key (a single query row always
 attends to the whole cache); the KV cache appends in place into a
 preallocated arena slot whose logical view holds exactly the rows the slow
-path's ``np.concatenate`` produces; persistent weights are staged upcast to
+path's ``np.concatenate`` produces, and moves behind shared ops that touch
+nothing attention uses; persistent weights are staged upcast to
 the FP32 accumulation dtype (exact, since they were already quantized); the
 output-scatter path writes in place only into buffers it exclusively owns;
 and a stacked matmul over the device and batch axes calls the same BLAS
 kernel for each 2-D slice as the 2-D matmul of one device and one stream
 does (neither axis is ever flattened into rows, which would change the
-kernel).  Elementwise ops and last-axis reductions ignore leading axes.
+kernel).  Elementwise ops and last-axis reductions ignore leading axes,
+and attention never mixes streams of different pasts.
 The fast-vs-slow comparisons and the slow-path lockstep oracle in
 ``tests/test_fastpath_engine.py`` and the golden pin in
 ``tests/test_functional_golden.py`` hold the engine to this contract.
@@ -122,8 +127,8 @@ class BatchedKV:
     Rows live in a preallocated ``(devices, slots, capacity, cols)`` array:
     the leading axis is the device that owns the head shard, and each slot
     belongs to one generation stream and carries its own logical ``length``.
-    A lockstep *cohort* occupies a contiguous slot range ``[lo, hi)`` whose
-    slots all hold the same length, so the cohort's cache is the zero-copy
+    A *past-length group* occupies a contiguous slot range ``[lo, hi)`` whose
+    slots all hold the same length, so the group's cache is the zero-copy
     view ``data[:, lo:hi, :length]``.  Appends write in place; the arena
     only reallocates when :class:`BatchedKVPool` grows it.  Lengths are a
     plain list: every token step reads and bumps them, and Python ints are
@@ -148,11 +153,11 @@ class BatchedKV:
         return int(self.data.shape[2])
 
     def view(self, lo: int, hi: int) -> np.ndarray:
-        """The cohort's caches, no copy: ``(devices, hi - lo, length, cols)``."""
+        """The group's caches, no copy: ``(devices, hi - lo, length, cols)``."""
         return self.data[:, lo:hi, : self.lengths[lo]]
 
     def append(self, lo: int, hi: int, rows: np.ndarray) -> None:
-        """Append ``rows``, shaped like :meth:`view`, to every cohort slot."""
+        """Append ``rows``, shaped like :meth:`view`, to every group slot."""
         length = self.lengths[lo]
         end = length + rows.shape[-2]
         self.data[:, lo:hi, length:end] = rows
@@ -185,8 +190,8 @@ class BatchedKVPool:
     dimensioned identically so one slot index means "this stream" in every
     arena.  Slot storage persists across calls, so the pool holds the
     high-water mark of the largest batch and the longest stream it served:
-    a batch sizes it once, before its first forward, and :meth:`forward`
-    grows it as a decode outgrows it.
+    a batch sizes it once, before its first forward, and
+    :meth:`DFXFunctionalSimulator.forward` grows it as a decode outgrows it.
     """
 
     def __init__(self, dtype: np.dtype) -> None:
@@ -201,16 +206,11 @@ class BatchedKVPool:
         return arena
 
     def ensure(self, slots: int = 0, capacity: int = 0) -> None:
-        """Grow every arena to at least ``slots`` x ``capacity`` rows.
-
-        Capacity at least doubles whenever it grows, so a forward-by-forward
-        decode without an up-front reserve pays amortized O(1) row copies.
-        """
+        """Grow every arena to at least ``slots`` x ``capacity`` rows."""
         if slots <= self.slots and capacity <= self.capacity:
             return
         self.slots = max(self.slots, int(slots))
-        if capacity > self.capacity:
-            self.capacity = max(int(capacity), 2 * self.capacity)
+        self.capacity = max(self.capacity, int(capacity))
         for arena in self.arenas:
             arena.ensure(self.slots, self.capacity)
 
@@ -240,7 +240,7 @@ class FunctionalCore:
         registers: The register file: buffer name -> array whose last two
             axes are ``(rows, length)``.  Instruction semantics act on those
             two axes only, so any leading axes (the engine's device and
-            cohort batch axes) ride through unchanged.
+            batch axes) ride through unchanged.
         memory: Off-chip memory: weights, KV cache, embedding rows.
     """
 
@@ -426,7 +426,7 @@ class FunctionalCore:
     def execute(self, program: Program, sync_handler: SyncHandler | None = None) -> None:
         """Execute ``program``; ring syncs are resolved through ``sync_handler``."""
         linked = link_program(program, self.numerics)
-        for body, sync in linked.segments:
+        for body, sync, _ in linked.segments:
             if body is not None:
                 body(self)
             if sync is not None:
@@ -465,16 +465,17 @@ class BatchedFunctionalCore(FunctionalCore):
     Its memory holds the layer's device-stacked buffers and its registers
     carry a leading device axis wherever the value is per device, so one
     linked body advances every device at once (see the module docstring).
-    The core runs one lockstep cohort at a time: the KV cache lives in the
-    shared :class:`BatchedKV` arenas of ``kv_pool``, and ``slot_lo``/``slot_hi``
-    name the arena slot range of the cohort currently executing; the fast
-    path reads them when it unwraps a KV operand.  Every other instruction
-    semantic is shape-polymorphic, so only the KV append differs from the
-    plain core.
+    The core runs one decode set at a time, whose KV caches live in the
+    :class:`BatchedKV` arenas of ``kv_pool``: ``groups`` lists its
+    past-length groups' slot ranges ``(lo, hi)`` in batch order, and
+    ``slot_lo``/``slot_hi`` name the group executing; the fast path reads
+    them when it unwraps a KV operand.  Every other instruction semantic is
+    shape-polymorphic, so only the KV append differs from the plain core.
     """
 
     slot_lo: int = 0
     slot_hi: int = 0
+    groups: Sequence[tuple[int, int]] = ()
     kv_pool: BatchedKVPool | None = None
 
     def _append_kv(self, dst: str, source: np.ndarray) -> None:
@@ -491,6 +492,33 @@ class BatchedFunctionalCore(FunctionalCore):
             arena = self.kv_pool.new_arena(source.shape[0], source.shape[-1])
             self.memory[dst] = arena
         arena.append(self.slot_lo, self.slot_hi, source)
+
+    def run_groups(self, segment: LinkedSegment) -> None:
+        """Run an attention body once per group, on the group's batch rows.
+
+        Each group's outputs are copied out before the next group runs: the
+        body's scatter reuses its buffer whenever a group's shape repeats.
+        """
+        if len(self.groups) == 1:
+            self.slot_lo, self.slot_hi = self.groups[0]
+            segment.body(self)
+            return
+        reads, writes = segment.group_io
+        registers = self.registers
+        inputs = [(name, registers[name]) for name in reads]
+        outputs: dict[str, list[np.ndarray]] = {name: [] for name in writes}
+        start = 0
+        for lo, hi in self.groups:
+            self.slot_lo, self.slot_hi = lo, hi
+            for name, value in inputs:
+                registers[name] = value[..., start : start + hi - lo, :, :]
+            segment.body(self)
+            for name, parts in outputs.items():
+                parts.append(registers[name].copy())
+            start += hi - lo
+        registers.update(inputs)
+        for name, parts in outputs.items():
+            registers[name] = np.concatenate(parts, axis=-3)
 
 
 # ----------------------------------------------------------------- linking pass
@@ -602,7 +630,7 @@ class _SegmentCompiler:
         self.emit(f"    {var} = _memory.get({name!r})")
         self.emit(f"    if {var} is None:")
         self.emit(f"        raise ExecutionError({message})")
-        # A KV arena reads as the executing cohort's view (only a
+        # A KV arena reads as the executing group's view (only a
         # BatchedFunctionalCore's memory holds arenas).
         self.emit(f"    if {var}.__class__ is BatchedKV:")
         self.emit(f"        {var} = {var}.view(core.slot_lo, core.slot_hi)")
@@ -908,28 +936,61 @@ class _SegmentCompiler:
 
 
 def _compile_segment(
-    instructions: tuple[Instruction, ...],
-    numerics: Numerics,
-    label: str,
-) -> Handler:
-    """Lower one sync-free instruction run to a single bound handler."""
+    instructions: Sequence[Instruction], numerics: Numerics
+) -> _SegmentCompiler:
+    """Lower one sync-free instruction run; ``build`` returns its handler."""
     compiler = _SegmentCompiler(numerics)
     for instruction in instructions:
         compiler.add_instruction(instruction)
-    return compiler.build(label)
+    return compiler
+
+
+def _split_attention(
+    instructions: tuple[Instruction, ...],
+) -> tuple[list[Instruction], list[Instruction]]:
+    """Split a sync-free run into its shared ops and its attention region.
+
+    The region, every KV append and whatever reads the KV cache or a value
+    the region computed, runs after the shared ops; that moves an append
+    past later shared ops, sound only if they write nothing it uses.
+    """
+    tainted = {
+        instruction.dst
+        for instruction in instructions
+        if isinstance(instruction, DMAInstruction)
+        and instruction.opcode is DMAOpcode.STORE_KV
+    }
+    shared: list[Instruction] = []
+    region: list[Instruction] = []
+    used: set[str] = set()  # what the region has read or written so far
+    for instruction in instructions:
+        sources = set(instruction.source_operands())
+        writes = set(instruction.destination_operands())
+        if (writes | sources) & tainted:
+            region.append(instruction)
+            tainted |= writes
+            used |= sources | writes
+        elif writes & used:
+            raise ExecutionError(f"cannot link {instruction.dst!r} before attention")
+        else:
+            shared.append(instruction)
+    return shared, region
 
 
 class LinkedSegment(NamedTuple):
     """One sync-free run of a linked program.
 
     ``body`` is the run's generated handler (``None`` when the run is
-    empty); ``sync`` is the ring synchronization that ends it (``None`` for
-    a final run without one).  On a device-stacked core the body advances
-    every device at once.
+    empty); ``sync`` is the ring synchronization that ends it (``None``
+    when none does).  On a device-stacked core the body advances every
+    device at once.  An attention body runs once per past-length group
+    (:meth:`BatchedFunctionalCore.run_groups`); its ``group_io`` names the
+    per-stream registers it reads and those it writes that later code reads.
     """
 
     body: Handler | None
     sync: RouterInstruction | None
+    group_io: tuple[tuple[str, ...], tuple[str, ...]] | None = None
 
 
 @dataclass(frozen=True)
@@ -943,19 +1004,35 @@ class LinkedProgram:
 def link_program(program: Program, numerics: Numerics) -> LinkedProgram:
     """Lower ``program`` to a :class:`LinkedProgram` for ``numerics``.
 
-    The generated code captures the numerics' bound methods and tables, so
-    a linked program serves only the numerics it was linked for.
+    A run that appends to the KV cache links as its shared ops and then its
+    attention body (:func:`_split_attention`).  The generated code captures
+    the numerics' bound methods and tables, so a linked program serves only
+    the numerics it was linked for.
     """
-    segments = tuple(
-        LinkedSegment(
-            _compile_segment(segment.instructions, numerics, f"{program.name}#{index}")
-            if segment.instructions
-            else None,
-            segment.sync,
-        )
-        for index, segment in enumerate(program.segments())
-    )
-    return LinkedProgram(name=program.name, segments=segments)
+    segments: list[LinkedSegment] = []
+    end = 0  # where the current run's sync sits in the program
+    for index, run in enumerate(program.segments()):
+        label = f"{program.name}#{index}"
+        end += len(run.instructions)
+        shared, attention = _split_attention(run.instructions)
+        if shared or not attention:
+            body = _compile_segment(shared, numerics).build(label) if shared else None
+            segments.append(LinkedSegment(body, None if attention else run.sync))
+        if attention:
+            compiler = _compile_segment(attention, numerics)
+            later = {
+                name
+                for instruction in program.instructions[end:]
+                for name in instruction.source_operands()
+            }
+            group_io = (
+                tuple(sorted(compiler.loaded)),
+                tuple(sorted(compiler.defined & later)),
+            )
+            body = compiler.build(f"{label}.attention")
+            segments.append(LinkedSegment(body, run.sync, group_io))
+        end += 1
+    return LinkedProgram(name=program.name, segments=tuple(segments))
 
 
 class DFXFunctionalSimulator:
@@ -973,9 +1050,9 @@ class DFXFunctionalSimulator:
     on one core per run of consecutive devices with equal vocabulary shards:
     one core when the vocabulary divides evenly, two when the last device
     takes a remainder.  One :class:`BatchedKVPool` serves every call:
-    :meth:`forward` and :meth:`generate` run the cohort of one in arena slot
-    0, and :meth:`generate_batch` runs many streams as lockstep cohorts, so
-    it resets the :meth:`forward` cache.
+    :meth:`forward` and :meth:`generate` run a decode set of one stream in
+    arena slot 0, and :meth:`generate_batch` decodes many streams as one
+    decode set per step, so it resets the :meth:`forward` cache.
     """
 
     def __init__(
@@ -1024,7 +1101,7 @@ class DFXFunctionalSimulator:
             numerics=numerics, registers={}, memory={}
         )
         # Every program reads its extents from its operands, so one step's
-        # programs serve every prompt length, past and cohort size.
+        # programs serve every prompt length, past and batch size.
         step = self.compiler.compile_token_step(1, 0)
         self._embedding = link_program(step.embedding, numerics)
         self._layer = link_program(step.decoder_layer, numerics)
@@ -1038,7 +1115,7 @@ class DFXFunctionalSimulator:
         """Write ``shard`` as entry ``index`` of the stacked ``memory[name]``.
 
         The buffer is ``(count, 1, rows, cols)`` (a 1-D bias becomes one row),
-        so it broadcasts against a cohort's ``(batch, rows, cols)`` registers;
+        so it broadcasts against a batch's ``(batch, rows, cols)`` registers;
         it is allocated on the first shard and filled in place after that.
         """
         stacked = memory.get(name)
@@ -1117,10 +1194,14 @@ class DFXFunctionalSimulator:
         gathered array to every core.
         """
         dtype = self.numerics.dtype
-        for body, sync in linked.segments:
+        for segment in linked.segments:
+            body, sync, group_io = segment
             if body is not None:
                 for core in cores:
-                    body(core)
+                    if group_io is None:
+                        body(core)
+                    else:
+                        core.run_groups(segment)
             if sync is None:
                 continue
             src = sync.src
@@ -1133,15 +1214,21 @@ class DFXFunctionalSimulator:
 
     # ------------------------------------------------------------------- forward
     def _forward_cohort(
-        self, token_ids: np.ndarray, past: int, lo: int, hi: int
+        self, token_ids: np.ndarray, groups: Sequence[tuple[int, int, int]]
     ) -> np.ndarray:
-        """One lockstep forward over the cohort in arena slots ``[lo, hi)``.
+        """One lockstep forward over a decode set of past-length groups.
 
         ``token_ids`` is ``(batch, rows)``: each stream's token rows for this
-        step, all streams at the same ``past``.  Returns the FP32 logits of
-        every stream's last position, ``(batch, vocab)``.
+        step.  ``groups`` lists ``(past, lo, hi)`` in batch order: the streams
+        in arena slots ``[lo, hi)`` are the next ``hi - lo`` batch rows, all
+        ``past`` positions in.  Returns the FP32 logits of every stream's
+        last position, ``(batch, vocab)``.
         """
-        positions = np.arange(past, past + token_ids.shape[-1])
+        rows = token_ids.shape[-1]
+        positions = np.array(
+            [range(past, past + rows) for past, lo, hi in groups for _ in range(lo, hi)]
+        )
+        slots = [(lo, hi) for _, lo, hi in groups]
 
         # Token embedding (identical on every device; computed via the program).
         embedding_core = self._embedding_core
@@ -1155,8 +1242,7 @@ class DFXFunctionalSimulator:
             # No handler mutates a register array in place, so the hidden
             # state is shared by reference rather than copied.
             core.registers["hidden"] = hidden
-            core.slot_lo = lo
-            core.slot_hi = hi
+            core.groups = slots
             self._run_lockstep(self._layer, (core,))
             hidden = core.registers["hidden_out"]
 
@@ -1212,19 +1298,24 @@ class DFXFunctionalSimulator:
 
         Returns the full-vocabulary logits of the last position and the greedy
         next-token id.  The KV cache persists across calls: the pass runs as
-        the cohort of one in arena slot 0, whose capacity grows geometrically
-        when a call outgrows it.
+        a decode set of one stream in arena slot 0, whose capacity grows
+        geometrically when a call outgrows it, up to the context window.
         """
         token_ids = np.asarray(token_ids)
         past = self._past_length
         self._check_tokens(token_ids, past)
         end = past + token_ids.size
         pool = self._pool
-        pool.ensure(slots=1, capacity=end)
+        capacity = end
+        if end > pool.capacity:
+            # At least doubling keeps a forward-by-forward decode without an
+            # up-front reserve at amortized O(1) row copies.
+            capacity = max(end, min(2 * pool.capacity, self.config.n_positions))
+        pool.ensure(slots=1, capacity=capacity)
         if past == 0:
             # A batch may have left one of its streams in slot 0.
             pool.clear_slots(0, 1)
-        logits = self._forward_cohort(token_ids.reshape(1, -1), past, 0, 1)
+        logits = self._forward_cohort(token_ids.reshape(1, -1), ((past, 0, 1),))
         self._past_length = end
         return logits.reshape(-1), int(np.argmax(logits))
 
@@ -1271,10 +1362,10 @@ class DFXFunctionalSimulator:
         prompts: list[list[int]],
         max_new_tokens: int | list[int],
     ) -> list[list[int]]:
-        """Greedy generation of many streams as lockstep cohorts.
+        """Greedy generation of many streams, one decode set per step.
 
-        Streams with equal prompt lengths prefill together and decode as
-        one lockstep cohort, and finished streams leave their cohort (see
+        Streams with equal prompt lengths prefill together, and each decode
+        step runs every live stream as one decode set (see
         :class:`BatchedGenerationSession`).  Per-stream outputs are
         bit-identical to :meth:`generate` run stream by stream.  Every
         request is checked before the first forward, so a rejected batch
@@ -1316,7 +1407,8 @@ class _Stream:
 
 
 class _Cohort:
-    """Streams decoding in lockstep in arena slots ``[lo, lo + len(streams))``."""
+    """One prompt length's streams (one past-length group) in arena slots
+    ``[lo, lo + len(streams))``."""
 
     __slots__ = ("lo", "past", "streams")
 
@@ -1332,12 +1424,14 @@ class BatchedGenerationSession:
     It is built with every prompt and budget.  Streams with equal prompt
     lengths form one cohort in their own contiguous slot range, and the
     simulator's arena pool is sized once for the whole batch, so no forward
-    regrows it.  The first :meth:`step` prefills every cohort and each later
-    one decodes every cohort by one token; a stream whose budget is spent
-    leaves its cohort (survivors are packed left).  Cohorts start at
-    distinct prompt lengths and all advance one position per step, so they
-    never meet.  Building a session resets the simulator's :meth:`forward`
-    cache, which shares the pool.
+    regrows it.  The first :meth:`step` prefills each cohort with its own
+    forward, since flattening different row counts would change BLAS
+    kernels.  Each later one decodes every live stream by one token in one
+    decode set, in slot order, with one attention group per cohort; a
+    stream whose budget is spent leaves its cohort (survivors are packed
+    left).  Cohorts start at distinct prompt lengths and all advance one
+    position per step, so they never share a past.  Building a session
+    resets the simulator's :meth:`forward` cache, which shares the pool.
     """
 
     def __init__(
@@ -1375,21 +1469,29 @@ class BatchedGenerationSession:
         return [len(cohort.streams) for cohort in self._cohorts]
 
     def step(self) -> bool:
-        """Prefill every cohort on the first call, then decode each by one token.
+        """Prefill every cohort on the first call, then decode one decode set.
 
         Returns ``True`` while any stream has tokens left to generate.
         """
-        for cohort in list(self._cohorts):
-            if cohort.past == 0:
-                rows = [stream.prompt for stream in cohort.streams]
-            else:
-                rows = [[stream.outputs[-1]] for stream in cohort.streams]
-            token_matrix = np.asarray(rows, dtype=np.int64)
+        cohorts = list(self._cohorts)
+        if not cohorts:
+            return False
+        for decode_set in [[c] for c in cohorts] if cohorts[0].past == 0 else [cohorts]:
+            rows = [
+                stream.prompt if cohort.past == 0 else [stream.outputs[-1]]
+                for cohort in decode_set
+                for stream in cohort.streams
+            ]
             logits = self._sim._forward_cohort(
-                token_matrix, cohort.past, cohort.lo, cohort.lo + len(rows)
+                np.asarray(rows, dtype=np.int64),
+                [(c.past, c.lo, c.lo + len(c.streams)) for c in decode_set],
             )
-            cohort.past += token_matrix.shape[1]
-            self._record_tokens(cohort, logits)
+            start = 0
+            for cohort in decode_set:
+                stop = start + len(cohort.streams)
+                cohort.past += len(rows[start])
+                self._record_tokens(cohort, logits[start:stop])
+                start = stop
         return bool(self._cohorts)
 
     def _record_tokens(self, cohort: _Cohort, logits: np.ndarray) -> None:

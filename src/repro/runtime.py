@@ -57,12 +57,12 @@ class RuntimeGeneration:
 
 @dataclass
 class RuntimeBatchGeneration:
-    """Result of one batched runtime call: per-stream tokens + cohort cost.
+    """Result of one batched runtime call: per-stream tokens + batch cost.
 
-    All streams execute as lockstep cohorts on the functional engine, so the
-    batch has one wall clock (the cohort's) rather than per-stream
-    latencies.  ``latency_s`` prices the *dominant* request shape at the full
-    batch size — the standard static-batching bound.
+    All streams decode together on the functional engine, one decode set per
+    step, so the batch has one wall clock rather than per-stream latencies.
+    ``latency_s`` prices the *dominant* request shape at the full batch size
+    — the standard static-batching bound.
     """
 
     input_token_ids: list[list[int]]
@@ -171,12 +171,13 @@ class DFXRuntime:
         prompts: list[list[int]],
         max_new_tokens: int | list[int],
     ) -> RuntimeBatchGeneration:
-        """Generate many streams concurrently as lockstep cohorts.
+        """Generate many streams concurrently, one decode set per step.
 
-        Per-stream outputs are bit-identical to calling :meth:`generate`
-        stream by stream; the attached cost is the lockstep cohort's wall
-        clock at the dominant request shape.  The engine checks every
-        request before it runs anything.
+        Each step runs shared ops once for every stream and attention once
+        per past-length group.  Per-stream outputs are bit-identical to
+        calling :meth:`generate` stream by stream; the attached cost is the
+        batch's wall clock at the dominant request shape.  The engine
+        checks every request before it runs anything.
         """
         if len(prompts) == 0:
             raise ExecutionError("prompts must not be empty")

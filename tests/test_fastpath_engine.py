@@ -5,9 +5,11 @@ per ``generate()``), immutability of cached programs under execution, the
 bit-exactness contract between the device-stacked linked fast path and the
 per-instruction slow path (per device slice and per stream, and a whole
 slow-path lockstep cluster as the oracle), KV arena growth inside the
-functional cores, and warm-cache reuse via ``reset_cache``.
+functional cores, warm-cache reuse via ``reset_cache``, and the decode sets
+of ragged batches (every logit against sequential ``forward``).
 """
 
+import collections
 import dataclasses
 import gc
 import weakref
@@ -26,8 +28,9 @@ from repro.core.functional import (
     link_program,
 )
 from repro.isa.compiler import DFXCompiler
-from repro.isa.instructions import MatrixInstruction, VectorInstruction
-from repro.isa.opcodes import MatrixOpcode, VectorOpcode
+from repro.errors import ExecutionError
+from repro.isa.instructions import DMAInstruction, MatrixInstruction, VectorInstruction
+from repro.isa.opcodes import DMAOpcode, MatrixOpcode, VectorOpcode
 from repro.isa.program import Program
 from repro.model.config import GPT2_TEST_TINY
 from repro.model.numerics import FP16_DFX, FP16_GPU, FP32_EXACT
@@ -639,6 +642,33 @@ class TestKVGrowthInCores:
         assert all(arena.slots == 10 for arena in pool.arenas)
         assert pool.capacity >= 10 + 3 - 1
 
+    def test_pool_grows_to_what_calls_reserve_within_the_window(self, tiny_weights):
+        # generate and generate_batch know their totals, so the pool grows
+        # to exactly what they reserve; forward's geometric growth stops at
+        # the model's context window.
+        simulator = DFXFunctionalSimulator(tiny_weights, num_devices=2, numerics=FP16_DFX)
+        pool = simulator._pool
+        capacities = []
+        for rows in (20, 45, 70, 100):
+            simulator.reset_cache()
+            simulator.generate([1, 2, 3], rows - 3)  # reserves prompt + budget
+            capacities.append(pool.capacity)
+        # A batch reserves its longest prompt + budget - 1: 10 + 109 - 1.
+        simulator.generate_batch([[1, 2, 3], list(range(1, 11))], [40, 109])
+        capacities.append(pool.capacity)
+        assert capacities == [20, 45, 70, 100, 118]
+        assert all(arena.capacity == 118 for arena in pool.arenas)
+
+        window = GPT2_TEST_TINY.n_positions
+        fresh = DFXFunctionalSimulator(tiny_weights, num_devices=2, numerics=FP16_DFX)
+        _, token = fresh.forward(np.arange(59))
+        grown = [fresh._pool.capacity]
+        for _ in range(window - 59):
+            _, token = fresh.forward(np.array([token]))
+            grown.append(fresh._pool.capacity)
+        assert sorted(set(grown)) == [59, 118, window]
+        assert all(arena.capacity == window for arena in fresh._pool.arenas)
+
 
 class TestScatterOwnership:
     def test_scatter_allocates_once_then_writes_in_place(self):
@@ -805,6 +835,59 @@ class TestBatchedEngine:
             tiny_weights, prompts, budgets
         )
 
+    def test_each_decode_step_runs_one_decode_set(
+        self, simulator, tiny_weights, monkeypatch
+    ):
+        # After the prefill, a step runs each decoder layer's shared ops
+        # (LayerNorms, QKV, projections, FFN, residuals) once over every
+        # live stream, and only the attention region (KV append, scores,
+        # softmax, .V) once per live past-length group.  A spy counts the
+        # calls of each linked body of the decoder-layer program.
+        prompts = [[1], [2, 3], [4, 5, 6], [7, 8, 9, 10], [11, 12, 13, 14, 15]]
+        budgets = [4, 6, 2, 5, 3]
+        calls = collections.Counter()
+
+        def counted(index, body):
+            def run(core):
+                calls[index] += 1
+                body(core)
+            return run
+
+        layer = simulator._layer
+        bodies = {
+            index: segment.body
+            for index, segment in enumerate(layer.segments)
+            if segment.body is not None
+        }
+        (attention,) = [
+            index for index, body in bodies.items() if "_append_kv(" in body.__source__
+        ]
+        spied = tuple(
+            segment._replace(body=counted(index, segment.body))
+            if index in bodies else segment
+            for index, segment in enumerate(layer.segments)
+        )
+        monkeypatch.setattr(
+            simulator, "_layer", dataclasses.replace(layer, segments=spied)
+        )
+        session = BatchedGenerationSession(simulator, prompts, budgets)
+        session.step()  # the prefill: one forward per prompt length
+        layers = GPT2_TEST_TINY.n_layer
+        decode_steps = 0
+        while session.cohort_sizes:
+            groups = len(session.cohort_sizes)
+            calls.clear()
+            session.step()
+            decode_steps += 1
+            assert calls == {
+                index: layers * (groups if index == attention else 1)
+                for index in bodies
+            }, f"decode step {decode_steps} over {groups} groups"
+        assert decode_steps == max(budgets) - 1
+        assert [stream.outputs for stream in session.streams] == self._sequential(
+            tiny_weights, prompts, budgets
+        )
+
     def test_departures_pack_survivors_left(self, simulator, tiny_weights, monkeypatch):
         # Equal-length prompts share one cohort.  The streams that finish
         # first sit in its low slots, so each departure moves the survivors
@@ -966,3 +1049,20 @@ class TestLinkedProgramStructure:
                 assert registers[name].shape == (2, 1, 3, emb // 2), name
             assert core.memory["ln1_gamma"].shape == (emb,)
             assert core.memory["w_query"].shape == (2, 1, emb, emb // 2)
+
+    def test_linker_keeps_attention_after_the_shared_ops_it_may_pass(self):
+        # A run's attention region (its KV appends and every op reading the
+        # cache) runs after the run's shared ops, so an append moves past
+        # them.  Moving it past a write of the register it appends would
+        # append the new value, so the linker refuses.
+        append = DMAInstruction(DMAOpcode.STORE_KV, dst="kv.key.h0", src="key_local")
+        overwrite = VectorInstruction(
+            VectorOpcode.ADD, dst="key_local", src1="hidden", immediate=1.0
+        )
+        with pytest.raises(ExecutionError, match="before attention"):
+            link_program(Program("append-then-overwrite", [append, overwrite]), FP16_DFX)
+        shared, attention = link_program(
+            Program("overwrite-then-append", [overwrite, append]), FP16_DFX
+        ).segments
+        assert shared.group_io is None
+        assert attention.group_io == (("key_local",), ())
