@@ -20,14 +20,16 @@ One set of instruction semantics has two implementations:
   layer, LM head) once, when it is built.
 
 Every device of a cluster runs the same instruction stream on an equal
-shard, so the simulator runs all of them on **one device-stacked core** per
-decoder layer.  Each sharded buffer (weights, biases, KV arenas, and every
-register computed from them) carries a leading device axis; values every
-device shares (the hidden state, LayerNorms, residuals, every sync output)
-carry none, so broadcasting runs each of them once per layer.  A linked body
-thus runs once per step for all devices, and a ring sync is one
-concatenation over the device axis.  Registers are ``(batch, rows, cols)``
-when shared and ``(devices, batch, rows, cols)`` per device.
+shard, so the simulator runs all of them on **one device-stacked core**,
+which runs the embedding and every decoder layer: as on DFX's one compute
+core, only the memory it reads changes from layer to layer.  Each sharded
+buffer (weights, biases, KV arenas, and every register computed from them)
+carries a leading device axis; values every device shares (the hidden
+state, LayerNorms, residuals, every sync output) carry none, so
+broadcasting runs each of them once per layer.  A linked body thus runs
+once per step for all devices, and a ring sync is one concatenation over
+the device axis.  Registers are ``(batch, rows, cols)`` when shared and
+``(devices, batch, rows, cols)`` per device.
 
 The simulator has one engine.  Every forward runs a *decode set* of
 streams whose KV caches live in the slot arenas of a :class:`BatchedKVPool`,
@@ -460,11 +462,11 @@ class FunctionalCore:
 
 @dataclass
 class BatchedFunctionalCore(FunctionalCore):
-    """A :class:`FunctionalCore` that runs every device of one decoder layer.
+    """A :class:`FunctionalCore` that runs every device of a cluster at once.
 
-    Its memory holds the layer's device-stacked buffers and its registers
-    carry a leading device axis wherever the value is per device, so one
-    linked body advances every device at once (see the module docstring).
+    Its memory is one layer's device-stacked buffers at a time, and each
+    per-device register carries a leading device axis, so one linked body
+    advances every device at once (see the module docstring).
     The core runs one decode set at a time, whose KV caches live in the
     :class:`BatchedKV` arenas of ``kv_pool``: ``groups`` lists its
     past-length groups' slot ranges ``(lo, hi)`` in batch order, and
@@ -1045,11 +1047,13 @@ class DFXFunctionalSimulator:
     every prefill and decode step, since every extent they use comes from
     their operands.
 
-    Each decoder layer runs on one :class:`BatchedFunctionalCore` holding
-    every device's shard stacked on a leading device axis.  The LM head runs
-    on one core per run of consecutive devices with equal vocabulary shards:
-    one core when the vocabulary divides evenly, two when the last device
-    takes a remainder.  One :class:`BatchedKVPool` serves every call:
+    The embedding and every decoder layer run on one
+    :class:`BatchedFunctionalCore`, whose memory is ``_layer_memory[i]``
+    (every device's shard stacked on a leading axis) while layer ``i`` runs.
+    The LM head runs on one core per run of consecutive devices with equal
+    vocabulary shards: one core when the vocabulary divides evenly, two when
+    the last device takes a remainder.  One :class:`BatchedKVPool` serves
+    every call:
     :meth:`forward` and :meth:`generate` run a decode set of one stream in
     arena slot 0, and :meth:`generate_batch` decodes many streams as one
     decode set per step, so it resets the :meth:`forward` cache.
@@ -1086,20 +1090,11 @@ class DFXFunctionalSimulator:
             device_layers = partition_model_weights(self.weights, self.plan, device_id)
             for memory, layer in zip(self._layer_memory, device_layers):
                 self._stage_layer(memory, device_id, layer)
-        # Persistent cores: the register dicts are reused across token steps
-        # (every program defines its registers before reading them, and
-        # scatter accumulators are fully overwritten).  Only the decoder
-        # layers store KV, so only their cores hold arenas.
-        self._layer_cores = [
-            BatchedFunctionalCore(
-                numerics=numerics, registers={}, memory=memory, kv_pool=self._pool
-            )
-            for memory in self._layer_memory
-        ]
+        # One core runs the embedding and every layer: its registers are
+        # reused layer after layer (every program defines its registers
+        # before reading them, and scatter accumulators are fully overwritten).
+        self._core = BatchedFunctionalCore(numerics=numerics, kv_pool=self._pool)
         self._lm_cores = self._build_lm_cores()
-        self._embedding_core = FunctionalCore(
-            numerics=numerics, registers={}, memory={}
-        )
         # Every program reads its extents from its operands, so one step's
         # programs serve every prompt length, past and batch size.
         step = self.compiler.compile_token_step(1, 0)
@@ -1228,27 +1223,28 @@ class DFXFunctionalSimulator:
         positions = np.array(
             [range(past, past + rows) for past, lo, hi in groups for _ in range(lo, hi)]
         )
-        slots = [(lo, hi) for _, lo, hi in groups]
 
         # Token embedding (identical on every device; computed via the program).
-        embedding_core = self._embedding_core
-        embedding_core.memory["wte_rows"] = self.weights.wte[token_ids]
-        embedding_core.memory["wpe_rows"] = self.weights.wpe[positions]
-        self._run_lockstep(self._embedding, (embedding_core,))
-        hidden = embedding_core.registers["hidden"]
+        core = self._core
+        core.memory = {
+            "wte_rows": self.weights.wte[token_ids],
+            "wpe_rows": self.weights.wpe[positions],
+        }
+        self._run_lockstep(self._embedding, (core,))
 
-        # Decoder layers, every device at once.
-        for core in self._layer_cores:
+        # Decoder layers, every device at once, each from its own memory.
+        core.groups = [(lo, hi) for _, lo, hi in groups]
+        registers = core.registers
+        for memory in self._layer_memory:
+            core.memory = memory
+            self._run_lockstep(self._layer, (core,))
             # No handler mutates a register array in place, so the hidden
             # state is shared by reference rather than copied.
-            core.registers["hidden"] = hidden
-            core.groups = slots
-            self._run_lockstep(self._layer, (core,))
-            hidden = core.registers["hidden_out"]
+            registers["hidden"] = registers["hidden_out"]
 
         # LM head on the last position only.
         cores = self._lm_cores
-        last_hidden = hidden[..., -1:, :]
+        last_hidden = registers["hidden"][..., -1:, :]
         for core in cores:
             core.registers["hidden_last"] = last_hidden
         self._run_lockstep(self._lm_head, cores)
@@ -1328,8 +1324,9 @@ class DFXFunctionalSimulator:
         """
         past = self._past_length
         self._check_request(input_token_ids, max_new_tokens, past)
+        # The last token is never fed back, so it needs no KV row.
         self._pool.ensure(
-            slots=1, capacity=past + len(input_token_ids) + max_new_tokens
+            slots=1, capacity=past + len(input_token_ids) + max_new_tokens - 1
         )
         outputs: list[int] = []
         _, next_token = self.forward(np.asarray(input_token_ids))

@@ -241,14 +241,11 @@ class ApplianceEvaluator:
 
     # --------------------------------------------------------------- objectives
     def _batch_cost(self, backend: Backend, batch: int) -> tuple[float, float, int]:
-        """(latency_s, energy_joules, output tokens) of one batch."""
-        if batch == 1:
-            result = backend.estimate(self.workload)
-            return (
-                result.latency_s,
-                result.total_power_watts * result.latency_s,
-                self.workload.output_tokens,
-            )
+        """(latency_s, energy_joules, output tokens) of one batch.
+
+        A batch of one is the backend's singleton passthrough, exactly
+        :meth:`~repro.backends.base.Backend.estimate`.
+        """
         estimate = backend.batched_estimate([self.workload] * batch)
         return (
             estimate.latency_s,

@@ -14,9 +14,10 @@ star or a trace by hand::
     priced = base.run()
     free = replace(base, link=NetworkLink()).run()
 
-Construction checks only the two fields nothing else checks
-(``arrivals`` and ``racks``); the trace builders check the numeric trace
-fields, and :meth:`~ServingScenario.trace` runs before anything is served.
+Construction checks only the fields nothing else checks in time
+(``arrivals``, ``racks`` and ``members``, read once into a tuple); the
+trace builders check the numeric trace fields, and
+:meth:`~ServingScenario.trace` runs before anything is served.
 """
 
 from __future__ import annotations
@@ -37,7 +38,12 @@ from repro.serving.requests import (
     poisson_trace,
 )
 from repro.serving.schedulers import SchedulingPolicy
-from repro.serving.server import ApplianceFleet, FleetMember, ServingReport
+from repro.serving.server import (
+    ApplianceFleet,
+    FleetMember,
+    ServingReport,
+    check_fleet_members,
+)
 
 #: Synthetic arrival processes: name -> builder of a scenario's trace.
 _ARRIVALS = {
@@ -102,6 +108,8 @@ class ServingScenario:
             )
         if self.racks is not None:
             check_number("racks", self.racks, 1, integer=True)
+        # Rack naming reads every member's name before any fleet is built.
+        object.__setattr__(self, "members", check_fleet_members(self.members))
 
     def trace(self):
         """The requests this scenario serves (a generator when streaming)."""

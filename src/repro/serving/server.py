@@ -32,6 +32,7 @@ harness compares serving capacity across every platform the registry knows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import Iterable
 
 import numpy as np
 
@@ -731,12 +732,34 @@ class FleetMember:
     max_batch_size: int | None = 1
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise ConfigurationError("fleet member needs a non-empty name")
+        if not isinstance(self.name, str) or not self.name:
+            raise ConfigurationError(
+                f"fleet member name must be a non-empty str, got {self.name!r}"
+            )
         if self.num_clusters is not None:
             check_number("num_clusters", self.num_clusters, 1, integer=True)
         if self.max_batch_size is not None:
             check_number("max_batch_size", self.max_batch_size, 1, integer=True)
+
+
+def check_fleet_members(members: Iterable[FleetMember]) -> tuple[FleetMember, ...]:
+    """``members`` read once into a tuple (so a generator keeps its members),
+    each checked to be a :class:`FleetMember` before any name is read."""
+    try:
+        members = tuple(members)
+    except TypeError:
+        raise ConfigurationError(
+            f"fleet members must be an iterable of FleetMember, "
+            f"got {type(members).__name__}"
+        ) from None
+    if not members:
+        raise ConfigurationError("a fleet needs at least one member")
+    for member in members:
+        if not isinstance(member, FleetMember):
+            raise ConfigurationError(
+                f"fleet members must be FleetMember instances, got {member!r}"
+            )
+    return members
 
 
 class ApplianceFleet:
@@ -779,7 +802,7 @@ class ApplianceFleet:
 
     def __init__(
         self,
-        members: list[FleetMember] | tuple[FleetMember, ...],
+        members: Iterable[FleetMember],
         scheduler: str | SchedulingPolicy = "fifo",
         name: str | None = None,
         batch_policy: str | BatchFormationPolicy = "none",
@@ -789,8 +812,7 @@ class ApplianceFleet:
         network=None,
         retain_records: bool = True,
     ) -> None:
-        if not members:
-            raise ConfigurationError("a fleet needs at least one member")
+        members = check_fleet_members(members)
         names = [member.name for member in members]
         if len(set(names)) != len(names):
             raise ConfigurationError(f"fleet member names must be unique: {names}")

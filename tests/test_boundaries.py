@@ -93,7 +93,7 @@ from repro.serving.faults import (
 )
 from repro.serving.network import NetworkLink, NetworkModel
 from repro.serving.schedulers import PriorityScheduler
-from repro.serving.server import ApplianceServer
+from repro.serving.server import ApplianceFleet, ApplianceServer
 from repro.serving.stats import ExactDistribution, QuantileSketch
 from repro.workloads import Workload
 
@@ -622,6 +622,17 @@ FORMERLY_ACCEPTED = [
     # A star without racks indexed an empty list for its ingress.
     ("network-star-without-racks", lambda: NetworkModel.star({}), "rack",
      ConfigurationError),
+    # A non-str name failed in "+".join; a non-member in the fleet or the
+    # scenario's rack naming with AttributeError, a bare member with TypeError.
+    ("fleet-member-int-name", lambda: FleetMember(5, "dfx", 1), "name",
+     ConfigurationError),
+    ("fleet-string-member", lambda: ApplianceFleet(["dfx"]), "members",
+     ConfigurationError),
+    ("scenario-string-member", lambda: ServingScenario(members=("dfx",), racks=2),
+     "members", ConfigurationError),
+    ("scenario-bare-member",
+     lambda: ServingScenario(members=FleetMember("a", "dfx", 1)), "members",
+     ConfigurationError),
 ]
 
 
@@ -634,6 +645,18 @@ def test_formerly_accepted_input_fails_at_the_boundary(call, field, error):
         call()
     assert type(raised.value) is error
     assert field in str(raised.value)
+
+
+def test_fleet_from_a_generator_keeps_its_members():
+    """A generator passed the empty-fleet check and was then consumed by
+    the member names: a fleet named ``a+b`` with no members abandoned
+    every request."""
+    members = (FleetMember(name, FixedLatencyPlatform(0.5), 1) for name in "ab")
+    fleet = ApplianceFleet(members)
+    assert [member.name for member in fleet.members] == ["a", "b"]
+    assert fleet.num_clusters == 2
+    report = fleet.serve([ServiceRequest(i, 0.0, Workload(8, 8)) for i in range(3)])
+    assert (report.num_requests, report.num_abandoned) == (3, 0)
 
 
 def test_nan_priority_never_reaches_a_scheduler():

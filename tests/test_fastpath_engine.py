@@ -570,8 +570,9 @@ class TestKVGrowthInCores:
         simulator.generate([1, 2, 3], max_new_tokens=8)
         memory = simulator._layer_memory[0]
         buffer = next(v for k, v in memory.items() if k.startswith("kv."))
-        assert buffer.capacity >= 3 + 8
-        assert buffer.lengths[0] == 3 + 8 - 1  # last token is never fed back
+        # The last token is never fed back, so it gets no row.
+        assert buffer.capacity == 3 + 8 - 1
+        assert buffer.lengths[0] == 3 + 8 - 1
 
     def test_reset_cache_keeps_capacity_and_matches_fresh_run(self, tiny_weights):
         warm = DFXFunctionalSimulator(tiny_weights, num_devices=2, numerics=FP16_DFX)
@@ -591,7 +592,7 @@ class TestKVGrowthInCores:
         simulator.generate([1, 2, 3], max_new_tokens=20)
         memory = simulator._layer_memory[0]
         buffer = next(v for k, v in memory.items() if k.startswith("kv."))
-        assert buffer.capacity >= 23
+        assert buffer.capacity == 3 + 20 - 1
 
     def test_forward_decode_regrows_arenas_geometrically(self, simulator, tiny_weights):
         # forward() has no up-front reserve: decoding token by token past the
@@ -651,12 +652,12 @@ class TestKVGrowthInCores:
         capacities = []
         for rows in (20, 45, 70, 100):
             simulator.reset_cache()
-            simulator.generate([1, 2, 3], rows - 3)  # reserves prompt + budget
+            simulator.generate([1, 2, 3], rows - 3)  # reserves prompt + budget - 1
             capacities.append(pool.capacity)
         # A batch reserves its longest prompt + budget - 1: 10 + 109 - 1.
         simulator.generate_batch([[1, 2, 3], list(range(1, 11))], [40, 109])
         capacities.append(pool.capacity)
-        assert capacities == [20, 45, 70, 100, 118]
+        assert capacities == [19, 44, 69, 99, 118]
         assert all(arena.capacity == 118 for arena in pool.arenas)
 
         window = GPT2_TEST_TINY.n_positions
@@ -1033,6 +1034,56 @@ class TestRaggedBatchLogitOracle:
                 assert not differ, f"{label}: logits differ at steps {differ}"
 
 
+class TestOneComputeCore:
+    """The embedding and every decoder layer share one core, as on DFX."""
+
+    def test_forward_switches_one_core_between_layer_memories(
+        self, simulator, monkeypatch
+    ):
+        runs = []
+        run_lockstep = DFXFunctionalSimulator._run_lockstep
+
+        def spy(sim, linked, cores):
+            runs.append((linked, [(core, core.memory) for core in cores]))
+            run_lockstep(sim, linked, cores)
+
+        monkeypatch.setattr(DFXFunctionalSimulator, "_run_lockstep", spy)
+        simulator.forward(np.array([1, 2, 3]))
+        n_layer = GPT2_TEST_TINY.n_layer
+        programs = [simulator._embedding, *[simulator._layer] * n_layer, simulator._lm_head]
+        assert len(runs) == len(programs)
+        assert all(linked is program for (linked, _), program in zip(runs, programs))
+        placed = [cores for _, cores in runs[:-1]]  # the embedding and every layer
+        assert all(len(cores) == 1 for cores in placed)
+        core = placed[0][0][0]
+        assert all(cores[0][0] is core for cores in placed)
+        assert set(placed[0][0][1]) == {"wte_rows", "wpe_rows"}
+        for layer, cores in enumerate(placed[1:]):
+            assert cores[0][1] is simulator._layer_memory[layer], layer
+
+    def test_prefill_holds_each_layer_register_once(self, simulator):
+        # A multi-stream prefill leaves one layer's registers and scatter
+        # buffers in the simulator, not one set per decoder layer.
+        simulator.generate_batch([[1, 2, 3, 4]] * 3, 1)
+        cores = [
+            core
+            for value in vars(simulator).values()
+            for core in (value if isinstance(value, (list, tuple)) else [value])
+            if isinstance(core, FunctionalCore)
+        ]
+        program = simulator.compiler.compile_token_step(1, 0).decoder_layer
+        written = {instruction.dst for instruction in program.instructions}
+        registers = collections.Counter(
+            name for core in cores for name in core.registers if name in written
+        )
+        scatter = collections.Counter(
+            name for core in cores for name in core._scatter_buffers
+        )
+        assert registers["lnorm1"] == registers["attn_local"] == 1
+        assert max(registers.values()) == 1
+        assert scatter == {"attn_local": 1}
+
+
 class TestLinkedProgramStructure:
     def test_shared_values_carry_no_device_axis(self, simulator):
         # Each LayerNorm, residual and sync output is computed once per layer
@@ -1040,15 +1091,15 @@ class TestLinkedProgramStructure:
         # attention outputs carry the leading device axis.
         simulator.forward(np.array([1, 2, 3]))
         emb = GPT2_TEST_TINY.n_embd
-        assert len(simulator._layer_cores) == GPT2_TEST_TINY.n_layer
-        for core in simulator._layer_cores:
-            registers = core.registers
-            for name in ("lnorm1", "lnorm2", "hidden_out"):
-                assert registers[name].shape == (1, 3, emb), name
-            for name in ("query_local", "attn_local"):
-                assert registers[name].shape == (2, 1, 3, emb // 2), name
-            assert core.memory["ln1_gamma"].shape == (emb,)
-            assert core.memory["w_query"].shape == (2, 1, emb, emb // 2)
+        registers = simulator._core.registers
+        for name in ("lnorm1", "lnorm2", "hidden_out"):
+            assert registers[name].shape == (1, 3, emb), name
+        for name in ("query_local", "attn_local"):
+            assert registers[name].shape == (2, 1, 3, emb // 2), name
+        assert len(simulator._layer_memory) == GPT2_TEST_TINY.n_layer
+        for memory in simulator._layer_memory:
+            assert memory["ln1_gamma"].shape == (emb,)
+            assert memory["w_query"].shape == (2, 1, emb, emb // 2)
 
     def test_linker_keeps_attention_after_the_shared_ops_it_may_pass(self):
         # A run's attention region (its KV appends and every op reading the
